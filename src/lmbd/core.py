@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -87,10 +86,12 @@ class PmfTable:
 class MomentSummary:
     """tau ratios and the induced mean/variance/marginal.
 
-    mean = n psi tau1, variance = n psi eta with
-    eta = tau1 - psi (n tau1^2 - (n-1) tau2), and pi = psi tau1 is the
-    per-trial marginal success probability.  ``tau2`` is NaN for n = 1
-    (it does not exist there and carries coefficient zero).
+    mean = n psi tau1, variance = n psi eta, and pi = psi tau1 is the
+    per-trial marginal success probability.  In closed form
+    eta = tau1 - psi (n tau1^2 - (n-1) tau2), but ``moments`` reads the
+    variance off the pmf table for interior psi (see there).  ``tau2``
+    is NaN for n = 1 (it does not exist there and carries coefficient
+    zero).
     """
 
     tau1: float
@@ -113,12 +114,21 @@ def _log_binom(m, i):
     return gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
 
 
+def _logsumexp(terms: np.ndarray) -> float:
+    """log(sum(exp(terms))) with the largest term shifted to 0 (Blanchard,
+    Higham & Higham 2021); an infinite or NaN maximum passes through."""
+    top = terms.max()
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.exp(terms - top).sum()))
+
+
 def log_k(n: int, a: int, psi: float, omega: float) -> float:
     """Log of the partial normalizing sum K_{n-a}.
 
     K_{n-a} = sum_{i=0}^{n-a} C(n-a, i) psi^i (1-psi)^(n-a-i)
               omega^((n-a-i)(i+a)),
-    evaluated by log-sum-exp over per-term logs.
+    evaluated by a max-shifted log-sum-exp over per-term logs.
     """
     _validate(n, psi, omega)
     if not 0 <= a <= n:
@@ -131,7 +141,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
         + xlogy(m - i, 1.0 - psi)
         + (m - i) * (i + a) * math.log(omega)
     )
-    return float(logsumexp(terms))
+    return _logsumexp(terms)
 
 
 def tau(r: int, params: ModelParams) -> float:
@@ -182,64 +192,47 @@ def cdf(params: ModelParams, y: int) -> float:
     return min(1.0, float(np.exp(logsumexp(table.log_prob[: y + 1]))))
 
 
-# Largest n for which the moment formulas are evaluated in exact rational
-# arithmetic.  The eta combination cancels O(n^2) terms down to the
-# variance, which can be near zero at concentrated parameters; float
-# evaluation then loses most relative digits, while Fraction arithmetic
-# (floats are exact rationals, and K is a polynomial in psi and omega)
-# keeps the stated 1e-10 relative accuracy.
-_EXACT_MOMENT_MAX_N = 64
-
-
-def _exact_k(n: int, a: int, psi: Fraction, omega: Fraction) -> Fraction:
-    m = n - a
-    return sum(
-        math.comb(m, i) * psi ** i * (1 - psi) ** (m - i)
-        * omega ** ((m - i) * (i + a))
-        for i in range(m + 1)
-    )
-
-
 def moments(params: ModelParams) -> MomentSummary:
-    """Closed-form mean/variance through the tau ratios.
+    """tau_1, tau_2 from the log-K sums; mean = n psi tau_1; the variance
+    read off the pmf table.
 
-    The formulas are exact at psi in {0, 1} as well (mean 0 or n,
-    variance 0), so no edge branch is needed.
+    The closed form n psi (tau_1 - psi (n tau_1^2 - (n-1) tau_2)) cancels
+    O(n^2) terms down to the variance, and a sum about the mean loses the
+    variance to the mean's rounding error where the law piles onto 0 or
+    n.  Centred on the table's mode m every term is positive up to one
+    small correction: with d = sum p_y (y - m), the variance is
+    sum p_y (y - m)^2 - d^2.  psi in {0, 1} keeps the closed form, which
+    is exact there (mean 0 or n, variance 0).
     """
-    n, psi = params.n, params.psi
-    if 0.0 < psi < 1.0 and n <= _EXACT_MOMENT_MAX_N:
-        fp, fw = Fraction(psi), Fraction(params.omega)
-        kn = _exact_k(n, 0, fp, fw)
-        t1 = _exact_k(n, 1, fp, fw) / kn
-        if n >= 2:
-            t2 = _exact_k(n, 2, fp, fw) / kn
-            eta = t1 - fp * (n * t1 * t1 - (n - 1) * t2)
-        else:
-            eta = t1 - fp * t1 * t1
-        return MomentSummary(
-            tau1=float(t1),
-            tau2=float(t2) if n >= 2 else math.nan,
-            eta=float(eta),
-            mean=float(n * fp * t1),
-            variance=max(0.0, float(n * fp * eta)),
-            pi=float(fp * t1),
-        )
-    t1 = tau(1, params)
-    if n >= 2:
-        t2 = tau(2, params)
-        eta = t1 - psi * (n * t1 * t1 - (n - 1) * t2)
+    n, psi, omega = params.n, params.psi, params.omega
+    log_kn = log_k(n, 0, psi, omega)
+    t1 = math.exp(log_k(n, 1, psi, omega) - log_kn)
+    t2 = math.exp(log_k(n, 2, psi, omega) - log_kn) if n >= 2 else math.nan
+    if 0.0 < psi < 1.0:
+        probs = pmf(params).probs()
+        dev = np.arange(n + 1) - int(np.argmax(probs))
+        d = float(probs @ dev)
+        variance = max(0.0, float(probs @ (dev * dev)) - d * d)
+        eta = variance / (n * psi)
     else:
-        t2 = math.nan
-        eta = t1 - psi * t1 * t1
-    mean = n * psi * t1
-    variance = max(0.0, n * psi * eta)
-    return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean,
+        if n >= 2:
+            eta = t1 - psi * (n * t1 * t1 - (n - 1) * t2)
+        else:
+            eta = t1 - psi * t1 * t1
+        variance = max(0.0, n * psi * eta)
+    return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=n * psi * t1,
                          variance=variance, pi=psi * t1)
 
 
 def marginal_pi(params: ModelParams) -> float:
     """Per-trial marginal success probability pi = psi * tau_1."""
     return params.psi * tau(1, params)
+
+
+def _log_joint_weight(params: ModelParams, y: int):
+    """Unnormalized log weight of one configuration with y successes."""
+    n, psi, omega = params.n, params.psi, params.omega
+    return xlogy(y, psi) + xlogy(n - y, 1.0 - psi) + (n - y) * y * math.log(omega)
 
 
 def joint_log_prob(params: ModelParams, bits) -> float:
@@ -254,14 +247,8 @@ def joint_log_prob(params: ModelParams, bits) -> float:
         raise ValueError(f"bits must have length n={params.n}, got shape {b.shape}")
     if not np.isin(b, (0, 1)).all():
         raise ValueError("bits must be 0/1 valued")
-    n, psi, omega = params.n, params.psi, params.omega
-    y = int(b.sum())
-    return float(
-        xlogy(y, psi)
-        + xlogy(n - y, 1.0 - psi)
-        + (n - y) * y * math.log(omega)
-        - log_k(n, 0, psi, omega)
-    )
+    log_kn = log_k(params.n, 0, params.psi, params.omega)
+    return float(_log_joint_weight(params, int(b.sum())) - log_kn)
 
 
 def joint_outcome(params: ModelParams, bits) -> JointOutcome:
@@ -280,9 +267,10 @@ def conditional_cpr(params: ModelParams) -> float:
         raise ValueError("conditional CPR needs n >= 2")
     if not 0.0 < params.psi < 1.0:
         raise ValueError("conditional CPR needs psi in (0, 1)")
-    rest = [0] * (params.n - 2)
+    # the two free trials plus n-2 failures; log K_n is shared by all four
+    log_kn = log_k(params.n, 0, params.psi, params.omega)
     lp = {
-        pair: joint_log_prob(params, list(pair) + rest)
+        pair: _log_joint_weight(params, sum(pair)) - log_kn
         for pair in ((1, 1), (0, 0), (1, 0), (0, 1))
     }
     return math.exp(lp[(1, 1)] + lp[(0, 0)] - lp[(1, 0)] - lp[(0, 1)])

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import betaln, expit, logit, logsumexp, xlogy
 
 from .core import ModelParams, pmf
@@ -191,6 +190,8 @@ def fit_mle(sample: CountSample) -> FitResult:
     Degenerate samples (all mass at 0 or n, or a single observed value)
     return boundary-flagged, non-converged results.
     """
+    from scipy.optimize import minimize  # costs ~0.15 s; only fits need it
+
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
     total = counts.sum()
@@ -222,7 +223,9 @@ def fit_mle(sample: CountSample) -> FitResult:
     psi_hat = float(expit(theta[0]))
     omega_hat = float(np.exp(theta[1]))
     grad = _fd_gradient(neg_ll, theta)
-    converged = bool(res.success) or float(np.linalg.norm(grad)) < 1e-8 * total
+    # bool() of the whole: the comparison alone is a numpy bool, which
+    # json cannot write
+    converged = bool(res.success or float(np.linalg.norm(grad)) < 1e-8 * total)
 
     standard_errors = None
     hess = _fd_hessian(neg_ll, theta)
@@ -260,6 +263,8 @@ def _fit_binomial(sample: CountSample) -> tuple[float, float]:
 
 def _fit_beta_binomial(sample: CountSample) -> tuple[float, float, float]:
     """Beta-Binomial MLE over (log alpha, log beta): (a_hat, b_hat, ll)."""
+    from scipy.optimize import minimize
+
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
     mask = counts > 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
-from .core import ModelParams, _log_binom, log_k, marginal_pi, tau
+from .core import ModelParams, _log_binom, log_k, tau
 
 __all__ = [
     "GridSpec",
@@ -178,7 +178,7 @@ def theorem2_check(params: ModelParams) -> Theorem2Report:
     boundary where pi = psi.
     """
     t1 = tau(1, params)
-    pi = marginal_pi(params)
+    pi = params.psi * t1
     applies = params.psi >= 0.5 and params.omega > 1.0
     # omega = 1 and psi = 1/2 force pi = psi analytically; classify them
     # as ties rather than let rounding pick a side

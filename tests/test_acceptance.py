@@ -259,7 +259,7 @@ def test_criterion_08_normal_approximation_scan():
     n = 160.  omega > 1 fixed: the law tends to a discrete Gaussian on the
     unit lattice, so the distance decreases toward that law's distance L,
     stays above L > 0.1, and each quadrupling of n at least halves
-    KS - L (the approach is O(1/n)).  Every distance is within 1e-10 of a
+    KS - L (the approach is O(1/n)).  Every distance is within 1e-12 of a
     50-digit mpmath evaluation.  Only the clt_scan calls are timed.
     See the criterion 8 entry in CHANGES.md.
     """
@@ -287,7 +287,7 @@ def test_criterion_08_normal_approximation_scan():
         if not ok:
             failures.append((psi, omega, [round(k, 4) for k in ks]))
     report(8, "normal-approximation scan",
-           not failures and worst_gap <= 1e-10 and elapsed < 5.0,
+           not failures and worst_gap <= 1e-12 and elapsed < 5.0,
            f"failing cells {failures}, oracle gap {worst_gap:.1e}, "
            f"{elapsed:.1f}s")
 

@@ -1,10 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.stats import binom
 
-from lmbd import ModelParams, cdf, d_n, ensemble_accuracy, EnsembleSpec, pmf, sample
+import lmbd
+from lmbd import (
+    CountSample,
+    EnsembleSpec,
+    ModelParams,
+    cdf,
+    d_n,
+    ensemble_accuracy,
+    fit_mle,
+    pmf,
+    sample,
+)
 from lmbd.cli import main
 
 
@@ -189,6 +204,39 @@ class TestSampleFitCompare:
         assert res["best_aic"] == "lmbd"
         assert {m["name"] for m in res["models"]} == {
             "lmbd", "binomial", "beta-binomial"}
+
+
+class TestFitConvergedFlag:
+    def test_stalled_search_writes_json_bool(self, capsys, tmp_path, monkeypatch):
+        # a search that stops without success at its start point leaves
+        # converged to the gradient test, which must still yield a bool
+        def stalled(fun, x0, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                x=np.asarray(x0), fun=fun(x0), success=False, nit=0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        draws = sample(ModelParams(5, 0.4, 0.9), 2000, seed=4)
+        counts = np.bincount(draws, minlength=6)
+        fit = fit_mle(CountSample(n=5, counts=tuple(int(c) for c in counts)))
+        assert type(fit.converged) is bool
+        assert fit.converged is False
+        data = tmp_path / "sample.csv"
+        data.write_text("y,count\n" + "".join(
+            f"{y},{c}\n" for y, c in enumerate(counts)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(data), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert load_json(out)["result"]["converged"] is False
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(lmbd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lmbd.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestExitCodes:
