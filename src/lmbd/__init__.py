@@ -20,15 +20,12 @@ from .asymptotics import (
 )
 from .constants import LOG_TOL, RATIO_TOL
 from .core import (
-    JointOutcome,
     ModelParams,
     MomentSummary,
     PmfTable,
     cdf,
     conditional_cpr,
-    enumerate_pmf_oracle,
     joint_log_prob,
-    joint_outcome,
     log_k,
     marginal_pi,
     moments,
@@ -67,10 +64,9 @@ __all__ = [
     "LOG_TOL",
     "RATIO_TOL",
     # core
-    "ModelParams", "PmfTable", "MomentSummary", "JointOutcome",
+    "ModelParams", "PmfTable", "MomentSummary",
     "log_k", "tau", "pmf", "cdf", "moments", "marginal_pi",
-    "joint_log_prob", "joint_outcome", "conditional_cpr", "sample",
-    "enumerate_pmf_oracle",
+    "joint_log_prob", "conditional_cpr", "sample",
     # asymptotics
     "LimitRegime", "LimitReport", "tau_limit_omega_zero",
     "tau_limit_omega_inf_even", "tau_limit_omega_inf_odd",

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .core import ModelParams, pmf
-from .core import _log_binom  # shared binomial-log helper
+from .core import _log_binom, _log_weights, _logsumexp  # shared kernel helpers
 
 __all__ = [
     "LimitRegime",
@@ -75,7 +74,7 @@ def tau_limit_omega_zero(j: int, n: int, psi: float) -> float:
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in [1, n={n}], got {j}")
     _require_interior(psi)
-    log_s = logsumexp([n * math.log(psi), n * math.log1p(-psi)])
+    log_s = _logsumexp(np.array([n * math.log(psi), n * math.log1p(-psi)]))
     return float(math.exp((n - j) * math.log(psi) - log_s))
 
 
@@ -104,9 +103,9 @@ def _dominant_log_coeff(n: int, a: int, psi: float) -> tuple[int, float]:
     i = np.arange(m + 1)
     expo = (m - i) * (i + a)
     emax = int(expo.max())
-    top = i[expo == emax]
-    logs = _log_binom(m, top) + xlogy(top, psi) + xlogy(m - top, 1.0 - psi)
-    return emax, float(logsumexp(logs))
+    # at log omega = 0 the kernel's terms are the bare coefficients
+    logs = _log_weights(n, a, psi, 0.0)[expo == emax]
+    return emax, _logsumexp(logs)
 
 
 def tau_limit_omega_inf_odd(j: int, n: int, psi: float) -> float:
@@ -140,7 +139,7 @@ def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
     if regime.psi_edge == "none":
         _require_interior(psi)
         if regime.omega_edge == "to-zero":
-            log_s = logsumexp([n * math.log(psi), n * math.log1p(-psi)])
+            log_s = _logsumexp(np.array([n * math.log(psi), n * math.log1p(-psi)]))
             p_n = float(math.exp(n * math.log(psi) - log_s))
             return {0: 1.0 - p_n, n: p_n}
         if n % 2 == 0:
@@ -165,7 +164,7 @@ def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
     if regime.psi_edge == "none":
         _require_interior(psi)
         if regime.omega_edge == "to-zero":
-            log_s = logsumexp([n * math.log(psi), n * math.log1p(-psi)])
+            log_s = _logsumexp(np.array([n * math.log(psi), n * math.log1p(-psi)]))
             p_n = float(math.exp(n * math.log(psi) - log_s))
             return n * p_n, n * n * p_n - n * n * p_n * p_n
         if n % 2 == 0:

@@ -9,6 +9,3 @@ LOG_TOL = 1e-12
 
 # relative tolerance for ratios of exponentiated quantities
 RATIO_TOL = 1e-10
-
-# hard cap for the 2**n brute-force enumeration oracle
-ENUMERATION_MAX_N = 20

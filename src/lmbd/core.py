@@ -24,13 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .constants import ENUMERATION_MAX_N
-
 __all__ = [
     "ModelParams",
     "PmfTable",
     "MomentSummary",
-    "JointOutcome",
     "log_k",
     "tau",
     "pmf",
@@ -38,10 +35,8 @@ __all__ = [
     "moments",
     "marginal_pi",
     "joint_log_prob",
-    "joint_outcome",
     "conditional_cpr",
     "sample",
-    "enumerate_pmf_oracle",
 ]
 
 
@@ -102,25 +97,53 @@ class MomentSummary:
     pi: float
 
 
-@dataclass(frozen=True)
-class JointOutcome:
-    """One ordered binary configuration with its log joint probability."""
-
-    bits: tuple[int, ...]
-    log_prob: float
-
-
 def _log_binom(m, i):
     return gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
 
 
-def _logsumexp(terms: np.ndarray) -> float:
+def _log_weights(n: int, a: int, psi, log_omega):
+    """The log-weight kernel: per-term logs of the partial sum K_{n-a},
+
+        log C(m, i) + i log psi + (m-i) log(1-psi) + (m-i)(i+a) log omega,
+
+    i = 0..m with m = n - a, on the last axis.  ``psi`` and ``log_omega``
+    broadcast against it: scalars give one row, arrays of shape (P, 1, 1)
+    and (W, 1) a (P, W, m+1) block.  a = 0 gives the pmf's log-weights.
+    """
+    m = n - a
+    i = np.arange(m + 1)
+    return (
+        _log_binom(m, i)
+        + xlogy(i, psi)
+        + xlogy(m - i, 1.0 - psi)
+        + (m - i) * (i + a) * log_omega
+    )
+
+
+# exp(-700) ~ 1e-304 is still a normal double
+_EXP_FLOOR = -700.0
+
+
+def _logsumexp(terms: np.ndarray, axis=None):
     """log(sum(exp(terms))) with the largest term shifted to 0 (Blanchard,
-    Higham & Higham 2021); an infinite or NaN maximum passes through."""
-    top = terms.max()
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.exp(terms - top).sum()))
+    Higham & Higham 2021); an infinite or NaN maximum passes through.
+
+    With ``axis=None`` the whole array reduces to a float; with an axis,
+    that axis reduces and an array comes back.  There the shifted terms
+    are raised to _EXP_FLOOR first: numpy's exp is some ten times slower
+    per element when its result underflows, and terms that small cannot
+    change a sum that holds exp(0) = 1.
+    """
+    if axis is None:
+        top = terms.max()
+        if not np.isfinite(top):
+            return float(top)
+        return float(top + np.log(np.exp(terms - top).sum()))
+    top = terms.max(axis=axis)
+    shifted = terms - np.expand_dims(np.where(np.isfinite(top), top, 0.0), axis)
+    np.maximum(shifted, _EXP_FLOOR, out=shifted)
+    np.exp(shifted, out=shifted)
+    return top + np.log(shifted.sum(axis=axis))
 
 
 def log_k(n: int, a: int, psi: float, omega: float) -> float:
@@ -133,15 +156,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     _validate(n, psi, omega)
     if not 0 <= a <= n:
         raise ValueError(f"a must lie in [0, n={n}], got {a}")
-    m = n - a
-    i = np.arange(m + 1)
-    terms = (
-        _log_binom(m, i)
-        + xlogy(i, psi)
-        + xlogy(m - i, 1.0 - psi)
-        + (m - i) * (i + a) * math.log(omega)
-    )
-    return _logsumexp(terms)
+    return _logsumexp(_log_weights(n, a, psi, math.log(omega)))
 
 
 def tau(r: int, params: ModelParams) -> float:
@@ -170,13 +185,7 @@ def pmf(params: ModelParams) -> PmfTable:
         return _point_mass_table(params, 0)
     if psi == 1.0:
         return _point_mass_table(params, n)
-    y = np.arange(n + 1)
-    logw = (
-        _log_binom(n, y)
-        + xlogy(y, psi)
-        + xlogy(n - y, 1.0 - psi)
-        + (n - y) * y * math.log(omega)
-    )
+    logw = _log_weights(n, 0, psi, math.log(omega))
     log_norm = float(logsumexp(logw))
     logp = logw - log_norm
     # second renormalization pass removes the last few ulp of drift
@@ -190,6 +199,13 @@ def cdf(params: ModelParams, y: int) -> float:
         raise IndexError(f"y must lie in [0, n={params.n}], got {y}")
     table = pmf(params)
     return min(1.0, float(np.exp(logsumexp(table.log_prob[: y + 1]))))
+
+
+def _table_variance(probs: np.ndarray) -> float:
+    """Variance of a pmf table, summed about its mode (see ``moments``)."""
+    dev = np.arange(len(probs)) - int(np.argmax(probs))
+    d = float(probs @ dev)
+    return max(0.0, float(probs @ (dev * dev)) - d * d)
 
 
 def moments(params: ModelParams) -> MomentSummary:
@@ -209,10 +225,7 @@ def moments(params: ModelParams) -> MomentSummary:
     t1 = math.exp(log_k(n, 1, psi, omega) - log_kn)
     t2 = math.exp(log_k(n, 2, psi, omega) - log_kn) if n >= 2 else math.nan
     if 0.0 < psi < 1.0:
-        probs = pmf(params).probs()
-        dev = np.arange(n + 1) - int(np.argmax(probs))
-        d = float(probs @ dev)
-        variance = max(0.0, float(probs @ (dev * dev)) - d * d)
+        variance = _table_variance(pmf(params).probs())
         eta = variance / (n * psi)
     else:
         if n >= 2:
@@ -251,11 +264,6 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     return float(_log_joint_weight(params, int(b.sum())) - log_kn)
 
 
-def joint_outcome(params: ModelParams, bits) -> JointOutcome:
-    return JointOutcome(bits=tuple(int(b) for b in bits),
-                        log_prob=joint_log_prob(params, bits))
-
-
 def conditional_cpr(params: ModelParams) -> float:
     """Cross-product ratio of two trials given the remaining n-2.
 
@@ -290,32 +298,3 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     u = rng.random(count)
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
-
-def enumerate_pmf_oracle(params: ModelParams) -> PmfTable:
-    """Brute-force pmf by summing the unnormalized joint weight over all
-    2^n binary vectors, grouped by y and normalized at the end.
-
-    Test-only ground truth; refuses n > 20.
-    """
-    n, psi, omega = params.n, params.psi, params.omega
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"enumeration oracle capped at n <= {ENUMERATION_MAX_N}")
-    if psi == 0.0:
-        return _point_mass_table(params, 0)
-    if psi == 1.0:
-        return _point_mass_table(params, n)
-    codes = np.arange(2 ** n, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(n)) & 1
-    y = bits.sum(axis=1)
-    logw = (
-        xlogy(y, psi)
-        + xlogy(n - y, 1.0 - psi)
-        + (n - y) * y * math.log(omega)
-    )
-    grouped = np.array(
-        [logsumexp(logw[y == k]) for k in range(n + 1)]
-    )
-    log_norm = float(logsumexp(grouped))
-    logp = grouped - log_norm
-    logp = logp - logsumexp(logp)
-    return PmfTable(params=params, log_prob=logp, log_normalizer=log_norm)

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
-from .core import ModelParams, _log_binom, log_k, tau
+from .core import ModelParams, _log_weights, _logsumexp, log_k, tau
 
 __all__ = [
     "GridSpec",
@@ -87,7 +86,6 @@ class Theorem2Report:
     tau1: float
     pi: float
     theorem_applies: bool  # psi >= 1/2 and omega > 1
-    psi_greater_than_pi: bool
     relation: str  # one of "<", "=", ">"
 
 
@@ -116,33 +114,41 @@ def delta(params: ModelParams) -> float:
     return d_n(params) / factors
 
 
-def _log_k_over_omegas(n: int, a: int, psi: float, log_omegas: np.ndarray) -> np.ndarray:
-    """log K_{n-a}(psi, omega) for a whole omega axis at once."""
-    m = n - a
-    i = np.arange(m + 1)
-    coeff = _log_binom(m, i) + xlogy(i, psi) + xlogy(m - i, 1.0 - psi)
-    expo = (m - i) * (i + a)
-    return logsumexp(coeff[None, :] + np.outer(log_omegas, expo), axis=1)
+# psi rows per kernel call are chosen so that one (rows, omegas, terms)
+# block holds about this many doubles; the whole 101 x 101 x 65 array at
+# n = 64 would add some 15 MB to peak memory
+_BLOCK_DOUBLES = 1 << 14
+
+
+def _log_k_grid(n: int, psis: np.ndarray, log_omegas: np.ndarray):
+    """(log K_{n-1}, log K_n) over the psis x omegas grid, one block of
+    psi rows per pair of kernel calls."""
+    rows = max(1, _BLOCK_DOUBLES // (len(log_omegas) * (n + 1)))
+    la = np.empty((len(psis), len(log_omegas)))
+    lb = np.empty_like(la)
+    w = log_omegas[:, None]
+    for start in range(0, len(psis), rows):
+        block = slice(start, start + rows)
+        p = psis[block, None, None]
+        la[block] = _logsumexp(_log_weights(n, 1, p, w), axis=-1)
+        lb[block] = _logsumexp(_log_weights(n, 0, p, w), axis=-1)
+    return la, lb
 
 
 def delta_grid(spec: GridSpec) -> RegionGrid:
     n = spec.n
+    psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
-    log_omegas = np.log(omegas)
-    values = np.empty((len(spec.psi_values), len(omegas)))
-    flags = np.empty_like(values, dtype=bool)
-    for i, psi in enumerate(spec.psi_values):
-        la = _log_k_over_omegas(n, 1, psi, log_omegas)
-        lb = _log_k_over_omegas(n, 0, psi, log_omegas)
-        d = np.exp(lb) * np.expm1(la - lb)
-        factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omegas - 1.0)
-        if n % 2 == 1:
-            factors = factors * (omegas + 1.0)
-        singular = (psi == 0.5) | (psi == 1.0) | (omegas == 1.0)
-        flags[i, :] = ~singular
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values[i, :] = np.where(singular, math.nan, d / factors)
-    return RegionGrid(spec=spec, values=values, flags=flags, kind="delta")
+    la, lb = _log_k_grid(n, psis, np.log(omegas))
+    d = np.exp(lb) * np.expm1(la - lb)
+    psi = psis[:, None]
+    factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omegas - 1.0)
+    if n % 2 == 1:
+        factors = factors * (omegas + 1.0)
+    singular = (psi == 0.5) | (psi == 1.0) | (omegas == 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(singular, math.nan, d / factors)
+    return RegionGrid(spec=spec, values=values, flags=~singular, kind="delta")
 
 
 # numeric tie width for the tau_1 <= 1 classification: on the boundary
@@ -157,17 +163,10 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     The flagged region coincides with
     {psi <= 1/2 and omega <= 1} union {psi >= 1/2 and omega >= 1}.
     """
-    n = spec.n
-    log_omegas = np.log(np.asarray(spec.omega_values))
-    values = np.empty((len(spec.psi_values), len(log_omegas)))
-    flags = np.empty_like(values, dtype=bool)
-    for i, psi in enumerate(spec.psi_values):
-        la = _log_k_over_omegas(n, 1, psi, log_omegas)
-        lb = _log_k_over_omegas(n, 0, psi, log_omegas)
-        t1 = np.exp(la - lb)
-        values[i, :] = t1
-        flags[i, :] = t1 <= 1.0 + TAU1_TIE_TOL
-    return RegionGrid(spec=spec, values=values, flags=flags, kind="tau1")
+    la, lb = _log_k_grid(spec.n, np.asarray(spec.psi_values),
+                         np.log(np.asarray(spec.omega_values)))
+    t1 = np.exp(la - lb)
+    return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL, kind="tau1")
 
 
 def theorem2_check(params: ModelParams) -> Theorem2Report:
@@ -193,6 +192,5 @@ def theorem2_check(params: ModelParams) -> Theorem2Report:
         tau1=t1,
         pi=pi,
         theorem_applies=applies,
-        psi_greater_than_pi=params.psi > pi,
         relation=relation,
     )

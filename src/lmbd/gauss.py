@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import ModelParams, moments, pmf
+from .core import ModelParams, _table_variance, pmf, tau
 
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
@@ -33,13 +33,16 @@ def _std_normal_cdf(z: np.ndarray) -> np.ndarray:
 
 def standardized_ks_distance(params: ModelParams) -> float:
     """sup_y | F(y) - Phi((y - mean) / sd) |, evaluated at the discrete
-    cdf's right-continuous points."""
-    ms = moments(params)
-    if ms.variance <= 0.0:
+    cdf's right-continuous points.  The mean (n psi tau_1) and the
+    variance are those of ``moments``; the variance is read off the same
+    table as the cdf."""
+    probs = pmf(params).probs()
+    variance = _table_variance(probs)
+    if variance <= 0.0:
         raise ValueError("degenerate variance; standardization undefined")
-    table = pmf(params)
-    cdf_vals = np.minimum(1.0, np.cumsum(table.probs()))
-    z = (np.arange(params.n + 1) - ms.mean) / math.sqrt(ms.variance)
+    mean = params.n * params.psi * tau(1, params)
+    cdf_vals = np.minimum(1.0, np.cumsum(probs))
+    z = (np.arange(params.n + 1) - mean) / math.sqrt(variance)
     return float(np.max(np.abs(cdf_vals - _std_normal_cdf(z))))
 
 

@@ -31,7 +31,6 @@ from lmbd import (
     d_n,
     delta,
     delta_grid,
-    enumerate_pmf_oracle,
     fit_mle,
     limit_distribution,
     limit_moments,
@@ -43,6 +42,8 @@ from lmbd import (
     total_variation,
 )
 from lmbd.cli import main as cli_main
+
+from enumeration_oracle import enumerate_pmf_oracle
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -12,9 +12,7 @@ from lmbd import (
     ModelParams,
     cdf,
     conditional_cpr,
-    enumerate_pmf_oracle,
     joint_log_prob,
-    joint_outcome,
     log_k,
     marginal_pi,
     moments,
@@ -22,6 +20,8 @@ from lmbd import (
     sample,
     tau,
 )
+
+from enumeration_oracle import enumerate_pmf_oracle
 
 GRID = [
     (n, psi, omega)
@@ -250,11 +250,11 @@ class TestJointLogProb:
         with pytest.raises(ValueError):
             joint_log_prob(ModelParams(3, 0.5, 1.0), [1, 0])
 
-    def test_joint_outcome_wrapper(self):
+    def test_bits_as_list_tuple_or_array(self):
         p = ModelParams(3, 0.5, 1.2)
-        out = joint_outcome(p, [1, 0, 1])
-        assert out.bits == (1, 0, 1)
-        assert out.log_prob == joint_log_prob(p, [1, 0, 1])
+        lp = joint_log_prob(p, [1, 0, 1])
+        assert lp == joint_log_prob(p, (1, 0, 1))
+        assert lp == joint_log_prob(p, np.array([1, 0, 1]))
 
 
 class TestConditionalCpr:

@@ -17,10 +17,11 @@ from lmbd import (
     majority_threshold,
     marginal_pi,
     model_comparison,
-    enumerate_pmf_oracle,
     pmf,
     sample,
 )
+
+from enumeration_oracle import enumerate_pmf_oracle
 
 
 class TestMajorityThreshold:

@@ -156,7 +156,6 @@ class TestTheorem2Check:
     def test_negative_association_branch(self):
         report = theorem2_check(ModelParams(7, 0.6, 1.4))
         assert report.theorem_applies
-        assert report.psi_greater_than_pi
         assert report.relation == ">"
 
     def test_independence_equality(self):
@@ -167,7 +166,7 @@ class TestTheorem2Check:
     def test_lower_left_region_also_orders(self):
         report = theorem2_check(ModelParams(6, 0.3, 0.5))
         assert not report.theorem_applies
-        assert report.psi_greater_than_pi
+        assert report.relation == ">"
 
     def test_psi_half_is_tie(self):
         assert theorem2_check(ModelParams(6, 0.5, 1.5)).relation == "="

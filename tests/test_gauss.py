@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import binom, norm
 
-from lmbd import ModelParams, clt_scan, standardized_ks_distance
+import lmbd
+from lmbd import ModelParams, clt_scan, moments, pmf, standardized_ks_distance
 
 
 class TestStandardizedKsDistance:
@@ -32,6 +35,28 @@ class TestStandardizedKsDistance:
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError):
             standardized_ks_distance(ModelParams(5, 0.0, 1.0))
+
+    @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
+    def test_one_pmf_table_per_distance(self, n, psi, omega, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return pmf(params)
+
+        monkeypatch.setattr(lmbd.core, "pmf", counted)
+        monkeypatch.setattr(lmbd.gauss, "pmf", counted)
+        standardized_ks_distance(ModelParams(n, psi, omega))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
+    def test_standardizes_with_the_mean_and_variance_of_moments(self, n, psi, omega):
+        p = ModelParams(n, psi, omega)
+        ms = moments(p)
+        z = (np.arange(n + 1) - ms.mean) / math.sqrt(ms.variance)
+        cdf_vals = np.minimum(1.0, np.cumsum(pmf(p).probs()))
+        expect = float(np.max(np.abs(cdf_vals - lmbd.gauss._std_normal_cdf(z))))
+        assert standardized_ks_distance(p) == expect
 
     def test_bounded(self):
         for omega in (0.5, 1.0, 2.0, 100.0):
