@@ -218,9 +218,12 @@ def _cmd_accuracy(args):
             f"majority-vote accuracy = {_fmt(value)}")
 
 
-def _read_sample(path: str) -> CountSample:
+def _read_sample(args) -> tuple[CountSample, bool]:
+    """The y,count CSV at ``args.input`` over the support {0..n}, and
+    whether n was inferred: without ``--n`` it is the largest observed
+    y, which truncates the support whenever the top counts went unseen."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("y,"):
@@ -228,20 +231,19 @@ def _read_sample(path: str) -> CountSample:
             y, c = line.split(",")
             pairs.append((int(y), int(c)))
     if not pairs:
-        raise ValueError(f"no observations found in {path}")
-    n = max(y for y, _ in pairs)
-    return CountSample.from_pairs(n, pairs)
+        raise ValueError(f"no observations found in {args.input}")
+    inferred = args.n is None
+    n = max(y for y, _ in pairs) if inferred else args.n
+    return CountSample.from_pairs(n, pairs), inferred
 
 
 def _cmd_fit(args):
-    sample_ = _read_sample(args.input)
-    if args.n is not None:
-        sample_ = CountSample.from_pairs(
-            args.n, [(y, c) for y, c in enumerate(sample_.counts)])
+    sample_, inferred = _read_sample(args)
     fit = fit_mle(sample_)
     man = _manifest("fit", args)
     result = {
         "n": sample_.n,
+        "n_inferred": inferred,
         "psi_hat": fit.psi_hat,
         "omega_hat": None if np.isnan(fit.omega_hat) else fit.omega_hat,
         "log_likelihood": fit.log_likelihood,
@@ -254,13 +256,12 @@ def _cmd_fit(args):
 
 
 def _cmd_compare(args):
-    sample_ = _read_sample(args.input)
-    if args.n is not None:
-        sample_ = CountSample.from_pairs(
-            args.n, [(y, c) for y, c in enumerate(sample_.counts)])
+    sample_, inferred = _read_sample(args)
     report = model_comparison(sample_)
     man = _manifest("compare", args)
     result = {
+        "n": sample_.n,
+        "n_inferred": inferred,
         "sample_total": report.sample_total,
         "empirical_accuracy": report.empirical_accuracy,
         "best_aic": report.best_aic,
@@ -294,6 +295,10 @@ def _add_params(p: argparse.ArgumentParser) -> None:
 
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None)
+
+
+_N_HELP = ("support bound (default: the largest observed y, "
+           "flagged n_inferred in the artifact)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,14 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="maximum-likelihood fit from y,count CSV")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--n", type=int, default=None,
-                   help="support bound (default: max observed y)")
+    p.add_argument("--n", type=int, default=None, help=_N_HELP)
     _add_out(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("compare", help="LMBD vs Binomial vs Beta-Binomial")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help=_N_HELP)
     _add_out(p)
     p.set_defaults(func=_cmd_compare)
 

@@ -18,11 +18,11 @@ The convention 0 * log 0 = 0 keeps psi in {0, 1} exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 __all__ = [
     "ModelParams",
@@ -97,8 +97,57 @@ class MomentSummary:
     pi: float
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k = 0..size-1 from ``math.lgamma``, read-only.  Sizes
+    are powers of two, so all tables together hold at most twice the
+    largest."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _log_binom(m, i):
-    return gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
+    """log C(m, i) for an integer m and integer (arrays of) i in [0, m]."""
+    lf = _log_factorials(1 << int(m).bit_length())
+    return lf[m] - lf[i] - lf[m - i]
+
+
+def _row(m: int):
+    i = np.arange(m + 1)
+    row = (i, m - i, _log_binom(m, i))
+    for part in row:
+        part.flags.writeable = False
+    return row
+
+
+# rows up to this m are cached, 128 of them at most (some 12 MB); a
+# longer row costs little to build next to the call that uses it
+_ROW_CACHE_MAX_M = 4096
+_cached_row = functools.lru_cache(maxsize=128)(_row)
+
+
+def _kernel_row(m: int):
+    """(i, m - i, log C(m, i)) for i = 0..m, read-only: the kernel's
+    parts that depend on m alone."""
+    return _cached_row(m) if m <= _ROW_CACHE_MAX_M else _row(m)
+
+
+def _xlogy(k, p):
+    """k log p with 0 log 0 = 0, for integers k >= 0 and p in [0, 1].
+
+    A scalar p takes ``math.log`` (bit for bit scipy's ``xlogy`` there),
+    an array ``np.log``.  Only a p that holds a 0 pays for the 0 log 0
+    case.
+    """
+    if not isinstance(p, np.ndarray):
+        if p > 0.0:
+            return k * math.log(p)
+        return np.where(k == 0, 0.0, -np.inf)
+    if p.all():
+        return k * np.log(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k == 0, 0.0, k * np.log(p))
 
 
 def _log_weights(n: int, a: int, psi, log_omega):
@@ -110,13 +159,12 @@ def _log_weights(n: int, a: int, psi, log_omega):
     broadcast against it: scalars give one row, arrays of shape (P, 1, 1)
     and (W, 1) a (P, W, m+1) block.  a = 0 gives the pmf's log-weights.
     """
-    m = n - a
-    i = np.arange(m + 1)
+    i, rest, log_binom = _kernel_row(n - a)
     return (
-        _log_binom(m, i)
-        + xlogy(i, psi)
-        + xlogy(m - i, 1.0 - psi)
-        + (m - i) * (i + a) * log_omega
+        log_binom
+        + _xlogy(i, psi)
+        + _xlogy(rest, 1.0 - psi)
+        + rest * (i + a) * log_omega
     )
 
 
@@ -129,16 +177,19 @@ def _logsumexp(terms: np.ndarray, axis=None):
     Higham & Higham 2021); an infinite or NaN maximum passes through.
 
     With ``axis=None`` the whole array reduces to a float; with an axis,
-    that axis reduces and an array comes back.  There the shifted terms
-    are raised to _EXP_FLOOR first: numpy's exp is some ten times slower
-    per element when its result underflows, and terms that small cannot
-    change a sum that holds exp(0) = 1.
+    that axis reduces and an array comes back.  Either way the shifted
+    terms are raised to _EXP_FLOOR first: numpy's exp is some ten times
+    slower per element when its result underflows, and terms that small
+    cannot change a sum that holds exp(0) = 1.
     """
     if axis is None:
         top = terms.max()
         if not np.isfinite(top):
             return float(top)
-        return float(top + np.log(np.exp(terms - top).sum()))
+        shifted = terms - top
+        np.maximum(shifted, _EXP_FLOOR, out=shifted)
+        np.exp(shifted, out=shifted)
+        return float(top + np.log(shifted.sum()))
     top = terms.max(axis=axis)
     shifted = terms - np.expand_dims(np.where(np.isfinite(top), top, 0.0), axis)
     np.maximum(shifted, _EXP_FLOOR, out=shifted)
@@ -186,10 +237,10 @@ def pmf(params: ModelParams) -> PmfTable:
     if psi == 1.0:
         return _point_mass_table(params, n)
     logw = _log_weights(n, 0, psi, math.log(omega))
-    log_norm = float(logsumexp(logw))
+    log_norm = _logsumexp(logw)
     logp = logw - log_norm
     # second renormalization pass removes the last few ulp of drift
-    logp = logp - logsumexp(logp)
+    logp = logp - _logsumexp(logp)
     return PmfTable(params=params, log_prob=logp, log_normalizer=log_norm)
 
 
@@ -198,7 +249,7 @@ def cdf(params: ModelParams, y: int) -> float:
     if not 0 <= y <= params.n:
         raise IndexError(f"y must lie in [0, n={params.n}], got {y}")
     table = pmf(params)
-    return min(1.0, float(np.exp(logsumexp(table.log_prob[: y + 1]))))
+    return min(1.0, float(np.exp(_logsumexp(table.log_prob[: y + 1]))))
 
 
 def _table_variance(probs: np.ndarray) -> float:
@@ -245,7 +296,7 @@ def marginal_pi(params: ModelParams) -> float:
 def _log_joint_weight(params: ModelParams, y: int):
     """Unnormalized log weight of one configuration with y successes."""
     n, psi, omega = params.n, params.psi, params.omega
-    return xlogy(y, psi) + xlogy(n - y, 1.0 - psi) + (n - y) * y * math.log(omega)
+    return _xlogy(y, psi) + _xlogy(n - y, 1.0 - psi) + (n - y) * y * math.log(omega)
 
 
 def joint_log_prob(params: ModelParams, bits) -> float:

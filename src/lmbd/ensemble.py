@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, expit, logit, logsumexp, xlogy
 
 from .core import ModelParams, pmf
-from .core import _log_binom
+from .core import _log_binom, _logsumexp, _xlogy
 
 __all__ = [
     "EnsembleSpec",
@@ -125,7 +124,7 @@ def ensemble_accuracy(spec: EnsembleSpec) -> float:
     tail = table.log_prob[q + 1:]
     if tail.size == 0:
         return 0.0
-    return min(1.0, float(np.exp(logsumexp(tail))))
+    return min(1.0, float(np.exp(_logsumexp(tail))))
 
 
 def binomial_accuracy(n: int, pi: float) -> float:
@@ -136,12 +135,14 @@ def binomial_accuracy(n: int, pi: float) -> float:
     y = np.arange(q + 1, n + 1)
     if y.size == 0:
         return 0.0
-    logp = _log_binom(n, y) + xlogy(y, pi) + xlogy(n - y, 1.0 - pi)
-    return min(1.0, float(np.exp(logsumexp(logp))))
+    logp = _log_binom(n, y) + _xlogy(y, pi) + _xlogy(n - y, 1.0 - pi)
+    return min(1.0, float(np.exp(_logsumexp(logp))))
 
 
 def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     """Majority tail of the Beta(alpha, beta) mixture of Binomials."""
+    from scipy.special import betaln
+
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be positive")
     q = majority_threshold(n)
@@ -149,7 +150,7 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     if y.size == 0:
         return 0.0
     logp = _log_binom(n, y) + betaln(y + alpha, n - y + beta) - betaln(alpha, beta)
-    return min(1.0, float(np.exp(logsumexp(logp))))
+    return min(1.0, float(np.exp(_logsumexp(logp))))
 
 
 def _sample_log_lik(sample: CountSample, psi: float, omega: float) -> float:
@@ -190,7 +191,9 @@ def fit_mle(sample: CountSample) -> FitResult:
     Degenerate samples (all mass at 0 or n, or a single observed value)
     return boundary-flagged, non-converged results.
     """
-    from scipy.optimize import minimize  # costs ~0.15 s; only fits need it
+    # scipy costs some 0.4 s to import; only fits need it
+    from scipy.optimize import minimize
+    from scipy.special import expit, logit
 
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
@@ -256,7 +259,7 @@ def _fit_binomial(sample: CountSample) -> tuple[float, float]:
     counts = np.asarray(sample.counts, dtype=float)
     pi_hat = float((np.arange(n + 1) * counts).sum() / (n * counts.sum()))
     y = np.arange(n + 1)
-    logp = _log_binom(n, y) + xlogy(y, pi_hat) + xlogy(n - y, 1.0 - pi_hat)
+    logp = _log_binom(n, y) + _xlogy(y, pi_hat) + _xlogy(n - y, 1.0 - pi_hat)
     mask = counts > 0
     return pi_hat, float((counts[mask] * logp[mask]).sum())
 
@@ -264,6 +267,7 @@ def _fit_binomial(sample: CountSample) -> tuple[float, float]:
 def _fit_beta_binomial(sample: CountSample) -> tuple[float, float, float]:
     """Beta-Binomial MLE over (log alpha, log beta): (a_hat, b_hat, ll)."""
     from scipy.optimize import minimize
+    from scipy.special import betaln
 
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)

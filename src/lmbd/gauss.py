@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import ModelParams, _table_variance, pmf, tau
 
@@ -28,7 +27,8 @@ class CltScanRow:
 
 def _std_normal_cdf(z: np.ndarray) -> np.ndarray:
     # Phi(z) via the complementary error function, accurate to ~1e-16
-    return 0.5 * erfc(-z / math.sqrt(2.0))
+    t = -z / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, t.tolist()), float, len(t))
 
 
 def standardized_ks_distance(params: ModelParams) -> float:

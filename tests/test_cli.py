@@ -229,14 +229,77 @@ class TestFitConvergedFlag:
         assert load_json(out)["result"]["converged"] is False
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+class TestNInference:
+    """Without --n, fit and compare take n as the largest observed y and
+    say so in the artifact."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        # a support of 0..6 with y = 6 unseen: the inferred n is 5
+        path = tmp_path / "sample.csv"
+        path.write_text("y,count\n0,3\n1,40\n2,90\n3,80\n4,30\n5,6\n")
+        return path
+
+    @pytest.mark.parametrize("cmd", ["fit", "compare"])
+    def test_inferred_n_is_flagged(self, capsys, tmp_path, data, cmd):
+        out = tmp_path / f"{cmd}.json"
+        code, _, _ = run(capsys, cmd, "--input", str(data), "--out", str(out))
+        assert code == 0
+        res = load_json(out)["result"]
+        assert res["n_inferred"] is True
+        assert res["n"] == 5
+        assert "n" not in load_json(out)["manifest"]["params"]
+
+    @pytest.mark.parametrize("cmd", ["fit", "compare"])
+    def test_explicit_n_is_not_flagged(self, capsys, tmp_path, data, cmd):
+        out = tmp_path / f"{cmd}.json"
+        code, _, _ = run(capsys, cmd, "--input", str(data), "--n", "6",
+                         "--out", str(out))
+        assert code == 0
+        res = load_json(out)["result"]
+        assert res["n_inferred"] is False
+        assert res["n"] == 6
+
+    def test_explicit_n_below_observed_is_an_error(self, capsys, data):
+        code, _, err = run(capsys, "fit", "--input", str(data), "--n", "4")
+        assert code == 1
+        assert "outside support" in err
+
+
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+    """In a fresh process: ``import lmbd``, ``import lmbd.cli`` and the
+    pmf, clt and delta-grid subcommands load no scipy module at all, and
+    a fit still runs, loading scipy.optimize on its own."""
     src = os.path.dirname(os.path.dirname(lmbd.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, lmbd.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    data = tmp_path / "sample.csv"
+    data.write_text("y,count\n0,30\n1,90\n2,120\n3,70\n4,10\n")
+    code = f"""
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+seen = {{}}
+import lmbd
+seen["import lmbd"] = scipy_modules()
+import lmbd.cli
+seen["import lmbd.cli"] = scipy_modules()
+for argv in (["pmf", "--n", "10", "--psi", "0.3", "--omega", "1.5"],
+             ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
+             ["delta-grid", "--n", "5", "--psi-steps", "11", "--omega-steps", "11"]):
+    assert lmbd.cli.main(argv + ["--out", {str(tmp_path / "a.out")!r}]) == 0
+    seen[argv[0]] = scipy_modules()
+assert lmbd.cli.main(["fit", "--input", {str(data)!r},
+                      "--out", {str(tmp_path / "fit.json")!r}]) == 0
+seen["fit"] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import lmbd": [], "import lmbd.cli": [], "pmf": [],
+                    "clt": [], "delta-grid": [], "fit": True}
+    assert load_json(tmp_path / "fit.json")["result"]["converged"] is True
 
 
 class TestExitCodes:
