@@ -18,7 +18,6 @@ from .asymptotics import (
     tau_limit_omega_zero,
     total_variation,
 )
-from .constants import LOG_TOL, RATIO_TOL
 from .core import (
     ModelParams,
     MomentSummary,
@@ -61,8 +60,6 @@ from .gauss import CltScanRow, clt_scan, standardized_ks_distance
 
 __all__ = [
     "__version__",
-    "LOG_TOL",
-    "RATIO_TOL",
     # core
     "ModelParams", "PmfTable", "MomentSummary",
     "log_k", "tau", "pmf", "cdf", "moments", "marginal_pi",

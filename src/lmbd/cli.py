@@ -15,6 +15,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -61,6 +62,11 @@ def _csv_artifact(manifest: dict, header: list[str], rows) -> str:
         buf.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
         buf.write("\n")
     return buf.getvalue()
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x, or JSON null where a fit has no finite estimate (NaN or inf)."""
+    return x if np.isfinite(x) else None
 
 
 def _json_artifact(manifest: dict, result: dict) -> str:
@@ -241,16 +247,8 @@ def _cmd_fit(args):
     sample_, inferred = _read_sample(args)
     fit = fit_mle(sample_)
     man = _manifest("fit", args)
-    result = {
-        "n": sample_.n,
-        "n_inferred": inferred,
-        "psi_hat": fit.psi_hat,
-        "omega_hat": None if np.isnan(fit.omega_hat) else fit.omega_hat,
-        "log_likelihood": fit.log_likelihood,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "standard_errors": list(fit.standard_errors) if fit.standard_errors else None,
-    }
+    result = dict(asdict(fit), n=sample_.n, n_inferred=inferred,
+                  omega_hat=_finite_or_none(fit.omega_hat))
     return (_json_artifact(man, result),
             f"fit psi={_fmt(fit.psi_hat)} omega={fit.omega_hat} converged={fit.converged}")
 
@@ -265,17 +263,8 @@ def _cmd_compare(args):
         "sample_total": report.sample_total,
         "empirical_accuracy": report.empirical_accuracy,
         "best_aic": report.best_aic,
-        "models": [
-            {
-                "name": m.name,
-                "n_params": m.n_params,
-                "log_likelihood": m.log_likelihood,
-                "aic": m.aic,
-                "predicted_accuracy": m.predicted_accuracy,
-                "parameters": m.parameters,
-            }
-            for m in report.models
-        ],
+        "models": [dict(asdict(m), parameters={
+            k: _finite_or_none(v) for k, v in m.parameters.items()}) for m in report.models],
     }
     return (_json_artifact(man, result), f"best model by AIC: {report.best_aic}")
 

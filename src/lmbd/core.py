@@ -136,9 +136,8 @@ def _kernel_row(m: int):
 def _xlogy(k, p):
     """k log p with 0 log 0 = 0, for integers k >= 0 and p in [0, 1].
 
-    A scalar p takes ``math.log`` (bit for bit scipy's ``xlogy`` there),
-    an array ``np.log``.  Only a p that holds a 0 pays for the 0 log 0
-    case.
+    A scalar p takes ``math.log``, an array ``np.log``.  Only a p that
+    holds a 0 pays for the 0 log 0 case.
     """
     if not isinstance(p, np.ndarray):
         if p > 0.0:

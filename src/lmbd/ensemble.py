@@ -6,7 +6,9 @@ Accuracy is the tail probability P(Y > q) with q = n/2 (even n) or
 (n-1)/2 (odd n); ties at the threshold count as failures.  The law is a
 two-parameter exponential family with sufficient statistics
 (y, y (n - y)), so the MLE matches those model expectations to the
-sample averages; that matching is used as a convergence cross-check.
+sample averages.  The fit is damped Newton on the exact score and
+information, read off one log-pmf table per step, and that moment
+matching is its stopping rule rather than a cross-check.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ class ModelReport:
     aic: float
     predicted_accuracy: float
     parameters: dict[str, float]
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,7 @@ def majority_threshold(n: int) -> int:
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
     """P(Y > q) under the dependence model: 1 - F(q)."""
     q = majority_threshold(spec.n)
-    table = pmf(spec.params)
-    tail = table.log_prob[q + 1:]
-    if tail.size == 0:
-        return 0.0
+    tail = pmf(spec.params).log_prob[q + 1:]
     return min(1.0, float(np.exp(_logsumexp(tail))))
 
 
@@ -131,126 +131,149 @@ def binomial_accuracy(n: int, pi: float) -> float:
     """Binomial(n, pi) majority tail, the independence baseline."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    q = majority_threshold(n)
-    y = np.arange(q + 1, n + 1)
-    if y.size == 0:
-        return 0.0
+    y = np.arange(majority_threshold(n) + 1, n + 1)
     logp = _log_binom(n, y) + _xlogy(y, pi) + _xlogy(n - y, 1.0 - pi)
     return min(1.0, float(np.exp(_logsumexp(logp))))
 
 
+def _rising_sums(x: float, m: int) -> np.ndarray:
+    """Rows log x^(j) and its first two x-derivatives for j = 0..m, where
+    x^(j) = x (x+1) ... (x+j-1) is the rising factorial: cumulative sums
+    of log(x+k), 1/(x+k) and -1/(x+k)^2 over k < j."""
+    xk = x + np.arange(m)
+    out = np.zeros((3, m + 1))
+    np.cumsum((np.log(xk), 1.0 / xk, -1.0 / (xk * xk)), axis=1, out=out[:, 1:])
+    return out
+
+
 def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     """Majority tail of the Beta(alpha, beta) mixture of Binomials."""
-    from scipy.special import betaln
-
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be positive")
-    q = majority_threshold(n)
-    y = np.arange(q + 1, n + 1)
-    if y.size == 0:
-        return 0.0
-    logp = _log_binom(n, y) + betaln(y + alpha, n - y + beta) - betaln(alpha, beta)
-    return min(1.0, float(np.exp(_logsumexp(logp))))
+    # log B(y+alpha, n-y+beta) - log B(alpha, beta) by rising factorials
+    ra, rb, rab = (_rising_sums(x, n)[0] for x in (alpha, beta, alpha + beta))
+    logp = _log_binom(n, np.arange(n + 1)) + ra + rb[::-1] - rab[n]
+    return min(1.0, float(np.exp(_logsumexp(logp[majority_threshold(n) + 1:]))))
 
 
-def _sample_log_lik(sample: CountSample, psi: float, omega: float) -> float:
-    table = pmf(ModelParams(n=sample.n, psi=psi, omega=omega))
-    counts = np.asarray(sample.counts, dtype=float)
-    mask = counts > 0
-    return float((counts[mask] * table.log_prob[mask]).sum())
+# Below this decrement g' (-H)^-1 g per observation Newton is in its
+# quadratic region; for the lmbd fit that is the squared gap between E[T]
+# and mean T in the metric of Cov(T).  The gain a step predicts there
+# (half the decrement) still stands clear of the log-likelihood's own
+# rounding, some N n eps, which a line search cannot see through.
+_QUADRATIC_TOL = 1e-8
+_MAX_STEPS = 100
+_MAX_HALVINGS = 60
 
 
-def _fd_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(x)
-    for k in range(len(x)):
-        e = np.zeros_like(x)
-        e[k] = step
-        g[k] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return g
+def _newton_ascent(derivs, theta: np.ndarray, total: float):
+    """Damped Newton ascent with a backtracking (Armijo) line search on
+    ``derivs(theta)`` = (log-likelihood, gradient, Hessian), falling back
+    to the gradient where the Hessian is not negative definite.  In the
+    quadratic region it takes full steps while the decrement keeps
+    falling, and stops when the score is at rounding level.  Returns
+    (theta, log-likelihood, Hessian, steps, converged)."""
+    value, grad, hess = derivs(theta)
+    last = math.inf
+    for step in range(_MAX_STEPS):
+        try:
+            np.linalg.cholesky(-hess)
+            direction, newton = np.linalg.solve(-hess, grad), True
+        except np.linalg.LinAlgError:
+            direction, newton = grad, False
+        slope = float(grad @ direction)
+        quadratic = newton and slope <= total * _QUADRATIC_TOL
+        if quadratic and slope >= last / 4.0:
+            return theta, value, hess, step, True
+        last = slope if quadratic else math.inf
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + t * direction
+            new = derivs(trial)
+            # a NaN log-likelihood fails the test as well
+            if quadratic or new[0] >= value + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return theta, value, hess, step, False
+        theta, (value, grad, hess) = trial, new
+    return theta, value, hess, _MAX_STEPS, False
 
 
-def _fd_hessian(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    d = len(x)
-    h = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            ea = np.zeros(d)
-            eb = np.zeros(d)
-            ea[a] = step
-            eb[b] = step
-            h[a, b] = (
-                f(x + ea + eb) - f(x + ea - eb) - f(x - ea + eb) + f(x - ea - eb)
-            ) / (4.0 * step * step)
-    return 0.5 * (h + h.T)
+def _expit(a: float) -> float:
+    return math.exp(-np.logaddexp(0.0, -a))
+
+
+def _empirical_log_lik(counts: np.ndarray) -> float:
+    """sum c log(c / N): the supremum of any count likelihood."""
+    c = counts[counts > 0]
+    return float(c @ np.log(c / c.sum()))
+
+
+def _on_hull_face(counts: np.ndarray) -> bool:
+    """Whether the sample mean of T = (y, y (n-y)) is on the boundary of
+    the convex hull of T(0..n).  Those points form a strictly concave
+    chain, so the faces are the points, the edges between neighbours and
+    the chord from 0 to n."""
+    seen = np.flatnonzero(counts)
+    lo, hi = seen[0], seen[-1]
+    return len(seen) <= 2 and (hi - lo <= 1 or (lo, hi) == (0, len(counts) - 1))
 
 
 def fit_mle(sample: CountSample) -> FitResult:
-    """Maximize the count likelihood over (psi, omega) via a
-    derivative-free search on (logit psi, log omega).
+    """Maximize the count likelihood over (psi, omega) by damped Newton in
+    the natural parameters theta = (logit psi, log omega).
 
-    Degenerate samples (all mass at 0 or n, or a single observed value)
-    return boundary-flagged, non-converged results.
+    The law is an exponential family in T = (y, y (n-y)):
+    log P(y) = log C(n, y) + theta . T(y) - log Z(theta).  So one log-pmf
+    table per iterate gives the score N (mean T - E[T]) and the
+    information N Cov(T) exactly; the standard errors are that
+    information's inverse at the optimum, mapped to (psi, omega) by the
+    delta method.
+
+    The MLE is finite exactly when mean T is interior to the convex hull
+    of T(0..n).  A sample on a face (observed support one value, a pair
+    {k, k+1} or {0, n}; every sample at n = 1) returns converged=False,
+    omega_hat = NaN, psi_hat = mean y / n, no standard errors, and the
+    empirical log-likelihood sum c log(c/N): the supremum, which the
+    face's limit laws reach.
     """
-    # scipy costs some 0.4 s to import; only fits need it
-    from scipy.optimize import minimize
-    from scipy.special import expit, logit
-
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
     total = counts.sum()
-    mean_y = float((np.arange(n + 1) * counts).sum() / total)
-    if sample.distinct_values < 2:
-        return FitResult(
-            psi_hat=mean_y / n,
-            omega_hat=math.nan,
-            log_likelihood=0.0,
-            converged=False,
-            iterations=0,
-            standard_errors=None,
-        )
+    y = np.arange(n + 1)
+    mean_y = float(y @ counts / total)
+    if _on_hull_face(counts):
+        return FitResult(psi_hat=mean_y / n, omega_hat=math.nan,
+                         log_likelihood=_empirical_log_lik(counts), converged=False,
+                         iterations=0, standard_errors=None)
 
-    def neg_ll(theta: np.ndarray) -> float:
-        psi = float(expit(np.clip(theta[0], -35.0, 35.0)))
-        omega = float(np.exp(np.clip(theta[1], -35.0, 35.0)))
-        return -_sample_log_lik(sample, psi, omega)
+    stats = np.stack((y, y * (n - y))).astype(float)
+    dev = stats - (stats @ counts / total)[:, None]
+    log_binom = _log_binom(n, y)
+    seen = counts > 0
 
-    p0 = min(max(mean_y / n, 1e-3), 1.0 - 1e-3)
-    x0 = np.array([float(logit(p0)), 0.0])
-    res = minimize(
-        neg_ll,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-    )
-    theta = res.x
-    psi_hat = float(expit(theta[0]))
-    omega_hat = float(np.exp(theta[1]))
-    grad = _fd_gradient(neg_ll, theta)
-    # bool() of the whole: the comparison alone is a numpy bool, which
-    # json cannot write
-    converged = bool(res.success or float(np.linalg.norm(grad)) < 1e-8 * total)
+    def derivs(theta: np.ndarray):
+        # the log-pmf table in natural parameters, exact even where psi
+        # rounds to 0 or 1
+        logw = log_binom + theta @ stats
+        logp = logw - _logsumexp(logw)
+        p = np.exp(logp)
+        gap = dev @ p  # E[T] - mean T
+        cov = (dev * p) @ dev.T - np.outer(gap, gap)
+        return float(counts[seen] @ logp[seen]), -total * gap, -total * cov
 
+    theta0 = np.array([math.log(mean_y / (n - mean_y)), 0.0])
+    theta, log_lik, hess, steps, converged = _newton_ascent(derivs, theta0, total)
+    psi_hat, omega_hat = _expit(theta[0]), math.exp(theta[1])
     standard_errors = None
-    hess = _fd_hessian(neg_ll, theta)
-    try:
-        cov = np.linalg.inv(hess)
-        var = np.diag(cov)
-        if (var > 0).all():
-            # delta method back to natural coordinates
-            se_psi = math.sqrt(var[0]) * psi_hat * (1.0 - psi_hat)
-            se_omega = math.sqrt(var[1]) * omega_hat
-            standard_errors = (se_psi, se_omega)
-    except np.linalg.LinAlgError:
-        pass
-
-    return FitResult(
-        psi_hat=psi_hat,
-        omega_hat=omega_hat,
-        log_likelihood=-float(res.fun),
-        converged=converged,
-        iterations=int(res.nit),
-        standard_errors=standard_errors,
-    )
+    if converged:
+        var = np.diag(np.linalg.inv(-hess))
+        standard_errors = (math.sqrt(var[0]) * psi_hat * _expit(-theta[0]),
+                           math.sqrt(var[1]) * omega_hat)
+    return FitResult(psi_hat=psi_hat, omega_hat=omega_hat, log_likelihood=log_lik,
+                     converged=converged, iterations=steps,
+                     standard_errors=standard_errors)
 
 
 def _fit_binomial(sample: CountSample) -> tuple[float, float]:
@@ -264,79 +287,78 @@ def _fit_binomial(sample: CountSample) -> tuple[float, float]:
     return pi_hat, float((counts[mask] * logp[mask]).sum())
 
 
-def _fit_beta_binomial(sample: CountSample) -> tuple[float, float, float]:
-    """Beta-Binomial MLE over (log alpha, log beta): (a_hat, b_hat, ll)."""
-    from scipy.optimize import minimize
-    from scipy.special import betaln
-
-    n = sample.n
-    counts = np.asarray(sample.counts, dtype=float)
-    mask = counts > 0
-    y = np.arange(n + 1)
-
-    def neg_ll(theta: np.ndarray) -> float:
-        a = float(np.exp(np.clip(theta[0], -25.0, 25.0)))
-        b = float(np.exp(np.clip(theta[1], -25.0, 25.0)))
-        logp = _log_binom(n, y) + betaln(y + a, n - y + b) - betaln(a, b)
-        return -float((counts[mask] * logp[mask]).sum())
-
-    p = min(max((y * counts).sum() / (n * counts.sum()), 1e-3), 1.0 - 1e-3)
-    x0 = np.array([math.log(2.0 * p), math.log(2.0 * (1.0 - p))])
-    res = minimize(
-        neg_ll,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000},
-    )
-    a_hat = float(np.exp(np.clip(res.x[0], -25.0, 25.0)))
-    b_hat = float(np.exp(np.clip(res.x[1], -25.0, 25.0)))
-    return a_hat, b_hat, -float(res.fun)
+def _beta_binomial_log_lik(counts: np.ndarray, theta: np.ndarray):
+    """Beta-Binomial log-likelihood, gradient and Hessian in theta =
+    (log alpha, log beta).  log P(y) = log C(n, y) + log alpha^(y)
+    + log beta^(n-y) - log (alpha+beta)^(n) in rising factorials
+    (Griffiths 1973), whose derivatives are sums of 1/(x+k), 1/(x+k)^2."""
+    n = len(counts) - 1
+    alpha, beta = np.exp(theta)
+    ra, rb, rab = (_rising_sums(x, n) for x in (alpha, beta, alpha + beta))
+    sa, sb, sab = ra @ counts, rb @ counts[::-1], counts.sum() * rab[:, n]
+    ga, gb = sa[1] - sab[1], sb[1] - sab[1]
+    haa, hbb, hab = sa[2] - sab[2], sb[2] - sab[2], -sab[2]
+    grad = np.array([alpha * ga, beta * gb])
+    hess = np.array([[alpha * alpha * haa + alpha * ga, alpha * beta * hab],
+                     [alpha * beta * hab, beta * beta * hbb + beta * gb]])
+    log_lik = counts @ _log_binom(n, np.arange(n + 1)) + sa[0] + sb[0] - sab[0]
+    return float(log_lik), grad, hess
 
 
 def model_comparison(sample: CountSample) -> ComparisonReport:
     """Fit the dependence model, Binomial, and Beta-Binomial by MLE and
     compare log-likelihoods, AIC, and predicted majority-vote accuracy
-    against the empirical tail frequency."""
+    against the empirical tail frequency.
+
+    A model with no finite MLE on the sample reports converged=False and
+    the limit law that reaches the supremum: the empirical law for lmbd
+    on a hull face (see ``fit_mle``) and for the Beta-Binomial on a
+    sample seen only at 0 and n (alpha = beta = 0); the Binomial for the
+    Beta-Binomial on a sample whose variance is at most the binomial
+    variance at its mean (alpha = beta = inf).
+    """
     n = sample.n
-    q = majority_threshold(n)
-    empirical = sum(sample.counts[q + 1:]) / sample.total
+    total = sample.total
+    empirical = sum(sample.counts[majority_threshold(n) + 1:]) / total
+    counts = np.asarray(sample.counts, dtype=float)
+
+    def report(name, parameters, log_lik, accuracy, converged=True):
+        k = len(parameters)
+        return ModelReport(name=name, n_params=k, log_likelihood=log_lik,
+                           aic=2 * k - 2 * log_lik, predicted_accuracy=accuracy,
+                           parameters=parameters, converged=converged)
 
     fit = fit_mle(sample)
-    mbd_params = ModelParams(n=n, psi=fit.psi_hat, omega=fit.omega_hat)
-    mbd = ModelReport(
-        name="lmbd",
-        n_params=2,
-        log_likelihood=fit.log_likelihood,
-        aic=2 * 2 - 2 * fit.log_likelihood,
-        predicted_accuracy=ensemble_accuracy(EnsembleSpec(n=n, params=mbd_params)),
-        parameters={"psi": fit.psi_hat, "omega": fit.omega_hat},
-    )
+    mbd_accuracy = empirical if math.isnan(fit.omega_hat) else ensemble_accuracy(
+        EnsembleSpec(n=n, params=ModelParams(n=n, psi=fit.psi_hat, omega=fit.omega_hat)))
+    mbd = report("lmbd", {"psi": fit.psi_hat, "omega": fit.omega_hat},
+                 fit.log_likelihood, mbd_accuracy, fit.converged)
 
     pi_hat, ll_bin = _fit_binomial(sample)
-    binom = ModelReport(
-        name="binomial",
-        n_params=1,
-        log_likelihood=ll_bin,
-        aic=2 * 1 - 2 * ll_bin,
-        predicted_accuracy=binomial_accuracy(n, pi_hat),
-        parameters={"pi": pi_hat},
-    )
+    binom = report("binomial", {"pi": pi_hat}, ll_bin, binomial_accuracy(n, pi_hat))
 
-    a_hat, b_hat, ll_bb = _fit_beta_binomial(sample)
-    betabin = ModelReport(
-        name="beta-binomial",
-        n_params=2,
-        log_likelihood=ll_bb,
-        aic=2 * 2 - 2 * ll_bb,
-        predicted_accuracy=beta_binomial_accuracy(n, a_hat, b_hat),
-        parameters={"alpha": a_hat, "beta": b_hat},
-    )
+    # n N^2 times the sample variance, and N^2 times the binomial variance
+    # at the sample mean, in exact integers
+    s1 = sum(y * c for y, c in enumerate(sample.counts))
+    excess = n * (total * sum(y * y * c for y, c in enumerate(sample.counts)) - s1 * s1)
+    binomial_excess = s1 * (n * total - s1)
+    if excess <= binomial_excess:
+        betabin = report("beta-binomial", {"alpha": math.inf, "beta": math.inf},
+                         ll_bin, binom.predicted_accuracy, False)
+    elif not any(sample.counts[1:n]):
+        betabin = report("beta-binomial", {"alpha": 0.0, "beta": 0.0},
+                         _empirical_log_lik(counts), empirical, False)
+    else:
+        # start from the moment estimate of s = alpha + beta, where
+        # variance = binomial variance * (1 + (n-1) / (s+1))
+        s = (n - 1) * binomial_excess / (excess - binomial_excess) - 1.0
+        theta, ll_bb, _, _, converged = _newton_ascent(
+            lambda theta: _beta_binomial_log_lik(counts, theta),
+            np.log([pi_hat * s, (1.0 - pi_hat) * s]), total)
+        a_hat, b_hat = (float(v) for v in np.exp(theta))
+        betabin = report("beta-binomial", {"alpha": a_hat, "beta": b_hat}, ll_bb,
+                         beta_binomial_accuracy(n, a_hat, b_hat), converged)
 
     models = (mbd, binom, betabin)
-    best = min(models, key=lambda m: m.aic)
-    return ComparisonReport(
-        sample_total=sample.total,
-        empirical_accuracy=empirical,
-        models=models,
-        best_aic=best.name,
-    )
+    return ComparisonReport(sample_total=total, empirical_accuracy=empirical, models=models,
+                            best_aic=min(models, key=lambda m: m.aic).name)

@@ -1,11 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.stats import binom
 
 import lmbd
@@ -29,9 +29,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def load_json(path):
+    """Parse an artifact as strict JSON: NaN and Infinity are errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 class TestPmfCommand:
@@ -207,26 +212,73 @@ class TestSampleFitCompare:
 
 
 class TestFitConvergedFlag:
-    def test_stalled_search_writes_json_bool(self, capsys, tmp_path, monkeypatch):
-        # a search that stops without success at its start point leaves
-        # converged to the gradient test, which must still yield a bool
-        def stalled(fun, x0, **kwargs):
-            return scipy.optimize.OptimizeResult(
-                x=np.asarray(x0), fun=fun(x0), success=False, nit=0)
+    """converged is a JSON bool, false exactly where no finite MLE exists:
+    the sample mean of (y, y (n-y)) on a face of the convex hull of those
+    points (one observed value, a neighbouring pair, or {0, n})."""
 
-        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
-        draws = sample(ModelParams(5, 0.4, 0.9), 2000, seed=4)
-        counts = np.bincount(draws, minlength=6)
-        fit = fit_mle(CountSample(n=5, counts=tuple(int(c) for c in counts)))
+    FACES = {
+        "n5-ends": (5, {0: 3, 5: 4}),
+        "n5-pair": (5, {2: 5, 3: 7}),
+        "n6-pair": (6, {3: 5, 4: 7}),
+        "n1": (1, {0: 3, 1: 4}),
+        "n4-single-0": (4, {0: 120}),
+        "n4-single-4": (4, {4: 7}),
+        "n5-single-2": (5, {2: 10}),
+    }
+
+    def fit_artifact(self, capsys, tmp_path, n, pairs):
+        data = tmp_path / "sample.csv"
+        data.write_text("y,count\n" + "".join(f"{y},{c}\n" for y, c in pairs.items()))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(data), "--n", str(n), "--out", str(out)]) == 0
+        capsys.readouterr()
+        return load_json(out)["result"]
+
+    @pytest.mark.parametrize("n, pairs", FACES.values(), ids=FACES.keys())
+    def test_hull_face_writes_json_false(self, capsys, tmp_path, n, pairs):
+        fit = fit_mle(CountSample.from_pairs(n, pairs.items()))
         assert type(fit.converged) is bool
         assert fit.converged is False
-        data = tmp_path / "sample.csv"
-        data.write_text("y,count\n" + "".join(
-            f"{y},{c}\n" for y, c in enumerate(counts)))
-        out = tmp_path / "fit.json"
-        assert main(["fit", "--input", str(data), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert load_json(out)["result"]["converged"] is False
+        assert math.isnan(fit.omega_hat)
+        assert fit.standard_errors is None
+        total = sum(pairs.values())
+        # the supremum, reached by the limit laws on the face
+        assert fit.log_likelihood == pytest.approx(
+            sum(c * math.log(c / total) for c in pairs.values()), abs=1e-12)
+        res = self.fit_artifact(capsys, tmp_path, n, pairs)
+        assert res["converged"] is False
+        assert res["omega_hat"] is None
+        assert res["standard_errors"] is None
+
+    def test_interior_pair_converges(self, capsys, tmp_path):
+        # {0, 2} at n = 4 is a chord inside the hull: a finite MLE exists
+        pairs = {0: 3, 2: 4}
+        fit = fit_mle(CountSample.from_pairs(4, pairs.items()))
+        assert fit.converged is True
+        assert math.isfinite(fit.omega_hat) and fit.standard_errors is not None
+        res = self.fit_artifact(capsys, tmp_path, 4, pairs)
+        assert res["converged"] is True
+        assert res["omega_hat"] == fit.omega_hat
+
+
+def test_compare_single_value_sample(capsys, tmp_path):
+    """No model but the Binomial has a finite MLE on one observed value:
+    compare still exits 0, and the limit reports say so."""
+    data = tmp_path / "sample.csv"
+    data.write_text("y,count\n2,10\n")
+    out = tmp_path / "cmp.json"
+    code, _, _ = run(capsys, "compare", "--input", str(data), "--n", "5",
+                     "--out", str(out))
+    assert code == 0
+    res = load_json(out)["result"]
+    models = {m["name"]: m for m in res["models"]}
+    assert [models[k]["converged"] for k in ("lmbd", "binomial", "beta-binomial")] == [
+        False, True, False]
+    assert models["lmbd"]["log_likelihood"] == 0.0
+    assert models["lmbd"]["parameters"]["omega"] is None
+    assert models["lmbd"]["predicted_accuracy"] == res["empirical_accuracy"]
+    assert models["beta-binomial"]["parameters"] == {"alpha": None, "beta": None}
+    assert models["beta-binomial"]["log_likelihood"] == models["binomial"]["log_likelihood"]
 
 
 class TestNInference:
@@ -266,10 +318,10 @@ class TestNInference:
         assert "outside support" in err
 
 
-def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+def test_cli_loads_no_scipy(tmp_path):
     """In a fresh process: ``import lmbd``, ``import lmbd.cli`` and the
-    pmf, clt and delta-grid subcommands load no scipy module at all, and
-    a fit still runs, loading scipy.optimize on its own."""
+    pmf, clt, delta-grid, fit and compare subcommands load no scipy
+    module at all."""
     src = os.path.dirname(os.path.dirname(lmbd.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -286,20 +338,20 @@ import lmbd.cli
 seen["import lmbd.cli"] = scipy_modules()
 for argv in (["pmf", "--n", "10", "--psi", "0.3", "--omega", "1.5"],
              ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
-             ["delta-grid", "--n", "5", "--psi-steps", "11", "--omega-steps", "11"]):
-    assert lmbd.cli.main(argv + ["--out", {str(tmp_path / "a.out")!r}]) == 0
+             ["delta-grid", "--n", "5", "--psi-steps", "11", "--omega-steps", "11"],
+             ["fit", "--input", {str(data)!r}],
+             ["compare", "--input", {str(data)!r}]):
+    out = {str(tmp_path)!r} + "/" + argv[0] + ".out"
+    assert lmbd.cli.main(argv + ["--out", out]) == 0
     seen[argv[0]] = scipy_modules()
-assert lmbd.cli.main(["fit", "--input", {str(data)!r},
-                      "--out", {str(tmp_path / "fit.json")!r}]) == 0
-seen["fit"] = "scipy.optimize" in sys.modules
 print(json.dumps(seen))
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import lmbd": [], "import lmbd.cli": [], "pmf": [],
-                    "clt": [], "delta-grid": [], "fit": True}
-    assert load_json(tmp_path / "fit.json")["result"]["converged"] is True
+                    "clt": [], "delta-grid": [], "fit": [], "compare": []}
+    assert load_json(tmp_path / "fit.out")["result"]["converged"] is True
 
 
 class TestExitCodes:
@@ -364,3 +416,4 @@ class TestDeterminism:
             assert main([cmd, "--input", str(data), "--out", str(out)]) == 0
             capsys.readouterr()
             assert out.read_bytes() == first
+            load_json(out)

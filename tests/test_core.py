@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from lmbd import (
-    LOG_TOL,
-    RATIO_TOL,
     ModelParams,
     cdf,
     conditional_cpr,
@@ -22,6 +20,12 @@ from lmbd import (
 )
 
 from enumeration_oracle import enumerate_pmf_oracle
+
+# absolute tolerance for identities checked in the log domain
+LOG_TOL = 1e-12
+
+# relative tolerance for ratios of exponentiated quantities
+RATIO_TOL = 1e-10
 
 GRID = [
     (n, psi, omega)

@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
-from scipy.stats import binom
+from scipy.stats import betabinom, binom
 
 from lmbd import (
     CountSample,
@@ -20,6 +21,8 @@ from lmbd import (
     pmf,
     sample,
 )
+
+from lmbd.ensemble import _beta_binomial_log_lik
 
 from enumeration_oracle import enumerate_pmf_oracle
 
@@ -195,6 +198,31 @@ class TestFitMle:
         assert not fit.converged
         assert fit.psi_hat == 1.0
 
+    @pytest.mark.parametrize("s", [
+        CountSample(n=4, counts=(3, 0, 4, 0, 0)),
+        drawn_sample(ModelParams(9, 0.6, 0.8), 10 ** 5, seed=31415),
+        drawn_sample(ModelParams(20, 0.3, 1.2), 2000, seed=7),
+    ], ids=["n4-pair", "n9", "n20"])
+    def test_standard_errors_match_mpmath_hessian(self, s):
+        # the inverse of a 50-digit finite-difference Hessian of the
+        # log-likelihood in (psi, omega), at the fitted point
+        fit = fit_mle(s)
+        assert fit.converged
+        with mp.workdps(50):
+            def log_lik(psi, omega):
+                terms = [mp.log(mp.binomial(s.n, y)) + y * mp.log(psi)
+                         + (s.n - y) * mp.log(1 - psi) + y * (s.n - y) * mp.log(omega)
+                         for y in range(s.n + 1)]
+                log_k = mp.log(mp.fsum(mp.exp(t) for t in terms))
+                return mp.fsum(c * (t - log_k) for c, t in zip(s.counts, terms) if c)
+
+            x = (mp.mpf(fit.psi_hat), mp.mpf(fit.omega_hat))
+            h = mp.matrix([[mp.diff(log_lik, x, (2, 0)), mp.diff(log_lik, x, (1, 1))],
+                           [mp.diff(log_lik, x, (1, 1)), mp.diff(log_lik, x, (0, 2))]])
+            cov = (-h) ** -1
+            expect = [float(mp.sqrt(cov[0, 0])), float(mp.sqrt(cov[1, 1]))]
+        assert fit.standard_errors == pytest.approx(expect, rel=1e-10)
+
 
 class TestModelComparison:
     def test_nested_likelihood_ordering(self):
@@ -228,3 +256,86 @@ class TestModelComparison:
             for psi in (0.5 + 0.1 * k for k in range(1, 5)):
                 for omega in (1.2, 1.8):
                     assert psi > marginal_pi(ModelParams(n, psi, omega))
+
+
+def underdispersed_sample() -> CountSample:
+    # omega > 1 at n = 20: the sample variance is 0.36 of the binomial's
+    return drawn_sample(ModelParams(20, 0.3, 1.2), 10 ** 5, seed=2718)
+
+
+def mp_beta_binomial_log_lik(counts, alpha, beta):
+    """50-digit log-likelihood from log B(y+alpha, n-y+beta) - log B(alpha, beta)."""
+    def betaln(x, y):
+        return mp.loggamma(x) + mp.loggamma(y) - mp.loggamma(x + y)
+
+    n = len(counts) - 1
+    return mp.fsum(c * (mp.log(mp.binomial(n, y)) + betaln(y + alpha, n - y + beta)
+                        - betaln(alpha, beta))
+                   for y, c in enumerate(counts) if c)
+
+
+class TestBetaBinomialFit:
+    @pytest.mark.parametrize("alpha, beta", [(1.6e8, 2.2e8), (0.3, 0.7), (0.05, 0.9)])
+    def test_rising_factorial_sums_match_mpmath(self, alpha, beta):
+        counts = underdispersed_sample().counts
+        log_lik, grad, hess = _beta_binomial_log_lik(
+            np.asarray(counts, dtype=float), np.log([alpha, beta]))
+        with mp.workdps(50):
+            def f(u, v):
+                return mp_beta_binomial_log_lik(counts, mp.exp(u), mp.exp(v))
+
+            x = (mp.log(alpha), mp.log(beta))
+            expect = f(*x)
+            expect_grad = [float(mp.diff(f, x, (1, 0))), float(mp.diff(f, x, (0, 1)))]
+            expect_hess = np.array([[mp.diff(f, x, (2, 0)), mp.diff(f, x, (1, 1))],
+                                    [mp.diff(f, x, (1, 1)), mp.diff(f, x, (0, 2))]],
+                                   dtype=float)
+        assert log_lik == pytest.approx(float(expect), rel=1e-13)
+        np.testing.assert_allclose(grad, expect_grad, rtol=1e-12)
+        np.testing.assert_allclose(hess, expect_hess, rtol=0.0,
+                                   atol=1e-12 * np.abs(expect_hess).max())
+
+    @pytest.mark.parametrize("n, alpha, beta", [(20, 1.6e8, 2.2e8), (9, 0.3, 0.7),
+                                                (200, 2.0, 3.0)])
+    def test_accuracy_matches_mpmath(self, n, alpha, beta):
+        q = majority_threshold(n)
+        with mp.workdps(50):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            expect = mp.fsum(mp.binomial(n, y) * mp.beta(y + a, n - y + b) / mp.beta(a, b)
+                             for y in range(q + 1, n + 1))
+        assert beta_binomial_accuracy(n, alpha, beta) == pytest.approx(
+            float(expect), rel=1e-12)
+
+    # at n = 1 the variance equals the binomial one: the Beta-Binomial is
+    # the Bernoulli law and (alpha, beta) is not identifiable
+    @pytest.mark.parametrize("s", [underdispersed_sample(), CountSample(n=1, counts=(3, 4))],
+                             ids=["n20", "n1"])
+    def test_underdispersed_sample_reports_binomial_limit(self, s):
+        report = model_comparison(s)
+        by_name = {m.name: m for m in report.models}
+        bb = by_name["beta-binomial"]
+        assert bb.converged is False
+        assert bb.log_likelihood == by_name["binomial"].log_likelihood
+        assert bb.predicted_accuracy == by_name["binomial"].predicted_accuracy
+        assert bb.parameters == {"alpha": math.inf, "beta": math.inf}
+
+    def test_noiseless_recovery(self):
+        n, alpha, beta = 9, 2.0, 3.0
+        counts = np.round(betabinom.pmf(np.arange(n + 1), n, alpha, beta) * 10 ** 6)
+        report = model_comparison(CountSample(n=n, counts=tuple(int(c) for c in counts)))
+        bb = report.models[2]
+        assert bb.converged is True
+        assert bb.parameters["alpha"] == pytest.approx(alpha, rel=1e-3)
+        assert bb.parameters["beta"] == pytest.approx(beta, rel=1e-3)
+
+    def test_two_point_sample_reaches_empirical_law(self):
+        # observed only at 0 and n: alpha, beta -> 0 with their ratio fixed
+        # reaches the empirical law, as the lmbd limits on the chord do
+        counts = (3, 0, 0, 0, 0, 4)
+        report = model_comparison(CountSample(n=5, counts=counts))
+        sup = 3 * math.log(3 / 7) + 4 * math.log(4 / 7)
+        for m in (report.models[0], report.models[2]):
+            assert m.converged is False
+            assert m.log_likelihood == pytest.approx(sup, abs=1e-12)
+            assert m.predicted_accuracy == report.empirical_accuracy
+        assert report.models[2].parameters == {"alpha": 0.0, "beta": 0.0}
