@@ -251,11 +251,13 @@ def cdf(params: ModelParams, y: int) -> float:
     return min(1.0, float(np.exp(_logsumexp(table.log_prob[: y + 1]))))
 
 
-def _table_variance(probs: np.ndarray) -> float:
-    """Variance of a pmf table, summed about its mode (see ``moments``)."""
-    dev = np.arange(len(probs)) - int(np.argmax(probs))
+def _table_moments(probs: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of a pmf table, both summed about its mode (see
+    ``moments``)."""
+    mode = int(np.argmax(probs))
+    dev = np.arange(len(probs)) - mode
     d = float(probs @ dev)
-    return max(0.0, float(probs @ (dev * dev)) - d * d)
+    return mode + d, max(0.0, float(probs @ (dev * dev)) - d * d)
 
 
 def moments(params: ModelParams) -> MomentSummary:
@@ -275,7 +277,7 @@ def moments(params: ModelParams) -> MomentSummary:
     t1 = math.exp(log_k(n, 1, psi, omega) - log_kn)
     t2 = math.exp(log_k(n, 2, psi, omega) - log_kn) if n >= 2 else math.nan
     if 0.0 < psi < 1.0:
-        variance = _table_variance(pmf(params).probs())
+        _, variance = _table_moments(pmf(params).probs())
         eta = variance / (n * psi)
     else:
         if n >= 2:

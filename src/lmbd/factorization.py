@@ -7,6 +7,14 @@ the singular set {psi in {1/2, 1}} union {omega = 1} (only numeric
 evidence exists; grids here are that evidence).  The sign of D_n decides
 tau_1 <= 1, which in turn decides the ordering between psi and the true
 per-trial marginal pi = psi tau_1.
+
+A grid reads K_n and tau_1 = K_{n-1} / K_n at every cell off one table
+per axis: the kernel's log-weight splits into a psi-only and an
+omega-only part, so each axis exponentiates its own factors once and
+every cell is a sum of products of the two: a P x W grid costs
+(P + W)(n + 1) exps, not one per term and cell.  A cell whose sums
+fall below exp(-300), where the factors flushed to 0 could matter,
+goes through the log-sum-exp that the scalar functions use.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _log_weights, _logsumexp, log_k, tau
+from .core import (_EXP_FLOOR, ModelParams, _kernel_row, _log_weights, _logsumexp,
+                   _xlogy, log_k, tau)
 
 __all__ = [
     "GridSpec",
@@ -114,40 +123,103 @@ def delta(params: ModelParams) -> float:
     return d_n(params) / factors
 
 
-# psi rows per kernel call are chosen so that one (rows, omegas, terms)
-# block holds about this many doubles; the whole 101 x 101 x 65 array at
-# n = 64 would add some 15 MB to peak memory
+# cells per kernel call on the log-sum-exp path are chosen so that one
+# (cells, terms) block holds about this many doubles
 _BLOCK_DOUBLES = 1 << 14
+# factors below exp(_EXP_FLOOR / 2) are flushed to 0, so that no product
+# of two factors is subnormal: numpy's arithmetic is many times slower
+# on subnormal doubles
+_LOG_FACTOR_FLOOR = _EXP_FLOOR / 2
+# a cell whose sum or i-weighted sum falls below this goes through the
+# log-sum-exp; above it the flushed terms, each below
+# exp(_LOG_FACTOR_FLOOR) = exp(-350), move the sum by at most
+# n (n + 1) exp(-50) of itself
+_SUM_FLOOR = math.exp(3 * _EXP_FLOOR / 7)
+
+
+def _flushed_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) in place, with entries below exp(_LOG_FACTOR_FLOOR) set to 0."""
+    small = x < _LOG_FACTOR_FLOOR
+    np.maximum(x, _LOG_FACTOR_FLOOR, out=x)
+    np.exp(x, out=x)
+    x[small] = 0.0
+    return x
+
+
+def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray):
+    """(log K_n, tau_1) at the cells (psis[k], log_omegas[k]) by a
+    log-sum-exp over the kernel's terms, one block of cells per pair of
+    kernel calls."""
+    step = max(1, _BLOCK_DOUBLES // (n + 1))
+    la = np.empty(len(psis))
+    lb = np.empty_like(la)
+    for start in range(0, len(psis), step):
+        block = slice(start, start + step)
+        p, w = psis[block, None], log_omegas[block, None]
+        la[block] = _logsumexp(_log_weights(n, 1, p, w), axis=-1)
+        lb[block] = _logsumexp(_log_weights(n, 0, p, w), axis=-1)
+    return lb, np.exp(la - lb)
 
 
 def _log_k_grid(n: int, psis: np.ndarray, log_omegas: np.ndarray):
-    """(log K_{n-1}, log K_n) over the psis x omegas grid, one block of
-    psi rows per pair of kernel calls."""
-    rows = max(1, _BLOCK_DOUBLES // (len(log_omegas) * (n + 1)))
-    la = np.empty((len(psis), len(log_omegas)))
-    lb = np.empty_like(la)
-    w = log_omegas[:, None]
-    for start in range(0, len(psis), rows):
-        block = slice(start, start + rows)
-        p = psis[block, None, None]
-        la[block] = _logsumexp(_log_weights(n, 1, p, w), axis=-1)
-        lb[block] = _logsumexp(_log_weights(n, 0, p, w), axis=-1)
-    return la, lb
+    """(log K_n, tau_1) over the psis x omegas grid.
+
+    K_n's log-weight log C(n, i) + i log psi + (n-i) log(1-psi)
+    + i (n-i) log omega is a psi-only row A[p, i] plus an omega-only
+    column B[i, w].  Each is shifted by its own maximum and
+    exponentiated once, so K_n is a sum of products over i.  Since
+    tau_1 = E[Y] / (n psi), K_{n-1} is the same sum with the psi factor
+    weighted by i and divided by n psi.  Both sums go through one
+    ``einsum``: numpy's own loop gives the same bits whatever the BLAS
+    thread count, which a BLAS product does not.  Cells whose sums fall
+    below _SUM_FLOOR (every psi = 0 cell among them) are recomputed by
+    ``_log_k_cells``.
+    """
+    i, rest, log_binom = (part[:, None] for part in _kernel_row(n))
+    a = log_binom + _xlogy(i, psis) + _xlogy(rest, 1.0 - psis)
+    a_top = a.max(axis=0)
+    a -= a_top
+    # i (n-i) peaks at floor(n^2 / 4), which is B's maximum for omega > 1;
+    # the exponent difference is an exact integer
+    expo = i * rest
+    top_expo = np.where(log_omegas > 0.0, expo.max(), 0)
+    ea = _flushed_exp(a)
+    eb = _flushed_exp((expo - top_expo) * log_omegas)
+    sums = np.einsum("ip,iw->pw", np.concatenate([ea, ea * i], axis=1), eb)
+    s0, s1 = sums[: len(psis)], sums[len(psis):]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_kn = a_top[:, None] + top_expo * log_omegas + np.log(s0)
+        tau1 = s1 / (n * psis[:, None] * s0)
+    guard = (s0 < _SUM_FLOOR) | (s1 < _SUM_FLOOR)
+    if guard.any():
+        rows, cols = np.nonzero(guard)
+        log_kn[rows, cols], tau1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])
+    return log_kn, tau1
 
 
 def delta_grid(spec: GridSpec) -> RegionGrid:
+    """Delta per cell, flagged where defined; a Delta beyond the double
+    range comes back as an infinity.
+
+    D_n = K_n (tau_1 - 1) is divided by the factors in the log domain,
+    so neither K_n nor D_n has to fit in a double.
+    """
     n = spec.n
     psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
-    la, lb = _log_k_grid(n, psis, np.log(omegas))
-    d = np.exp(lb) * np.expm1(la - lb)
+    log_kn, tau1 = _log_k_grid(n, psis, np.log(omegas))
+    # the factors are a psi-only row times an omega-only column
     psi = psis[:, None]
-    factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omegas - 1.0)
+    row = (psi - 1.0) * (2.0 * psi - 1.0)
+    col = omegas - 1.0
     if n % 2 == 1:
-        factors = factors * (omegas + 1.0)
+        col = col * (omegas + 1.0)
     singular = (psi == 0.5) | (psi == 1.0) | (omegas == 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(singular, math.nan, d / factors)
+    excess = tau1 - 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.sign(excess) * np.sign(row) * np.sign(col) * np.exp(
+            log_kn + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
+    values[singular] = math.nan
     return RegionGrid(spec=spec, values=values, flags=~singular, kind="delta")
 
 
@@ -163,9 +235,8 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     The flagged region coincides with
     {psi <= 1/2 and omega <= 1} union {psi >= 1/2 and omega >= 1}.
     """
-    la, lb = _log_k_grid(spec.n, np.asarray(spec.psi_values),
-                         np.log(np.asarray(spec.omega_values)))
-    t1 = np.exp(la - lb)
+    _, t1 = _log_k_grid(spec.n, np.asarray(spec.psi_values),
+                        np.log(np.asarray(spec.omega_values)))
     return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL, kind="tau1")
 
 

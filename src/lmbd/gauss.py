@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _table_variance, pmf, tau
+from .core import ModelParams, _table_moments, pmf
 
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
@@ -33,14 +33,13 @@ def _std_normal_cdf(z: np.ndarray) -> np.ndarray:
 
 def standardized_ks_distance(params: ModelParams) -> float:
     """sup_y | F(y) - Phi((y - mean) / sd) |, evaluated at the discrete
-    cdf's right-continuous points.  The mean (n psi tau_1) and the
-    variance are those of ``moments``; the variance is read off the same
-    table as the cdf."""
+    cdf's right-continuous points.  The mean and the variance are read
+    off the same table as the cdf, summed about its mode as ``moments``
+    sums its variance."""
     probs = pmf(params).probs()
-    variance = _table_variance(probs)
+    mean, variance = _table_moments(probs)
     if variance <= 0.0:
         raise ValueError("degenerate variance; standardization undefined")
-    mean = params.n * params.psi * tau(1, params)
     cdf_vals = np.minimum(1.0, np.cumsum(probs))
     z = (np.arange(params.n + 1) - mean) / math.sqrt(variance)
     return float(np.max(np.abs(cdf_vals - _std_normal_cdf(z))))

@@ -50,11 +50,30 @@ class TestStandardizedKsDistance:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
+    def test_no_log_k_sum_beside_the_table(self, n, psi, omega, monkeypatch):
+        calls = []
+        log_k = lmbd.core.log_k
+
+        def counted(*args):
+            calls.append(args)
+            return log_k(*args)
+
+        monkeypatch.setattr(lmbd.core, "log_k", counted)
+        standardized_ks_distance(ModelParams(n, psi, omega))
+        assert calls == []
+
+    @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
     def test_standardizes_with_the_mean_and_variance_of_moments(self, n, psi, omega):
+        # the mean is read off the table, where it agrees with moments'
+        # n psi tau_1 to rounding; the variance is moments' own
         p = ModelParams(n, psi, omega)
         ms = moments(p)
-        z = (np.arange(n + 1) - ms.mean) / math.sqrt(ms.variance)
-        cdf_vals = np.minimum(1.0, np.cumsum(pmf(p).probs()))
+        probs = pmf(p).probs()
+        mean, variance = lmbd.core._table_moments(probs)
+        assert variance == ms.variance
+        assert mean == pytest.approx(ms.mean, rel=1e-13)
+        z = (np.arange(n + 1) - mean) / math.sqrt(variance)
+        cdf_vals = np.minimum(1.0, np.cumsum(probs))
         expect = float(np.max(np.abs(cdf_vals - lmbd.gauss._std_normal_cdf(z))))
         assert standardized_ks_distance(p) == expect
 

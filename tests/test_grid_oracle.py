@@ -1,10 +1,14 @@
 """``delta_grid`` and ``tau1_region_grid`` against a 50-digit mpmath
-oracle, against a per-psi-row reference, and within a memory budget.
+oracle, against closed forms on the psi = 0 and psi = 1 rows, against a
+per-psi-row reference, within a memory budget, and bit for bit across
+BLAS thread counts.
 
 The oracle sums K_{n-a} = sum_i C(m, i) psi^i (1-psi)^(m-i)
 omega^((m-i)(i+a)), m = n - a, exactly at 50 digits on sampled cells.
 n = 1 is left out: there D_1 = K_0 - K_1 is identically 0, so Delta and
-tau_1 - 1 are rounding noise in any double evaluation.
+tau_1 - 1 are rounding noise in any double evaluation.  From n = 200 on
+some cells leave the grid's sum of products for its log-sum-exp guard;
+cells are sampled from both paths.
 
 The row reference is the grid loop as it was written before the grids
 were batched: one psi row at a time through scipy's ``logsumexp``.  The
@@ -14,6 +18,8 @@ grids must flag exactly the cells it flags.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -22,7 +28,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
-from lmbd import GridSpec, delta_grid, tau1_region_grid
+from lmbd import GridSpec, delta_grid, factorization, tau1_region_grid
 from lmbd.factorization import TAU1_TIE_TOL
 
 DPS = 50
@@ -50,10 +56,18 @@ def _specs(n: int) -> list[GridSpec]:
 def _exact_log_k(n: int, a: int, psi: float, omega: float) -> mp.mpf:
     m = n - a
     p, w = mp.mpf(psi), mp.mpf(omega)
-    return mp.log(mp.fsum(
-        math.comb(m, i) * p ** i * (1 - p) ** (m - i) * w ** ((m - i) * (i + a))
-        for i in range(m + 1)
-    ))
+    p_pow, q_pow = [mp.mpf(1)], [mp.mpf(1)]
+    for _ in range(m):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * (1 - p))
+    # omega^((m-i)(i+a)) gains the factor omega^(m-1-a-2i) from i to i+1
+    w_pow, w_step, w_down = w ** (m * a), w ** (m - 1 - a), w ** -2
+    terms = []
+    for i in range(m + 1):
+        terms.append(math.comb(m, i) * p_pow[i] * q_pow[m - i] * w_pow)
+        w_pow *= w_step
+        w_step *= w_down
+    return mp.log(mp.fsum(terms))
 
 
 def _exact(n: int, psi: float, omega: float) -> tuple[mp.mpf, mp.mpf]:
@@ -90,6 +104,131 @@ def test_sampled_cells_match_mpmath(n):
             assert _rel(tau1.values[i, j], t1) <= 1e-12, (n, psi, omega)
             if abs(psi - 0.5) >= DELTA_MARGIN and abs(omega - 1.0) >= DELTA_MARGIN:
                 assert _rel(dgrid.values[i, j], d) <= 1e-11, (n, psi, omega)
+
+
+def _guard_mask(spec: GridSpec, monkeypatch) -> np.ndarray:
+    """The cells the grid sends through its log-sum-exp guard."""
+    psis = np.asarray(spec.psi_values)
+    log_omegas = np.log(np.asarray(spec.omega_values))
+    mask = np.zeros((len(psis), len(log_omegas)), dtype=bool)
+    log_k_cells = factorization._log_k_cells
+
+    def recorded(n, cell_psis, cell_log_omegas):
+        mask[np.searchsorted(psis, cell_psis),
+             np.searchsorted(log_omegas, cell_log_omegas)] = True
+        return log_k_cells(n, cell_psis, cell_log_omegas)
+
+    with monkeypatch.context() as m:
+        m.setattr(factorization, "_log_k_cells", recorded)
+        tau1_region_grid(spec)
+    return mask
+
+
+def _rel_normal(got: float, exact: mp.mpf) -> float:
+    """``_rel``, with an exact value below the normal double range
+    compared to the smallest normal double instead."""
+    if abs(exact) < sys.float_info.min:
+        return float(abs(mp.mpf(got) - exact) / sys.float_info.min)
+    return _rel(got, exact)
+
+
+LARGE_NS = (200, 400, 1000)
+CELLS_PER_PATH = 4
+# (tau_1, Delta) bounds per n and path (guarded or not): twice the worst
+# relative error, on these same cells, of two log-sum-exp passes over
+# every cell, one for K_{n-1} and one for K_n
+LARGE_N_BOUNDS = {
+    200: {False: (1.4e-12, 2.4e-14), True: (2.4e-13, 2.5e-14)},
+    400: {False: (5.9e-12, 1.1e-13), True: (2.5e-12, 8.8e-14)},
+    1000: {False: (3.2e-11, 1.1e-13), True: (1.6e-11, 2.0e-13)},
+}
+
+
+def _large_n_cells(spec: GridSpec, monkeypatch, rng) -> list[tuple[int, int, bool]]:
+    """(row, column, guarded) of CELLS_PER_PATH cells from each path,
+    off the singular lines."""
+    guard = _guard_mask(spec, monkeypatch)
+    psis = np.asarray(spec.psi_values)
+    omegas = np.asarray(spec.omega_values)
+    off = (psis[:, None] != 0.5) & (omegas != 1.0)
+    cells = []
+    for path in (True, False):
+        cand = np.argwhere(off & (guard == path))
+        assert len(cand) >= CELLS_PER_PATH, (spec.n, path)
+        pick = cand[rng.choice(len(cand), size=CELLS_PER_PATH, replace=False)]
+        cells += [(i, j, path) for i, j in pick]
+    return cells
+
+
+@pytest.mark.parametrize("n", LARGE_NS)
+def test_large_n_cells_match_mpmath_on_both_paths(n, monkeypatch):
+    rng = np.random.default_rng(2000 + n)
+    for spec in _specs(n):
+        tau1, dgrid = tau1_region_grid(spec), delta_grid(spec)
+        for i, j, guarded in _large_n_cells(spec, monkeypatch, rng):
+            psi, omega = spec.psi_values[i], spec.omega_values[j]
+            t1, d = _exact(n, psi, omega)
+            where = (n, psi, omega, guarded)
+            tau1_bound, delta_bound = LARGE_N_BOUNDS[n][guarded]
+            assert _rel_normal(tau1.values[i, j], t1) <= tau1_bound, where
+            if abs(psi - 0.5) >= DELTA_MARGIN and abs(omega - 1.0) >= DELTA_MARGIN:
+                assert _rel_normal(dgrid.values[i, j], d) <= delta_bound, where
+
+
+@pytest.mark.parametrize("n", (200, 400))
+def test_every_cell_agrees_with_the_log_sum_exp_path(n):
+    # the sampled cells above miss most of a grid; here every cell of the
+    # sums of products is held to the guard's log-sum-exp, whose own
+    # error at n = 400 reaches some 5e-12 of tau_1
+    spec = _seeded_spec(n, seed=n)
+    psis = np.asarray(spec.psi_values)
+    log_omegas = np.log(np.asarray(spec.omega_values))
+    log_kn, tau1 = factorization._log_k_grid(n, psis, log_omegas)
+    rows, cols = np.indices(tau1.shape).reshape(2, -1)
+    ref_log_kn, ref_tau1 = factorization._log_k_cells(n, psis[rows], log_omegas[cols])
+    np.testing.assert_allclose(tau1.ravel(), ref_tau1, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(log_kn.ravel(), ref_log_kn, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", (2, 5, 20, 64, 200))
+def test_psi_edge_rows_match_closed_forms(n):
+    # K_n = 1 and tau_1 = omega^(n-1) at psi = 0, so Delta there is
+    # (omega^(n-1) - 1) / ((omega - 1)(omega + 1 if n odd)); tau_1 = 1 at
+    # psi = 1
+    base = GridSpec.linspace(n)
+    spec = GridSpec(psi_values=(0.0,) + base.psi_values + (1.0,),
+                    omega_values=base.omega_values, n=n)
+    tau1, dgrid = tau1_region_grid(spec), delta_grid(spec)
+    assert (tau1.values[-1] == 1.0).all()
+    with mp.workdps(DPS):
+        for j, omega in enumerate(spec.omega_values):
+            w = mp.mpf(omega)
+            assert _rel(tau1.values[0, j], w ** (n - 1)) <= 1e-12, (n, omega)
+            if abs(omega - 1.0) >= DELTA_MARGIN:
+                d = (w ** (n - 1) - 1) / ((w - 1) * ((w + 1) if n % 2 else 1))
+                assert _rel(dgrid.values[0, j], d) <= 1e-12, (n, omega)
+
+
+_GRID_DIGEST = """
+import hashlib
+from lmbd import GridSpec, delta_grid, tau1_region_grid
+spec = GridSpec.linspace(400)
+digest = hashlib.sha256()
+for grid in (tau1_region_grid(spec), delta_grid(spec)):
+    digest.update(grid.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_grid_bits_do_not_depend_on_blas_threads():
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(factorization.__file__)))
+        out = subprocess.run([sys.executable, "-c", _GRID_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def _row_reference(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
