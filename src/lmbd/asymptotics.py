@@ -5,7 +5,8 @@ omega -> 0+ concentrates the law on the all-equal outcomes {0, n};
 omega -> +infinity concentrates it on the most balanced counts: n/2 for
 even n, the pair {(n-1)/2, (n+1)/2} for odd n.  For fixed interior psi
 the actual weak limits are two-point laws; pushing psi to an edge
-collapses them to the point masses of the degenerate regimes.
+collapses them to the point masses of the degenerate regimes.  The
+limits of tau_r and of the mean and variance are read off those laws.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, pmf
-from .core import _log_binom, _log_weights, _logsumexp  # shared kernel helpers
+from .core import ModelParams, _exp, _log_kn_tau, _logsumexp, pmf
 
 __all__ = [
     "LimitRegime",
@@ -64,69 +64,68 @@ class LimitReport:
     numeric_evidence: tuple[tuple[float, float], ...]
 
 
-def _require_interior(psi: float) -> None:
-    if not 0.0 < psi < 1.0:
-        raise ValueError(f"psi must be interior (0, 1), got {psi}")
+def _log_limit_law(regime: LimitRegime, psi: float) -> dict[int, float]:
+    """Log masses, up to one common constant, of the regime's weak limit
+    (see ``limit_distribution``)."""
+    n = regime.n
+    if regime.psi_edge == "none":
+        if not 0.0 < psi < 1.0:
+            raise ValueError(f"psi must be interior (0, 1), got {psi}")
+        if regime.omega_edge == "to-zero":
+            return {0: n * math.log1p(-psi), n: n * math.log(psi)}
+        if n % 2 == 0:
+            return {n // 2: 0.0}
+        return {(n - 1) // 2: math.log1p(-psi), (n + 1) // 2: math.log(psi)}
+    if regime.omega_edge == "to-zero":
+        return {0: 0.0} if regime.psi_edge == "to-zero" else {n: 0.0}
+    if n % 2 == 0:
+        return {n // 2: 0.0}
+    return {(n - 1) // 2: 0.0} if regime.psi_edge == "to-zero" else {(n + 1) // 2: 0.0}
+
+
+def _tau_limit(j: int, omega_edge: str, n: int, psi: float) -> float:
+    """tau_j of the limit law at an omega edge, interior psi (log omega,
+    which the reader uses at psi = 0 only, is -inf or +inf there)."""
+    logw = np.full(n + 1, -np.inf)
+    for y, log_mass in _log_limit_law(LimitRegime(omega_edge, n), psi).items():
+        logw[y] = log_mass
+    log_omega = -math.inf if omega_edge == "to-zero" else math.inf
+    return _exp(float(_log_kn_tau(j, logw, psi, log_omega)[1]))
 
 
 def tau_limit_omega_zero(j: int, n: int, psi: float) -> float:
     """Limit of tau_j as omega -> 0+:  psi^(n-j) / (psi^n + (1-psi)^n)."""
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in [1, n={n}], got {j}")
-    _require_interior(psi)
-    log_s = _logsumexp(np.array([n * math.log(psi), n * math.log1p(-psi)]))
-    return float(math.exp((n - j) * math.log(psi) - log_s))
+    return _tau_limit(j, "to-zero", n, psi)
 
 
 def tau_limit_omega_inf_even(j: int, n: int, psi: float) -> float:
     """Limit of tau_j as omega -> +inf for even n, valid for j <= n/2:
 
-        (1 / psi^j) * C(n-j, n/2 - j) / C(n, n/2)
+        (1 / psi^j) * C(n-j, n/2 - j) / C(n, n/2) = (n/2)_j / ((n)_j psi^j)
     """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     if not 1 <= j <= n // 2:
         raise ValueError(f"j must lie in [1, n/2={n // 2}], got {j}")
-    _require_interior(psi)
-    half = n // 2
-    return float(
-        math.exp(
-            _log_binom(n - j, half - j) - _log_binom(n, half) - j * math.log(psi)
-        )
-    )
-
-
-def _dominant_log_coeff(n: int, a: int, psi: float) -> tuple[int, float]:
-    """Max omega-exponent over the K_{n-a} terms and the log of the sum
-    of the coefficients attaining it."""
-    m = n - a
-    i = np.arange(m + 1)
-    expo = (m - i) * (i + a)
-    emax = int(expo.max())
-    # at log omega = 0 the kernel's terms are the bare coefficients
-    logs = _log_weights(n, a, psi, 0.0)[expo == emax]
-    return emax, _logsumexp(logs)
+    return _tau_limit(j, "to-infinity", n, psi)
 
 
 def tau_limit_omega_inf_odd(j: int, n: int, psi: float) -> float:
-    """Limit of tau_j as omega -> +inf for odd n, valid for j <= (n-1)/2.
+    """Limit of tau_j as omega -> +inf for odd n, valid for j <= (n-1)/2:
 
-    Computed by dominant-term extraction: K_{n-j} and K_n are both
-    dominated by the terms whose omega-exponent reaches (n^2 - 1) / 4
-    (the counts (n-1)/2 and (n+1)/2), and the limit is the ratio of the
-    dominant coefficient sums.  For j = 1 this reduces to
-    ((n-1)/2 + psi) / (n psi), for j = 2 to ((n-3)/4 + psi) / (n psi^2).
+        ((1-psi) ((n-1)/2)_j + psi ((n+1)/2)_j) / ((n)_j psi^j),
+
+    the falling-factorial moment of the two-point limit law.  For j = 1
+    this reduces to ((n-1)/2 + psi) / (n psi), for j = 2 to
+    ((n-3)/4 + psi) / (n psi^2).
     """
     if n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
     if not 1 <= j <= (n - 1) // 2:
         raise ValueError(f"j must lie in [1, (n-1)/2={(n - 1) // 2}], got {j}")
-    _require_interior(psi)
-    e_num, l_num = _dominant_log_coeff(n, j, psi)
-    e_den, l_den = _dominant_log_coeff(n, 0, psi)
-    if e_num != e_den:  # not reachable for admissible j
-        raise ValueError("dominant omega-exponents differ; limit degenerate")
-    return float(math.exp(l_num - l_den))
+    return _tau_limit(j, "to-infinity", n, psi)
 
 
 def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
@@ -135,48 +134,17 @@ def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
     Interior psi yields the two-point refinements; a psi edge collapses
     them to the point masses of the degenerate statement.
     """
-    n = regime.n
-    if regime.psi_edge == "none":
-        _require_interior(psi)
-        if regime.omega_edge == "to-zero":
-            log_s = _logsumexp(np.array([n * math.log(psi), n * math.log1p(-psi)]))
-            p_n = float(math.exp(n * math.log(psi) - log_s))
-            return {0: 1.0 - p_n, n: p_n}
-        if n % 2 == 0:
-            return {n // 2: 1.0}
-        return {(n - 1) // 2: 1.0 - psi, (n + 1) // 2: psi}
-    if regime.omega_edge == "to-zero":
-        return {0: 1.0} if regime.psi_edge == "to-zero" else {n: 1.0}
-    if n % 2 == 0:
-        return {n // 2: 1.0}
-    return {(n - 1) // 2: 1.0} if regime.psi_edge == "to-zero" else {(n + 1) // 2: 1.0}
+    log_law = _log_limit_law(regime, psi)
+    log_total = _logsumexp(np.array(list(log_law.values())))
+    return {y: math.exp(v - log_total) for y, v in log_law.items()}
 
 
 def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
-    """Limiting (mean, variance) of the regime.
-
-    omega -> 0, interior psi:  mean = n psi^n / S with
-    S = psi^n + (1-psi)^n, variance = n^2 psi^n / S - n^2 psi^(2n) / S^2.
-    omega -> inf: (n/2, 0) for even n; ((n-1)/2 + psi, psi (1-psi)) for
-    odd n, collapsing to variance 0 at the psi edges.
-    """
-    n = regime.n
-    if regime.psi_edge == "none":
-        _require_interior(psi)
-        if regime.omega_edge == "to-zero":
-            log_s = _logsumexp(np.array([n * math.log(psi), n * math.log1p(-psi)]))
-            p_n = float(math.exp(n * math.log(psi) - log_s))
-            return n * p_n, n * n * p_n - n * n * p_n * p_n
-        if n % 2 == 0:
-            return n / 2.0, 0.0
-        return (n - 1) / 2.0 + psi, psi * (1.0 - psi)
-    if regime.omega_edge == "to-zero":
-        return (0.0, 0.0) if regime.psi_edge == "to-zero" else (float(n), 0.0)
-    if n % 2 == 0:
-        return n / 2.0, 0.0
-    if regime.psi_edge == "to-zero":
-        return (n - 1) / 2.0, 0.0
-    return (n + 1) / 2.0, 0.0
+    """Limiting (mean, variance) of the regime: those of its
+    ``limit_distribution``."""
+    law = limit_distribution(regime, psi)
+    mean = sum(y * mass for y, mass in law.items())
+    return mean, sum((y - mean) ** 2 * mass for y, mass in law.items())
 
 
 def total_variation(table_probs: np.ndarray, limit: dict[int, float]) -> float:

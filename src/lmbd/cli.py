@@ -65,7 +65,7 @@ def _csv_artifact(manifest: dict, header: list[str], rows) -> str:
 
 
 def _finite_or_none(x: float) -> float | None:
-    """x, or JSON null where a fit has no finite estimate (NaN or inf)."""
+    """x, or JSON null where it is not finite (NaN or inf)."""
     return x if np.isfinite(x) else None
 
 
@@ -117,14 +117,7 @@ def _cmd_cdf(args):
 def _cmd_moments(args):
     ms = moments(_params(args))
     man = _manifest("moments", args)
-    result = {
-        "tau1": ms.tau1,
-        "tau2": None if np.isnan(ms.tau2) else ms.tau2,
-        "eta": ms.eta,
-        "mean": ms.mean,
-        "variance": ms.variance,
-        "pi": ms.pi,
-    }
+    result = {k: _finite_or_none(v) for k, v in asdict(ms).items()}
     return (_json_artifact(man, result),
             f"mean={_fmt(ms.mean)} variance={_fmt(ms.variance)}")
 
@@ -132,14 +125,14 @@ def _cmd_moments(args):
 def _cmd_tau(args):
     value = tau(args.r, _params(args))
     man = _manifest("tau", args)
-    return (_json_artifact(man, {"r": args.r, "tau": value}),
+    return (_json_artifact(man, {"r": args.r, "tau": _finite_or_none(value)}),
             f"tau_{args.r} = {_fmt(value)}")
 
 
 def _cmd_dn(args):
     value = d_n(_params(args))
     man = _manifest("dn", args)
-    return (_json_artifact(man, {"d_n": value}), f"D_n = {_fmt(value)}")
+    return (_json_artifact(man, {"d_n": _finite_or_none(value)}), f"D_n = {_fmt(value)}")
 
 
 def _cmd_limits(args):

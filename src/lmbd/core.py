@@ -14,6 +14,11 @@ Every quantity here is computed in the log domain: the weight
 omega^((n-y) y) has a log magnitude of up to n^2/4 * |ln omega|, which
 overflows double precision long before n reaches interesting sizes.
 The convention 0 * log 0 = 0 keeps psi in {0, 1} exact.
+
+One kernel, ``_log_weights``, builds K_n's per-term logs, and every
+quantity is read off that row.  The ratios tau_r = K_{n-r} / K_n are
+falling-factorial moments of it, tau_r = E[(Y)_r] / ((n)_r psi^r), read
+by ``_log_kn_tau``; log K_{n-a} is log K_n plus log tau_a.
 """
 
 from __future__ import annotations
@@ -81,12 +86,11 @@ class PmfTable:
 class MomentSummary:
     """tau ratios and the induced mean/variance/marginal.
 
-    mean = n psi tau1, variance = n psi eta, and pi = psi tau1 is the
+    mean and variance are read off the pmf table, variance = n psi eta
+    (eta = tau_1 at psi = 0), and pi = mean / n = psi tau1 is the
     per-trial marginal success probability.  In closed form
-    eta = tau1 - psi (n tau1^2 - (n-1) tau2), but ``moments`` reads the
-    variance off the pmf table for interior psi (see there).  ``tau2``
-    is NaN for n = 1 (it does not exist there and carries coefficient
-    zero).
+    eta = tau1 - psi (n tau1^2 - (n-1) tau2).  ``tau2`` is NaN for n = 1
+    (it does not exist there and carries coefficient zero).
     """
 
     tau1: float
@@ -149,22 +153,18 @@ def _xlogy(k, p):
         return np.where(k == 0, 0.0, k * np.log(p))
 
 
-def _log_weights(n: int, a: int, psi, log_omega):
-    """The log-weight kernel: per-term logs of the partial sum K_{n-a},
+def _log_weights(n: int, psi, log_omega):
+    """The log-weight kernel: per-term logs of K_n,
 
-        log C(m, i) + i log psi + (m-i) log(1-psi) + (m-i)(i+a) log omega,
+        log C(n, y) + y log psi + (n-y) log(1-psi) + (n-y) y log omega,
 
-    i = 0..m with m = n - a, on the last axis.  ``psi`` and ``log_omega``
-    broadcast against it: scalars give one row, arrays of shape (P, 1, 1)
-    and (W, 1) a (P, W, m+1) block.  a = 0 gives the pmf's log-weights.
+    y = 0..n on the last axis: the pmf's log-weights.  ``psi`` and
+    ``log_omega`` broadcast against it: scalars give one row, arrays of
+    shape (P, 1) a (P, n+1) block.
     """
-    i, rest, log_binom = _kernel_row(n - a)
-    return (
-        log_binom
-        + _xlogy(i, psi)
-        + _xlogy(rest, 1.0 - psi)
-        + rest * (i + a) * log_omega
-    )
+    y, rest, log_binom = _kernel_row(n)
+    return (log_binom + _xlogy(y, psi) + _xlogy(rest, 1.0 - psi)
+            + rest * y * log_omega)
 
 
 # exp(-700) ~ 1e-304 is still a normal double
@@ -196,46 +196,77 @@ def _logsumexp(terms: np.ndarray, axis=None):
     return top + np.log(shifted.sum(axis=axis))
 
 
+def _log_kn_tau(r: int, logw, psi, log_omega):
+    """(log K_n, log tau_r) off K_n's log-weights ``logw`` (last axis y = 0..n).
+
+    C(n-r, y-r) = C(n, y) (y)_r / (n)_r, with the falling factorial
+    (y)_r = y (y-1) ... (y-r+1), makes tau_r = K_{n-r} / K_n the moment
+    E[(Y)_r] / ((n)_r psi^r) of the law ``logw`` holds, in any normalization.
+    Both sums are shifted by the row's maximum, so log K_n's size cancels
+    exactly rather than through a difference of two large logs.  ``psi``
+    and ``log_omega`` broadcast against the other axes of ``logw``; at
+    psi = 0, where E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r)).
+    """
+    n = logw.shape[-1] - 1
+    lf = _log_factorials(1 << n.bit_length())
+    log_fall = lf[r:n + 1] - lf[:n + 1 - r]  # log (y)_r for y = r..n
+    top = logw.max(axis=-1, keepdims=True)
+    shifted = logw - top
+    # the K_n sum, whose largest term is exp(0) = 1: _logsumexp without
+    # its own shift
+    log_sum = np.log(np.exp(np.maximum(shifted, _EXP_FLOOR)).sum(axis=-1))
+    edge = psi == 0.0
+    log_tau = (_logsumexp(shifted[..., r:] + log_fall, axis=-1 if logw.ndim > 1 else None)
+               - log_sum - log_fall[-1] - r * np.log(psi + edge))  # log 1 at psi = 0
+    return top[..., 0] + log_sum, np.where(edge, r * (n - r) * log_omega, log_tau)
+
+
+def _exp(x: float) -> float:
+    """exp(x), or +inf where it lies beyond the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def log_k(n: int, a: int, psi: float, omega: float) -> float:
     """Log of the partial normalizing sum K_{n-a}.
 
     K_{n-a} = sum_{i=0}^{n-a} C(n-a, i) psi^i (1-psi)^(n-a-i)
               omega^((n-a-i)(i+a)),
-    evaluated by a max-shifted log-sum-exp over per-term logs.
+    evaluated as log K_n, a max-shifted log-sum-exp over the kernel's
+    terms, plus log tau_a read off the same row.
     """
     _validate(n, psi, omega)
     if not 0 <= a <= n:
         raise ValueError(f"a must lie in [0, n={n}], got {a}")
-    return _logsumexp(_log_weights(n, a, psi, math.log(omega)))
+    log_omega = math.log(omega)
+    logw = _log_weights(n, psi, log_omega)
+    if a == 0:
+        return _logsumexp(logw)
+    log_kn, log_tau = _log_kn_tau(a, logw, psi, log_omega)
+    return float(log_kn + log_tau)
 
 
 def tau(r: int, params: ModelParams) -> float:
-    """The ratio tau_r = K_{n-r} / K_n, r in [1, n]."""
+    """The ratio tau_r = K_{n-r} / K_n, r in [1, n], read off the K_n
+    row; +inf where it lies beyond the double range."""
     if not 1 <= r <= params.n:
         raise ValueError(f"r must lie in [1, n={params.n}], got {r}")
-    num = log_k(params.n, r, params.psi, params.omega)
-    den = log_k(params.n, 0, params.psi, params.omega)
-    return math.exp(num - den)
-
-
-def _point_mass_table(params: ModelParams, at: int) -> PmfTable:
-    logp = np.full(params.n + 1, -np.inf)
-    logp[at] = 0.0
-    return PmfTable(params=params, log_prob=logp, log_normalizer=0.0)
+    log_omega = math.log(params.omega)
+    logw = _log_weights(params.n, params.psi, log_omega)
+    return _exp(float(_log_kn_tau(r, logw, params.psi, log_omega)[1]))
 
 
 def pmf(params: ModelParams) -> PmfTable:
     """Full log-pmf table over {0..n}, renormalized so the exponentiated
     entries sum to 1.
 
-    psi in {0, 1} short-circuits to an exact point mass at 0 or n.
+    psi in {0, 1} gives an exact point mass at 0 or n: the kernel's
+    0 log 0 = 0 leaves one term at 0 and the rest at -inf.
     """
     n, psi, omega = params.n, params.psi, params.omega
-    if psi == 0.0:
-        return _point_mass_table(params, 0)
-    if psi == 1.0:
-        return _point_mass_table(params, n)
-    logw = _log_weights(n, 0, psi, math.log(omega))
+    logw = _log_weights(n, psi, math.log(omega))
     log_norm = _logsumexp(logw)
     logp = logw - log_norm
     # second renormalization pass removes the last few ulp of drift
@@ -261,37 +292,32 @@ def _table_moments(probs: np.ndarray) -> tuple[float, float]:
 
 
 def moments(params: ModelParams) -> MomentSummary:
-    """tau_1, tau_2 from the log-K sums; mean = n psi tau_1; the variance
-    read off the pmf table.
+    """tau_1, tau_2, the mean and the variance off one pmf table.
 
     The closed form n psi (tau_1 - psi (n tau_1^2 - (n-1) tau_2)) cancels
     O(n^2) terms down to the variance, and a sum about the mean loses the
     variance to the mean's rounding error where the law piles onto 0 or
     n.  Centred on the table's mode m every term is positive up to one
     small correction: with d = sum p_y (y - m), the variance is
-    sum p_y (y - m)^2 - d^2.  psi in {0, 1} keeps the closed form, which
-    is exact there (mean 0 or n, variance 0).
+    sum p_y (y - m)^2 - d^2.  At psi = 0, where the table is a point
+    mass and eta = tau_1, tau_1 may overflow while the mean stays 0.
     """
-    n, psi, omega = params.n, params.psi, params.omega
-    log_kn = log_k(n, 0, psi, omega)
-    t1 = math.exp(log_k(n, 1, psi, omega) - log_kn)
-    t2 = math.exp(log_k(n, 2, psi, omega) - log_kn) if n >= 2 else math.nan
-    if 0.0 < psi < 1.0:
-        _, variance = _table_moments(pmf(params).probs())
-        eta = variance / (n * psi)
-    else:
-        if n >= 2:
-            eta = t1 - psi * (n * t1 * t1 - (n - 1) * t2)
-        else:
-            eta = t1 - psi * t1 * t1
-        variance = max(0.0, n * psi * eta)
-    return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=n * psi * t1,
-                         variance=variance, pi=psi * t1)
+    n, psi = params.n, params.psi
+    table = pmf(params)
+    log_omega = math.log(params.omega)
+    t1 = _exp(float(_log_kn_tau(1, table.log_prob, psi, log_omega)[1]))
+    t2 = (_exp(float(_log_kn_tau(2, table.log_prob, psi, log_omega)[1])) if n >= 2
+          else math.nan)
+    mean, variance = _table_moments(table.probs())
+    eta = variance / (n * psi) if psi > 0.0 else t1
+    return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean,
+                         variance=variance, pi=mean / n)
 
 
 def marginal_pi(params: ModelParams) -> float:
-    """Per-trial marginal success probability pi = psi * tau_1."""
-    return params.psi * tau(1, params)
+    """Per-trial marginal success probability pi = psi * tau_1; 0 at
+    psi = 0, where tau_1 may overflow."""
+    return params.psi * tau(1, params) if params.psi > 0.0 else 0.0
 
 
 def _log_joint_weight(params: ModelParams, y: int):
@@ -327,13 +353,10 @@ def conditional_cpr(params: ModelParams) -> float:
         raise ValueError("conditional CPR needs n >= 2")
     if not 0.0 < params.psi < 1.0:
         raise ValueError("conditional CPR needs psi in (0, 1)")
-    # the two free trials plus n-2 failures; log K_n is shared by all four
-    log_kn = log_k(params.n, 0, params.psi, params.omega)
-    lp = {
-        pair: _log_joint_weight(params, sum(pair)) - log_kn
-        for pair in ((1, 1), (0, 0), (1, 0), (0, 1))
-    }
-    return math.exp(lp[(1, 1)] + lp[(0, 0)] - lp[(1, 0)] - lp[(0, 1)])
+    # the two free trials plus n-2 failures hold y = 2, 0, 1 and 1
+    # successes; K_n cancels from the ratio
+    w = [_log_joint_weight(params, y) for y in range(3)]
+    return math.exp(w[2] + w[0] - 2.0 * w[1])
 
 
 def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:

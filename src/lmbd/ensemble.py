@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import _log_binom, _logsumexp, _xlogy
+from .core import _log_binom, _log_weights, _logsumexp
 
 __all__ = [
     "EnsembleSpec",
@@ -117,7 +117,7 @@ def majority_threshold(n: int) -> int:
     """q = n/2 for even n, (n-1)/2 for odd n; a vote wins iff Y > q."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n // 2 if n % 2 == 0 else (n - 1) // 2
+    return n // 2
 
 
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
@@ -131,9 +131,8 @@ def binomial_accuracy(n: int, pi: float) -> float:
     """Binomial(n, pi) majority tail, the independence baseline."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    y = np.arange(majority_threshold(n) + 1, n + 1)
-    logp = _log_binom(n, y) + _xlogy(y, pi) + _xlogy(n - y, 1.0 - pi)
-    return min(1.0, float(np.exp(_logsumexp(logp))))
+    tail = _log_weights(n, pi, 0.0)[majority_threshold(n) + 1:]
+    return min(1.0, float(np.exp(_logsumexp(tail))))
 
 
 def _rising_sums(x: float, m: int) -> np.ndarray:
@@ -281,8 +280,7 @@ def _fit_binomial(sample: CountSample) -> tuple[float, float]:
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
     pi_hat = float((np.arange(n + 1) * counts).sum() / (n * counts.sum()))
-    y = np.arange(n + 1)
-    logp = _log_binom(n, y) + _xlogy(y, pi_hat) + _xlogy(n - y, 1.0 - pi_hat)
+    logp = _log_weights(n, pi_hat, 0.0)
     mask = counts > 0
     return pi_hat, float((counts[mask] * logp[mask]).sum())
 

@@ -8,13 +8,15 @@ evidence exists; grids here are that evidence).  The sign of D_n decides
 tau_1 <= 1, which in turn decides the ordering between psi and the true
 per-trial marginal pi = psi tau_1.
 
-A grid reads K_n and tau_1 = K_{n-1} / K_n at every cell off one table
+The scalar functions read log K_n and tau_1 = K_{n-1} / K_n off one
+kernel row (``core._log_kn_tau``), a grid at every cell off one table
 per axis: the kernel's log-weight splits into a psi-only and an
 omega-only part, so each axis exponentiates its own factors once and
 every cell is a sum of products of the two: a P x W grid costs
 (P + W)(n + 1) exps, not one per term and cell.  A cell whose sums
-fall below exp(-300), where the factors flushed to 0 could matter,
-goes through the log-sum-exp that the scalar functions use.
+fall below exp(-300), where the factors flushed to 0 could matter, is
+read off its kernel row instead.  D_n = K_n (tau_1 - 1) is divided by
+the factors in the log domain, so neither has to fit in a double.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_EXP_FLOOR, ModelParams, _kernel_row, _log_weights, _logsumexp,
-                   _xlogy, log_k, tau)
+from .core import (_EXP_FLOOR, ModelParams, _kernel_row, _log_kn_tau, _log_weights,
+                   _xlogy, tau)
 
 __all__ = [
     "GridSpec",
@@ -98,12 +100,37 @@ class Theorem2Report:
     relation: str  # one of "<", "=", ">"
 
 
+def _factors(n: int, psi, omega):
+    """The linear factors' psi-only part (psi-1)(2 psi-1) and omega-only
+    part (omega-1), times (omega+1) for odd n."""
+    col = omega - 1.0
+    if n % 2 == 1:
+        col = col * (omega + 1.0)
+    return (psi - 1.0) * (2.0 * psi - 1.0), col
+
+
+def _divided_excess(log_kn, excess, row, col):
+    """K_n excess / (row col) with excess = tau_1 - 1, divided in the log
+    domain; a value beyond the double range is a signed infinity."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.sign(excess) * np.sign(row) * np.sign(col) * np.exp(
+            log_kn + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
+
+
+def _divided_d_n(params: ModelParams, row, col) -> float:
+    """D_n / (row col) off one kernel row, with tau_1 - 1 by expm1 so
+    that it keeps its relative accuracy near tau_1 = 1."""
+    log_omega = math.log(params.omega)
+    logw = _log_weights(params.n, params.psi, log_omega)
+    log_kn, log_tau1 = _log_kn_tau(1, logw, params.psi, log_omega)
+    return float(_divided_excess(log_kn, math.expm1(log_tau1), row, col))
+
+
 def d_n(params: ModelParams) -> float:
-    """K_{n-1} - K_n, differenced in the log domain with the larger
-    exponent factored out so relative accuracy survives near omega = 1."""
-    la = log_k(params.n, 1, params.psi, params.omega)
-    lb = log_k(params.n, 0, params.psi, params.omega)
-    return math.exp(lb) * math.expm1(la - lb)
+    """K_{n-1} - K_n = K_n (tau_1 - 1); a correctly signed infinity
+    beyond the double range, and 0 on the singular set, where tau_1 = 1
+    exactly and its rounding error times a large K_n would not be."""
+    return 0.0 if is_singular(params) else _divided_d_n(params, 1.0, 1.0)
 
 
 def is_singular(params: ModelParams) -> bool:
@@ -113,14 +140,11 @@ def is_singular(params: ModelParams) -> bool:
 
 def delta(params: ModelParams) -> float:
     """The residual factor Delta = D_n / [(psi-1)(2 psi-1)(omega-1)
-    (omega+1 if n odd)]; NaN on the singular set (0/0 there)."""
+    (omega+1 if n odd)]; NaN on the singular set (0/0 there), a
+    correctly signed infinity beyond the double range."""
     if is_singular(params):
         return math.nan
-    psi, omega = params.psi, params.omega
-    factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omega - 1.0)
-    if params.n % 2 == 1:
-        factors *= omega + 1.0
-    return d_n(params) / factors
+    return _divided_d_n(params, *_factors(params.n, params.psi, params.omega))
 
 
 # cells per kernel call on the log-sum-exp path are chosen so that one
@@ -148,17 +172,18 @@ def _flushed_exp(x: np.ndarray) -> np.ndarray:
 
 def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray):
     """(log K_n, tau_1) at the cells (psis[k], log_omegas[k]) by a
-    log-sum-exp over the kernel's terms, one block of cells per pair of
-    kernel calls."""
+    log-sum-exp over the kernel's terms, one kernel call per block of
+    cells."""
     step = max(1, _BLOCK_DOUBLES // (n + 1))
-    la = np.empty(len(psis))
-    lb = np.empty_like(la)
+    log_kn = np.empty(len(psis))
+    log_tau1 = np.empty_like(log_kn)
     for start in range(0, len(psis), step):
         block = slice(start, start + step)
-        p, w = psis[block, None], log_omegas[block, None]
-        la[block] = _logsumexp(_log_weights(n, 1, p, w), axis=-1)
-        lb[block] = _logsumexp(_log_weights(n, 0, p, w), axis=-1)
-    return lb, np.exp(la - lb)
+        p, w = psis[block], log_omegas[block]
+        log_kn[block], log_tau1[block] = _log_kn_tau(
+            1, _log_weights(n, p[:, None], w[:, None]), p, w)
+    with np.errstate(over="ignore"):
+        return log_kn, np.exp(log_tau1)
 
 
 def _log_k_grid(n: int, psis: np.ndarray, log_omegas: np.ndarray):
@@ -199,26 +224,13 @@ def _log_k_grid(n: int, psis: np.ndarray, log_omegas: np.ndarray):
 
 def delta_grid(spec: GridSpec) -> RegionGrid:
     """Delta per cell, flagged where defined; a Delta beyond the double
-    range comes back as an infinity.
-
-    D_n = K_n (tau_1 - 1) is divided by the factors in the log domain,
-    so neither K_n nor D_n has to fit in a double.
-    """
-    n = spec.n
+    range comes back as a correctly signed infinity."""
     psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
-    log_kn, tau1 = _log_k_grid(n, psis, np.log(omegas))
-    # the factors are a psi-only row times an omega-only column
+    log_kn, tau1 = _log_k_grid(spec.n, psis, np.log(omegas))
     psi = psis[:, None]
-    row = (psi - 1.0) * (2.0 * psi - 1.0)
-    col = omegas - 1.0
-    if n % 2 == 1:
-        col = col * (omegas + 1.0)
+    values = _divided_excess(log_kn, tau1 - 1.0, *_factors(spec.n, psi, omegas))
     singular = (psi == 0.5) | (psi == 1.0) | (omegas == 1.0)
-    excess = tau1 - 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = np.sign(excess) * np.sign(row) * np.sign(col) * np.exp(
-            log_kn + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
     values[singular] = math.nan
     return RegionGrid(spec=spec, values=values, flags=~singular, kind="delta")
 
@@ -248,7 +260,8 @@ def theorem2_check(params: ModelParams) -> Theorem2Report:
     boundary where pi = psi.
     """
     t1 = tau(1, params)
-    pi = params.psi * t1
+    # 0 at psi = 0, where tau_1 may overflow
+    pi = params.psi * t1 if params.psi > 0.0 else 0.0
     applies = params.psi >= 0.5 and params.omega > 1.0
     # omega = 1 and psi = 1/2 force pi = psi analytically; classify them
     # as ties rather than let rounding pick a side

@@ -7,7 +7,6 @@ import numpy as np
 from scipy.special import logsumexp, xlogy
 
 from lmbd import ModelParams, PmfTable
-from lmbd.core import _point_mass_table
 
 # hard cap for the 2**n brute-force enumeration oracle
 ENUMERATION_MAX_N = 20
@@ -22,10 +21,6 @@ def enumerate_pmf_oracle(params: ModelParams) -> PmfTable:
     n, psi, omega = params.n, params.psi, params.omega
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"enumeration oracle capped at n <= {ENUMERATION_MAX_N}")
-    if psi == 0.0:
-        return _point_mass_table(params, 0)
-    if psi == 1.0:
-        return _point_mass_table(params, n)
     codes = np.arange(2 ** n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n)) & 1
     y = bits.sum(axis=1)

@@ -102,6 +102,17 @@ class TestSingleValueCommands:
         assert load_json(out)["result"]["d_n"] == pytest.approx(
             d_n(ModelParams(2, 0.3, 1.5)), abs=1e-15)
 
+    @pytest.mark.parametrize("argv,key", [
+        (("dn", "--n", "500", "--psi", "0.3", "--omega", "1.5"), "d_n"),
+        (("tau", "--n", "2000", "--psi", "0.5", "--omega", "0.2", "--r", "2000"), "tau"),
+        (("moments", "--n", "64", "--psi", "0", "--omega", "1e8"), "tau1"),
+    ])
+    def test_value_beyond_the_double_range_is_null(self, capsys, tmp_path, argv, key):
+        out = tmp_path / "v.json"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert load_json(out)["result"][key] is None
+
     def test_accuracy_matches_library(self, capsys, tmp_path):
         out = tmp_path / "a.json"
         code, _, _ = run(capsys, "accuracy", "--n", "9", "--psi", "0.55",

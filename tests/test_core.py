@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import lmbd
+
 from lmbd import (
     ModelParams,
     cdf,
@@ -81,6 +83,15 @@ class TestTau:
         # odd-n omega->inf limit ((n-1)/2 + psi) / (n psi)
         got = tau(1, ModelParams(5, 0.3, 1e6))
         assert got == pytest.approx((2 + 0.3) / (5 * 0.3), rel=1e-3)
+
+    def test_beyond_the_double_range_is_inf(self):
+        # tau_n = 1 / K_n, about 2^1999 here
+        assert tau(2000, ModelParams(2000, 0.5, 0.2)) == math.inf
+
+    @pytest.mark.parametrize("n,r,omega", [(5, 1, 3.0), (64, 2, 0.5), (64, 64, 7.0)])
+    def test_psi_zero_closed_form(self, n, r, omega):
+        assert tau(r, ModelParams(n, 0.0, omega)) == pytest.approx(
+            omega ** (r * (n - r)), rel=1e-13)
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
@@ -196,6 +207,13 @@ class TestMoments:
         assert moments(ModelParams(4, 0.0, 1.3)).variance == 0.0
         assert moments(ModelParams(4, 1.0, 1.3)).mean == pytest.approx(4.0, abs=1e-12)
         assert moments(ModelParams(4, 1.0, 1.3)).variance == pytest.approx(0.0, abs=1e-12)
+
+    def test_psi_zero_with_tau_beyond_the_double_range(self):
+        # tau_1 = omega^(n-1) = 1e504 overflows; the point mass at 0 keeps
+        # its mean, variance and marginal
+        ms = moments(ModelParams(64, 0.0, 1e8))
+        assert ms.tau1 == ms.tau2 == ms.eta == math.inf
+        assert (ms.mean, ms.variance, ms.pi) == (0.0, 0.0, 0.0)
 
     def test_n1_has_no_tau2(self):
         ms = moments(ModelParams(1, 0.4, 2.0))
@@ -346,3 +364,31 @@ class TestEnumerationOracle:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             enumerate_pmf_oracle(ModelParams(21, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: tau(1, p),
+    lambda p: tau(p.n, p),
+    lambda p: log_k(p.n, 0, p.psi, p.omega),
+    lambda p: log_k(p.n, 2, p.psi, p.omega),
+    moments,
+    marginal_pi,
+    lmbd.d_n,
+    lmbd.delta,
+    lmbd.theorem2_check,
+], ids=["tau1", "tau_n", "log_k0", "log_k2", "moments", "marginal_pi", "d_n", "delta",
+        "theorem2_check"])
+@pytest.mark.parametrize("params", [ModelParams(7, 0.3, 1.5), ModelParams(64, 0.8, 0.9)])
+def test_one_kernel_pass_per_call(call, params, monkeypatch):
+    calls = []
+    kernel = lmbd.core._log_weights
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    # every module's name for the kernel
+    for module in (lmbd.core, lmbd.factorization):
+        monkeypatch.setattr(module, "_log_weights", counted)
+    call(params)
+    assert len(calls) == 1

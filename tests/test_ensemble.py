@@ -22,6 +22,7 @@ from lmbd import (
     sample,
 )
 
+from lmbd.core import _log_binom, _logsumexp, _xlogy
 from lmbd.ensemble import _beta_binomial_log_lik
 
 from enumeration_oracle import enumerate_pmf_oracle
@@ -83,6 +84,14 @@ class TestBinomialAccuracy:
             q = majority_threshold(n)
             assert binomial_accuracy(n, p) == pytest.approx(
                 float(binom.sf(q, n, p)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 500])
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 1.0])
+    def test_kernel_row_leaves_the_binomial_terms_bit_for_bit(self, n, p):
+        # the omega = 1 kernel row adds 0.0 to the bare binomial log-terms
+        y = np.arange(majority_threshold(n) + 1, n + 1)
+        logp = _log_binom(n, y) + _xlogy(y, p) + _xlogy(n - y, 1.0 - p)
+        assert binomial_accuracy(n, p) == min(1.0, float(np.exp(_logsumexp(logp))))
 
     def test_pi_domain(self):
         with pytest.raises(ValueError):

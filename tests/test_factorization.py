@@ -52,6 +52,36 @@ class TestDn:
             assert (t1 <= 1.0) == (d <= 0.0)
 
 
+class TestBeyondTheDoubleRange:
+    # K_n overflows at all three points; mpmath gives D_500 = +6.0e10985
+    # at psi = 0.3, -2.6e10985 at psi = 0.7 and Delta_64 = +5.5e314
+    def test_d_n_is_a_signed_infinity(self):
+        assert d_n(ModelParams(500, 0.3, 1.5)) == math.inf
+        assert d_n(ModelParams(500, 0.7, 1.5)) == -math.inf
+
+    def test_delta_is_a_signed_infinity(self):
+        assert delta(ModelParams(64, 0.50513, 2.0313)) == math.inf
+
+    def test_delta_matches_delta_grid(self):
+        # the cells straddle log K_64 = 709.78; the row one ulp below
+        # psi = 1/2, where tau_1 - 1 is below its own rounding error and
+        # neither value has a correct digit, is left out
+        spec = GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2)
+        grid = delta_grid(spec)
+        infinite = 0
+        for i, psi in enumerate(spec.psi_values):
+            if abs(psi - 0.5) < 1e-9:
+                continue
+            for j, omega in enumerate(spec.omega_values):
+                got, expect = delta(ModelParams(64, psi, omega)), grid.values[i, j]
+                if math.isinf(got) or math.isinf(expect):
+                    assert got == expect, (psi, omega)
+                    infinite += 1
+                else:
+                    assert got == pytest.approx(expect, rel=1e-12, abs=0), (psi, omega)
+        assert infinite > 0
+
+
 class TestDelta:
     def test_n2_is_one_everywhere_defined(self):
         for psi in (0.1, 0.3, 0.7, 0.9):

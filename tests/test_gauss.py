@@ -64,14 +64,12 @@ class TestStandardizedKsDistance:
 
     @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
     def test_standardizes_with_the_mean_and_variance_of_moments(self, n, psi, omega):
-        # the mean is read off the table, where it agrees with moments'
-        # n psi tau_1 to rounding; the variance is moments' own
+        # the mean and variance are moments' own, read off the same table
         p = ModelParams(n, psi, omega)
         ms = moments(p)
         probs = pmf(p).probs()
         mean, variance = lmbd.core._table_moments(probs)
-        assert variance == ms.variance
-        assert mean == pytest.approx(ms.mean, rel=1e-13)
+        assert (mean, variance) == (ms.mean, ms.variance)
         z = (np.arange(n + 1) - mean) / math.sqrt(variance)
         cdf_vals = np.minimum(1.0, np.cumsum(probs))
         expect = float(np.max(np.abs(cdf_vals - lmbd.gauss._std_normal_cdf(z))))
