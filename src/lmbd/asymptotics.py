@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _exp, _log_kn_tau, _logsumexp, pmf
+from .core import ModelParams, _exp, _log_kn_tau, _log_weights, _logsumexp
 
 __all__ = [
     "LimitRegime",
@@ -147,12 +147,18 @@ def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
     return mean, sum((y - mean) ** 2 * mass for y, mass in law.items())
 
 
-def total_variation(table_probs: np.ndarray, limit: dict[int, float]) -> float:
-    """TV distance (half L1) between a pmf table and a finite limit law."""
-    q = np.zeros(len(table_probs))
+def _total_variations(table_probs: np.ndarray, limit: dict[int, float]) -> np.ndarray:
+    """TV distance (half L1) of each pmf table on the last axis to a
+    finite limit law."""
+    q = np.zeros(table_probs.shape[-1])
     for point, mass in limit.items():
         q[point] = mass
-    return 0.5 * float(np.abs(table_probs - q).sum())
+    return 0.5 * np.abs(table_probs - q).sum(axis=-1)
+
+
+def total_variation(table_probs: np.ndarray, limit: dict[int, float]) -> float:
+    """TV distance (half L1) between a pmf table and a finite limit law."""
+    return float(_total_variations(table_probs, limit))
 
 
 def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitReport:
@@ -170,16 +176,19 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
         raise ValueError("probes must decrease monotonically toward omega = 0")
     if regime.omega_edge == "to-infinity" and not (diffs > 0).all():
         raise ValueError("probes must increase monotonically toward omega = inf")
+    for w in probes:
+        ModelParams(n=regime.n, psi=psi, omega=w)
     limit = limit_distribution(regime, psi)
     mean, var = limit_moments(regime, psi)
-    evidence = []
-    for w in probes:
-        table = pmf(ModelParams(n=regime.n, psi=psi, omega=w))
-        evidence.append((w, total_variation(table.probs(), limit)))
+    # every probe's pmf table at once, renormalized twice as ``pmf`` does
+    logp = _log_weights(regime.n, psi, np.log(probes)[:, None])
+    for _ in range(2):
+        logp -= _logsumexp(logp, axis=1)[:, None]
+    evidence = tuple(zip(probes, _total_variations(np.exp(logp), limit).tolist()))
     return LimitReport(
         regime=regime,
         limit_mean=mean,
         limit_variance=var,
         limit_distribution=limit,
-        numeric_evidence=tuple(evidence),
+        numeric_evidence=evidence,
     )

@@ -314,10 +314,24 @@ def moments(params: ModelParams) -> MomentSummary:
                          variance=variance, pi=mean / n)
 
 
+def _tau1_pi(params: ModelParams) -> tuple[float, float]:
+    """(tau_1, pi = psi tau_1) off one kernel row.  pi <= 1 even where
+    tau_1 overflows, as it may at a tiny psi; there it is
+    exp(log psi + log tau_1).  Elsewhere the product, which keeps
+    pi < psi wherever tau_1 < 1.  0 at psi = 0."""
+    n, psi = params.n, params.psi
+    log_omega = math.log(params.omega)
+    log_tau1 = float(_log_kn_tau(1, _log_weights(n, psi, log_omega), psi, log_omega)[1])
+    t1 = _exp(log_tau1)
+    if psi == 0.0:
+        return t1, 0.0
+    return t1, psi * t1 if t1 < math.inf else math.exp(math.log(psi) + log_tau1)
+
+
 def marginal_pi(params: ModelParams) -> float:
     """Per-trial marginal success probability pi = psi * tau_1; 0 at
     psi = 0, where tau_1 may overflow."""
-    return params.psi * tau(1, params) if params.psi > 0.0 else 0.0
+    return _tau1_pi(params)[1]
 
 
 def _log_joint_weight(params: ModelParams, y: int):

@@ -12,11 +12,18 @@ The scalar functions read log K_n and tau_1 = K_{n-1} / K_n off one
 kernel row (``core._log_kn_tau``), a grid at every cell off one table
 per axis: the kernel's log-weight splits into a psi-only and an
 omega-only part, so each axis exponentiates its own factors once and
-every cell is a sum of products of the two: a P x W grid costs
-(P + W)(n + 1) exps, not one per term and cell.  A cell whose sums
-fall below exp(-300), where the factors flushed to 0 could matter, is
-read off its kernel row instead.  D_n = K_n (tau_1 - 1) is divided by
-the factors in the log domain, so neither has to fit in a double.
+every cell is a sum of products of the two.  The omega part of term i
+equals that of term n - i, so the psi factors of the two are added
+first and the sums run over floor(n/2) + 1 terms: a P x W grid costs
+P (n + 1) + W (floor(n/2) + 1) exps, and no log or exp per cell.
+tau_1 is the ratio of the two sums.  Delta = D_n / (row col), with
+D_n = K_n (tau_1 - 1), is their difference times one factor per psi
+row and one per omega column, each formed in the log domain, so that
+neither K_n nor D_n has to fit in a double; a cell whose column or row
+factor leaves the double range is divided in the log domain.  The only
+log-sum-exp path is the guard: a cell whose sums fall below exp(-300),
+where the factors flushed to 0 could matter, is read off its kernel
+row instead.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_EXP_FLOOR, ModelParams, _kernel_row, _log_kn_tau, _log_weights,
-                   _xlogy, tau)
+                   _tau1_pi, _xlogy)
 
 __all__ = [
     "GridSpec",
@@ -109,12 +116,13 @@ def _factors(n: int, psi, omega):
     return (psi - 1.0) * (2.0 * psi - 1.0), col
 
 
-def _divided_excess(log_kn, excess, row, col):
-    """K_n excess / (row col) with excess = tau_1 - 1, divided in the log
-    domain; a value beyond the double range is a signed infinity."""
+def _divided_excess(log_scale, excess, row, col):
+    """exp(log_scale) excess / (row col), divided in the log domain; a
+    value beyond the double range is a signed infinity.  D_n / (row col)
+    with log_scale = log K_n and excess = tau_1 - 1."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.sign(excess) * np.sign(row) * np.sign(col) * np.exp(
-            log_kn + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
+            log_scale + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
 
 
 def _divided_d_n(params: ModelParams, row, col) -> float:
@@ -186,53 +194,96 @@ def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray):
         return log_kn, np.exp(log_tau1)
 
 
-def _log_k_grid(n: int, psis: np.ndarray, log_omegas: np.ndarray):
-    """(log K_n, tau_1) over the psis x omegas grid.
+def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
+    """(s0, s1, a_top, b_top) over the psis x omegas grid, such that
+    K_n = exp(a_top[p] + b_top[w]) s0[p, w] and
+    K_{n-1} = exp(a_top[p] + b_top[w]) s1[p, w] / (n psi[p]).
 
     K_n's log-weight log C(n, i) + i log psi + (n-i) log(1-psi)
-    + i (n-i) log omega is a psi-only row A[p, i] plus an omega-only
+    + i (n-i) log omega is a psi-only row A[i, p] plus an omega-only
     column B[i, w].  Each is shifted by its own maximum and
     exponentiated once, so K_n is a sum of products over i.  Since
     tau_1 = E[Y] / (n psi), K_{n-1} is the same sum with the psi factor
-    weighted by i and divided by n psi.  Both sums go through one
+    weighted by i and divided by n psi.  B is symmetric under
+    i <-> n-i, so the psi factors of i and n-i are added first and the
+    sums run over i = 0..floor(n/2) only.  Both go through one
     ``einsum``: numpy's own loop gives the same bits whatever the BLAS
-    thread count, which a BLAS product does not.  Cells whose sums fall
-    below _SUM_FLOOR (every psi = 0 cell among them) are recomputed by
-    ``_log_k_cells``.
+    thread count, which a BLAS product does not.
     """
     i, rest, log_binom = (part[:, None] for part in _kernel_row(n))
     a = log_binom + _xlogy(i, psis) + _xlogy(rest, 1.0 - psis)
     a_top = a.max(axis=0)
     a -= a_top
+    ea = _flushed_exp(a)
+    half = n // 2 + 1
+    i, rest = i[:half], rest[:half]
+    low, high = ea[:half], ea[::-1][:half]  # high[i] = ea[n - i]
+    psi_factors = np.concatenate([low + high, i * low + rest * high], axis=1)
     # i (n-i) peaks at floor(n^2 / 4), which is B's maximum for omega > 1;
     # the exponent difference is an exact integer
     expo = i * rest
-    top_expo = np.where(log_omegas > 0.0, expo.max(), 0)
-    ea = _flushed_exp(a)
+    top_expo = np.where(log_omegas > 0.0, expo[-1, 0], 0)
     eb = _flushed_exp((expo - top_expo) * log_omegas)
-    sums = np.einsum("ip,iw->pw", np.concatenate([ea, ea * i], axis=1), eb)
-    s0, s1 = sums[: len(psis)], sums[len(psis):]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_kn = a_top[:, None] + top_expo * log_omegas + np.log(s0)
-        tau1 = s1 / (n * psis[:, None] * s0)
-    guard = (s0 < _SUM_FLOOR) | (s1 < _SUM_FLOOR)
-    if guard.any():
-        rows, cols = np.nonzero(guard)
-        log_kn[rows, cols], tau1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])
-    return log_kn, tau1
+    if n % 2 == 0:
+        # i = n/2 is its own partner, so its psi factors were doubled
+        eb[-1] *= 0.5
+    sums = np.einsum("ip,iw->pw", psi_factors, eb)
+    return sums[: len(psis)], sums[len(psis):], a_top, top_expo * log_omegas
+
+
+_NO_CELLS = (np.empty(0, dtype=np.intp),) * 2
+
+
+def _guarded(s0: np.ndarray, s1: np.ndarray):
+    """(rows, columns) of the cells whose sums fall below _SUM_FLOOR
+    (every psi = 0 cell among them): ``_log_k_cells`` recomputes them."""
+    if s0.min() >= _SUM_FLOOR and s1.min() >= _SUM_FLOOR:
+        return _NO_CELLS
+    return np.nonzero((s0 < _SUM_FLOOR) | (s1 < _SUM_FLOOR))
 
 
 def delta_grid(spec: GridSpec) -> RegionGrid:
     """Delta per cell, flagged where defined; a Delta beyond the double
-    range comes back as a correctly signed infinity."""
+    range comes back as a correctly signed infinity.
+
+    With the sums of ``_grid_sums``, D_n = K_n (tau_1 - 1) is
+    exp(a_top + b_top) (s1 - n psi s0) / (n psi), so Delta is
+    s1 - n psi s0 times a psi-only factor exp(a_top) / (n psi row) and
+    an omega-only factor exp(b_top) / col, each formed once per row or
+    column in the log domain.  Cells whose factor leaves the double
+    range (omega^floor(n^2 / 4) beyond it) are divided in the log
+    domain instead.
+    """
+    n = spec.n
     psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
-    log_kn, tau1 = _log_k_grid(spec.n, psis, np.log(omegas))
-    psi = psis[:, None]
-    values = _divided_excess(log_kn, tau1 - 1.0, *_factors(spec.n, psi, omegas))
-    singular = (psi == 0.5) | (psi == 1.0) | (omegas == 1.0)
-    values[singular] = math.nan
-    return RegionGrid(spec=spec, values=values, flags=~singular, kind="delta")
+    log_omegas = np.log(omegas)
+    s0, s1, a_top, b_top = _grid_sums(n, psis, log_omegas)
+    guard_rows, guard_cols = _guarded(s0, s1)
+    row, col = _factors(n, psis, omegas)
+    n_psi = n * psis
+    excess = s0 * -n_psi[:, None]
+    excess += s1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_row = a_top - np.log(n_psi)
+        row_factor = np.sign(row) * np.exp(log_row - np.log(np.abs(row)))
+        col_factor = np.sign(col) * np.exp(b_top - np.log(np.abs(col)))
+        values = excess * row_factor[:, None]
+        values *= col_factor
+        wide_rows, wide_cols = np.isinf(row_factor), np.isinf(col_factor)
+        if wide_rows.any() or wide_cols.any():
+            rows, cols = np.nonzero(wide_rows[:, None] | wide_cols)
+            values[rows, cols] = _divided_excess(log_row[rows] + b_top[cols], excess[rows, cols],
+                                                 row[rows], col[cols])
+    if len(guard_rows):
+        log_kn, tau1 = _log_k_cells(n, psis[guard_rows], log_omegas[guard_cols])
+        values[guard_rows, guard_cols] = _divided_excess(log_kn, tau1 - 1.0, row[guard_rows],
+                                                         col[guard_cols])
+    singular_rows, singular_cols = (psis == 0.5) | (psis == 1.0), omegas == 1.0
+    values[singular_rows] = math.nan
+    values[:, singular_cols] = math.nan
+    flags = ~(singular_rows[:, None] | singular_cols)
+    return RegionGrid(spec=spec, values=values, flags=flags, kind="delta")
 
 
 # numeric tie width for the tau_1 <= 1 classification: on the boundary
@@ -247,8 +298,15 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     The flagged region coincides with
     {psi <= 1/2 and omega <= 1} union {psi >= 1/2 and omega >= 1}.
     """
-    _, t1 = _log_k_grid(spec.n, np.asarray(spec.psi_values),
-                        np.log(np.asarray(spec.omega_values)))
+    n = spec.n
+    psis = np.asarray(spec.psi_values)
+    log_omegas = np.log(np.asarray(spec.omega_values))
+    s0, s1, _, _ = _grid_sums(n, psis, log_omegas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = s1 / (n * psis[:, None] * s0)
+    rows, cols = _guarded(s0, s1)
+    if len(rows):
+        t1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])[1]
     return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL, kind="tau1")
 
 
@@ -259,9 +317,7 @@ def theorem2_check(params: ModelParams) -> Theorem2Report:
     psi); omega = 1 gives equality; psi = 1/2 sits on the symmetric
     boundary where pi = psi.
     """
-    t1 = tau(1, params)
-    # 0 at psi = 0, where tau_1 may overflow
-    pi = params.psi * t1 if params.psi > 0.0 else 0.0
+    t1, pi = _tau1_pi(params)
     applies = params.psi >= 0.5 and params.omega > 1.0
     # omega = 1 and psi = 1/2 force pi = psi analytically; classify them
     # as ties rather than let rounding pick a side

@@ -189,6 +189,24 @@ class TestConvergenceReport:
         w, tv = report.numeric_evidence[0]
         assert tv == pytest.approx(1.0 / (1.0 + w), rel=1e-10)
 
+    @pytest.mark.parametrize("edge", ["to-zero", "to-infinity"])
+    @pytest.mark.parametrize("n", [5, 8, 11, 20])
+    def test_batched_evidence_equals_per_probe_pmf(self, edge, n):
+        regime = LimitRegime(edge, n=n)
+        probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
+        report = convergence_report(regime, 0.37, probes)
+        limit = limit_distribution(regime, 0.37)
+        assert [w for w, _ in report.numeric_evidence] == probes
+        for w, tv in report.numeric_evidence:
+            expect = total_variation(pmf(ModelParams(n, 0.37, w)).probs(), limit)
+            assert tv == pytest.approx(expect, rel=0, abs=1e-15), w
+
+    def test_non_positive_probe_rejected(self):
+        with pytest.raises(ValueError):
+            convergence_report(LimitRegime("to-zero", n=4), 0.5, [0.1, 0.0])
+        with pytest.raises(ValueError):
+            convergence_report(LimitRegime("to-infinity", n=4), 0.5, [-1.0, 10.0])
+
     def test_non_monotone_probes_rejected(self):
         regime = LimitRegime("to-zero", n=4)
         with pytest.raises(ValueError):

@@ -239,6 +239,14 @@ class TestMarginalPi:
                 total += math.exp(joint_log_prob(p, bits))
         assert marginal_pi(p) == pytest.approx(total, abs=1e-12)
 
+    def test_finite_where_tau1_overflows(self):
+        # psi = 1e-310 is subnormal and tau_1 = inf, yet pi = mean / n
+        p = ModelParams(64, 1e-310, 1e8)
+        assert tau(1, p) == math.inf
+        expect = moments(p).pi
+        assert marginal_pi(p) == pytest.approx(expect, rel=1e-12, abs=0)
+        assert lmbd.theorem2_check(p).pi == pytest.approx(expect, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n,psi,omega", GRID)
     def test_equals_mean_over_n(self, n, psi, omega):
         p = ModelParams(n, psi, omega)

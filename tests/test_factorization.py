@@ -63,23 +63,31 @@ class TestBeyondTheDoubleRange:
         assert delta(ModelParams(64, 0.50513, 2.0313)) == math.inf
 
     def test_delta_matches_delta_grid(self):
-        # the cells straddle log K_64 = 709.78; the row one ulp below
-        # psi = 1/2, where tau_1 - 1 is below its own rounding error and
-        # neither value has a correct digit, is left out
-        spec = GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2)
-        grid = delta_grid(spec)
-        infinite = 0
-        for i, psi in enumerate(spec.psi_values):
-            if abs(psi - 0.5) < 1e-9:
-                continue
-            for j, omega in enumerate(spec.omega_values):
-                got, expect = delta(ModelParams(64, psi, omega)), grid.values[i, j]
-                if math.isinf(got) or math.isinf(expect):
-                    assert got == expect, (psi, omega)
-                    infinite += 1
-                else:
-                    assert got == pytest.approx(expect, rel=1e-12, abs=0), (psi, omega)
-        assert infinite > 0
+        # the cells straddle log K_n = 709.78, where the grid's omega
+        # factor omega^floor(n^2 / 4) leaves the double range (omega = 2
+        # at n = 64, 1.073 at n = 200); the row one ulp below psi = 1/2,
+        # where tau_1 - 1 is below its own rounding error and neither
+        # value has a correct digit, is left out.  At n = 200 the bound
+        # is twice the worst gap, 1.56e-12 at (0.55, 1.01): it is the
+        # scalar path's error, 1.6e-12 against 50-digit mpmath there,
+        # where the grid's is 5e-14
+        for spec, rel in ((GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2), 1e-12),
+                          (GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 4.0), 1e-12),
+                          (GridSpec.linspace(200, 19, 13, 0.05, 0.95, 1.01, 1.61), 3.2e-12)):
+            grid = delta_grid(spec)
+            infinite = 0
+            for i, psi in enumerate(spec.psi_values):
+                if abs(psi - 0.5) < 1e-9:
+                    continue
+                for j, omega in enumerate(spec.omega_values):
+                    got, expect = delta(ModelParams(spec.n, psi, omega)), grid.values[i, j]
+                    where = (spec.n, psi, omega)
+                    if math.isinf(got) or math.isinf(expect):
+                        assert got == expect, where
+                        infinite += 1
+                    else:
+                        assert got == pytest.approx(expect, rel=rel, abs=0), where
+            assert infinite > 0, spec.n
 
 
 class TestDelta:
@@ -197,6 +205,14 @@ class TestTheorem2Check:
         report = theorem2_check(ModelParams(6, 0.3, 0.5))
         assert not report.theorem_applies
         assert report.relation == ">"
+
+    def test_strict_where_tau1_is_one_ulp_below_one(self):
+        # log tau_1 = -1.1e-16 here: exp(log psi + log tau_1) rounds up
+        # to psi, while psi tau_1 stays below it
+        p = ModelParams(8, 0.5717103227531857, 1.0000000000000038)
+        assert tau(1, p) < 1.0
+        assert marginal_pi(p) < p.psi
+        assert theorem2_check(p).relation == ">"
 
     def test_psi_half_is_tie(self):
         assert theorem2_check(ModelParams(6, 0.5, 1.5)).relation == "="

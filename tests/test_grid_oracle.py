@@ -183,11 +183,80 @@ def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     spec = _seeded_spec(n, seed=n)
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
-    log_kn, tau1 = factorization._log_k_grid(n, psis, log_omegas)
-    rows, cols = np.indices(tau1.shape).reshape(2, -1)
+    s0, s1, a_top, b_top = factorization._grid_sums(n, psis, log_omegas)
+    summed = np.ones(s0.shape, dtype=bool)
+    summed[factorization._guarded(s0, s1)] = False
+    rows, cols = np.nonzero(summed)
+    log_kn = a_top[rows] + b_top[cols] + np.log(s0[rows, cols])
+    tau1 = s1[rows, cols] / (n * psis[rows] * s0[rows, cols])
     ref_log_kn, ref_tau1 = factorization._log_k_cells(n, psis[rows], log_omegas[cols])
-    np.testing.assert_allclose(tau1.ravel(), ref_tau1, rtol=1e-10, atol=0)
-    np.testing.assert_allclose(log_kn.ravel(), ref_log_kn, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(tau1, ref_tau1, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(log_kn, ref_log_kn, rtol=1e-13, atol=1e-13)
+
+
+# (tau_1, Delta) bounds per n: twice the worst error over every cell of
+# the seeded axes that is neither singular nor guarded, measured against
+# ``_log_k_cells`` + ``_divided_excess``.  tau_1's error is relative.
+# Delta's is its error in D_n over K_{n-1} + K_n, since Delta's own
+# relative error near the singular lines is the cancellation in
+# tau_1 - 1 that both paths share (1e-10 at psi = 0.4996 in the
+# reference), and at n = 1 the exact Delta is 0.
+SUMS_BOUNDS = {
+    1: (6.7e-16, 3.4e-16),
+    2: (2.9e-15, 1.4e-15),
+    3: (4.5e-15, 2.8e-15),
+    5: (7.0e-15, 3.8e-15),
+    20: (2.5e-14, 3.7e-14),
+    64: (1.4e-13, 2.2e-13),
+    200: (2.9e-13, 2.9e-13),
+}
+
+
+@pytest.mark.parametrize("n", SUMS_BOUNDS)
+def test_summed_cells_match_the_log_domain_path(n):
+    # the fold over i <-> n-i and Delta read off the product sums, on
+    # odd and even n and the one-term fold at n = 1; at n = 64 and 200
+    # the axes reach omega columns whose factor leaves the double range
+    spec = _seeded_spec(n, seed=n)
+    psis = np.asarray(spec.psi_values)
+    omegas = np.asarray(spec.omega_values)
+    log_omegas = np.log(omegas)
+    s0, s1, _, _ = factorization._grid_sums(n, psis, log_omegas)
+    dgrid = delta_grid(spec)
+    summed = dgrid.flags.copy()
+    summed[factorization._guarded(s0, s1)] = False
+    rows, cols = np.nonzero(summed)
+    log_kn, tau1 = factorization._log_k_cells(n, psis[rows], log_omegas[cols])
+    row, col = factorization._factors(n, psis[rows], omegas[cols])
+    ref = factorization._divided_excess(log_kn, tau1 - 1.0, row, col)
+    got = dgrid.values[rows, cols]
+    tau1_bound, delta_bound = SUMS_BOUNDS[n]
+    rel = np.abs(tau1_region_grid(spec).values[rows, cols] - tau1) / tau1
+    assert rel.max() <= tau1_bound
+    infinite = np.isinf(ref)
+    np.testing.assert_array_equal(got[infinite], ref[infinite])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.exp(np.log(np.abs(got - ref)) + np.log(np.abs(row * col))
+                     - log_kn - np.log1p(tau1))
+    assert err[~infinite].max() <= delta_bound
+
+
+@pytest.mark.parametrize("n", (5, 20, 64, 100))
+def test_default_axes_need_no_log_sum_exp(n, monkeypatch):
+    # at n = 100 the default axes reach omega columns whose factor
+    # omega^floor(n^2 / 4) leaves the double range; they stay on the sums
+    spec = GridSpec.linspace(n)
+    cells = []
+    log_k_cells = factorization._log_k_cells
+
+    def counted(n, cell_psis, cell_log_omegas):
+        cells.append(len(cell_psis))
+        return log_k_cells(n, cell_psis, cell_log_omegas)
+
+    monkeypatch.setattr(factorization, "_log_k_cells", counted)
+    tau1_region_grid(spec)
+    delta_grid(spec)
+    assert cells == []
 
 
 @pytest.mark.parametrize("n", (2, 5, 20, 64, 200))
