@@ -13,9 +13,7 @@ from .asymptotics import (
     convergence_report,
     limit_distribution,
     limit_moments,
-    tau_limit_omega_inf_even,
-    tau_limit_omega_inf_odd,
-    tau_limit_omega_zero,
+    tau_limit,
     total_variation,
 )
 from .core import (
@@ -65,10 +63,8 @@ __all__ = [
     "log_k", "tau", "pmf", "cdf", "moments", "marginal_pi",
     "joint_log_prob", "conditional_cpr", "sample",
     # asymptotics
-    "LimitRegime", "LimitReport", "tau_limit_omega_zero",
-    "tau_limit_omega_inf_even", "tau_limit_omega_inf_odd",
-    "limit_moments", "limit_distribution", "convergence_report",
-    "total_variation",
+    "LimitRegime", "LimitReport", "tau_limit", "limit_moments",
+    "limit_distribution", "convergence_report", "total_variation",
     # gauss
     "CltScanRow", "standardized_ks_distance", "clt_scan",
     # factorization

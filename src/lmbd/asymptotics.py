@@ -21,9 +21,7 @@ from .core import ModelParams, _exp, _log_kn_tau, _log_weights, _logsumexp
 __all__ = [
     "LimitRegime",
     "LimitReport",
-    "tau_limit_omega_zero",
-    "tau_limit_omega_inf_even",
-    "tau_limit_omega_inf_odd",
+    "tau_limit",
     "limit_moments",
     "limit_distribution",
     "convergence_report",
@@ -49,10 +47,6 @@ class LimitRegime:
             raise ValueError(f"psi_edge must be one of {_PSI_EDGES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.n % 2 == 0 else "odd"
 
 
 @dataclass(frozen=True)
@@ -83,49 +77,29 @@ def _log_limit_law(regime: LimitRegime, psi: float) -> dict[int, float]:
     return {(n - 1) // 2: 0.0} if regime.psi_edge == "to-zero" else {(n + 1) // 2: 0.0}
 
 
-def _tau_limit(j: int, omega_edge: str, n: int, psi: float) -> float:
-    """tau_j of the limit law at an omega edge, interior psi (log omega,
-    which the reader uses at psi = 0 only, is -inf or +inf there)."""
+def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
+    """Limit of tau_j at the regime's omega edge for interior psi (no psi
+    edge), j in [1, n] as omega -> 0+ and in [1, floor(n/2)] as
+    omega -> +inf: the falling-factorial moment of the limit law.
+
+    omega -> 0+:           psi^(n-j) / (psi^n + (1-psi)^n)
+    omega -> +inf, even n: C(n-j, n/2 - j) / (C(n, n/2) psi^j)
+                           = (n/2)_j / ((n)_j psi^j)
+    omega -> +inf, odd n:  ((1-psi) ((n-1)/2)_j + psi ((n+1)/2)_j) / ((n)_j psi^j),
+                           ((n-1)/2 + psi) / (n psi) at j = 1,
+                           ((n-3)/4 + psi) / (n psi^2) at j = 2
+    """
+    if regime.psi_edge != "none":
+        raise ValueError(f"tau_limit needs interior psi, got psi_edge={regime.psi_edge!r}")
+    n = regime.n
+    top = n if regime.omega_edge == "to-zero" else n // 2
+    if not 1 <= j <= top:
+        raise ValueError(f"j must lie in [1, {top}] at omega {regime.omega_edge}, got {j}")
     logw = np.full(n + 1, -np.inf)
-    for y, log_mass in _log_limit_law(LimitRegime(omega_edge, n), psi).items():
+    for y, log_mass in _log_limit_law(regime, psi).items():
         logw[y] = log_mass
-    log_omega = -math.inf if omega_edge == "to-zero" else math.inf
+    log_omega = -math.inf if regime.omega_edge == "to-zero" else math.inf  # read at psi = 0 only
     return _exp(float(_log_kn_tau(j, logw, psi, log_omega)[1]))
-
-
-def tau_limit_omega_zero(j: int, n: int, psi: float) -> float:
-    """Limit of tau_j as omega -> 0+:  psi^(n-j) / (psi^n + (1-psi)^n)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"j must lie in [1, n={n}], got {j}")
-    return _tau_limit(j, "to-zero", n, psi)
-
-
-def tau_limit_omega_inf_even(j: int, n: int, psi: float) -> float:
-    """Limit of tau_j as omega -> +inf for even n, valid for j <= n/2:
-
-        (1 / psi^j) * C(n-j, n/2 - j) / C(n, n/2) = (n/2)_j / ((n)_j psi^j)
-    """
-    if n % 2 != 0:
-        raise ValueError(f"n must be even, got {n}")
-    if not 1 <= j <= n // 2:
-        raise ValueError(f"j must lie in [1, n/2={n // 2}], got {j}")
-    return _tau_limit(j, "to-infinity", n, psi)
-
-
-def tau_limit_omega_inf_odd(j: int, n: int, psi: float) -> float:
-    """Limit of tau_j as omega -> +inf for odd n, valid for j <= (n-1)/2:
-
-        ((1-psi) ((n-1)/2)_j + psi ((n+1)/2)_j) / ((n)_j psi^j),
-
-    the falling-factorial moment of the two-point limit law.  For j = 1
-    this reduces to ((n-1)/2 + psi) / (n psi), for j = 2 to
-    ((n-3)/4 + psi) / (n psi^2).
-    """
-    if n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    if not 1 <= j <= (n - 1) // 2:
-        raise ValueError(f"j must lie in [1, (n-1)/2={(n - 1) // 2}], got {j}")
-    return _tau_limit(j, "to-infinity", n, psi)
 
 
 def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:

@@ -8,22 +8,20 @@ evidence exists; grids here are that evidence).  The sign of D_n decides
 tau_1 <= 1, which in turn decides the ordering between psi and the true
 per-trial marginal pi = psi tau_1.
 
-The scalar functions read log K_n and tau_1 = K_{n-1} / K_n off one
-kernel row (``core._log_kn_tau``), a grid at every cell off one table
-per axis: the kernel's log-weight splits into a psi-only and an
-omega-only part, so each axis exponentiates its own factors once and
-every cell is a sum of products of the two.  The omega part of term i
-equals that of term n - i, so the psi factors of the two are added
-first and the sums run over floor(n/2) + 1 terms: a P x W grid costs
-P (n + 1) + W (floor(n/2) + 1) exps, and no log or exp per cell.
-tau_1 is the ratio of the two sums.  Delta = D_n / (row col), with
-D_n = K_n (tau_1 - 1), is their difference times one factor per psi
-row and one per omega column, each formed in the log domain, so that
-neither K_n nor D_n has to fit in a double; a cell whose column or row
-factor leaves the double range is divided in the log domain.  The only
-log-sum-exp path is the guard: a cell whose sums fall below exp(-300),
-where the factors flushed to 0 could matter, is read off its kernel
-row instead.
+A grid reads every cell off one table per axis: the kernel's
+log-weight splits into a psi-only and an omega-only part, so each axis
+exponentiates its own factors once and every cell is a sum of products
+of the two.  The omega part of term i equals that of term n - i, so the
+psi factors of the two are added first and the sums run over
+floor(n/2) + 1 terms: a P x W grid costs P (n + 1) + W (floor(n/2) + 1)
+exps, and no log or exp per cell.  tau_1 is the ratio of the two sums.
+
+D_n has one formula, K_{n-1} - K_n = sum_y (y - n psi) w_y / (n psi)
+over K_n's terms w_y: a grid cell sums s1 - n psi s0 off the axis
+tables; ``d_n``, ``delta`` and a guarded grid cell (sums below
+exp(-300), where the factors flushed to 0 could matter) sum their own
+kernel row (``_d_n_sums``).  A guarded cell's tau_1 is the only
+log-sum-exp (``_log_k_cells``): a linear s1 underflows where it is tiny.
 """
 
 from __future__ import annotations
@@ -118,27 +116,23 @@ def _factors(n: int, psi, omega):
 
 def _divided_excess(log_scale, excess, row, col):
     """exp(log_scale) excess / (row col), divided in the log domain; a
-    value beyond the double range is a signed infinity.  D_n / (row col)
-    with log_scale = log K_n and excess = tau_1 - 1."""
+    value beyond the double range is a signed infinity."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.sign(excess) * np.sign(row) * np.sign(col) * np.exp(
             log_scale + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
 
 
-def _divided_d_n(params: ModelParams, row, col) -> float:
-    """D_n / (row col) off one kernel row, with tau_1 - 1 by expm1 so
-    that it keeps its relative accuracy near tau_1 = 1."""
-    log_omega = math.log(params.omega)
-    logw = _log_weights(params.n, params.psi, log_omega)
-    log_kn, log_tau1 = _log_kn_tau(1, logw, params.psi, log_omega)
-    return float(_divided_excess(log_kn, math.expm1(log_tau1), row, col))
+def _cell_d_n(params: ModelParams, row, col) -> float:
+    """D_n / (row col) at one cell, off its kernel row."""
+    sums = _d_n_sums(params.n, params.psi, math.log(params.omega))
+    return float(_divided_excess(*sums, row, col))
 
 
 def d_n(params: ModelParams) -> float:
     """K_{n-1} - K_n = K_n (tau_1 - 1); a correctly signed infinity
     beyond the double range, and 0 on the singular set, where tau_1 = 1
     exactly and its rounding error times a large K_n would not be."""
-    return 0.0 if is_singular(params) else _divided_d_n(params, 1.0, 1.0)
+    return 0.0 if is_singular(params) else _cell_d_n(params, 1.0, 1.0)
 
 
 def is_singular(params: ModelParams) -> bool:
@@ -152,20 +146,19 @@ def delta(params: ModelParams) -> float:
     correctly signed infinity beyond the double range."""
     if is_singular(params):
         return math.nan
-    return _divided_d_n(params, *_factors(params.n, params.psi, params.omega))
+    return _cell_d_n(params, *_factors(params.n, params.psi, params.omega))
 
 
-# cells per kernel call on the log-sum-exp path are chosen so that one
+# cells per kernel call on a guarded cell's path are chosen so that one
 # (cells, terms) block holds about this many doubles
 _BLOCK_DOUBLES = 1 << 14
 # factors below exp(_EXP_FLOOR / 2) are flushed to 0, so that no product
 # of two factors is subnormal: numpy's arithmetic is many times slower
 # on subnormal doubles
 _LOG_FACTOR_FLOOR = _EXP_FLOOR / 2
-# a cell whose sum or i-weighted sum falls below this goes through the
-# log-sum-exp; above it the flushed terms, each below
-# exp(_LOG_FACTOR_FLOOR) = exp(-350), move the sum by at most
-# n (n + 1) exp(-50) of itself
+# a cell whose sum or i-weighted sum falls below this is guarded; above
+# it the flushed terms, each below exp(_LOG_FACTOR_FLOOR) = exp(-350),
+# move the sum by at most n (n + 1) exp(-50) of itself
 _SUM_FLOOR = math.exp(3 * _EXP_FLOOR / 7)
 
 
@@ -178,20 +171,56 @@ def _flushed_exp(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray):
-    """(log K_n, tau_1) at the cells (psis[k], log_omegas[k]) by a
-    log-sum-exp over the kernel's terms, one kernel call per block of
-    cells."""
+def _cell_blocks(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> list:
+    """The cells (psis[k], log_omegas[k]) as (psis, log_omegas) blocks,
+    one kernel call each."""
     step = max(1, _BLOCK_DOUBLES // (n + 1))
-    log_kn = np.empty(len(psis))
-    log_tau1 = np.empty_like(log_kn)
-    for start in range(0, len(psis), step):
-        block = slice(start, start + step)
-        p, w = psis[block], log_omegas[block]
-        log_kn[block], log_tau1[block] = _log_kn_tau(
-            1, _log_weights(n, p[:, None], w[:, None]), p, w)
+    return [(psis[k:k + step], log_omegas[k:k + step]) for k in range(0, len(psis), step)]
+
+
+def _d_n_sums(n: int, psi, log_omega):
+    """(log_scale, excess) with D_n = exp(log_scale) excess off K_n's
+    kernel rows: one row at scalar ``psi`` and ``log_omega``, a block of
+    rows at columns of them.
+
+    D_n = sum_y (y - n psi) w_y / (n psi), with the terms y >= 1 divided
+    by n psi in the log domain lest they underflow at a tiny psi, shifted
+    by the largest, floored at exp(_EXP_FLOOR) as in ``core._log_kn_tau``
+    and summed by ``einsum`` as in ``_grid_sums``.  At psi = 0, K_n = 1
+    and D_n = expm1((n - 1) log omega), as e^x (1 - e^-x) for x > 0.
+    """
+    logw = _log_weights(n, psi, log_omega)
+    n_psi = n * psi
+    edge = np.asarray(psi == 0.0)
+    log_n_psi = np.log(n_psi + edge)  # log 1 at psi = 0
+    top = np.maximum(logw[..., :1], logw[..., 1:].max(axis=-1, keepdims=True) - log_n_psi)
+    terms = logw - (top + log_n_psi)
+    terms[..., :1] = logw[..., :1] - top
+    np.exp(np.maximum(terms, _EXP_FLOOR, out=terms), out=terms)
+    coef = _kernel_row(n)[0] - n_psi
+    coef[..., 0] = -1.0
+    excess = np.einsum("...i,...i->...", terms, coef)[..., None]
+    if edge.any():
+        x = (n - 1) * log_omega
+        top = np.where(edge, np.maximum(x, 0.0), top)
+        excess = np.where(edge, -np.sign(x) * np.expm1(-np.abs(x)), excess)
+    return top[..., 0], excess[..., 0]
+
+
+def _divided_d_n(n: int, psis: np.ndarray, log_omegas: np.ndarray, row, col) -> np.ndarray:
+    """D_n / (row col) at the cells (psis[k], log_omegas[k]), off their
+    kernel rows."""
+    sums = [_d_n_sums(n, p[:, None], w[:, None]) for p, w in _cell_blocks(n, psis, log_omegas)]
+    return _divided_excess(*map(np.concatenate, zip(*sums)), row, col)
+
+
+def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
+    """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
+    each cell's kernel row."""
+    log_tau1 = np.concatenate([_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)[1]
+                               for p, w in _cell_blocks(n, psis, log_omegas)])
     with np.errstate(over="ignore"):
-        return log_kn, np.exp(log_tau1)
+        return np.exp(log_tau1)
 
 
 def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
@@ -236,7 +265,8 @@ _NO_CELLS = (np.empty(0, dtype=np.intp),) * 2
 
 def _guarded(s0: np.ndarray, s1: np.ndarray):
     """(rows, columns) of the cells whose sums fall below _SUM_FLOOR
-    (every psi = 0 cell among them): ``_log_k_cells`` recomputes them."""
+    (every psi = 0 cell among them): each grid recomputes them off their
+    own kernel rows."""
     if s0.min() >= _SUM_FLOOR and s1.min() >= _SUM_FLOOR:
         return _NO_CELLS
     return np.nonzero((s0 < _SUM_FLOOR) | (s1 < _SUM_FLOOR))
@@ -246,13 +276,12 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
     """Delta per cell, flagged where defined; a Delta beyond the double
     range comes back as a correctly signed infinity.
 
-    With the sums of ``_grid_sums``, D_n = K_n (tau_1 - 1) is
+    With the sums of ``_grid_sums``, D_n is
     exp(a_top + b_top) (s1 - n psi s0) / (n psi), so Delta is
     s1 - n psi s0 times a psi-only factor exp(a_top) / (n psi row) and
     an omega-only factor exp(b_top) / col, each formed once per row or
     column in the log domain.  Cells whose factor leaves the double
-    range (omega^floor(n^2 / 4) beyond it) are divided in the log
-    domain instead.
+    range (omega^floor(n^2 / 4) beyond it) are divided in the log domain.
     """
     n = spec.n
     psis = np.asarray(spec.psi_values)
@@ -276,9 +305,8 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
             values[rows, cols] = _divided_excess(log_row[rows] + b_top[cols], excess[rows, cols],
                                                  row[rows], col[cols])
     if len(guard_rows):
-        log_kn, tau1 = _log_k_cells(n, psis[guard_rows], log_omegas[guard_cols])
-        values[guard_rows, guard_cols] = _divided_excess(log_kn, tau1 - 1.0, row[guard_rows],
-                                                         col[guard_cols])
+        values[guard_rows, guard_cols] = _divided_d_n(
+            n, psis[guard_rows], log_omegas[guard_cols], row[guard_rows], col[guard_cols])
     singular_rows, singular_cols = (psis == 0.5) | (psis == 1.0), omegas == 1.0
     values[singular_rows] = math.nan
     values[:, singular_cols] = math.nan
@@ -306,7 +334,7 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
         t1 = s1 / (n * psis[:, None] * s0)
     rows, cols = _guarded(s0, s1)
     if len(rows):
-        t1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])[1]
+        t1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])
     return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL, kind="tau1")
 
 

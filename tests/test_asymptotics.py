@@ -11,44 +11,62 @@ from lmbd import (
     limit_moments,
     pmf,
     tau,
-    tau_limit_omega_inf_even,
-    tau_limit_omega_inf_odd,
-    tau_limit_omega_zero,
+    tau_limit,
     total_variation,
 )
+
+
+def to_zero(n):
+    return LimitRegime("to-zero", n)
+
+
+def to_infinity(n):
+    return LimitRegime("to-infinity", n)
 
 
 class TestTauLimitOmegaZero:
     def test_closed_form_hand_value(self):
         # psi^(n-j) / (psi^n + (1-psi)^n) at j=1, n=4, psi=0.5:
         # 0.5^3 / (2 * 0.5^4) = 1
-        assert tau_limit_omega_zero(1, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert tau_limit(1, to_zero(4), 0.5) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("j,n,psi", [(1, 4, 0.5), (2, 6, 0.3), (1, 7, 0.8)])
     def test_exact_tau_converges(self, j, n, psi):
         got = tau(j, ModelParams(n, psi, 1e-8))
-        assert got == pytest.approx(tau_limit_omega_zero(j, n, psi), rel=1e-4)
+        assert got == pytest.approx(tau_limit(j, to_zero(n), psi), rel=1e-4)
 
     @pytest.mark.parametrize("n,psi", [(3, 0.2), (5, 0.5), (8, 0.9)])
     def test_j_equals_n(self, n, psi):
         expect = 1.0 / (psi ** n + (1 - psi) ** n)
-        assert tau_limit_omega_zero(n, n, psi) == pytest.approx(expect, rel=1e-12)
+        assert tau_limit(n, to_zero(n), psi) == pytest.approx(expect, rel=1e-12)
         assert expect >= 1.0
 
     def test_degenerate_psi_rejected(self):
         with pytest.raises(ValueError):
-            tau_limit_omega_zero(1, 4, 0.0)
+            tau_limit(1, to_zero(4), 0.0)
         with pytest.raises(ValueError):
-            tau_limit_omega_zero(1, 4, 1.0)
+            tau_limit(1, to_zero(4), 1.0)
+
+    def test_j_beyond_n_rejected(self):
+        with pytest.raises(ValueError):
+            tau_limit(5, to_zero(4), 0.5)
+        with pytest.raises(ValueError):
+            tau_limit(0, to_zero(4), 0.5)
+
+    @pytest.mark.parametrize("psi_edge", ["to-zero", "to-one"])
+    def test_psi_edge_regime_rejected(self, psi_edge):
+        for omega_edge in ("to-zero", "to-infinity"):
+            with pytest.raises(ValueError):
+                tau_limit(1, LimitRegime(omega_edge, 4, psi_edge), 0.5)
 
 
 class TestTauLimitOmegaInfEven:
     def test_j1_gives_half_mean(self):
         # (1/psi) C(3,1)/C(4,2) = 2 * 3/6 = 1, so lim E = n psi tau1 = n/2
-        assert tau_limit_omega_inf_even(1, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert tau_limit(1, to_infinity(4), 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_j2_matches_proof_line(self):
-        got = tau_limit_omega_inf_even(2, 4, 0.5)
+        got = tau_limit(2, to_infinity(4), 0.5)
         assert got == pytest.approx(4 / 6, rel=1e-14)
         # alternative closed form (n-2) / (4 (n-1) psi^2)
         assert got == pytest.approx(2 / (12 * 0.25), rel=1e-14)
@@ -56,44 +74,40 @@ class TestTauLimitOmegaInfEven:
     @pytest.mark.parametrize("j,n,psi", [(1, 4, 0.3), (2, 6, 0.5), (3, 8, 0.7)])
     def test_exact_tau_converges(self, j, n, psi):
         got = tau(j, ModelParams(n, psi, 1e6))
-        assert got == pytest.approx(tau_limit_omega_inf_even(j, n, psi), rel=1e-3)
+        assert got == pytest.approx(tau_limit(j, to_infinity(n), psi), rel=1e-3)
 
     def test_j_beyond_half_rejected(self):
         with pytest.raises(ValueError):
-            tau_limit_omega_inf_even(3, 4, 0.5)
-
-    def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            tau_limit_omega_inf_even(1, 5, 0.5)
+            tau_limit(3, to_infinity(4), 0.5)
 
 
 class TestTauLimitOmegaInfOdd:
     def test_j1_closed_form(self):
-        assert tau_limit_omega_inf_odd(1, 5, 0.3) == pytest.approx(
+        assert tau_limit(1, to_infinity(5), 0.3) == pytest.approx(
             (2 + 0.3) / (5 * 0.3), rel=1e-12)
 
     def test_j2_closed_form(self):
-        assert tau_limit_omega_inf_odd(2, 5, 0.5) == pytest.approx(0.8, rel=1e-12)
+        assert tau_limit(2, to_infinity(5), 0.5) == pytest.approx(0.8, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     @pytest.mark.parametrize("psi", [0.2, 0.5, 0.8])
     def test_dominant_term_reproduces_j1_j2(self, n, psi):
         # the generic dominant-term computation must match the proof's
         # explicit j=1 and j=2 expressions
-        assert tau_limit_omega_inf_odd(1, n, psi) == pytest.approx(
+        assert tau_limit(1, to_infinity(n), psi) == pytest.approx(
             ((n - 1) / 2 + psi) / (n * psi), rel=1e-12)
         if (n - 1) // 2 >= 2:
-            assert tau_limit_omega_inf_odd(2, n, psi) == pytest.approx(
+            assert tau_limit(2, to_infinity(n), psi) == pytest.approx(
                 ((n - 3) / 4 + psi) / (n * psi ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("j,n,psi", [(1, 5, 0.3), (2, 7, 0.6), (3, 9, 0.4)])
     def test_exact_tau_converges(self, j, n, psi):
         got = tau(j, ModelParams(n, psi, 1e6))
-        assert got == pytest.approx(tau_limit_omega_inf_odd(j, n, psi), rel=1e-3)
+        assert got == pytest.approx(tau_limit(j, to_infinity(n), psi), rel=1e-3)
 
-    def test_even_n_rejected(self):
+    def test_j_beyond_half_rejected(self):
         with pytest.raises(ValueError):
-            tau_limit_omega_inf_odd(1, 4, 0.5)
+            tau_limit(3, to_infinity(5), 0.5)
 
 
 class TestLimitMoments:
@@ -242,7 +256,3 @@ class TestRegimeValidation:
             LimitRegime("to-zero", n=4, psi_edge="to-two")
         with pytest.raises(ValueError):
             LimitRegime("to-zero", n=0)
-
-    def test_parity(self):
-        assert LimitRegime("to-zero", n=4).parity == "even"
-        assert LimitRegime("to-zero", n=5).parity == "odd"

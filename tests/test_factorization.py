@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from lmbd import (
     tau1_region_grid,
     theorem2_check,
 )
+from test_grid_oracle import DPS, _exact, _rel
 
 
 def hand_d2(psi, omega):
@@ -62,18 +65,26 @@ class TestBeyondTheDoubleRange:
     def test_delta_is_a_signed_infinity(self):
         assert delta(ModelParams(64, 0.50513, 2.0313)) == math.inf
 
+    def test_psi_zero_is_a_signed_infinity(self):
+        # D_n = omega^(n-1) - 1 at psi = 0: 2^1999 - 1 is beyond the double
+        # range, 2^-1999 - 1 rounds to -1
+        assert d_n(ModelParams(2000, 0.0, 2.0)) == math.inf
+        assert delta(ModelParams(2000, 0.0, 2.0)) == math.inf
+        assert d_n(ModelParams(2000, 0.0, 0.5)) == -1.0
+        cells = delta_grid(GridSpec((0.0,), (0.5, 2.0), 2000)).values[0]
+        assert cells[0] == 2.0 and cells[1] == math.inf
+
     def test_delta_matches_delta_grid(self):
         # the cells straddle log K_n = 709.78, where the grid's omega
         # factor omega^floor(n^2 / 4) leaves the double range (omega = 2
         # at n = 64, 1.073 at n = 200); the row one ulp below psi = 1/2,
-        # where tau_1 - 1 is below its own rounding error and neither
-        # value has a correct digit, is left out.  At n = 200 the bound
-        # is twice the worst gap, 1.56e-12 at (0.55, 1.01): it is the
-        # scalar path's error, 1.6e-12 against 50-digit mpmath there,
-        # where the grid's is 5e-14
-        for spec, rel in ((GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2), 1e-12),
-                          (GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 4.0), 1e-12),
-                          (GridSpec.linspace(200, 19, 13, 0.05, 0.95, 1.01, 1.61), 3.2e-12)):
+        # where tau_1 - 1 is below its own rounding error and the grid
+        # has no correct digit, is left out.  Each bound is twice the
+        # worst gap between the two: 1.39e-13 at (64, 0.7, 1.95),
+        # 1.14e-13 at (64, 0.95, 2.075) and 1.12e-13 at (200, 0.85, 1.06)
+        for spec, rel in ((GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2), 2.8e-13),
+                          (GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 4.0), 2.3e-13),
+                          (GridSpec.linspace(200, 19, 13, 0.05, 0.95, 1.01, 1.61), 2.3e-13)):
             grid = delta_grid(spec)
             infinite = 0
             for i, psi in enumerate(spec.psi_values):
@@ -88,6 +99,66 @@ class TestBeyondTheDoubleRange:
                     else:
                         assert got == pytest.approx(expect, rel=rel, abs=0), where
             assert infinite > 0, spec.n
+
+
+def _exact_d_n(n, psi, omega):
+    """(Delta, D_n) at 50 digits."""
+    exact_delta = _exact(n, psi, omega)[1]
+    with mp.workdps(DPS):
+        p, w = mp.mpf(psi), mp.mpf(omega)
+        return exact_delta, exact_delta * (p - 1) * (2 * p - 1) * (w - 1) * ((w + 1) if n % 2 else 1)
+
+
+class TestScalarOracle:
+    # relative error bound of both delta and d_n against 50-digit mpmath:
+    # twice the worse of the two measured errors, 5.45e-14, 4.14e-14,
+    # 5.45e-14, 9.43e-13, 2.28e-8 and 2.83e-8.  Near omega = 1 and
+    # psi = 1/2 the sum of (y - n psi) w_y cancels down to D_n, and the
+    # last two points are that cancellation
+    @pytest.mark.parametrize("n,psi,omega,bound", [
+        (200, 0.55, 1.01, 1.1e-13),
+        (200, 0.45, 1.01, 8.3e-14),
+        (500, 0.7, 1.001, 1.1e-13),
+        (2000, 0.3, 1.0005, 1.9e-12),
+        (64, 0.3, 1 + 1e-9, 4.6e-8),
+        (12, 0.5 + 1e-9, 1.5, 5.7e-8),
+    ])
+    def test_matches_mpmath(self, n, psi, omega, bound):
+        params = ModelParams(n, psi, omega)
+        exact_delta, exact_d_n = _exact_d_n(n, psi, omega)
+        assert _rel(delta(params), exact_delta) <= bound
+        assert _rel(d_n(params), exact_d_n) <= bound
+
+    # K_{n-1}'s terms are O(psi) of K_n's largest here, so a sum shifted
+    # by K_n's largest term alone would flush them; the guarded grid cell
+    # takes the same path.  Bounds are twice the worst measured error of
+    # the three, 5.29e-14, 4.41e-14, 9.24e-15 and 1.56e-16
+    @pytest.mark.parametrize("n,psi,omega,bound", [
+        (5, 1e-200, 2.0, 1.1e-13),
+        (64, 1e-300, 1.1, 8.9e-14),
+        (5, 1e-320, 3.0, 1.9e-14),
+        (20, 1e-250, 0.3, 3.2e-16),
+    ])
+    def test_tiny_psi_matches_mpmath(self, n, psi, omega, bound):
+        params = ModelParams(n, psi, omega)
+        exact_delta, exact_d_n = _exact_d_n(n, psi, omega)
+        cell = delta_grid(GridSpec((psi,), (omega,), n)).values[0, 0]
+        assert _rel(delta(params), exact_delta) <= bound
+        assert _rel(d_n(params), exact_d_n) <= bound
+        assert _rel(cell, exact_delta) <= bound
+
+    @pytest.mark.parametrize("omega", [1.9, 2.05, 2.2])
+    def test_sign_one_ulp_below_psi_half(self, omega):
+        # 2 psi - 1 = -2^-53 exactly and 1 - psi rounds to 1/2; mpmath
+        # gives Delta = +1.26e285, +6.4e318 and +1.4e350, so D_n > 0 too
+        params = ModelParams(64, 0.49999999999999994, omega)
+        exact = _exact(64, params.psi, omega)[1]
+        assert exact > 0
+        if exact > sys.float_info.max:
+            assert delta(params) == math.inf
+        else:
+            assert 0.0 < delta(params) < math.inf
+        assert d_n(params) > 0.0
 
 
 class TestDelta:

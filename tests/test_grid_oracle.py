@@ -7,8 +7,8 @@ The oracle sums K_{n-a} = sum_i C(m, i) psi^i (1-psi)^(m-i)
 omega^((m-i)(i+a)), m = n - a, exactly at 50 digits on sampled cells.
 n = 1 is left out: there D_1 = K_0 - K_1 is identically 0, so Delta and
 tau_1 - 1 are rounding noise in any double evaluation.  From n = 200 on
-some cells leave the grid's sum of products for its log-sum-exp guard;
-cells are sampled from both paths.
+some cells leave the grid's sum of products for its guard, which reads
+them off their own kernel rows; cells are sampled from both paths.
 
 The row reference is the grid loop as it was written before the grids
 were batched: one psi row at a time through scipy's ``logsumexp``.  The
@@ -29,6 +29,7 @@ import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
 from lmbd import GridSpec, delta_grid, factorization, tau1_region_grid
+from lmbd.core import _log_kn_tau, _log_weights
 from lmbd.factorization import TAU1_TIE_TOL
 
 DPS = 50
@@ -107,21 +108,40 @@ def test_sampled_cells_match_mpmath(n):
 
 
 def _guard_mask(spec: GridSpec, monkeypatch) -> np.ndarray:
-    """The cells the grid sends through its log-sum-exp guard."""
+    """The cells both grids send through their guard: ``_log_k_cells``
+    for tau_1, ``_divided_d_n`` for Delta."""
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
-    mask = np.zeros((len(psis), len(log_omegas)), dtype=bool)
-    log_k_cells = factorization._log_k_cells
+    masks = []
 
-    def recorded(n, cell_psis, cell_log_omegas):
-        mask[np.searchsorted(psis, cell_psis),
-             np.searchsorted(log_omegas, cell_log_omegas)] = True
-        return log_k_cells(n, cell_psis, cell_log_omegas)
+    def recording(reader):
+        mask = np.zeros((len(psis), len(log_omegas)), dtype=bool)
+        masks.append(mask)
+
+        def recorded(n, cell_psis, cell_log_omegas, *rest):
+            mask[np.searchsorted(psis, cell_psis),
+                 np.searchsorted(log_omegas, cell_log_omegas)] = True
+            return reader(n, cell_psis, cell_log_omegas, *rest)
+        return recorded
 
     with monkeypatch.context() as m:
-        m.setattr(factorization, "_log_k_cells", recorded)
+        m.setattr(factorization, "_log_k_cells", recording(factorization._log_k_cells))
+        m.setattr(factorization, "_divided_d_n", recording(factorization._divided_d_n))
         tau1_region_grid(spec)
-    return mask
+        delta_grid(spec)
+    np.testing.assert_array_equal(masks[0], masks[1])
+    return masks[0]
+
+
+def _log_sum_exp_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray):
+    """(log K_n, tau_1) at the cells (psis[k], log_omegas[k]) by a
+    log-sum-exp over each cell's kernel row (``core._log_kn_tau``): the
+    numerics of the tau_1 guard, with log K_n kept."""
+    parts = [_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)
+             for p, w in factorization._cell_blocks(n, psis, log_omegas)]
+    log_kn, log_tau1 = map(np.concatenate, zip(*parts))
+    with np.errstate(over="ignore"):
+        return log_kn, np.exp(log_tau1)
 
 
 def _rel_normal(got: float, exact: mp.mpf) -> float:
@@ -178,8 +198,8 @@ def test_large_n_cells_match_mpmath_on_both_paths(n, monkeypatch):
 @pytest.mark.parametrize("n", (200, 400))
 def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     # the sampled cells above miss most of a grid; here every cell of the
-    # sums of products is held to the guard's log-sum-exp, whose own
-    # error at n = 400 reaches some 5e-12 of tau_1
+    # sums of products is held to a log-sum-exp over its kernel row, whose
+    # own error at n = 400 reaches some 5e-12 of tau_1
     spec = _seeded_spec(n, seed=n)
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
@@ -189,14 +209,14 @@ def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     rows, cols = np.nonzero(summed)
     log_kn = a_top[rows] + b_top[cols] + np.log(s0[rows, cols])
     tau1 = s1[rows, cols] / (n * psis[rows] * s0[rows, cols])
-    ref_log_kn, ref_tau1 = factorization._log_k_cells(n, psis[rows], log_omegas[cols])
+    ref_log_kn, ref_tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
     np.testing.assert_allclose(tau1, ref_tau1, rtol=1e-10, atol=0)
     np.testing.assert_allclose(log_kn, ref_log_kn, rtol=1e-13, atol=1e-13)
 
 
 # (tau_1, Delta) bounds per n: twice the worst error over every cell of
 # the seeded axes that is neither singular nor guarded, measured against
-# ``_log_k_cells`` + ``_divided_excess``.  tau_1's error is relative.
+# ``_log_sum_exp_cells`` + ``_divided_excess``.  tau_1's error is relative.
 # Delta's is its error in D_n over K_{n-1} + K_n, since Delta's own
 # relative error near the singular lines is the cancellation in
 # tau_1 - 1 that both paths share (1e-10 at psi = 0.4996 in the
@@ -226,7 +246,7 @@ def test_summed_cells_match_the_log_domain_path(n):
     summed = dgrid.flags.copy()
     summed[factorization._guarded(s0, s1)] = False
     rows, cols = np.nonzero(summed)
-    log_kn, tau1 = factorization._log_k_cells(n, psis[rows], log_omegas[cols])
+    log_kn, tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
     row, col = factorization._factors(n, psis[rows], omegas[cols])
     ref = factorization._divided_excess(log_kn, tau1 - 1.0, row, col)
     got = dgrid.values[rows, cols]
@@ -243,20 +263,12 @@ def test_summed_cells_match_the_log_domain_path(n):
 
 @pytest.mark.parametrize("n", (5, 20, 64, 100))
 def test_default_axes_need_no_log_sum_exp(n, monkeypatch):
-    # at n = 100 the default axes reach omega columns whose factor
-    # omega^floor(n^2 / 4) leaves the double range; they stay on the sums
+    # no cell of either grid takes its guard's per-cell kernel row; at
+    # n = 100 the default axes reach omega columns whose factor
+    # omega^floor(n^2 / 4) leaves the double range, and they stay on the
+    # sums
     spec = GridSpec.linspace(n)
-    cells = []
-    log_k_cells = factorization._log_k_cells
-
-    def counted(n, cell_psis, cell_log_omegas):
-        cells.append(len(cell_psis))
-        return log_k_cells(n, cell_psis, cell_log_omegas)
-
-    monkeypatch.setattr(factorization, "_log_k_cells", counted)
-    tau1_region_grid(spec)
-    delta_grid(spec)
-    assert cells == []
+    assert not _guard_mask(spec, monkeypatch).any()
 
 
 @pytest.mark.parametrize("n", (2, 5, 20, 64, 200))
