@@ -1,10 +1,14 @@
 """Command-line surface.
 
-Every subcommand maps one-to-one onto a library operation and adds no
-numerics of its own.  Grids and tables are emitted as CSV with a
-``# manifest: {...}`` comment header; single-result reports are JSON
-with the manifest embedded under a ``manifest`` key.  Identical
-arguments (and seed) byte-reproduce every output.
+The CLI is one command table, ``COMMANDS``: each entry names a
+subcommand, its help string, its handler and its argument specs, and
+``build_parser`` walks the table.  Every subcommand maps one-to-one onto
+a library operation and adds no numerics of its own.  A handler returns
+only ``(result, summary)``; ``main`` writes the artifact in one place.
+A dict result is JSON with the run manifest embedded under a
+``manifest`` key; a ``(header, rows)`` result is CSV with a
+``# manifest: {...}`` comment header.  Identical arguments (and seed)
+byte-reproduce every output.
 
 Exit codes: 0 success, 1 numeric/domain error, 2 usage error.
 """
@@ -12,23 +16,17 @@ Exit codes: 0 success, 1 numeric/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import LimitRegime, convergence_report
 from .core import ModelParams, cdf, moments, pmf, sample, tau
-from .ensemble import (
-    CountSample,
-    EnsembleSpec,
-    ensemble_accuracy,
-    fit_mle,
-    model_comparison,
-)
+from .ensemble import CountSample, EnsembleSpec, ensemble_accuracy, fit_mle, model_comparison
 from .factorization import GridSpec, d_n, delta_grid, tau1_region_grid
 from .gauss import clt_scan
 
@@ -39,48 +37,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _manifest(command: str, args: argparse.Namespace) -> dict:
-    params = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "out") and v is not None
-    }
-    return {
-        "command": command,
-        "version": __version__,
-        "params": params,
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-    }
-
-
-def _csv_artifact(manifest: dict, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
-        buf.write("\n")
-    return buf.getvalue()
-
-
 def _finite_or_none(x: float) -> float | None:
     """x, or JSON null where it is not finite (NaN or inf)."""
     return x if np.isfinite(x) else None
-
-
-def _json_artifact(manifest: dict, result: dict) -> str:
-    return json.dumps({"manifest": manifest, "result": result}, sort_keys=True) + "\n"
-
-
-def _emit(artifact: str, summary: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(artifact)
-        print(summary)
-    else:
-        sys.stdout.write(artifact)
-        print(summary, file=sys.stderr)
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
@@ -89,50 +48,37 @@ def _params(args: argparse.Namespace) -> ModelParams:
 
 def _cmd_pmf(args):
     table = pmf(_params(args))
-    man = _manifest("pmf", args)
+    summary = f"pmf n={args.n} psi={args.psi} omega={args.omega} rows={args.n + 1}"
     if args.format == "json":
-        artifact = _json_artifact(man, {
+        return {
             "y": list(range(args.n + 1)),
             "prob": [float(p) for p in table.probs()],
             "log_prob": [float(v) for v in table.log_prob],
             "log_normalizer": table.log_normalizer,
-        })
-    else:
-        artifact = _csv_artifact(
-            man,
-            ["y", "prob", "log_prob"],
-            [(y, p, lp) for y, (p, lp) in
-             enumerate(zip(table.probs(), table.log_prob))],
-        )
-    return artifact, f"pmf n={args.n} psi={args.psi} omega={args.omega} rows={args.n + 1}"
+        }, summary
+    rows = [(y, p, lp) for y, (p, lp) in enumerate(zip(table.probs(), table.log_prob))]
+    return (["y", "prob", "log_prob"], rows), summary
 
 
 def _cmd_cdf(args):
     value = cdf(_params(args), args.y)
-    man = _manifest("cdf", args)
-    return (_json_artifact(man, {"y": args.y, "cdf": value}),
-            f"cdf(y={args.y}) = {_fmt(value)}")
+    return {"y": args.y, "cdf": value}, f"cdf(y={args.y}) = {_fmt(value)}"
 
 
 def _cmd_moments(args):
     ms = moments(_params(args))
-    man = _manifest("moments", args)
-    result = {k: _finite_or_none(v) for k, v in asdict(ms).items()}
-    return (_json_artifact(man, result),
+    return ({k: _finite_or_none(v) for k, v in asdict(ms).items()},
             f"mean={_fmt(ms.mean)} variance={_fmt(ms.variance)}")
 
 
 def _cmd_tau(args):
     value = tau(args.r, _params(args))
-    man = _manifest("tau", args)
-    return (_json_artifact(man, {"r": args.r, "tau": _finite_or_none(value)}),
-            f"tau_{args.r} = {_fmt(value)}")
+    return {"r": args.r, "tau": _finite_or_none(value)}, f"tau_{args.r} = {_fmt(value)}"
 
 
 def _cmd_dn(args):
     value = d_n(_params(args))
-    man = _manifest("dn", args)
-    return (_json_artifact(man, {"d_n": _finite_or_none(value)}), f"D_n = {_fmt(value)}")
+    return {"d_n": _finite_or_none(value)}, f"D_n = {_fmt(value)}"
 
 
 def _cmd_limits(args):
@@ -144,7 +90,6 @@ def _cmd_limits(args):
     else:
         probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
     report = convergence_report(regime, args.psi, probes)
-    man = _manifest("limits", args)
     result = {
         "omega_edge": edge,
         "psi_edge": psi_edge,
@@ -156,65 +101,36 @@ def _cmd_limits(args):
         "evidence": [{"omega": w, "tv": tv} for w, tv in report.numeric_evidence],
     }
     final_tv = report.numeric_evidence[-1][1]
-    return (_json_artifact(man, result),
-            f"limit mean={_fmt(report.limit_mean)} final TV={_fmt(final_tv)}")
+    return result, f"limit mean={_fmt(report.limit_mean)} final TV={_fmt(final_tv)}"
 
 
 def _cmd_clt(args):
-    ns = [int(v) for v in args.ns.split(",")]
-    rows = clt_scan(ns, args.psi, args.omega)
-    man = _manifest("clt", args)
-    artifact = _csv_artifact(
-        man,
-        ["n", "psi", "omega", "ks_distance"],
-        [(r.n, r.psi, r.omega, r.ks_distance) for r in rows],
-    )
-    return artifact, f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}"
+    rows = clt_scan([int(v) for v in args.ns.split(",")], args.psi, args.omega)
+    return ((["n", "psi", "omega", "ks_distance"],
+             [(r.n, r.psi, r.omega, r.ks_distance) for r in rows]),
+            f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}")
 
 
-def _grid_spec(args) -> GridSpec:
-    return GridSpec.linspace(
-        n=args.n,
-        psi_steps=args.psi_steps,
-        omega_steps=args.omega_steps,
-        psi_min=args.psi_min,
-        psi_max=args.psi_max,
-        omega_min=args.omega_min,
-        omega_max=args.omega_max,
-    )
-
-
-def _grid_rows(grid):
-    for i, psi in enumerate(grid.spec.psi_values):
-        for j, omega in enumerate(grid.spec.omega_values):
-            v = grid.values[i, j]
-            yield (psi, omega, "nan" if np.isnan(v) else _fmt(v),
-                   int(grid.flags[i, j]))
-
-
-def _cmd_delta_grid(args):
-    grid = delta_grid(_grid_spec(args))
-    man = _manifest("delta-grid", args)
-    artifact = _csv_artifact(man, ["psi", "omega", "value", "flag"], _grid_rows(grid))
-    defined = grid.values[grid.flags]
-    return artifact, (f"delta grid n={args.n}: {defined.size} defined cells, "
-                      f"min={_fmt(defined.min())}")
-
-
-def _cmd_tau1_grid(args):
-    grid = tau1_region_grid(_grid_spec(args))
-    man = _manifest("tau1-grid", args)
-    artifact = _csv_artifact(man, ["psi", "omega", "value", "flag"], _grid_rows(grid))
-    return artifact, (f"tau1 grid n={args.n}: "
-                      f"{int(grid.flags.sum())} cells with tau1 <= 1")
+def _cmd_grid(args):
+    """delta-grid and tau1-grid: one CSV row per (psi, omega) cell."""
+    spec = GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
+                             args.psi_max, args.omega_min, args.omega_max)
+    grid = (delta_grid if args.command == "delta-grid" else tau1_region_grid)(spec)
+    rows = [(psi, omega, "nan" if np.isnan(v) else _fmt(v), int(flag))
+            for psi, values, flags in zip(spec.psi_values, grid.values, grid.flags)
+            for omega, v, flag in zip(spec.omega_values, values, flags)]
+    if grid.kind == "tau1":
+        summary = f"tau1 grid n={args.n}: {int(grid.flags.sum())} cells with tau1 <= 1"
+    else:
+        defined = grid.values[grid.flags]
+        low = f"min={_fmt(defined.min())}" if defined.size else "no minimum"
+        summary = f"delta grid n={args.n}: {defined.size} defined cells, {low}"
+    return (["psi", "omega", "value", "flag"], rows), summary
 
 
 def _cmd_accuracy(args):
-    params = _params(args)
-    value = ensemble_accuracy(EnsembleSpec(n=args.n, params=params))
-    man = _manifest("accuracy", args)
-    return (_json_artifact(man, {"accuracy": value}),
-            f"majority-vote accuracy = {_fmt(value)}")
+    value = ensemble_accuracy(EnsembleSpec(n=args.n, params=_params(args)))
+    return {"accuracy": value}, f"majority-vote accuracy = {_fmt(value)}"
 
 
 def _read_sample(args) -> tuple[CountSample, bool]:
@@ -239,17 +155,14 @@ def _read_sample(args) -> tuple[CountSample, bool]:
 def _cmd_fit(args):
     sample_, inferred = _read_sample(args)
     fit = fit_mle(sample_)
-    man = _manifest("fit", args)
     result = dict(asdict(fit), n=sample_.n, n_inferred=inferred,
                   omega_hat=_finite_or_none(fit.omega_hat))
-    return (_json_artifact(man, result),
-            f"fit psi={_fmt(fit.psi_hat)} omega={fit.omega_hat} converged={fit.converged}")
+    return result, f"fit psi={_fmt(fit.psi_hat)} omega={fit.omega_hat} converged={fit.converged}"
 
 
 def _cmd_compare(args):
     sample_, inferred = _read_sample(args)
     report = model_comparison(sample_)
-    man = _manifest("compare", args)
     result = {
         "n": sample_.n,
         "n_inferred": inferred,
@@ -259,28 +172,72 @@ def _cmd_compare(args):
         "models": [dict(asdict(m), parameters={
             k: _finite_or_none(v) for k, v in m.parameters.items()}) for m in report.models],
     }
-    return (_json_artifact(man, result), f"best model by AIC: {report.best_aic}")
+    return result, f"best model by AIC: {report.best_aic}"
 
 
 def _cmd_sample(args):
     draws = sample(_params(args), args.count, args.seed)
-    man = _manifest("sample", args)
-    artifact = _csv_artifact(man, ["y"], [(int(v),) for v in draws])
-    return artifact, f"{args.count} draws, seed={args.seed}, mean={_fmt(draws.mean())}"
+    return ((["y"], [(int(v),) for v in draws]),
+            f"{args.count} draws, seed={args.seed}, mean={_fmt(draws.mean())}")
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
+def _required(flag: str, type_: type) -> tuple[str, dict]:
+    return flag, {"type": type_, "required": True}
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=str, default=None)
+def _default(flag: str, value) -> tuple[str, dict]:
+    return flag, {"type": type(value), "default": value}
 
 
-_N_HELP = ("support bound (default: the largest observed y, "
-           "flagged n_inferred in the artifact)")
+_MODEL = (_required("--n", int), _required("--psi", float), _required("--omega", float))
+_GRID = (_required("--n", int), _default("--psi-steps", 101), _default("--omega-steps", 101),
+         _default("--psi-min", 0.01), _default("--psi-max", 0.99),
+         _default("--omega-min", 0.05), _default("--omega-max", 2.0))
+_SAMPLE_FILE = (
+    _required("--input", str),
+    ("--n", {"type": int, "help": "support bound (default: the largest observed y, "
+                                  "flagged n_inferred in the artifact)"}),
+)
+
+
+class Command(NamedTuple):
+    """One subcommand: ``add_argument``'s (flag, keywords) per argument,
+    in help order; every command also takes ``--out``."""
+
+    name: str
+    help: str
+    handler: Callable
+    arguments: tuple
+
+
+COMMANDS = (
+    Command("pmf", "full probability table", _cmd_pmf,
+            _MODEL + (("--format", {"choices": ("csv", "json"), "default": "csv"}),)),
+    Command("cdf", "P(Y <= y)", _cmd_cdf, _MODEL + (_required("--y", int),)),
+    Command("moments", "tau ratios, mean, variance, marginal pi", _cmd_moments, _MODEL),
+    Command("tau", "the ratio tau_r", _cmd_tau, _MODEL + (_required("--r", int),)),
+    Command("dn", "the difference K_{n-1} - K_n", _cmd_dn, _MODEL),
+    Command("limits", "limit-regime convergence report", _cmd_limits, (
+        ("--regime", {"choices": ("omega-zero", "omega-inf"), "required": True}),
+        _required("--n", int),
+        _required("--psi", float),
+        ("--psi-edge", {"choices": ("none", "zero", "one"), "default": "none"}),
+        ("--probes", {"type": str, "help": "comma-separated omega probe values"}),
+    )),
+    Command("clt", "Gaussian-approximation distance scan", _cmd_clt, (
+        ("--ns", {"type": str, "required": True,
+                  "help": "comma-separated increasing trial counts"}),
+        _required("--psi", float),
+        _required("--omega", float),
+    )),
+    Command("delta-grid", "Delta positivity scan", _cmd_grid, _GRID),
+    Command("tau1-grid", "tau1 region classification", _cmd_grid, _GRID),
+    Command("accuracy", "majority-vote ensemble accuracy", _cmd_accuracy, _MODEL),
+    Command("fit", "maximum-likelihood fit from y,count CSV", _cmd_fit, _SAMPLE_FILE),
+    Command("compare", "LMBD vs Binomial vs Beta-Binomial", _cmd_compare, _SAMPLE_FILE),
+    Command("sample", "seeded inverse-cdf draws", _cmd_sample,
+            _MODEL + (_required("--count", int), _required("--seed", int))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,105 +248,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pmf", help="full probability table")
-    _add_params(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out(p)
-    p.set_defaults(func=_cmd_pmf)
-
-    p = sub.add_parser("cdf", help="P(Y <= y)")
-    _add_params(p)
-    p.add_argument("--y", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_cdf)
-
-    p = sub.add_parser("moments", help="tau ratios, mean, variance, marginal pi")
-    _add_params(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("tau", help="the ratio tau_r")
-    _add_params(p)
-    p.add_argument("--r", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_tau)
-
-    p = sub.add_parser("dn", help="the difference K_{n-1} - K_n")
-    _add_params(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_dn)
-
-    p = sub.add_parser("limits", help="limit-regime convergence report")
-    p.add_argument("--regime", choices=("omega-zero", "omega-inf"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--psi-edge", dest="psi_edge",
-                   choices=("none", "zero", "one"), default="none")
-    p.add_argument("--probes", type=str, default=None,
-                   help="comma-separated omega probe values")
-    _add_out(p)
-    p.set_defaults(func=_cmd_limits)
-
-    p = sub.add_parser("clt", help="Gaussian-approximation distance scan")
-    p.add_argument("--ns", type=str, required=True,
-                   help="comma-separated increasing trial counts")
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_clt)
-
-    for name, func, help_ in (
-        ("delta-grid", _cmd_delta_grid, "Delta positivity scan"),
-        ("tau1-grid", _cmd_tau1_grid, "tau1 region classification"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--psi-steps", dest="psi_steps", type=int, default=101)
-        p.add_argument("--omega-steps", dest="omega_steps", type=int, default=101)
-        p.add_argument("--psi-min", dest="psi_min", type=float, default=0.01)
-        p.add_argument("--psi-max", dest="psi_max", type=float, default=0.99)
-        p.add_argument("--omega-min", dest="omega_min", type=float, default=0.05)
-        p.add_argument("--omega-max", dest="omega_max", type=float, default=2.0)
-        _add_out(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("accuracy", help="majority-vote ensemble accuracy")
-    _add_params(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_accuracy)
-
-    p = sub.add_parser("fit", help="maximum-likelihood fit from y,count CSV")
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--n", type=int, default=None, help=_N_HELP)
-    _add_out(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("compare", help="LMBD vs Binomial vs Beta-Binomial")
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--n", type=int, default=None, help=_N_HELP)
-    _add_out(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("sample", help="seeded inverse-cdf draws")
-    _add_params(p)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_sample)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag, spec in command.arguments:
+            p.add_argument(flag, **spec)
+        p.add_argument("--out")
+        p.set_defaults(func=command.handler)
     return parser
 
 
+def _artifact(args: argparse.Namespace, result) -> str:
+    """The run manifest with ``result``: a dict as one JSON document, a
+    (header, rows) pair as CSV under a ``# manifest:`` comment line."""
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "params": {k: v for k, v in sorted(vars(args).items())
+                   if k not in ("func", "out") and v is not None},
+        "seed": getattr(args, "seed", None),
+        "out": args.out,
+    }
+    if isinstance(result, dict):
+        return json.dumps({"manifest": manifest, "result": result}, sort_keys=True) + "\n"
+    header, rows = result
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        artifact, summary = args.func(args)
+        result, summary = args.func(args)
+        artifact = _artifact(args, result)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(artifact, summary, args.out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(artifact)
+        print(summary)
+    else:
+        sys.stdout.write(artifact)
+        print(summary, file=sys.stderr)
     return 0
 
 

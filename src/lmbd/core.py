@@ -196,6 +196,12 @@ def _logsumexp(terms: np.ndarray, axis=None):
     return top + np.log(shifted.sum(axis=axis))
 
 
+def _mass(log_probs: np.ndarray) -> float:
+    """The probability of a slice of a log-pmf row, capped at 1 against
+    rounding."""
+    return min(1.0, float(np.exp(_logsumexp(log_probs))))
+
+
 def _log_kn_tau(r: int, logw, psi, log_omega):
     """(log K_n, log tau_r) off K_n's log-weights ``logw`` (last axis y = 0..n).
 
@@ -278,8 +284,7 @@ def cdf(params: ModelParams, y: int) -> float:
     """P(Y <= y), accumulated by log-sum-exp over the table prefix."""
     if not 0 <= y <= params.n:
         raise IndexError(f"y must lie in [0, n={params.n}], got {y}")
-    table = pmf(params)
-    return min(1.0, float(np.exp(_logsumexp(table.log_prob[: y + 1]))))
+    return _mass(pmf(params).log_prob[: y + 1])
 
 
 def _table_moments(probs: np.ndarray) -> tuple[float, float]:

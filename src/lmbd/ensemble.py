@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import _log_binom, _log_weights, _logsumexp
+from .core import _log_binom, _log_weights, _logsumexp, _mass
 
 __all__ = [
     "EnsembleSpec",
@@ -123,16 +123,14 @@ def majority_threshold(n: int) -> int:
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
     """P(Y > q) under the dependence model: 1 - F(q)."""
     q = majority_threshold(spec.n)
-    tail = pmf(spec.params).log_prob[q + 1:]
-    return min(1.0, float(np.exp(_logsumexp(tail))))
+    return _mass(pmf(spec.params).log_prob[q + 1:])
 
 
 def binomial_accuracy(n: int, pi: float) -> float:
     """Binomial(n, pi) majority tail, the independence baseline."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    tail = _log_weights(n, pi, 0.0)[majority_threshold(n) + 1:]
-    return min(1.0, float(np.exp(_logsumexp(tail))))
+    return _mass(_log_weights(n, pi, 0.0)[majority_threshold(n) + 1:])
 
 
 def _rising_sums(x: float, m: int) -> np.ndarray:
@@ -152,7 +150,7 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     # log B(y+alpha, n-y+beta) - log B(alpha, beta) by rising factorials
     ra, rb, rab = (_rising_sums(x, n)[0] for x in (alpha, beta, alpha + beta))
     logp = _log_binom(n, np.arange(n + 1)) + ra + rb[::-1] - rab[n]
-    return min(1.0, float(np.exp(_logsumexp(logp[majority_threshold(n) + 1:]))))
+    return _mass(logp[majority_threshold(n) + 1:])
 
 
 # Below this decrement g' (-H)^-1 g per observation Newton is in its

@@ -106,33 +106,40 @@ class Theorem2Report:
 
 
 def _factors(n: int, psi, omega):
-    """The linear factors' psi-only part (psi-1)(2 psi-1) and omega-only
-    part (omega-1), times (omega+1) for odd n."""
+    """(row, col_sign, log_col): the linear factors' psi-only part
+    (psi-1)(2 psi-1), and the sign and log magnitude of the omega-only
+    part (omega-1), times (omega+1) for odd n.  That product overflows
+    above omega ~ 1.3e154; there its log is log|omega-1| + log(omega+1).
+    On arrays, call it with overflow and log(0) warnings off."""
     col = omega - 1.0
     if n % 2 == 1:
         col = col * (omega + 1.0)
-    return (psi - 1.0) * (2.0 * psi - 1.0), col
+    log_col = np.log(np.abs(col))
+    wide = np.isinf(col)
+    if wide.any():
+        log_col = np.where(wide, np.log(np.abs(omega - 1.0)) + np.log(omega + 1.0), log_col)
+    return (psi - 1.0) * (2.0 * psi - 1.0), np.sign(col), log_col
 
 
-def _divided_excess(log_scale, excess, row, col):
+def _divided_excess(log_scale, excess, row, col_sign, log_col):
     """exp(log_scale) excess / (row col), divided in the log domain; a
     value beyond the double range is a signed infinity."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.sign(excess) * np.sign(row) * np.sign(col) * np.exp(
-            log_scale + np.log(np.abs(excess)) - np.log(np.abs(row)) - np.log(np.abs(col)))
+        return np.sign(excess) * np.sign(row) * col_sign * np.exp(
+            log_scale + np.log(np.abs(excess)) - np.log(np.abs(row)) - log_col)
 
 
-def _cell_d_n(params: ModelParams, row, col) -> float:
+def _cell_d_n(params: ModelParams, row, col_sign, log_col) -> float:
     """D_n / (row col) at one cell, off its kernel row."""
     sums = _d_n_sums(params.n, params.psi, math.log(params.omega))
-    return float(_divided_excess(*sums, row, col))
+    return float(_divided_excess(*sums, row, col_sign, log_col))
 
 
 def d_n(params: ModelParams) -> float:
     """K_{n-1} - K_n = K_n (tau_1 - 1); a correctly signed infinity
     beyond the double range, and 0 on the singular set, where tau_1 = 1
     exactly and its rounding error times a large K_n would not be."""
-    return 0.0 if is_singular(params) else _cell_d_n(params, 1.0, 1.0)
+    return 0.0 if is_singular(params) else _cell_d_n(params, 1.0, 1.0, 0.0)
 
 
 def is_singular(params: ModelParams) -> bool:
@@ -207,11 +214,12 @@ def _d_n_sums(n: int, psi, log_omega):
     return top[..., 0], excess[..., 0]
 
 
-def _divided_d_n(n: int, psis: np.ndarray, log_omegas: np.ndarray, row, col) -> np.ndarray:
+def _divided_d_n(n: int, psis: np.ndarray, log_omegas: np.ndarray, row, col_sign,
+                 log_col) -> np.ndarray:
     """D_n / (row col) at the cells (psis[k], log_omegas[k]), off their
     kernel rows."""
     sums = [_d_n_sums(n, p[:, None], w[:, None]) for p, w in _cell_blocks(n, psis, log_omegas)]
-    return _divided_excess(*map(np.concatenate, zip(*sums)), row, col)
+    return _divided_excess(*map(np.concatenate, zip(*sums)), row, col_sign, log_col)
 
 
 def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
@@ -289,24 +297,25 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
     log_omegas = np.log(omegas)
     s0, s1, a_top, b_top = _grid_sums(n, psis, log_omegas)
     guard_rows, guard_cols = _guarded(s0, s1)
-    row, col = _factors(n, psis, omegas)
     n_psi = n * psis
     excess = s0 * -n_psi[:, None]
     excess += s1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        row, col_sign, log_col = _factors(n, psis, omegas)
         log_row = a_top - np.log(n_psi)
         row_factor = np.sign(row) * np.exp(log_row - np.log(np.abs(row)))
-        col_factor = np.sign(col) * np.exp(b_top - np.log(np.abs(col)))
+        col_factor = col_sign * np.exp(b_top - log_col)
         values = excess * row_factor[:, None]
         values *= col_factor
         wide_rows, wide_cols = np.isinf(row_factor), np.isinf(col_factor)
         if wide_rows.any() or wide_cols.any():
             rows, cols = np.nonzero(wide_rows[:, None] | wide_cols)
             values[rows, cols] = _divided_excess(log_row[rows] + b_top[cols], excess[rows, cols],
-                                                 row[rows], col[cols])
+                                                 row[rows], col_sign[cols], log_col[cols])
     if len(guard_rows):
         values[guard_rows, guard_cols] = _divided_d_n(
-            n, psis[guard_rows], log_omegas[guard_cols], row[guard_rows], col[guard_cols])
+            n, psis[guard_rows], log_omegas[guard_cols], row[guard_rows], col_sign[guard_cols],
+            log_col[guard_cols])
     singular_rows, singular_cols = (psis == 0.5) | (psis == 1.0), omegas == 1.0
     values[singular_rows] = math.nan
     values[:, singular_cols] = math.nan

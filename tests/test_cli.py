@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from lmbd import (
     pmf,
     sample,
 )
+from lmbd import cli
 from lmbd.cli import main
 
 
@@ -388,22 +392,28 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    CASES = [
-        ["pmf", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
-        ["cdf", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--y", "3"],
-        ["moments", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
-        ["tau", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--r", "2"],
-        ["dn", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
-        ["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.5"],
-        ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
-        ["delta-grid", "--n", "4", "--psi-steps", "11", "--omega-steps", "11"],
-        ["tau1-grid", "--n", "4", "--psi-steps", "11", "--omega-steps", "11"],
-        ["accuracy", "--n", "9", "--psi", "0.55", "--omega", "0.8"],
-        ["sample", "--n", "5", "--psi", "0.4", "--omega", "1.2",
-         "--count", "50", "--seed", "123"],
-    ]
+    CASES = {
+        "pmf": ["pmf", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
+        "pmf-json": ["pmf", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--format", "json"],
+        "cdf": ["cdf", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--y", "3"],
+        "moments": ["moments", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
+        "tau": ["tau", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--r", "2"],
+        "dn": ["dn", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
+        "limits": ["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.5"],
+        "limits-probes-psi-edge": ["limits", "--regime", "omega-zero", "--n", "5", "--psi",
+                                   "0.9", "--psi-edge", "one", "--probes", "0.1,0.01,0.001"],
+        "clt": ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
+        "delta-grid": ["delta-grid", "--n", "4", "--psi-steps", "11", "--omega-steps", "11"],
+        "delta-grid-axes": ["delta-grid", "--n", "7", "--psi-steps", "9", "--omega-steps", "7",
+                            "--psi-min", "0.05", "--psi-max", "0.95", "--omega-min", "0.3",
+                            "--omega-max", "3.5"],
+        "tau1-grid": ["tau1-grid", "--n", "4", "--psi-steps", "11", "--omega-steps", "11"],
+        "accuracy": ["accuracy", "--n", "9", "--psi", "0.55", "--omega", "0.8"],
+        "sample": ["sample", "--n", "5", "--psi", "0.4", "--omega", "1.2",
+                   "--count", "50", "--seed", "123"],
+    }
 
-    @pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0])
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
     def test_rerun_byte_identical(self, capsys, tmp_path, argv):
         # identical manifest (same argv incl. output path) must
         # byte-reproduce the artifact
@@ -428,3 +438,121 @@ class TestDeterminism:
             capsys.readouterr()
             assert out.read_bytes() == first
             load_json(out)
+
+
+COUNTS_CSV = "y,count\n0,30\n1,90\n2,120\n3,70\n4,10\n"
+
+# one argv per entry of the command table; fit and compare read
+# counts.csv in the working directory
+TABLE_ARGV = {
+    "pmf": ["pmf", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--format", "json"],
+    "cdf": ["cdf", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--y", "3"],
+    "moments": ["moments", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
+    "tau": ["tau", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--r", "2"],
+    "dn": ["dn", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
+    "limits": ["limits", "--regime", "omega-inf", "--n", "7", "--psi", "0.2",
+               "--psi-edge", "zero", "--probes", "10,100,1000"],
+    "clt": ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
+    "delta-grid": ["delta-grid", "--n", "5", "--psi-steps", "5", "--omega-min", "0.5"],
+    "tau1-grid": ["tau1-grid", "--n", "4", "--omega-steps", "7", "--psi-max", "0.9"],
+    "accuracy": ["accuracy", "--n", "9", "--psi", "0.55", "--omega", "0.8"],
+    "fit": ["fit", "--input", "counts.csv"],
+    "compare": ["compare", "--input", "counts.csv", "--n", "5"],
+    "sample": ["sample", "--n", "5", "--psi", "0.4", "--omega", "1.2",
+               "--count", "20", "--seed", "3"],
+}
+
+
+@pytest.fixture
+def counts_dir(tmp_path, monkeypatch):
+    """A working directory holding the y,count sample counts.csv."""
+    (tmp_path / "counts.csv").write_text(COUNTS_CSV)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def parse_artifact(text):
+    """(manifest, body) of an artifact, parsed strictly: JSON without NaN
+    or Infinity tokens, CSV with a header and rows of its width."""
+    if text.startswith("# manifest: "):
+        first, _, body = text.partition("\n")
+        manifest = json.loads(first[len("# manifest: "):], parse_constant=_reject_constant)
+        rows = [line.split(",") for line in body.splitlines()]
+        assert len(rows) >= 2 and {len(r) for r in rows} == {len(rows[0])}
+        return manifest, rows
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert set(doc) == {"manifest", "result"}
+    return doc["manifest"], doc["result"]
+
+
+def test_table_argv_covers_the_table():
+    assert list(TABLE_ARGV) == [c.name for c in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS, ids=lambda c: c.name)
+def test_every_command_writes_one_artifact(capsys, counts_dir, command):
+    argv = TABLE_ARGV[command.name]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 0
+    summary = stderr
+    code, printed, _ = run(capsys, *argv, "--out", "a.out")
+    assert code == 0 and printed == summary
+    written = (counts_dir / "a.out").read_text()
+    # the artifact is the same either way but for the manifest's "out"
+    assert written.replace('"out": "a.out"', '"out": null', 1) == stdout
+    manifest, _ = parse_artifact(written)
+    assert manifest["command"] == command.name
+    assert manifest["out"] == "a.out"
+    # params echo every dest given on argv, and the defaults of the rest
+    given = {flag[2:].replace("-", "_"): value for flag, value in zip(argv[1::2], argv[2::2])}
+    defaults = {flag[2:].replace("-", "_") for flag, spec in command.arguments
+                if spec.get("default") is not None}
+    params = manifest["params"]
+    assert set(params) == {"command"} | set(given) | defaults
+    assert params["command"] == command.name
+    for dest, value in given.items():
+        assert params[dest] == type(params[dest])(value), dest
+    assert manifest["seed"] == params.get("seed")
+
+
+def test_help_lists_the_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == [c.name for c in cli.COMMANDS]
+    assert len(listed) == 13
+
+
+@pytest.mark.parametrize("axes", [
+    ["--psi-steps", "1", "--psi-min", "0.5", "--psi-max", "0.5"],
+    ["--omega-steps", "1", "--omega-min", "1", "--omega-max", "1"],
+], ids=["psi-half", "omega-one"])
+def test_all_singular_delta_grid(capsys, tmp_path, axes):
+    """Every cell singular: the grid is all NaN with flag 0, and the
+    summary says no cell is defined."""
+    out = tmp_path / "grid.csv"
+    code, printed, _ = run(capsys, "delta-grid", "--n", "4", *axes, "--out", str(out))
+    assert code == 0
+    assert printed == "delta grid n=4: 0 defined cells, no minimum\n"
+    _, rows = parse_artifact(out.read_text())
+    assert rows[0] == ["psi", "omega", "value", "flag"]
+    assert len(rows) == 102 and all(r[2:] == ["nan", "0"] for r in rows[1:])
+
+
+def readme_cli_lines():
+    """The ``lmbd ...`` lines of README's CLI section, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lmbd ")]
+
+
+def test_readme_examples_cover_the_table():
+    assert sorted(argv[0] for argv in readme_cli_lines()) == sorted(
+        c.name for c in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda a: a[0])
+def test_readme_example_runs(capsys, counts_dir, argv):
+    assert main(argv) == 0
+    capsys.readouterr()

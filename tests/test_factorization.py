@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +74,24 @@ class TestBeyondTheDoubleRange:
         assert d_n(ModelParams(2000, 0.0, 0.5)) == -1.0
         cells = delta_grid(GridSpec((0.0,), (0.5, 2.0), 2000)).values[0]
         assert cells[0] == 2.0 and cells[1] == math.inf
+
+    # the odd-n column factor (omega - 1)(omega + 1) overflows above
+    # omega ~ 1.3e154.  50-digit mpmath gives Delta = 1.0 at
+    # (3, 0.3, 1e160) and +8.4e799 at (5, 0.3, 1e200).  The bounds are
+    # twice the measured errors of delta (1.03e-48: 1.0 is the rounded
+    # value) and of the grid cell (1.11e-15)
+    @pytest.mark.parametrize("n,omega,bound,cell_bound", [
+        (3, 1e160, 2.1e-48, 2.3e-15),
+        (5, 1e200, 0.0, 0.0),
+    ])
+    def test_odd_n_column_factor_beyond_the_double_range(self, n, omega, bound, cell_bound):
+        exact = _exact(n, 0.3, omega)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = delta(ModelParams(n, 0.3, omega))
+            cell = delta_grid(GridSpec((0.3,), (omega,), n)).values[0, 0]
+        assert _rel(got, exact) <= bound
+        assert _rel(cell, exact) <= cell_bound
 
     def test_delta_matches_delta_grid(self):
         # the cells straddle log K_n = 709.78, where the grid's omega

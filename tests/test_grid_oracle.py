@@ -247,8 +247,8 @@ def test_summed_cells_match_the_log_domain_path(n):
     summed[factorization._guarded(s0, s1)] = False
     rows, cols = np.nonzero(summed)
     log_kn, tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
-    row, col = factorization._factors(n, psis[rows], omegas[cols])
-    ref = factorization._divided_excess(log_kn, tau1 - 1.0, row, col)
+    row, col_sign, log_col = factorization._factors(n, psis[rows], omegas[cols])
+    ref = factorization._divided_excess(log_kn, tau1 - 1.0, row, col_sign, log_col)
     got = dgrid.values[rows, cols]
     tau1_bound, delta_bound = SUMS_BOUNDS[n]
     rel = np.abs(tau1_region_grid(spec).values[rows, cols] - tau1) / tau1
@@ -256,7 +256,7 @@ def test_summed_cells_match_the_log_domain_path(n):
     infinite = np.isinf(ref)
     np.testing.assert_array_equal(got[infinite], ref[infinite])
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.exp(np.log(np.abs(got - ref)) + np.log(np.abs(row * col))
+        err = np.exp(np.log(np.abs(got - ref)) + np.log(np.abs(row)) + log_col
                      - log_kn - np.log1p(tau1))
     assert err[~infinite].max() <= delta_bound
 
