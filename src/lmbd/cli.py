@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,14 +112,13 @@ def _cmd_clt(args):
             f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}")
 
 
-def _cmd_grid(args):
-    """delta-grid and tau1-grid: one CSV row per (psi, omega) cell."""
-    spec = GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
-                             args.psi_max, args.omega_min, args.omega_max)
-    grid = (delta_grid if args.command == "delta-grid" else tau1_region_grid)(spec)
+def _cmd_grid(grid_of, args):
+    """delta-grid and tau1-grid, by ``grid_of``: one CSV row per (psi, omega) cell."""
+    grid = grid_of(GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
+                                     args.psi_max, args.omega_min, args.omega_max))
     rows = [(psi, omega, "nan" if np.isnan(v) else _fmt(v), int(flag))
-            for psi, values, flags in zip(spec.psi_values, grid.values, grid.flags)
-            for omega, v, flag in zip(spec.omega_values, values, flags)]
+            for psi, values, flags in zip(grid.spec.psi_values, grid.values, grid.flags)
+            for omega, v, flag in zip(grid.spec.omega_values, values, flags)]
     if grid.kind == "tau1":
         summary = f"tau1 grid n={args.n}: {int(grid.flags.sum())} cells with tau1 <= 1"
     else:
@@ -230,8 +230,9 @@ COMMANDS = (
         _required("--psi", float),
         _required("--omega", float),
     )),
-    Command("delta-grid", "Delta positivity scan", _cmd_grid, _GRID),
-    Command("tau1-grid", "tau1 region classification", _cmd_grid, _GRID),
+    Command("delta-grid", "Delta positivity scan", partial(_cmd_grid, delta_grid), _GRID),
+    Command("tau1-grid", "tau1 region classification", partial(_cmd_grid, tau1_region_grid),
+            _GRID),
     Command("accuracy", "majority-vote ensemble accuracy", _cmd_accuracy, _MODEL),
     Command("fit", "maximum-likelihood fit from y,count CSV", _cmd_fit, _SAMPLE_FILE),
     Command("compare", "LMBD vs Binomial vs Beta-Binomial", _cmd_compare, _SAMPLE_FILE),
