@@ -111,14 +111,15 @@ def _factors(n: int, psi, omega):
     part (omega-1), times (omega+1) for odd n.  That product overflows
     above omega ~ 1.3e154; there its log is log|omega-1| + log(omega+1).
     On arrays, call it with overflow and log(0) warnings off."""
-    col = omega - 1.0
-    if n % 2 == 1:
-        col = col * (omega + 1.0)
+    row = (psi - 1.0) * (2.0 * psi - 1.0)
+    if n % 2 == 0:
+        return row, np.sign(omega - 1.0), np.log(np.abs(omega - 1.0))
+    col = (omega - 1.0) * (omega + 1.0)
     log_col = np.log(np.abs(col))
-    wide = np.isinf(col)
+    wide = log_col == math.inf
     if wide.any():
         log_col = np.where(wide, np.log(np.abs(omega - 1.0)) + np.log(omega + 1.0), log_col)
-    return (psi - 1.0) * (2.0 * psi - 1.0), np.sign(col), log_col
+    return row, np.sign(col), log_col
 
 
 def _divided_excess(log_scale, excess, row, col_sign, log_col):
