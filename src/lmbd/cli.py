@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,20 +111,27 @@ def _cmd_clt(args):
             f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}")
 
 
-def _cmd_grid(grid_of, args):
-    """delta-grid and tau1-grid, by ``grid_of``: one CSV row per (psi, omega) cell."""
+def _grid(grid_of, args):
+    """``grid_of`` over the arguments' axes, and its CSV table: one row
+    per (psi, omega) cell."""
     grid = grid_of(GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
                                      args.psi_max, args.omega_min, args.omega_max))
     rows = [(psi, omega, "nan" if np.isnan(v) else _fmt(v), int(flag))
             for psi, values, flags in zip(grid.spec.psi_values, grid.values, grid.flags)
             for omega, v, flag in zip(grid.spec.omega_values, values, flags)]
-    if grid.kind == "tau1":
-        summary = f"tau1 grid n={args.n}: {int(grid.flags.sum())} cells with tau1 <= 1"
-    else:
-        defined = grid.values[grid.flags]
-        low = f"min={_fmt(defined.min())}" if defined.size else "no minimum"
-        summary = f"delta grid n={args.n}: {defined.size} defined cells, {low}"
-    return (["psi", "omega", "value", "flag"], rows), summary
+    return grid, (["psi", "omega", "value", "flag"], rows)
+
+
+def _cmd_delta_grid(args):
+    grid, table = _grid(delta_grid, args)
+    defined = grid.values[grid.flags]
+    low = f"min={_fmt(defined.min())}" if defined.size else "no minimum"
+    return table, f"delta grid n={args.n}: {defined.size} defined cells, {low}"
+
+
+def _cmd_tau1_grid(args):
+    grid, table = _grid(tau1_region_grid, args)
+    return table, f"tau1 grid n={args.n}: {int(grid.flags.sum())} cells with tau1 <= 1"
 
 
 def _cmd_accuracy(args):
@@ -230,9 +236,8 @@ COMMANDS = (
         _required("--psi", float),
         _required("--omega", float),
     )),
-    Command("delta-grid", "Delta positivity scan", partial(_cmd_grid, delta_grid), _GRID),
-    Command("tau1-grid", "tau1 region classification", partial(_cmd_grid, tau1_region_grid),
-            _GRID),
+    Command("delta-grid", "Delta positivity scan", _cmd_delta_grid, _GRID),
+    Command("tau1-grid", "tau1 region classification", _cmd_tau1_grid, _GRID),
     Command("accuracy", "majority-vote ensemble accuracy", _cmd_accuracy, _MODEL),
     Command("fit", "maximum-likelihood fit from y,count CSV", _cmd_fit, _SAMPLE_FILE),
     Command("compare", "LMBD vs Binomial vs Beta-Binomial", _cmd_compare, _SAMPLE_FILE),
@@ -283,12 +288,13 @@ def main(argv=None) -> int:
     try:
         result, summary = args.func(args)
         artifact = _artifact(args, result)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(artifact)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(artifact)
         print(summary)
     else:
         sys.stdout.write(artifact)

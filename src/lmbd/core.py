@@ -111,15 +111,10 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-def _log_binom(m, i):
-    """log C(m, i) for an integer m and integer (arrays of) i in [0, m]."""
-    lf = _log_factorials(1 << int(m).bit_length())
-    return lf[m] - lf[i] - lf[m - i]
-
-
 def _row(m: int):
     i = np.arange(m + 1)
-    row = (i, m - i, _log_binom(m, i))
+    lf = _log_factorials(1 << int(m).bit_length())
+    row = (i, m - i, lf[m] - lf[i] - lf[m - i])
     for part in row:
         part.flags.writeable = False
     return row

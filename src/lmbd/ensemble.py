@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import _log_binom, _log_weights, _logsumexp, _mass
+from .core import _kernel_row, _log_weights, _logsumexp, _mass
 
 __all__ = [
     "EnsembleSpec",
@@ -78,10 +78,6 @@ class CountSample:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    @property
-    def distinct_values(self) -> int:
-        return sum(1 for c in self.counts if c > 0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
         raise ValueError("alpha and beta must be positive")
     # log B(y+alpha, n-y+beta) - log B(alpha, beta) by rising factorials
     ra, rb, rab = (_rising_sums(x, n)[0] for x in (alpha, beta, alpha + beta))
-    logp = _log_binom(n, np.arange(n + 1)) + ra + rb[::-1] - rab[n]
+    logp = _kernel_row(n)[2] + ra + rb[::-1] - rab[n]
     return _mass(logp[majority_threshold(n) + 1:])
 
 
@@ -247,7 +243,7 @@ def fit_mle(sample: CountSample) -> FitResult:
 
     stats = np.stack((y, y * (n - y))).astype(float)
     dev = stats - (stats @ counts / total)[:, None]
-    log_binom = _log_binom(n, y)
+    log_binom = _kernel_row(n)[2]
     seen = counts > 0
 
     def derivs(theta: np.ndarray):
@@ -297,7 +293,7 @@ def _beta_binomial_log_lik(counts: np.ndarray, theta: np.ndarray):
     grad = np.array([alpha * ga, beta * gb])
     hess = np.array([[alpha * alpha * haa + alpha * ga, alpha * beta * hab],
                      [alpha * beta * hab, beta * beta * hbb + beta * gb]])
-    log_lik = counts @ _log_binom(n, np.arange(n + 1)) + sa[0] + sb[0] - sab[0]
+    log_lik = counts @ _kernel_row(n)[2] + sa[0] + sb[0] - sab[0]
     return float(log_lik), grad, hess
 
 

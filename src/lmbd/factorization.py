@@ -108,18 +108,14 @@ class Theorem2Report:
 def _factors(n: int, psi, omega):
     """(row, col_sign, log_col): the linear factors' psi-only part
     (psi-1)(2 psi-1), and the sign and log magnitude of the omega-only
-    part (omega-1), times (omega+1) for odd n.  That product overflows
-    above omega ~ 1.3e154; there its log is log|omega-1| + log(omega+1).
-    On arrays, call it with overflow and log(0) warnings off."""
+    part (omega-1), times (omega+1) for odd n.  The log is formed as
+    log|omega-1| + log(omega+1), as the product overflows above
+    omega ~ 1.3e154.  On arrays, call it with log(0) warnings off."""
     row = (psi - 1.0) * (2.0 * psi - 1.0)
-    if n % 2 == 0:
-        return row, np.sign(omega - 1.0), np.log(np.abs(omega - 1.0))
-    col = (omega - 1.0) * (omega + 1.0)
-    log_col = np.log(np.abs(col))
-    wide = log_col == math.inf
-    if wide.any():
-        log_col = np.where(wide, np.log(np.abs(omega - 1.0)) + np.log(omega + 1.0), log_col)
-    return row, np.sign(col), log_col
+    log_col = np.log(np.abs(omega - 1.0))
+    if n % 2:
+        log_col += np.log(omega + 1.0)
+    return row, np.sign(omega - 1.0), log_col
 
 
 def _divided_excess(log_scale, excess, row, col_sign, log_col):

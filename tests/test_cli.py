@@ -160,6 +160,22 @@ class TestGridCommands:
                   if line.split(",")[3] == "1"]
         assert len(values) > 0 and min(values) > 0.0
 
+    @pytest.mark.parametrize("command, name", [("delta-grid", "delta_grid"),
+                                               ("tau1-grid", "tau1_region_grid")])
+    def test_grid_function_is_looked_up_at_call_time(self, capsys, monkeypatch, command, name):
+        # a tracer wraps the grid functions by replacing cli's attributes
+        calls = []
+        grid_of = getattr(cli, name)
+
+        def counted(spec):
+            calls.append(spec)
+            return grid_of(spec)
+
+        monkeypatch.setattr(cli, name, counted)
+        code, _, _ = run(capsys, command, "--n", "3", "--psi-steps", "3", "--omega-steps", "3")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_tau1_grid(self, capsys, tmp_path):
         out = tmp_path / "t1.csv"
         code, _, _ = run(capsys, "tau1-grid", "--n", "5",
@@ -389,6 +405,13 @@ class TestExitCodes:
     def test_missing_input_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
+
+    def test_unwritable_out_is_one_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "dn", "--n", "3", "--psi", "0.3", "--omega", "2",
+                             "--out", str(tmp_path / "no" / "such" / "a.json"))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestDeterminism:

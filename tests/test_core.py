@@ -400,3 +400,14 @@ def test_one_kernel_pass_per_call(call, params, monkeypatch):
         monkeypatch.setattr(module, "_log_weights", counted)
     call(params)
     assert len(calls) == 1
+
+
+def test_public_names_are_the_submodules_lists():
+    # each public name is declared once, in its submodule's __all__, and
+    # the package holds the very objects its submodules hold
+    modules = (lmbd.core, lmbd.asymptotics, lmbd.gauss, lmbd.factorization, lmbd.ensemble)
+    assert len(set(lmbd.__all__)) == len(lmbd.__all__)
+    assert lmbd.__all__ == ["__version__"] + [name for m in modules for name in m.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(lmbd, name) is getattr(module, name)

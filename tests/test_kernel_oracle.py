@@ -1,9 +1,9 @@
 """The log-weight kernel's parts, and what is read off its K_n row,
 against a 50-digit mpmath oracle.
 
-``core._log_binom`` reads log C(n, y) off a table of ``math.lgamma``
-values, ``core._kernel_row`` caches one read-only row per n, and
-``core._logsumexp`` floors its shifted terms before ``exp``.  The pmf
+``core._kernel_row`` caches one read-only row per n, with log C(n, y)
+read off a table of ``math.lgamma`` values, and ``core._logsumexp``
+floors its shifted terms before ``exp``.  The pmf
 bounds are twice the worst errors of the scipy-based kernel that came
 before the table (7.2e-12 at n = 500, 1.3e-10 at n = 2000, the
 omega = 2 cell both times): they grow like n^2 eps through the
@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from lmbd import ModelParams, log_k, pmf, tau
-from lmbd.core import (_kernel_row, _log_binom, _log_factorials, _log_weights,
-                       _logsumexp, _xlogy)
+from lmbd.core import _kernel_row, _log_factorials, _log_weights, _logsumexp, _xlogy
 
 DPS = 50
 EPS = np.finfo(float).eps
@@ -36,17 +35,13 @@ PMF_BOUND = {500: 1.44e-11, 2000: 2.6e-10}
 @pytest.mark.parametrize("m", BINOM_MS)
 def test_log_binom_matches_mpmath(m):
     # three table entries, each within about an ulp of log m!
-    got = _log_binom(m, np.arange(m + 1))
+    got = _kernel_row(m)[2]
     with mp.workdps(DPS):
         scale = max(1.0, float(mp.log(mp.factorial(m))))
         errs = [abs(float(mp.mpf(g) - mp.log(math.comb(m, i))))
                 for i, g in enumerate(got)]
     assert max(errs) <= 4 * EPS * scale
     assert got[0] == got[m] == 0.0
-
-
-def test_log_binom_scalar_matches_row():
-    assert _log_binom(2000, 700) == _kernel_row(2000)[2][700]
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 300])
