@@ -236,16 +236,13 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     K_{n-a} = sum_{i=0}^{n-a} C(n-a, i) psi^i (1-psi)^(n-a-i)
               omega^((n-a-i)(i+a)),
     evaluated as log K_n, a max-shifted log-sum-exp over the kernel's
-    terms, plus log tau_a read off the same row.
+    terms, plus log tau_a read off the same row (log tau_0 = 0 exactly).
     """
     _validate(n, psi, omega)
     if not 0 <= a <= n:
         raise ValueError(f"a must lie in [0, n={n}], got {a}")
     log_omega = math.log(omega)
-    logw = _log_weights(n, psi, log_omega)
-    if a == 0:
-        return _logsumexp(logw)
-    log_kn, log_tau = _log_kn_tau(a, logw, psi, log_omega)
+    log_kn, log_tau = _log_kn_tau(a, _log_weights(n, psi, log_omega), psi, log_omega)
     return float(log_kn + log_tau)
 
 

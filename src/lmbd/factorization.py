@@ -82,16 +82,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """Row-major cell values over spec.psi_values x spec.omega_values.
-
-    ``kind`` is "delta" (flags mark defined, i.e. non-singular, cells;
-    singular cells hold NaN) or "tau1" (flags mark tau_1 <= 1).
-    """
+    """Row-major cell values over spec.psi_values x spec.omega_values,
+    with one boolean flag per cell; each grid function says what its
+    flags mark."""
 
     spec: GridSpec
     values: np.ndarray
     flags: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -278,8 +275,9 @@ def _guarded(s0: np.ndarray, s1: np.ndarray):
 
 
 def delta_grid(spec: GridSpec) -> RegionGrid:
-    """Delta per cell, flagged where defined; a Delta beyond the double
-    range comes back as a correctly signed infinity.
+    """Delta per cell, flagged where defined: singular cells hold NaN
+    and are unflagged.  A Delta beyond the double range comes back as a
+    correctly signed infinity.
 
     With the sums of ``_grid_sums``, D_n is
     exp(a_top + b_top) (s1 - n psi s0) / (n psi), so Delta is
@@ -317,7 +315,7 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
     values[singular_rows] = math.nan
     values[:, singular_cols] = math.nan
     flags = ~(singular_rows[:, None] | singular_cols)
-    return RegionGrid(spec=spec, values=values, flags=flags, kind="delta")
+    return RegionGrid(spec=spec, values=values, flags=flags)
 
 
 # numeric tie width for the tau_1 <= 1 classification: on the boundary
@@ -341,7 +339,7 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     rows, cols = _guarded(s0, s1)
     if len(rows):
         t1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])
-    return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL, kind="tau1")
+    return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL)
 
 
 def theorem2_check(params: ModelParams) -> Theorem2Report:

@@ -349,13 +349,21 @@ class TestNInference:
         assert "outside support" in err
 
 
+def _fresh_json(code: str):
+    """Run ``code`` in a fresh python process that imports this ``lmbd``
+    and parse the JSON of its last stdout line."""
+    src = os.path.dirname(os.path.dirname(lmbd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_cli_loads_no_scipy(tmp_path):
     """In a fresh process: ``import lmbd``, ``import lmbd.cli`` and the
     pmf, clt, delta-grid, fit and compare subcommands load no scipy
     module at all."""
-    src = os.path.dirname(os.path.dirname(lmbd.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     data = tmp_path / "sample.csv"
     data.write_text("y,count\n0,30\n1,90\n2,120\n3,70\n4,10\n")
     code = f"""
@@ -377,12 +385,20 @@ for argv in (["pmf", "--n", "10", "--psi", "0.3", "--omega", "1.5"],
     seen[argv[0]] = scipy_modules()
 print(json.dumps(seen))
 """
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen = _fresh_json(code)
     assert seen == {"import lmbd": [], "import lmbd.cli": [], "pmf": [],
                     "clt": [], "delta-grid": [], "fit": [], "compare": []}
     assert load_json(tmp_path / "fit.out")["result"]["converged"] is True
+
+
+def test_import_lmbd_loads_every_submodule():
+    """In a fresh process, ``import lmbd`` alone loads every library
+    submodule.  The benchmark's tracer (bench/tracer.py) times the
+    functions it finds on them, so a submodule loaded lazily would read
+    zero in its per-layer figures instead of failing."""
+    loaded = set(_fresh_json("import json, sys, lmbd; print(json.dumps(sorted(sys.modules)))"))
+    expect = {f"lmbd.{m}" for m in ("core", "asymptotics", "gauss", "factorization", "ensemble")}
+    assert expect <= loaded
 
 
 class TestExitCodes:

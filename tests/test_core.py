@@ -37,7 +37,36 @@ GRID = [
 ]
 
 
+# the case grid of the one log K_n path: n on both sides of the kernel
+# row cache's cap (4096), psi and omega at and next to their edges
+LOG_K_NS = (1, 2, 7, 64, 65, 400, 5000)
+LOG_K_CASES = [
+    (psi, omega)
+    for psi in (0.0, 1e-300, 1e-6, 0.3, 0.5, 1 - 1e-6, 1.0)
+    for omega in (1e-8, 0.2, 1.0, 1 + 1e-9, 1.5, 1e8)
+]
+
+
 class TestLogK:
+    @pytest.mark.parametrize("n", LOG_K_NS)
+    def test_a_zero_is_the_pmf_normalizer(self, n):
+        for psi, omega in LOG_K_CASES:
+            assert log_k(n, 0, psi, omega) == pmf(ModelParams(n, psi, omega)).log_normalizer
+
+    @pytest.mark.parametrize("n", LOG_K_NS)
+    def test_a_adds_log_tau_a(self, n):
+        eps = np.finfo(float).eps
+        for psi, omega in LOG_K_CASES:
+            log_kn = log_k(n, 0, psi, omega)
+            for a in sorted({1, 2, n // 2, n} & set(range(1, n + 1))):
+                t = tau(a, ModelParams(n, psi, omega))
+                if not 0.0 < t < math.inf:
+                    continue
+                got, expect = log_k(n, a, psi, omega) - log_kn, math.log(t)
+                # the sum, the difference and exp then log each round once
+                tol = 4 * eps * (abs(log_kn) + abs(got) + abs(expect) + 1.0)
+                assert got == pytest.approx(expect, rel=0, abs=tol), (psi, omega, a)
+
     def test_omega_one_reduces_to_binomial_theorem(self):
         for n in (1, 3, 7, 20):
             for a in (0, 1, n):
@@ -251,6 +280,18 @@ class TestMarginalPi:
     def test_equals_mean_over_n(self, n, psi, omega):
         p = ModelParams(n, psi, omega)
         assert marginal_pi(p) == pytest.approx(moments(p).mean / n, abs=LOG_TOL)
+
+    @pytest.mark.parametrize("n,omega,tau1", [(5, 3.0, 81.0), (64, 0.5, 0.5 ** 63),
+                                              (100, 1e-8, 0.0), (100, 1e8, math.inf)])
+    def test_psi_zero_is_exactly_zero(self, n, omega, tau1):
+        # tau_1 = omega^(n-1) at psi = 0, below the double range and
+        # beyond it at the last two cells; pi = psi tau_1 is 0 all the same
+        p = ModelParams(n, 0.0, omega)
+        assert marginal_pi(p) == 0.0
+        report = lmbd.theorem2_check(p)
+        assert report.pi == 0.0
+        assert report.tau1 == pytest.approx(tau1, rel=1e-13, abs=0)
+        assert report.relation == "="
 
 
 class TestJointLogProb:

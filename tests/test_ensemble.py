@@ -23,7 +23,7 @@ from lmbd import (
 )
 
 from lmbd.core import _kernel_row, _logsumexp, _xlogy
-from lmbd.ensemble import _beta_binomial_log_lik
+from lmbd.ensemble import _MAX_STEPS, _beta_binomial_log_lik, _newton_ascent
 
 from enumeration_oracle import enumerate_pmf_oracle
 
@@ -347,3 +347,39 @@ class TestBetaBinomialFit:
             assert m.log_likelihood == pytest.approx(sup, abs=1e-12)
             assert m.predicted_accuracy == report.empirical_accuracy
         assert report.models[2].parameters == {"alpha": 0.0, "beta": 0.0}
+
+
+def _linear_derivs(theta: np.ndarray):
+    """theta[0] on the line: Hessian 0, so never negative definite."""
+    return float(theta[0]), np.array([1.0]), np.zeros((1, 1))
+
+
+class TestNewtonAscent:
+    def test_unbounded_objective_stops_after_max_steps(self):
+        # every gradient step gains 1: no maximizer, so no convergence
+        theta, value, _, steps, converged = _newton_ascent(_linear_derivs, np.zeros(1), 1.0)
+        assert (steps, converged) == (_MAX_STEPS, False)
+        assert theta[0] == value == _MAX_STEPS
+
+    def test_no_ascent_after_max_halvings(self):
+        # the log-likelihood is NaN past theta = 0, so every trial of the
+        # first gradient step fails and the start comes back unconverged
+        def derivs(theta):
+            value, grad, hess = _linear_derivs(theta)
+            return (value if theta[0] <= 0.0 else math.nan), grad, hess
+
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.zeros(1), 1.0)
+        assert (steps, converged) == (0, False)
+        assert theta[0] == value == 0.0
+
+    def test_gradient_step_leaves_a_convex_start(self):
+        # sin is convex at -1, where the Hessian -sin(-1) > 0 sends the
+        # ascent along the gradient; Newton then takes it to pi/2
+        def derivs(theta):
+            x = theta[0]
+            return math.sin(x), np.array([math.cos(x)]), np.array([[-math.sin(x)]])
+
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.array([-1.0]), 1.0)
+        assert converged is True and steps < _MAX_STEPS
+        assert theta[0] == pytest.approx(math.pi / 2, abs=1e-8)
+        assert value == pytest.approx(1.0, abs=1e-15)
