@@ -50,8 +50,8 @@ def _validate(n: int, psi: float, omega: float) -> None:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0.0 <= psi <= 1.0:
         raise ValueError(f"psi must lie in [0, 1], got {psi}")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def conditional_cpr(params: ModelParams) -> float:
     # the two free trials plus n-2 failures hold y = 2, 0, 1 and 1
     # successes; K_n cancels from the ratio
     w = [_log_joint_weight(params, y) for y in range(3)]
-    return math.exp(w[2] + w[0] - 2.0 * w[1])
+    return _exp(w[2] + w[0] - 2.0 * w[1])
 
 
 def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:

@@ -44,8 +44,6 @@ class EnsembleSpec:
     params: ModelParams
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.n != self.params.n:
             raise ValueError("ensemble size must match params.n")
 
@@ -161,19 +159,19 @@ _MAX_HALVINGS = 60
 
 def _newton_ascent(derivs, theta: np.ndarray, total: float):
     """Damped Newton ascent with a backtracking (Armijo) line search on
-    ``derivs(theta)`` = (log-likelihood, gradient, Hessian), falling back
-    to the gradient where the Hessian is not negative definite.  In the
-    quadratic region it takes full steps while the decrement keeps
-    falling, and stops when the score is at rounding level.  Returns
-    (theta, log-likelihood, Hessian, steps, converged)."""
+    ``derivs(theta)`` = (log-likelihood, gradient, Hessian).  The step is
+    V diag(1/s) V' g over the eigenpairs (lambda, V) of -H: Newton's,
+    s = lambda, where -H is positive definite, and otherwise saddle-free
+    (Dauphin et al. 2014), s = max(|lambda|, 1), the gradient's step along
+    |lambda| < 1.  In the quadratic region it takes full steps while the
+    decrement keeps falling, and stops when the score is at rounding
+    level.  Returns (theta, log-likelihood, Hessian, steps, converged)."""
     value, grad, hess = derivs(theta)
     last = math.inf
     for step in range(_MAX_STEPS):
-        try:
-            np.linalg.cholesky(-hess)
-            direction, newton = np.linalg.solve(-hess, grad), True
-        except np.linalg.LinAlgError:
-            direction, newton = grad, False
+        lam, vecs = np.linalg.eigh(-hess)
+        newton = bool(lam.min() > 0.0)
+        direction = vecs @ ((grad @ vecs) / (lam if newton else np.maximum(abs(lam), 1.0)))
         slope = float(grad @ direction)
         quadratic = newton and slope <= total * _QUADRATIC_TOL
         if quadratic and slope >= last / 4.0:
@@ -269,16 +267,6 @@ def fit_mle(sample: CountSample) -> FitResult:
                      standard_errors=standard_errors)
 
 
-def _fit_binomial(sample: CountSample) -> tuple[float, float]:
-    """Closed-form Binomial MLE: (pi_hat, log-likelihood)."""
-    n = sample.n
-    counts = np.asarray(sample.counts, dtype=float)
-    pi_hat = float((np.arange(n + 1) * counts).sum() / (n * counts.sum()))
-    logp = _log_weights(n, pi_hat, 0.0)
-    mask = counts > 0
-    return pi_hat, float((counts[mask] * logp[mask]).sum())
-
-
 def _beta_binomial_log_lik(counts: np.ndarray, theta: np.ndarray):
     """Beta-Binomial log-likelihood, gradient and Hessian in theta =
     (log alpha, log beta).  log P(y) = log C(n, y) + log alpha^(y)
@@ -326,14 +314,16 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
     mbd = report("lmbd", {"psi": fit.psi_hat, "omega": fit.omega_hat},
                  fit.log_likelihood, mbd_accuracy, fit.converged)
 
-    pi_hat, ll_bin = _fit_binomial(sample)
-    binom = report("binomial", {"pi": pi_hat}, ll_bin, binomial_accuracy(n, pi_hat))
-
-    # n N^2 times the sample variance, and N^2 times the binomial variance
-    # at the sample mean, in exact integers
+    # the sum of y, n N^2 times the sample variance, and N^2 times the
+    # binomial variance at the sample mean, in exact integers
     s1 = sum(y * c for y, c in enumerate(sample.counts))
     excess = n * (total * sum(y * y * c for y, c in enumerate(sample.counts)) - s1 * s1)
     binomial_excess = s1 * (n * total - s1)
+
+    pi_hat = s1 / (n * total)
+    seen = counts > 0
+    ll_bin = float((counts[seen] * _log_weights(n, pi_hat, 0.0)[seen]).sum())
+    binom = report("binomial", {"pi": pi_hat}, ll_bin, binomial_accuracy(n, pi_hat))
     if excess <= binomial_excess:
         betabin = report("beta-binomial", {"alpha": math.inf, "beta": math.inf},
                          ll_bin, binom.predicted_accuracy, False)

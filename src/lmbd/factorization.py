@@ -60,12 +60,13 @@ class GridSpec:
                            ("omega_values", self.omega_values)):
             if len(vals) == 0:
                 raise ValueError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
+            # a NaN fails this too, so the ends bound every value
+            if not all(a < b for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        if any(not 0.0 <= p <= 1.0 for p in self.psi_values):
+        if not (0.0 <= self.psi_values[0] and self.psi_values[-1] <= 1.0):
             raise ValueError("psi_values must lie in [0, 1]")
-        if any(w <= 0.0 for w in self.omega_values):
-            raise ValueError("omega_values must be positive")
+        if not (0.0 < self.omega_values[0] and self.omega_values[-1] < math.inf):
+            raise ValueError("omega_values must be positive and finite")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -73,6 +74,9 @@ class GridSpec:
     def linspace(n: int, psi_steps: int = 101, omega_steps: int = 101,
                  psi_min: float = 0.01, psi_max: float = 0.99,
                  omega_min: float = 0.05, omega_max: float = 2.0) -> "GridSpec":
+        # check the ends first: numpy warns when it spreads an infinite one
+        GridSpec((psi_min,), (omega_min,), n)
+        GridSpec((psi_max,), (omega_max,), n)
         return GridSpec(
             psi_values=tuple(np.linspace(psi_min, psi_max, psi_steps)),
             omega_values=tuple(np.linspace(omega_min, omega_max, omega_steps)),

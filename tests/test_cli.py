@@ -554,6 +554,42 @@ def test_every_command_writes_one_artifact(capsys, counts_dir, command):
     assert manifest["seed"] == params.get("seed")
 
 
+def _with(argv, flag, value):
+    """argv with ``flag`` set to ``value``, replaced or appended."""
+    if flag in argv:
+        i = argv.index(flag) + 1
+        return argv[:i] + [value] + argv[i + 1:]
+    return argv + [flag, value]
+
+
+# every omega-valued flag in the table, set to a non-finite value
+NON_FINITE_OMEGA = [
+    (command.name, flag, value)
+    for command in cli.COMMANDS
+    for flag, _ in command.arguments
+    for value in {"--probes": ("10,100,inf", "10,nan")}.get(flag, ("inf", "nan"))
+    if flag in ("--omega", "--omega-min", "--omega-max", "--probes")
+]
+
+
+def test_non_finite_omega_cases_cover_the_table():
+    flagged = {name for name, _, _ in NON_FINITE_OMEGA}
+    assert flagged == {"pmf", "cdf", "moments", "tau", "dn", "limits", "clt", "delta-grid",
+                       "tau1-grid", "accuracy", "sample"}
+
+
+@pytest.mark.parametrize("name, flag, value", NON_FINITE_OMEGA,
+                         ids=[f"{n}{f}={v}" for n, f, v in NON_FINITE_OMEGA])
+def test_non_finite_omega_is_an_error(capsys, counts_dir, name, flag, value):
+    argv = _with(TABLE_ARGV[name], flag, value)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+    code, stdout, _ = run(capsys, *argv, "--out", "a.out")
+    assert code == 1 and stdout == ""
+    assert not (counts_dir / "a.out").exists()
+
+
 def test_help_lists_the_table(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -328,6 +328,14 @@ class TestJointLogProb:
         assert lp == joint_log_prob(p, np.array([1, 0, 1]))
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_omega_must_be_positive_and_finite(omega):
+    with pytest.raises(ValueError, match="omega"):
+        ModelParams(5, 0.3, omega)
+    with pytest.raises(ValueError, match="omega"):
+        log_k(5, 0, 0.3, omega)
+
+
 class TestConditionalCpr:
     def test_independence(self):
         assert conditional_cpr(ModelParams(4, 0.3, 1.0)) == pytest.approx(
@@ -361,6 +369,13 @@ class TestConditionalCpr:
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
             conditional_cpr(ModelParams(1, 0.5, 1.0))
+
+    def test_tiny_omega_is_omega_to_the_minus_two(self):
+        assert conditional_cpr(ModelParams(5, 0.3, 1e-100)) == pytest.approx(1e200, rel=1e-12)
+
+    def test_beyond_the_double_range_is_inf(self):
+        # omega^-2 = 1e400
+        assert conditional_cpr(ModelParams(5, 0.3, 1e-200)) == math.inf
 
 
 class TestSample:

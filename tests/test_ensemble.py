@@ -336,6 +336,16 @@ class TestBetaBinomialFit:
         assert bb.parameters["alpha"] == pytest.approx(alpha, rel=1e-3)
         assert bb.parameters["beta"] == pytest.approx(beta, rel=1e-3)
 
+    def test_indefinite_hessian_fit_converges(self):
+        # the Hessian is indefinite far from the MLE, and a raw-score
+        # step, which grows with the 2e6 observations, stalls short of it
+        pairs = [(0, 10 ** 6), (2, 10 ** 6), (11, 3), (14, 3), (17, 1)]
+        bb = model_comparison(CountSample.from_pairs(20, pairs)).models[2]
+        assert bb.converged is True
+        assert bb.log_likelihood >= -2690115.4786
+        assert bb.parameters["alpha"] == pytest.approx(6.715026, rel=1e-6)
+        assert bb.parameters["beta"] == pytest.approx(127.620392, rel=1e-6)
+
     def test_two_point_sample_reaches_empirical_law(self):
         # observed only at 0 and n: alpha, beta -> 0 with their ratio fixed
         # reaches the empirical law, as the lmbd limits on the chord do
@@ -383,3 +393,17 @@ class TestNewtonAscent:
         assert converged is True and steps < _MAX_STEPS
         assert theta[0] == pytest.approx(math.pi / 2, abs=1e-8)
         assert value == pytest.approx(1.0, abs=1e-15)
+
+    def test_saddle_free_step_leaves_a_saddle(self):
+        # 10 (sin x + sin y) at (-1, 1): -H = diag(-10 sin 1, 10 sin 1) is
+        # indefinite with |lambda| > 1; the step climbs along both axes
+        def derivs(theta):
+            x, y = theta
+            return (10.0 * (math.sin(x) + math.sin(y)),
+                    10.0 * np.array([math.cos(x), math.cos(y)]),
+                    np.diag([-10.0 * math.sin(x), -10.0 * math.sin(y)]))
+
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.array([-1.0, 1.0]), 1.0)
+        assert converged is True and steps < _MAX_STEPS
+        np.testing.assert_allclose(theta, [math.pi / 2, math.pi / 2], atol=1e-8)
+        assert value == pytest.approx(20.0, abs=1e-13)

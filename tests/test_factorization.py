@@ -331,6 +331,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(psi_values=(0.2, 1.5), omega_values=(1.0,), n=3)
 
+    @pytest.mark.parametrize("top", [math.inf, math.nan])
+    def test_omega_values_must_be_finite(self, top):
+        with pytest.raises(ValueError, match="omega_values"):
+            GridSpec(psi_values=(0.2,), omega_values=(1.0, top), n=3)
+        with pytest.raises(ValueError, match="omega_values"):
+            GridSpec.linspace(3, omega_max=top)
+
+    def test_linspace_rejects_an_infinite_psi_end(self):
+        # before numpy spreads it, which would warn
+        with pytest.raises(ValueError, match="psi_values"):
+            GridSpec.linspace(3, psi_max=math.inf)
+
     def test_linspace_defaults(self):
         spec = GridSpec.linspace(n=4)
         assert len(spec.psi_values) == 101
