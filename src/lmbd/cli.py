@@ -116,7 +116,7 @@ def _grid(grid_of, args):
     per (psi, omega) cell."""
     grid = grid_of(GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
                                      args.psi_max, args.omega_min, args.omega_max))
-    rows = [(psi, omega, "nan" if np.isnan(v) else _fmt(v), int(flag))
+    rows = [(psi, omega, _fmt(v), int(flag))
             for psi, values, flags in zip(grid.spec.psi_values, grid.values, grid.flags)
             for omega, v, flag in zip(grid.spec.omega_values, values, flags)]
     return grid, (["psi", "omega", "value", "flag"], rows)
@@ -124,9 +124,8 @@ def _grid(grid_of, args):
 
 def _cmd_delta_grid(args):
     grid, table = _grid(delta_grid, args)
-    defined = grid.values[grid.flags]
-    low = f"min={_fmt(defined.min())}" if defined.size else "no minimum"
-    return table, f"delta grid n={args.n}: {defined.size} defined cells, {low}"
+    return table, (f"delta grid n={args.n}: {int(grid.flags.sum())} positive cells, "
+                   f"min={_fmt(grid.values.min())}")
 
 
 def _cmd_tau1_grid(args):

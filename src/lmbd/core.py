@@ -111,25 +111,29 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-def _row(m: int):
-    i = np.arange(m + 1)
-    lf = _log_factorials(1 << int(m).bit_length())
-    row = (i, m - i, lf[m] - lf[i] - lf[m - i])
-    for part in row:
-        part.flags.writeable = False
-    return row
-
-
-# rows up to this m are cached, 128 of them at most (some 12 MB); a
-# longer row costs little to build next to the call that uses it
+# rows up to this m are cached, 128 per builder (some 12 MB of kernel
+# rows); a longer row costs little to build next to the call that uses it
 _ROW_CACHE_MAX_M = 4096
-_cached_row = functools.lru_cache(maxsize=128)(_row)
 
 
+def _row_cache(build):
+    """``build(m)``'s arrays, made read-only, cached for m <= _ROW_CACHE_MAX_M."""
+    def read_only(m: int):
+        row = build(m)
+        for part in row:
+            part.flags.writeable = False
+        return row
+    cached = functools.lru_cache(maxsize=128)(read_only)
+    return functools.wraps(build)(lambda m: cached(m) if m <= _ROW_CACHE_MAX_M else read_only(m))
+
+
+@_row_cache
 def _kernel_row(m: int):
     """(i, m - i, log C(m, i)) for i = 0..m, read-only: the kernel's
     parts that depend on m alone."""
-    return _cached_row(m) if m <= _ROW_CACHE_MAX_M else _row(m)
+    i = np.arange(m + 1)
+    lf = _log_factorials(1 << int(m).bit_length())
+    return i, m - i, lf[m] - lf[i] - lf[m - i]
 
 
 def _xlogy(k, p):

@@ -1,27 +1,42 @@
 """The K_{n-1} - K_n difference, its parity-dependent factorization, and
-the numeric positivity / region scans.
+the positivity / region scans.
 
 D_n = K_{n-1} - K_n factors as Delta * (psi - 1)(2 psi - 1)(omega - 1),
-with an extra (omega + 1) factor for odd n.  Delta is positive away from
-the singular set {psi in {1/2, 1}} union {omega = 1} (only numeric
-evidence exists; grids here are that evidence).  The sign of D_n decides
-tau_1 <= 1, which in turn decides the ordering between psi and the true
-per-trial marginal pi = psi tau_1.
+with an extra (omega + 1) factor for odd n, and Delta is a sum of
+positive terms: with q = 1 - psi, d_j = n - 2j - 1,
+S_d = sum_{i<d} psi^i q^(d-1-i) and [d]_x = (1 - x^d) / (1 - x)
+(d at x = 1),
 
-A grid reads every cell off one table per axis: the kernel's
-log-weight splits into a psi-only and an omega-only part, so each axis
-exponentiates its own factors once and every cell is a sum of products
-of the two.  The omega part of term i equals that of term n - i, so the
-psi factors of the two are added first and the sums run over
-floor(n/2) + 1 terms: a P x W grid costs P (n + 1) + W (floor(n/2) + 1)
-exps, and no log or exp per cell.  tau_1 is the ratio of the two sums.
+    Delta (omega + 1)^[n odd]
+        = sum_{j=0}^{floor(n/2)-1} C(n-1, j) (psi q)^j S_{d_j}
+                                   omega^(j (n-j)) [d_j]_omega.
 
-D_n has one formula, K_{n-1} - K_n = sum_y (y - n psi) w_y / (n psi)
-over K_n's terms w_y: a grid cell sums s1 - n psi s0 off the axis
-tables; ``d_n``, ``delta`` and a guarded grid cell (sums below
-exp(-300), where the factors flushed to 0 could matter) sum their own
-kernel row (``_d_n_sums``).  A guarded cell's tau_1 is the only
-log-sum-exp (``_log_k_cells``): a linear s1 underflows where it is tiny.
+Derivation: with b the Binomial(n, psi) pmf and w_y = b_y omega^(y (n-y))
+K_n's terms, D_n = sum_y (y - n psi) w_y / (n psi).  y and n - y share
+omega^(y (n-y)), so the sum groups at level j = min(y, n - y); Abel
+summation over j, with sum_y (y - n psi) b_y = 0 and
+sum_{y<=j} (y - n p) b_y(p) = -n C(n-1, j) p^(j+1) (1-p)^(n-j), turns the
+partial sums into (2 psi - 1) C(n-1, j) (psi q)^(j+1) S_{d_j} times n and
+the differences of omega^(j (n-j)) into -(omega - 1) omega^(j (n-j))
+[d_j]_omega.  For odd n, d_j is even and [d_j]_omega =
+(1 + omega) [d_j / 2]_{omega^2}, so (omega + 1) divides out exactly.
+
+So Delta > 0 is proven for n >= 2, psi in [0, 1] and omega > 0 (the
+j = 0 term alone is positive), Delta(psi, 1) = (n - 1) / (1 + [n odd]),
+and D_n, tau_1 - 1 and pi - psi have the sign of the linear factors:
+pi - psi that of (1 - 2 psi)(omega - 1) in all four quadrants.  D_1 = 0.
+
+Each term is a psi-only factor times an omega-only factor.  With
+a = max(psi, q) and b = min(psi, q), S_d = a^(d-1) [d]_{b/a}, and
+[d]_x = expm1(d log x) / expm1(log x) for x < 1, x^(d-1) [d]_{1/x} above
+1: no term divides by a linear factor, so Delta is accurate to rounding
+on the lines psi in {1/2, 1} and omega = 1 as off them.  ``_delta_tables``
+builds both factors' logs, per psi and per omega; ``delta`` takes their
+log-sum-exp, and ``delta_grid`` exponentiates each table once and sums
+their products in one ``einsum``.  ``tau1_region_grid`` reads tau_1 the
+same way off K_n's kernel (``_grid_sums``).  A grid cell whose sums fall
+below exp(-300), where the factors flushed to 0 could matter, is read by
+a log-sum-exp instead.
 """
 
 from __future__ import annotations
@@ -31,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_EXP_FLOOR, ModelParams, _kernel_row, _log_kn_tau, _log_weights,
-                   _tau1_pi, _xlogy)
+from .core import (_EXP_FLOOR, ModelParams, _exp, _kernel_row, _log_kn_tau, _log_weights,
+                   _logsumexp, _row_cache, _tau1_pi, _xlogy)
 
 __all__ = [
     "GridSpec",
@@ -40,7 +55,6 @@ __all__ = [
     "Theorem2Report",
     "d_n",
     "delta",
-    "is_singular",
     "delta_grid",
     "tau1_region_grid",
     "theorem2_check",
@@ -106,64 +120,111 @@ class Theorem2Report:
     relation: str  # one of "<", "=", ">"
 
 
-def _factors(n: int, psi, omega):
-    """(row, col_sign, log_col): the linear factors' psi-only part
-    (psi-1)(2 psi-1), and the sign and log magnitude of the omega-only
-    part (omega-1), times (omega+1) for odd n.  The log is formed as
-    log|omega-1| + log(omega+1), as the product overflows above
-    omega ~ 1.3e154.  On arrays, call it with log(0) warnings off."""
-    row = (psi - 1.0) * (2.0 * psi - 1.0)
-    log_col = np.log(np.abs(omega - 1.0))
-    if n % 2:
-        log_col += np.log(omega + 1.0)
-    return row, np.sign(omega - 1.0), log_col
+def _log_q_integer(e: np.ndarray, log_x):
+    """log [e]_x = log((1 - x^e) / (1 - x)) for integers e >= 1 and
+    x in [0, 1], given log x (-inf at x = 0): log e at x = 1, and expm1
+    keeps every digit near it."""
+    if not isinstance(log_x, np.ndarray):
+        return np.log(e if log_x == 0.0 else np.expm1(e * log_x) / math.expm1(log_x))
+    with np.errstate(invalid="ignore"):
+        ratio = np.expm1(e * log_x) / np.expm1(log_x)
+    return np.log(np.where(log_x == 0.0, e, ratio))
 
 
-def _divided_excess(log_scale, excess, row, col_sign, log_col):
-    """exp(log_scale) excess / (row col), divided in the log domain; a
-    value beyond the double range is a signed infinity."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.sign(excess) * np.sign(row) * col_sign * np.exp(
-            log_scale + np.log(np.abs(excess)) - np.log(np.abs(row)) - log_col)
+@_row_cache
+def _delta_terms(n: int):
+    """(log C(n-1, j), j, d_j, e_j, j (n-j)) for j = 0..floor(n/2)-1 as
+    read-only floats, with d_j = n - 2j - 1 and e_j = d_j / (1 + [n odd]):
+    the parts of Delta's terms that depend on n alone."""
+    half = n // 2
+    j = np.arange(half, dtype=float)
+    d = n - 1.0 - 2.0 * j
+    return _kernel_row(n - 1)[2][:half], j, d, d / (1 + n % 2), j * (n - j)
 
 
-def _cell_d_n(params: ModelParams, row, col_sign, log_col) -> float:
-    """D_n / (row col) at one cell, off its kernel row."""
-    sums = _d_n_sums(params.n, params.psi, math.log(params.omega))
-    return float(_divided_excess(*sums, row, col_sign, log_col))
+def _delta_tables(n: int, psi, omega):
+    """(A, B) with Delta = sum_j exp(A[j] + B[j]) over j = 0..floor(n/2)-1
+    (n >= 2): A the logs of the psi factors C(n-1, j) (psi q)^j S_{d_j},
+    B those of the omega factors omega^(j (n-j)) [d_j]_omega, divided by
+    (omega + 1) for odd n as [e_j]_{omega^2}, e_j = d_j / 2.
+
+    Scalars give one table row each; 1-D arrays give (terms, len(psi))
+    and (terms, len(omega)).  The per-psi and per-omega logs take
+    ``math`` on scalars and numpy on arrays, as ``_xlogy`` does.
+    """
+    log_binom, j, d, e, cross = _delta_terms(n)
+    q = 1.0 - psi
+    if isinstance(psi, np.ndarray):
+        log_binom, j, d, e, cross = (part[:, None] for part in (log_binom, j, d, e, cross))
+        a = np.maximum(psi, q)
+        log_a = np.log(a)
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / a)
+        log_omega = np.log(omega)
+    else:
+        a = max(psi, q)
+        log_a = math.log(a)
+        # b / a = 1 - |2 psi - 1| / a; it is 0 at psi in {0, 1}
+        gap = abs(2.0 * psi - 1.0) / a
+        log_ratio = math.log1p(-gap) if gap < 1.0 else -math.inf
+        log_omega = math.log(omega)
+    theta = (1 + n % 2) * log_omega
+    rising, falling = np.maximum(theta, 0.0), -np.abs(theta)
+    table_a = log_binom + _xlogy(j, psi * q) + (d - 1.0) * log_a + _log_q_integer(d, log_ratio)
+    # [e]_x = x^(e-1) [e]_{1/x} above x = 1
+    table_b = cross * log_omega + (e - 1.0) * rising + _log_q_integer(e, falling)
+    return table_a, table_b
+
+
+def _log_delta(n: int, psi: float, omega: float) -> float:
+    """log Delta at one point: -inf at n = 1, where Delta = 0, and 0 at
+    n = 2, 3, where the one term is S_{n-1} = 1 (S_2 = psi + q) times
+    [n-1]_omega / (omega + 1)^[n odd] = 1."""
+    if n < 4:
+        return 0.0 if n > 1 else -math.inf
+    return _logsumexp(np.add(*_delta_tables(n, psi, omega)))
+
+
+def _d_n_sign(n: int, psi, omega):
+    """The sign of D_n as an int8: that of the linear factors, as
+    Delta > 0, and 0 at n = 1.  Scalars or broadcasting arrays."""
+    row = (n > 1) * np.sign(psi - 1.0) * np.sign(2.0 * psi - 1.0)
+    return row.astype(np.int8) * np.sign(omega - 1.0).astype(np.int8)
 
 
 def d_n(params: ModelParams) -> float:
-    """K_{n-1} - K_n = K_n (tau_1 - 1); a correctly signed infinity
-    beyond the double range, and 0 on the singular set, where tau_1 = 1
-    exactly and its rounding error times a large K_n would not be."""
-    return 0.0 if is_singular(params) else _cell_d_n(params, 1.0, 1.0, 0.0)
-
-
-def is_singular(params: ModelParams) -> bool:
-    """True on the set where the factorization's linear factors vanish."""
-    return params.psi in (0.5, 1.0) or params.omega == 1.0
+    """K_{n-1} - K_n = K_n (tau_1 - 1), as Delta times the linear factors
+    in the log domain: exactly 0.0 on the lines psi in {1/2, 1} and
+    omega = 1, a correctly signed infinity beyond the double range."""
+    n, psi, omega = params.n, params.psi, params.omega
+    # each factor is 0 or at least 2^-53 in size, so the product cannot
+    # underflow: it is 0 exactly on the lines
+    factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omega - 1.0)
+    if n < 2 or factors == 0.0:
+        return 0.0
+    log_factors = (math.log1p(-psi) + math.log(abs(2.0 * psi - 1.0))
+                   + math.log(abs(omega - 1.0)) + n % 2 * math.log1p(omega))
+    return math.copysign(_exp(_log_delta(n, psi, omega) + log_factors), factors)
 
 
 def delta(params: ModelParams) -> float:
     """The residual factor Delta = D_n / [(psi-1)(2 psi-1)(omega-1)
-    (omega+1 if n odd)]; NaN on the singular set (0/0 there), a
-    correctly signed infinity beyond the double range."""
-    if is_singular(params):
-        return math.nan
-    return _cell_d_n(params, *_factors(params.n, params.psi, params.omega))
+    (omega+1 if n odd)], continued onto the lines where the factors
+    vanish: positive for n >= 2, 0 at n = 1, +inf above the double range
+    and 0 below it (near psi = 1/2 with omega < 1 from n = 1088 on)."""
+    return _exp(_log_delta(params.n, params.psi, params.omega))
 
 
-# cells per kernel call on a guarded cell's path are chosen so that one
+# cells per block on a guarded cell's path are chosen so that one
 # (cells, terms) block holds about this many doubles
 _BLOCK_DOUBLES = 1 << 14
 # factors below exp(_EXP_FLOOR / 2) are flushed to 0, so that no product
 # of two factors is subnormal: numpy's arithmetic is many times slower
 # on subnormal doubles
 _LOG_FACTOR_FLOOR = _EXP_FLOOR / 2
-# a cell whose sum or i-weighted sum falls below this is guarded; above
-# it the flushed terms, each below exp(_LOG_FACTOR_FLOOR) = exp(-350),
-# move the sum by at most n (n + 1) exp(-50) of itself
+# a cell whose sum falls below this is guarded; above it the flushed
+# terms, each below exp(_LOG_FACTOR_FLOOR) = exp(-350), move the sum by
+# at most n (n + 1) exp(-50) of itself
 _SUM_FLOOR = math.exp(3 * _EXP_FLOOR / 7)
 
 
@@ -176,79 +237,43 @@ def _flushed_exp(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cell_blocks(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> list:
-    """The cells (psis[k], log_omegas[k]) as (psis, log_omegas) blocks,
-    one kernel call each."""
-    step = max(1, _BLOCK_DOUBLES // (n + 1))
-    return [(psis[k:k + step], log_omegas[k:k + step]) for k in range(0, len(psis), step)]
-
-
-def _d_n_sums(n: int, psi, log_omega):
-    """(log_scale, excess) with D_n = exp(log_scale) excess off K_n's
-    kernel rows: one row at scalar ``psi`` and ``log_omega``, a block of
-    rows at columns of them.
-
-    D_n = sum_y (y - n psi) w_y / (n psi), with the terms y >= 1 divided
-    by n psi in the log domain lest they underflow at a tiny psi, shifted
-    by the largest, floored at exp(_EXP_FLOOR) as in ``core._log_kn_tau``
-    and summed by ``einsum`` as in ``_grid_sums``.  At psi = 0, K_n = 1
-    and D_n = expm1((n - 1) log omega), as e^x (1 - e^-x) for x > 0.
-    """
-    logw = _log_weights(n, psi, log_omega)
-    n_psi = n * psi
-    edge = np.asarray(psi == 0.0)
-    log_n_psi = np.log(n_psi + edge)  # log 1 at psi = 0
-    top = np.maximum(logw[..., :1], logw[..., 1:].max(axis=-1, keepdims=True) - log_n_psi)
-    terms = logw - (top + log_n_psi)
-    terms[..., :1] = logw[..., :1] - top
-    np.exp(np.maximum(terms, _EXP_FLOOR, out=terms), out=terms)
-    coef = _kernel_row(n)[0] - n_psi
-    coef[..., 0] = -1.0
-    excess = np.einsum("...i,...i->...", terms, coef)[..., None]
-    if edge.any():
-        x = (n - 1) * log_omega
-        top = np.where(edge, np.maximum(x, 0.0), top)
-        excess = np.where(edge, -np.sign(x) * np.expm1(-np.abs(x)), excess)
-    return top[..., 0], excess[..., 0]
-
-
-def _divided_d_n(n: int, psis: np.ndarray, log_omegas: np.ndarray, row, col_sign,
-                 log_col) -> np.ndarray:
-    """D_n / (row col) at the cells (psis[k], log_omegas[k]), off their
-    kernel rows."""
-    sums = [_d_n_sums(n, p[:, None], w[:, None]) for p, w in _cell_blocks(n, psis, log_omegas)]
-    return _divided_excess(*map(np.concatenate, zip(*sums)), row, col_sign, log_col)
+def _blocks(terms: int, *cells: np.ndarray) -> list:
+    """The cells, parallel arrays of one entry per cell, cut into blocks
+    of about _BLOCK_DOUBLES / terms cells."""
+    step = max(1, _BLOCK_DOUBLES // terms)
+    return [tuple(c[k:k + step] for c in cells) for k in range(0, len(cells[0]), step)]
 
 
 def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
     """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
     each cell's kernel row."""
     log_tau1 = np.concatenate([_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)[1]
-                               for p, w in _cell_blocks(n, psis, log_omegas)])
+                               for p, w in _blocks(n + 1, psis, log_omegas)])
     with np.errstate(over="ignore"):
         return np.exp(log_tau1)
 
 
-def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
-    """(s0, s1, a_top, b_top) over the psis x omegas grid, such that
-    K_n = exp(a_top[p] + b_top[w]) s0[p, w] and
-    K_{n-1} = exp(a_top[p] + b_top[w]) s1[p, w] / (n psi[p]).
+def _log_delta_cells(table_a: np.ndarray, table_b: np.ndarray, rows, cols) -> np.ndarray:
+    """log Delta at the cells (rows[k], cols[k]) of ``delta_grid``'s
+    tables, by a log-sum-exp over each cell's terms."""
+    return np.concatenate([_logsumexp(table_a[:, r] + table_b[:, c], axis=0)
+                           for r, c in _blocks(len(table_a), rows, cols)])
 
-    K_n's log-weight log C(n, i) + i log psi + (n-i) log(1-psi)
-    + i (n-i) log omega is a psi-only row A[i, p] plus an omega-only
-    column B[i, w].  Each is shifted by its own maximum and
-    exponentiated once, so K_n is a sum of products over i.  Since
-    tau_1 = E[Y] / (n psi), K_{n-1} is the same sum with the psi factor
-    weighted by i and divided by n psi.  B is symmetric under
-    i <-> n-i, so the psi factors of i and n-i are added first and the
-    sums run over i = 0..floor(n/2) only.  Both go through one
-    ``einsum``: numpy's own loop gives the same bits whatever the BLAS
+
+def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
+    """(s0, s1) over the psis x omegas grid with tau_1 = s1 / (n psi s0).
+
+    K_n's log-weight is a psi-only row A[i, p] plus an omega-only column
+    B[i, w] = i (n-i) log omega, each shifted by its maximum and
+    exponentiated once; tau_1 = E[Y] / (n psi) weights the psi factor by
+    i.  B is symmetric under i <-> n-i, so the psi factors of i and n-i
+    are added first and the sums run over i = 0..floor(n/2).  ``einsum``,
+    like the grids' other sums, gives the same bits whatever the BLAS
     thread count, which a BLAS product does not.
     """
     i, rest, log_binom = (part[:, None] for part in _kernel_row(n))
     a = log_binom + _xlogy(i, psis) + _xlogy(rest, 1.0 - psis)
-    a_top = a.max(axis=0)
-    a -= a_top
+    a -= a.max(axis=0)
     ea = _flushed_exp(a)
     half = n // 2 + 1
     i, rest = i[:half], rest[:half]
@@ -263,110 +288,81 @@ def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
         # i = n/2 is its own partner, so its psi factors were doubled
         eb[-1] *= 0.5
     sums = np.einsum("ip,iw->pw", psi_factors, eb)
-    return sums[: len(psis)], sums[len(psis):], a_top, top_expo * log_omegas
+    return sums[: len(psis)], sums[len(psis):]
 
 
 _NO_CELLS = (np.empty(0, dtype=np.intp),) * 2
 
 
-def _guarded(s0: np.ndarray, s1: np.ndarray):
-    """(rows, columns) of the cells whose sums fall below _SUM_FLOOR
-    (every psi = 0 cell among them): each grid recomputes them off their
-    own kernel rows."""
-    if s0.min() >= _SUM_FLOOR and s1.min() >= _SUM_FLOOR:
+def _guarded(*sums: np.ndarray):
+    """(rows, columns) of the cells where any of the ``sums`` falls below
+    _SUM_FLOOR (every psi = 0 cell of ``tau1_region_grid`` among them)."""
+    if all(s.min() >= _SUM_FLOOR for s in sums):
         return _NO_CELLS
-    return np.nonzero((s0 < _SUM_FLOOR) | (s1 < _SUM_FLOOR))
+    return np.nonzero(np.logical_or.reduce([s < _SUM_FLOOR for s in sums]))
 
 
 def delta_grid(spec: GridSpec) -> RegionGrid:
-    """Delta per cell, flagged where defined: singular cells hold NaN
-    and are unflagged.  A Delta beyond the double range comes back as a
-    correctly signed infinity.
+    """Delta per cell, flagged where Delta > 0: every cell for n >= 2
+    unless Delta falls below the double range, where it reads 0 as in
+    ``delta``; none at n = 1, where Delta = 0.  A Delta above the double
+    range comes back as +inf.
 
-    With the sums of ``_grid_sums``, D_n is
-    exp(a_top + b_top) (s1 - n psi s0) / (n psi), so Delta is
-    s1 - n psi s0 times a psi-only factor exp(a_top) / (n psi row) and
-    an omega-only factor exp(b_top) / col, each formed once per row or
-    column in the log domain.  Cells whose factor leaves the double
-    range (omega^floor(n^2 / 4) beyond it) are divided in the log domain.
+    A cell is exp(a_top + b_top) times the sum over j of the products of
+    ``_delta_tables``' two tables, each shifted by its maximum; a column
+    whose exp(b_top) leaves the double range is scaled in the log domain.
+    """
+    n = spec.n
+    shape = (len(spec.psi_values), len(spec.omega_values))
+    if n < 4:
+        values = np.full(shape, float(n > 1))  # as in ``_log_delta``
+    else:
+        table_a, table_b = _delta_tables(n, *map(np.asarray, (spec.psi_values, spec.omega_values)))
+        a_top, b_top = table_a.max(axis=0), table_b.max(axis=0)
+        sums = np.einsum("jp,jw->pw", _flushed_exp(table_a - a_top), _flushed_exp(table_b - b_top))
+        values = sums * np.exp(a_top)[:, None]
+        # 0 * inf in a wide column is a guarded cell, recomputed below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            col_factor = np.exp(b_top)
+            values *= col_factor
+            wide = np.isinf(col_factor)
+            if wide.any():
+                values[:, wide] = np.exp(np.log(sums[:, wide]) + a_top[:, None] + b_top[wide])
+            rows, cols = _guarded(sums)
+            if len(rows):
+                values[rows, cols] = np.exp(_log_delta_cells(table_a, table_b, rows, cols))
+    return RegionGrid(spec=spec, values=values, flags=values > 0.0)
+
+
+def tau1_region_grid(spec: GridSpec) -> RegionGrid:
+    """tau_1 per cell, flagged where tau_1 <= 1, read off the proven sign
+    of D_n: the region
+    {psi <= 1/2 and omega <= 1} union {psi >= 1/2 and omega >= 1}
+    union {psi = 1}, and every cell at n = 1.
     """
     n = spec.n
     psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
     log_omegas = np.log(omegas)
-    s0, s1, a_top, b_top = _grid_sums(n, psis, log_omegas)
-    guard_rows, guard_cols = _guarded(s0, s1)
-    n_psi = n * psis
-    excess = s0 * -n_psi[:, None]
-    excess += s1
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        row, col_sign, log_col = _factors(n, psis, omegas)
-        log_row = a_top - np.log(n_psi)
-        row_factor = np.sign(row) * np.exp(log_row - np.log(np.abs(row)))
-        col_factor = col_sign * np.exp(b_top - log_col)
-        values = excess * row_factor[:, None]
-        values *= col_factor
-        wide_rows, wide_cols = np.isinf(row_factor), np.isinf(col_factor)
-        if wide_rows.any() or wide_cols.any():
-            rows, cols = np.nonzero(wide_rows[:, None] | wide_cols)
-            values[rows, cols] = _divided_excess(log_row[rows] + b_top[cols], excess[rows, cols],
-                                                 row[rows], col_sign[cols], log_col[cols])
-    if len(guard_rows):
-        values[guard_rows, guard_cols] = _divided_d_n(
-            n, psis[guard_rows], log_omegas[guard_cols], row[guard_rows], col_sign[guard_cols],
-            log_col[guard_cols])
-    singular_rows, singular_cols = (psis == 0.5) | (psis == 1.0), omegas == 1.0
-    values[singular_rows] = math.nan
-    values[:, singular_cols] = math.nan
-    flags = ~(singular_rows[:, None] | singular_cols)
-    return RegionGrid(spec=spec, values=values, flags=flags)
-
-
-# numeric tie width for the tau_1 <= 1 classification: on the boundary
-# lines psi = 1/2 and omega = 1 the exact value is 1 but the computed
-# ratio lands at 1 +- a few ulp
-TAU1_TIE_TOL = 1e-12
-
-
-def tau1_region_grid(spec: GridSpec) -> RegionGrid:
-    """tau_1 per cell, flagged where tau_1 <= 1 (ties flagged as <=).
-
-    The flagged region coincides with
-    {psi <= 1/2 and omega <= 1} union {psi >= 1/2 and omega >= 1}.
-    """
-    n = spec.n
-    psis = np.asarray(spec.psi_values)
-    log_omegas = np.log(np.asarray(spec.omega_values))
-    s0, s1, _, _ = _grid_sums(n, psis, log_omegas)
+    s0, s1 = _grid_sums(n, psis, log_omegas)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = s1 / (n * psis[:, None] * s0)
     rows, cols = _guarded(s0, s1)
     if len(rows):
         t1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])
-    return RegionGrid(spec=spec, values=t1, flags=t1 <= 1.0 + TAU1_TIE_TOL)
+    return RegionGrid(spec=spec, values=t1, flags=_d_n_sign(n, psis[:, None], omegas) <= 0)
 
 
 def theorem2_check(params: ModelParams) -> Theorem2Report:
     """Report the ordering between psi and pi = psi tau_1.
 
-    omega > 1 with psi >= 1/2 forces psi > pi strictly (for interior
-    psi); omega = 1 gives equality; psi = 1/2 sits on the symmetric
-    boundary where pi = psi.
+    pi - psi = psi (tau_1 - 1) has the sign of psi D_n, the product of
+    two signs (a subnormal psi times D_n could round to 0): omega > 1
+    with 1/2 < psi < 1 gives psi > pi, and so does omega < 1 with
+    psi < 1/2; omega = 1, psi in {0, 1/2, 1} and n = 1 give equality.
     """
     t1, pi = _tau1_pi(params)
-    applies = params.psi >= 0.5 and params.omega > 1.0
-    # omega = 1 and psi = 1/2 force pi = psi analytically; classify them
-    # as ties rather than let rounding pick a side
-    if params.psi == pi or params.omega == 1.0 or params.psi == 0.5:
-        relation = "="
-    elif params.psi > pi:
-        relation = ">"
-    else:
-        relation = "<"
-    return Theorem2Report(
-        params=params,
-        tau1=t1,
-        pi=pi,
-        theorem_applies=applies,
-        relation=relation,
-    )
+    sign = np.sign(params.psi) * _d_n_sign(params.n, params.psi, params.omega)
+    return Theorem2Report(params=params, tau1=t1, pi=pi,
+                          theorem_applies=params.psi >= 0.5 and params.omega > 1.0,
+                          relation="<" if sign > 0 else ">" if sign < 0 else "=")

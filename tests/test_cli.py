@@ -599,20 +599,27 @@ def test_help_lists_the_table(capsys):
     assert len(listed) == 13
 
 
-@pytest.mark.parametrize("axes", [
-    ["--psi-steps", "1", "--psi-min", "0.5", "--psi-max", "0.5"],
-    ["--omega-steps", "1", "--omega-min", "1", "--omega-max", "1"],
+@pytest.mark.parametrize("axes, values", [
+    (["--psi-steps", "1", "--psi-min", "0.5", "--psi-max", "0.5"],
+     [0.75 * (1 + w + w * w + w ** 3) for w in np.linspace(0.05, 2.0, 101)]),
+    (["--omega-steps", "1", "--omega-min", "1", "--omega-max", "1"], [3.0] * 101),
 ], ids=["psi-half", "omega-one"])
-def test_all_singular_delta_grid(capsys, tmp_path, axes):
-    """Every cell singular: the grid is all NaN with flag 0, and the
-    summary says no cell is defined."""
+def test_all_singular_delta_grid(capsys, tmp_path, axes, values):
+    """Every cell on a line where the linear factors vanish: Delta is
+    (3/4)(1 + omega + omega^2 + omega^3) at psi = 1/2 and 3 at
+    omega = 1 (n = 4), and every cell is flagged positive."""
     out = tmp_path / "grid.csv"
     code, printed, _ = run(capsys, "delta-grid", "--n", "4", *axes, "--out", str(out))
     assert code == 0
-    assert printed == "delta grid n=4: 0 defined cells, no minimum\n"
+    head, low = printed.split(", min=")
+    assert head == "delta grid n=4: 101 positive cells" and low == cli._fmt(float(low)) + "\n"
+    assert float(low) == pytest.approx(min(values), rel=8.9e-16, abs=0)
     _, rows = parse_artifact(out.read_text())
     assert rows[0] == ["psi", "omega", "value", "flag"]
-    assert len(rows) == 102 and all(r[2:] == ["nan", "0"] for r in rows[1:])
+    assert len(rows) == 102 and all(r[3] == "1" for r in rows[1:])
+    cells = [float(r[2]) for r in rows[1:]]
+    np.testing.assert_allclose(cells, values, rtol=8.9e-16)
+    assert float(low) == min(cells)
 
 
 def readme_cli_lines():

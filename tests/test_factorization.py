@@ -5,6 +5,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmbd import (
     GridSpec,
@@ -12,8 +14,6 @@ from lmbd import (
     d_n,
     delta,
     delta_grid,
-    is_singular,
-    log_k,
     marginal_pi,
     tau,
     tau1_region_grid,
@@ -27,16 +27,28 @@ def hand_d2(psi, omega):
     return (psi - 1.0) * (2.0 * psi - 1.0) * (omega - 1.0)
 
 
+def _is_plus_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
 class TestDn:
     def test_independence_gives_zero(self):
-        assert d_n(ModelParams(5, 0.3, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert _is_plus_zero(d_n(ModelParams(5, 0.3, 1.0)))
 
     def test_psi_half_gives_zero(self):
-        # absolute rounding in D_n scales with K_n itself
         for n in (2, 5, 9):
-            scale = math.exp(log_k(n, 0, 0.5, 1.7))
-            assert d_n(ModelParams(n, 0.5, 1.7)) == pytest.approx(
-                0.0, abs=1e-12 * max(1.0, scale))
+            assert _is_plus_zero(d_n(ModelParams(n, 0.5, 1.7)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_exactly_plus_zero_on_the_lines(self, n):
+        # psi - 1 < 0 elsewhere on each line, so a product of signs
+        # would give -0.0; at n = 1, D_1 = K_0 - K_1 = 0 everywhere
+        cells = [(0.5, 0.3), (0.5, 1.7), (1.0, 0.3), (1.0, 1.7), (0.3, 1.0), (0.8, 1.0),
+                 (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+        if n == 1:
+            cells += [(0.3, 1.7), (0.8, 0.3), (0.0, 2.0)]
+        for psi, omega in cells:
+            assert _is_plus_zero(d_n(ModelParams(n, psi, omega))), (psi, omega)
 
     def test_hand_value_n2(self):
         assert d_n(ModelParams(2, 0.3, 1.5)) == pytest.approx(0.14, rel=1e-12)
@@ -79,7 +91,8 @@ class TestBeyondTheDoubleRange:
     # omega ~ 1.3e154.  50-digit mpmath gives Delta = 1.0 at
     # (3, 0.3, 1e160) and +8.4e799 at (5, 0.3, 1e200).  The bounds are
     # twice the measured errors of delta (1.03e-48: 1.0 is the rounded
-    # value) and of the grid cell (1.11e-15)
+    # value) and of the grid cell; the n = 3 cell's 2.3e-15 is a ceiling
+    # kept from the earlier path, as the cell now reads 1.0 too
     @pytest.mark.parametrize("n,omega,bound,cell_bound", [
         (3, 1e160, 2.1e-48, 2.3e-15),
         (5, 1e200, 0.0, 0.0),
@@ -96,19 +109,18 @@ class TestBeyondTheDoubleRange:
     def test_delta_matches_delta_grid(self):
         # the cells straddle log K_n = 709.78, where the grid's omega
         # factor omega^floor(n^2 / 4) leaves the double range (omega = 2
-        # at n = 64, 1.073 at n = 200); the row one ulp below psi = 1/2,
-        # where tau_1 - 1 is below its own rounding error and the grid
-        # has no correct digit, is left out.  Each bound is twice the
-        # worst gap between the two: 1.39e-13 at (64, 0.7, 1.95),
-        # 1.14e-13 at (64, 0.95, 2.075) and 1.12e-13 at (200, 0.85, 1.06)
-        for spec, rel in ((GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2), 2.8e-13),
-                          (GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 4.0), 2.3e-13),
-                          (GridSpec.linspace(200, 19, 13, 0.05, 0.95, 1.01, 1.61), 2.3e-13)):
+        # at n = 64, 1.073 at n = 200); the first three carry the row one
+        # ulp below psi = 1/2, the default axes at n = 65 the row on it.
+        # Each bound is twice the worst gap between the two: 1.14e-13 at
+        # (64, 0.95, 2.025), 7.9e-14 at (64, 0.55, 1.9), 6.2e-14 at
+        # (200, 0.35, 1.06) and 1.14e-13 at (65, 0.0296, 1.98)
+        for spec, rel in ((GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 2.2), 2.3e-13),
+                          (GridSpec.linspace(64, 19, 13, 0.05, 0.95, 1.9, 4.0), 1.6e-13),
+                          (GridSpec.linspace(200, 19, 13, 0.05, 0.95, 1.01, 1.61), 1.3e-13),
+                          (GridSpec.linspace(65), 2.3e-13)):
             grid = delta_grid(spec)
             infinite = 0
             for i, psi in enumerate(spec.psi_values):
-                if abs(psi - 0.5) < 1e-9:
-                    continue
                 for j, omega in enumerate(spec.omega_values):
                     got, expect = delta(ModelParams(spec.n, psi, omega)), grid.values[i, j]
                     where = (spec.n, psi, omega)
@@ -121,19 +133,28 @@ class TestBeyondTheDoubleRange:
 
 
 def _exact_d_n(n, psi, omega):
-    """(Delta, D_n) at 50 digits."""
+    """(Delta, D_n) at 50 digits; D_n = 0 on the lines."""
     exact_delta = _exact(n, psi, omega)[1]
     with mp.workdps(DPS):
         p, w = mp.mpf(psi), mp.mpf(omega)
         return exact_delta, exact_delta * (p - 1) * (2 * p - 1) * (w - 1) * ((w + 1) if n % 2 else 1)
 
 
+HALF_ULP_BELOW = 0.49999999999999994
+NEAR_LINE_CELLS = [
+    (psi, omega)
+    for psi in (0.0, 0.3, HALF_ULP_BELOW, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1 - 1e-12, 1.0)
+    for omega in (0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1.3)]
+
+
 class TestScalarOracle:
-    # relative error bound of both delta and d_n against 50-digit mpmath:
-    # twice the worse of the two measured errors, 5.45e-14, 4.14e-14,
-    # 5.45e-14, 9.43e-13, 2.28e-8 and 2.83e-8.  Near omega = 1 and
-    # psi = 1/2 the sum of (y - n psi) w_y cancels down to D_n, and the
-    # last two points are that cancellation
+    # ceilings on the relative error of delta and d_n, kept as they were
+    # when D_n was divided by the linear factors (they name the tests).
+    # Both now read within 1.82e-14, 3.17e-14, 9.49e-15, 7.88e-13,
+    # 1.22e-14 and 3.89e-15: the last two lie 1e-9 from omega = 1 and
+    # psi = 1/2, where no term of Delta's sum cancels.
+    # ``test_matches_mpmath_on_and_near_the_lines`` holds each n to twice
+    # its measured worst error
     @pytest.mark.parametrize("n,psi,omega,bound", [
         (200, 0.55, 1.01, 1.1e-13),
         (200, 0.45, 1.01, 8.3e-14),
@@ -148,10 +169,33 @@ class TestScalarOracle:
         assert _rel(delta(params), exact_delta) <= bound
         assert _rel(d_n(params), exact_d_n) <= bound
 
-    # K_{n-1}'s terms are O(psi) of K_n's largest here, so a sum shifted
-    # by K_n's largest term alone would flush them; the guarded grid cell
-    # takes the same path.  Bounds are twice the worst measured error of
-    # the three, 5.29e-14, 4.41e-14, 9.24e-15 and 1.56e-16
+    # the lines psi in {1/2, 1} and omega = 1, their corners, psi = 0,
+    # one ulp below 1/2, and 1e-12 from each line.  Each bound is twice
+    # the worst relative error of delta and d_n over these points, where
+    # the oracle's D_n is not 0 (d_n must then be +0.0).  From n = 200 on
+    # the error is that of log C(n - 1, j) and of j (n - j) log omega,
+    # whose size the log-domain sum carries into every digit of Delta
+    @pytest.mark.parametrize("n,bound", [
+        (2, 1.7e-14), (3, 1.6e-14), (4, 2.0e-14), (5, 1.2e-14), (12, 9.9e-15), (13, 2.3e-14),
+        (64, 1.3e-13), (65, 1.1e-13), (200, 6.2e-13), (201, 1.1e-12), (999, 2.1e-12),
+        (1000, 9.8e-13),
+    ])
+    def test_matches_mpmath_on_and_near_the_lines(self, n, bound):
+        # n = 999 and 1000 take every third cell, as the oracle's K sums
+        # cost some 75 ms a cell there
+        for psi, omega in NEAR_LINE_CELLS[::1 if n < 999 else 3]:
+            params = ModelParams(n, psi, omega)
+            exact_delta, exact_d_n = _exact_d_n(n, psi, omega)
+            assert _rel(delta(params), exact_delta) <= bound, (psi, omega)
+            if exact_d_n == 0:
+                assert _is_plus_zero(d_n(params)), (psi, omega)
+            else:
+                assert _rel(d_n(params), exact_d_n) <= bound, (psi, omega)
+
+    # every term past j = 0 carries (psi q)^j, so these weigh terms as
+    # small as psi^j against the first.  The bounds are ceilings kept
+    # from the earlier path (they name the tests): delta, d_n and the cell
+    # now read within 4.74e-16, 6.08e-16, 3.55e-16 and 1.04e-16
     @pytest.mark.parametrize("n,psi,omega,bound", [
         (5, 1e-200, 2.0, 1.1e-13),
         (64, 1e-300, 1.1, 8.9e-14),
@@ -170,7 +214,7 @@ class TestScalarOracle:
     def test_sign_one_ulp_below_psi_half(self, omega):
         # 2 psi - 1 = -2^-53 exactly and 1 - psi rounds to 1/2; mpmath
         # gives Delta = +1.26e285, +6.4e318 and +1.4e350, so D_n > 0 too
-        params = ModelParams(64, 0.49999999999999994, omega)
+        params = ModelParams(64, HALF_ULP_BELOW, omega)
         exact = _exact(64, params.psi, omega)[1]
         assert exact > 0
         if exact > sys.float_info.max:
@@ -180,31 +224,64 @@ class TestScalarOracle:
         assert d_n(params) > 0.0
 
 
+def _line_delta(n: int, psi: float, omega: float) -> mp.mpf:
+    """Delta on the lines, from the K sums by L'Hopital's rule: in omega
+    at omega = 1, in psi at psi = 1/2 and at psi = 1 (where only the
+    y = n and y = n - 1 terms of K_n move)."""
+    with mp.workdps(DPS):
+        if omega == 1.0:
+            return mp.mpf(n - 1) / (1 + n % 2)
+        w = mp.mpf(omega)
+        col = (w - 1) * ((w + 1) if n % 2 else 1)
+        if psi == 1.0:
+            return (w ** (n - 1) - 1) / col
+        assert psi == 0.5
+        return 2 * mp.fsum(mp.binomial(n, y) * (n - (2 * y - n) ** 2) * w ** (y * (n - y))
+                           for y in range(n + 1)) / (2 ** n * n * col)
+
+
 class TestDelta:
     def test_n2_is_one_everywhere_defined(self):
-        for psi in (0.1, 0.3, 0.7, 0.9):
-            for omega in (0.2, 0.9, 1.4, 2.0):
+        for psi in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            for omega in (0.2, 0.9, 1.0, 1.4, 2.0):
                 assert delta(ModelParams(2, psi, omega)) == pytest.approx(
                     1.0, rel=1e-10)
 
     @pytest.mark.parametrize("n", [4, 5, 9, 12])
     def test_positive_on_spec_example_grid(self, n):
-        psis = [p for p in np.arange(0.1, 0.95, 0.2) if abs(p - 0.5) > 1e-9]
-        omegas = [w for w in np.arange(0.2, 1.85, 0.4) if abs(w - 1.0) > 1e-9]
-        for psi in psis:
-            for omega in omegas:
+        for psi in np.arange(0.1, 0.95, 0.2):
+            for omega in np.arange(0.2, 1.85, 0.4):
                 assert delta(ModelParams(n, psi, omega)) > 0.0
 
-    def test_singular_marker(self):
-        assert math.isnan(delta(ModelParams(4, 0.5, 1.3)))
-        assert math.isnan(delta(ModelParams(4, 1.0, 1.3)))
-        assert math.isnan(delta(ModelParams(4, 0.3, 1.0)))
+    # each bound is twice the worst relative error over the cells
+    @pytest.mark.parametrize("n,bound", [
+        (4, 1.1e-15), (5, 2.2e-15), (12, 5.8e-15), (13, 4.9e-15), (64, 7.0e-14),
+    ])
+    def test_lines_read_closed_forms(self, n, bound):
+        # at omega = 1, Delta = 3 for n = 4 and 2 for n = 5, at every psi
+        cells = ([(psi, 1.0) for psi in (0.0, 0.3, 0.5, 0.8, 1.0)]
+                 + [(psi, omega) for psi in (0.5, 1.0) for omega in (0.3, 1.7)])
+        for psi, omega in cells:
+            got = delta(ModelParams(n, psi, omega))
+            assert _rel(got, _line_delta(n, psi, omega)) <= bound, (psi, omega)
 
-    def test_is_singular_predicate(self):
-        assert is_singular(ModelParams(3, 0.5, 2.0))
-        assert is_singular(ModelParams(3, 1.0, 2.0))
-        assert is_singular(ModelParams(3, 0.2, 1.0))
-        assert not is_singular(ModelParams(3, 0.2, 2.0))
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 300), psi=st.floats(0.0, 1.0), omega=st.floats(1e-3, 1e3))
+    def test_positive_and_d_n_has_the_sign_of_the_factors(self, n, psi, omega):
+        # Delta >= 2^-298 for n <= 300 (its j = 0 term alone), so neither
+        # Delta nor D_n underflows; the kernel's tau_1 decides the sign
+        # independently wherever it is clear of 1
+        params = ModelParams(n, psi, omega)
+        assert delta(params) > 0.0
+        sign = np.sign(psi - 1.0) * np.sign(2.0 * psi - 1.0) * np.sign(omega - 1.0)
+        got = d_n(params)
+        if sign == 0.0:
+            assert _is_plus_zero(got)
+        else:
+            assert got != 0.0 and math.copysign(1.0, got) == sign
+        t1 = tau(1, params)
+        if abs(t1 - 1.0) > 1e-9:
+            assert (t1 > 1.0) == (sign > 0.0)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_factorization_reconstructs_dn(self, n):
@@ -229,13 +306,25 @@ class TestDeltaGrid:
         assert grid.values[grid.flags].min() > 0.0
 
     def test_singular_cells_flagged(self):
-        spec = GridSpec(psi_values=(0.3, 0.5, 0.7),
+        # the cells where the linear factors vanish hold Delta's closed
+        # forms and are flagged Delta > 0 like every other; at n = 1,
+        # Delta = 0 and no cell is flagged.  The bound is twice the worst
+        # relative error, 4.4e-16
+        spec = GridSpec(psi_values=(0.3, 0.5, 0.7, 1.0),
                         omega_values=(0.5, 1.0, 1.5), n=4)
         grid = delta_grid(spec)
-        assert not grid.flags[1, :].any()  # psi = 1/2 row
-        assert not grid.flags[:, 1].any()  # omega = 1 column
-        assert np.isnan(grid.values[~grid.flags]).all()
-        assert grid.flags[0, 0] and grid.flags[2, 2]
+        assert grid.flags.all()
+        for i, psi in enumerate(spec.psi_values):
+            for j, omega in enumerate(spec.omega_values):
+                if psi in (0.5, 1.0) or omega == 1.0:
+                    assert _rel(grid.values[i, j], _line_delta(4, psi, omega)) <= 8.9e-16
+        np.testing.assert_allclose(grid.values[:, 1], 3.0, rtol=8.9e-16)
+        # Delta(1/2, omega) = (3/4)(1 + omega + omega^2 + omega^3) at n = 4
+        np.testing.assert_allclose(grid.values[1], [1.40625, 3.0, 6.09375], rtol=8.9e-16)
+        np.testing.assert_allclose(delta_grid(GridSpec((0.3, 0.5), (1.0,), 5)).values, 2.0,
+                                   rtol=8.9e-16)
+        at_one = delta_grid(GridSpec(spec.psi_values, spec.omega_values, 1))
+        assert (at_one.values == 0.0).all() and not at_one.flags.any()
 
 
 class TestTau1RegionGrid:
@@ -244,6 +333,12 @@ class TestTau1RegionGrid:
         grid = tau1_region_grid(spec)
         np.testing.assert_allclose(grid.values[:, 0], 1.0, atol=1e-12)
         assert grid.flags.all()  # ties flagged as <=
+
+    def test_psi_one_row_and_n_one_are_flagged(self):
+        # D_n = 0 there: tau_1 = 1
+        spec = GridSpec(psi_values=(0.2, 0.8, 1.0), omega_values=(0.5, 1.5), n=5)
+        assert tau1_region_grid(spec).flags[2].all()
+        assert tau1_region_grid(GridSpec(spec.psi_values, spec.omega_values, 1)).flags.all()
 
     @pytest.mark.parametrize("n", [4, 5, 9, 12])
     def test_upper_right_cell(self, n):
@@ -306,6 +401,14 @@ class TestTheorem2Check:
 
     def test_psi_half_is_tie(self):
         assert theorem2_check(ModelParams(6, 0.5, 1.5)).relation == "="
+
+    def test_edges_read_the_sign(self):
+        # psi tau_1 - psi for a subnormal psi can round to 0; its sign
+        # cannot.  D_1 = 0, and psi = 1 is a tie
+        assert theorem2_check(ModelParams(5, 5e-324, 2.0)).relation == "<"
+        assert theorem2_check(ModelParams(5, 5e-324, 0.5)).relation == ">"
+        assert theorem2_check(ModelParams(1, 0.3, 2.0)).relation == "="
+        assert theorem2_check(ModelParams(5, 1.0, 2.0)).relation == "="
 
     def test_ordering_matches_tau1_on_grid(self):
         for n in (4, 7):

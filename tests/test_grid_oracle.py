@@ -4,15 +4,16 @@ per-psi-row reference, within a memory budget, and bit for bit across
 BLAS thread counts.
 
 The oracle sums K_{n-a} = sum_i C(m, i) psi^i (1-psi)^(m-i)
-omega^((m-i)(i+a)), m = n - a, exactly at 50 digits on sampled cells.
-n = 1 is left out: there D_1 = K_0 - K_1 is identically 0, so Delta and
-tau_1 - 1 are rounding noise in any double evaluation.  From n = 200 on
-some cells leave the grid's sum of products for its guard, which reads
-them off their own kernel rows; cells are sampled from both paths.
+omega^((m-i)(i+a)), m = n - a, exactly at 50 digits on sampled cells,
+and takes Delta's limit onto the lines psi in {1/2, 1} and omega = 1.
+n = 1 is left out of it: there D_1 = K_0 - K_1 is identically 0, and
+so is Delta.  From n = 200 on some cells leave a grid's sum of products
+for its guard's log-sum-exp; cells are sampled from both paths.
 
-The row reference is the grid loop as it was written before the grids
-were batched: one psi row at a time through scipy's ``logsumexp``.  The
-grids must flag exactly the cells it flags.
+The row reference is the tau_1 grid loop as it was written before the
+grids were batched: one psi row at a time through scipy's
+``logsumexp``.  The grid must flag every cell where its tau_1 is clear
+of 1 as it does.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ from scipy.special import gammaln, logsumexp, xlogy
 
 from lmbd import GridSpec, delta_grid, factorization, tau1_region_grid
 from lmbd.core import _log_kn_tau, _log_weights
-from lmbd.factorization import TAU1_TIE_TOL
+
 
 DPS = 50
+LIMIT_STEP = mp.mpf("1e-40")
+LIMIT_DPS = 120
 NS = (2, 5, 20, 64)
 CELLS_PER_GRID = 40
-# Delta is compared only away from the singular lines, where its
-# division by (2 psi - 1)(omega - 1) does not amplify rounding
-DELTA_MARGIN = 0.05
+# twice the worst relative error of a sampled Delta cell, 9.6e-14 at
+# (64, 0.5012, 1.957); the cells include the lines psi = 1/2 and omega = 1
+SAMPLED_DELTA_BOUND = 1.9e-13
 
 
 def _seeded_spec(n: int, seed: int) -> GridSpec:
@@ -54,9 +57,8 @@ def _specs(n: int) -> list[GridSpec]:
     return [GridSpec.linspace(n), _seeded_spec(n, seed=n)]
 
 
-def _exact_log_k(n: int, a: int, psi: float, omega: float) -> mp.mpf:
+def _exact_log_k(n: int, a: int, p: mp.mpf, w: mp.mpf) -> mp.mpf:
     m = n - a
-    p, w = mp.mpf(psi), mp.mpf(omega)
     p_pow, q_pow = [mp.mpf(1)], [mp.mpf(1)]
     for _ in range(m):
         p_pow.append(p_pow[-1] * p)
@@ -72,10 +74,21 @@ def _exact_log_k(n: int, a: int, psi: float, omega: float) -> mp.mpf:
 
 
 def _exact(n: int, psi: float, omega: float) -> tuple[mp.mpf, mp.mpf]:
-    """(tau_1, Delta) at one cell off the singular lines."""
-    with mp.workdps(DPS):
-        la, lb = _exact_log_k(n, 1, psi, omega), _exact_log_k(n, 0, psi, omega)
+    """(tau_1, Delta) at one cell, from the two K sums.  On the lines
+    psi in {1/2, 1} and omega = 1, where Delta is 0/0, both are taken at
+    a point a step inside, at LIMIT_DPS digits or more: Delta is a
+    polynomial, so that moves it by O(LIMIT_STEP) of itself."""
+    on_line = psi in (0.5, 1.0) or omega == 1.0
+    # a step h below psi = 1 adds terms of order (n h omega^n)^j to
+    # Delta, so the step shrinks by n omega^n there, and the digits grow
+    scale = math.log10(n) + n * math.log10(max(omega, 1.0)) if psi == 1.0 else 0.0
+    with mp.workdps(LIMIT_DPS + int(2 * scale) if on_line else DPS):
         p, w = mp.mpf(psi), mp.mpf(omega)
+        if psi in (0.5, 1.0):
+            p -= LIMIT_STEP / mp.mpf(10) ** scale
+        if omega == 1.0:
+            w += LIMIT_STEP
+        la, lb = _exact_log_k(n, 1, p, w), _exact_log_k(n, 0, p, w)
         factors = (p - 1) * (2 * p - 1) * (w - 1) * ((w + 1) if n % 2 else 1)
         return mp.exp(la - lb), (mp.exp(la) - mp.exp(lb)) / factors
 
@@ -97,51 +110,48 @@ def test_sampled_cells_match_mpmath(n):
         cols = rng.integers(len(spec.omega_values), size=CELLS_PER_GRID)
         for i, j in zip(rows, cols):
             psi, omega = spec.psi_values[i], spec.omega_values[j]
-            if psi == 0.5 or omega == 1.0:
-                # tau_1 = 1 exactly on the singular lines
-                t1, d = mp.mpf(1), None
-            else:
-                t1, d = _exact(n, psi, omega)
+            t1, d = _exact(n, psi, omega)
             assert _rel(tau1.values[i, j], t1) <= 1e-12, (n, psi, omega)
-            if abs(psi - 0.5) >= DELTA_MARGIN and abs(omega - 1.0) >= DELTA_MARGIN:
-                assert _rel(dgrid.values[i, j], d) <= 1e-11, (n, psi, omega)
+            if abs(t1 - 1) > 1e-12:
+                assert tau1.flags[i, j] == (t1 <= 1), (n, psi, omega)
+            assert _rel(dgrid.values[i, j], d) <= SAMPLED_DELTA_BOUND, (n, psi, omega)
 
 
-def _guard_mask(spec: GridSpec, monkeypatch) -> np.ndarray:
-    """The cells both grids send through their guard: ``_log_k_cells``
-    for tau_1, ``_divided_d_n`` for Delta."""
+def _guard_masks(spec: GridSpec, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """The cells each grid sends through its guard's log-sum-exp:
+    (``_log_k_cells`` of tau1_region_grid, ``_log_delta_cells`` of
+    delta_grid)."""
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
-    masks = []
+    tau1_mask = np.zeros((len(psis), len(log_omegas)), dtype=bool)
+    delta_mask = np.zeros_like(tau1_mask)
+    log_k_cells, log_delta_cells = factorization._log_k_cells, factorization._log_delta_cells
 
-    def recording(reader):
-        mask = np.zeros((len(psis), len(log_omegas)), dtype=bool)
-        masks.append(mask)
+    def tau1_cells(n, cell_psis, cell_log_omegas):
+        tau1_mask[np.searchsorted(psis, cell_psis),
+                  np.searchsorted(log_omegas, cell_log_omegas)] = True
+        return log_k_cells(n, cell_psis, cell_log_omegas)
 
-        def recorded(n, cell_psis, cell_log_omegas, *rest):
-            mask[np.searchsorted(psis, cell_psis),
-                 np.searchsorted(log_omegas, cell_log_omegas)] = True
-            return reader(n, cell_psis, cell_log_omegas, *rest)
-        return recorded
+    def delta_cells(table_a, table_b, rows, cols):
+        delta_mask[rows, cols] = True
+        return log_delta_cells(table_a, table_b, rows, cols)
 
     with monkeypatch.context() as m:
-        m.setattr(factorization, "_log_k_cells", recording(factorization._log_k_cells))
-        m.setattr(factorization, "_divided_d_n", recording(factorization._divided_d_n))
+        m.setattr(factorization, "_log_k_cells", tau1_cells)
+        m.setattr(factorization, "_log_delta_cells", delta_cells)
         tau1_region_grid(spec)
         delta_grid(spec)
-    np.testing.assert_array_equal(masks[0], masks[1])
-    return masks[0]
+    return tau1_mask, delta_mask
 
 
-def _log_sum_exp_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray):
-    """(log K_n, tau_1) at the cells (psis[k], log_omegas[k]) by a
-    log-sum-exp over each cell's kernel row (``core._log_kn_tau``): the
-    numerics of the tau_1 guard, with log K_n kept."""
-    parts = [_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)
-             for p, w in factorization._cell_blocks(n, psis, log_omegas)]
-    log_kn, log_tau1 = map(np.concatenate, zip(*parts))
+def _log_sum_exp_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
+    """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
+    each cell's kernel row (``core._log_kn_tau``): the numerics of the
+    tau_1 guard."""
+    log_tau1 = np.concatenate([_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)[1]
+                               for p, w in factorization._blocks(n + 1, psis, log_omegas)])
     with np.errstate(over="ignore"):
-        return log_kn, np.exp(log_tau1)
+        return np.exp(log_tau1)
 
 
 def _rel_normal(got: float, exact: mp.mpf) -> float:
@@ -154,45 +164,46 @@ def _rel_normal(got: float, exact: mp.mpf) -> float:
 
 LARGE_NS = (200, 400, 1000)
 CELLS_PER_PATH = 4
-# (tau_1, Delta) bounds per n and path (guarded or not): twice the worst
-# relative error, on these same cells, of two log-sum-exp passes over
-# every cell, one for K_{n-1} and one for K_n
+# (tau_1, Delta) bounds per n and path (guarded or not).  tau_1's are
+# twice the worst relative error, on sampled cells, of a reference of
+# two log-sum-exp passes over every cell, one for K_{n-1} and one for
+# K_n.  Delta's are twice its own worst error on its cells (at n = 200
+# its guarded cells all lie beyond the double range), except at
+# n = 1000, where that would be 1.7e-13 and the earlier 1.1e-13 holds
 LARGE_N_BOUNDS = {
-    200: {False: (1.4e-12, 2.4e-14), True: (2.4e-13, 2.5e-14)},
-    400: {False: (5.9e-12, 1.1e-13), True: (2.5e-12, 8.8e-14)},
-    1000: {False: (3.2e-11, 1.1e-13), True: (1.6e-11, 2.0e-13)},
+    200: {False: (1.4e-12, 2.4e-14), True: (2.4e-13, 0.0)},
+    400: {False: (5.9e-12, 7.6e-15), True: (2.5e-12, 2.1e-14)},
+    1000: {False: (3.2e-11, 1.1e-13), True: (1.6e-11, 5.2e-14)},
 }
 
 
-def _large_n_cells(spec: GridSpec, monkeypatch, rng) -> list[tuple[int, int, bool]]:
-    """(row, column, guarded) of CELLS_PER_PATH cells from each path,
-    off the singular lines."""
-    guard = _guard_mask(spec, monkeypatch)
-    psis = np.asarray(spec.psi_values)
-    omegas = np.asarray(spec.omega_values)
-    off = (psis[:, None] != 0.5) & (omegas != 1.0)
-    cells = []
-    for path in (True, False):
-        cand = np.argwhere(off & (guard == path))
-        assert len(cand) >= CELLS_PER_PATH, (spec.n, path)
-        pick = cand[rng.choice(len(cand), size=CELLS_PER_PATH, replace=False)]
-        cells += [(i, j, path) for i, j in pick]
-    return cells
+def _pick(mask: np.ndarray, rng) -> np.ndarray:
+    """Up to CELLS_PER_PATH (row, column) pairs of ``mask``'s cells."""
+    cand = np.argwhere(mask)
+    return cand[rng.choice(len(cand), size=min(CELLS_PER_PATH, len(cand)), replace=False)]
 
 
 @pytest.mark.parametrize("n", LARGE_NS)
 def test_large_n_cells_match_mpmath_on_both_paths(n, monkeypatch):
     rng = np.random.default_rng(2000 + n)
+    delta_guarded = 0
     for spec in _specs(n):
         tau1, dgrid = tau1_region_grid(spec), delta_grid(spec)
-        for i, j, guarded in _large_n_cells(spec, monkeypatch, rng):
-            psi, omega = spec.psi_values[i], spec.omega_values[j]
-            t1, d = _exact(n, psi, omega)
-            where = (n, psi, omega, guarded)
-            tau1_bound, delta_bound = LARGE_N_BOUNDS[n][guarded]
-            assert _rel_normal(tau1.values[i, j], t1) <= tau1_bound, where
-            if abs(psi - 0.5) >= DELTA_MARGIN and abs(omega - 1.0) >= DELTA_MARGIN:
-                assert _rel_normal(dgrid.values[i, j], d) <= delta_bound, where
+        tau1_mask, delta_mask = _guard_masks(spec, monkeypatch)
+        for path in (True, False):
+            # tau_1 takes both paths on every grid here; Delta's guard
+            # is rarer
+            tau1_cells = _pick(tau1_mask == path, rng)
+            assert len(tau1_cells) == CELLS_PER_PATH, (n, path)
+            delta_cells = _pick(delta_mask == path, rng)
+            delta_guarded += path * len(delta_cells)
+            tau1_bound, delta_bound = LARGE_N_BOUNDS[n][path]
+            for (i, j), grid, bound, part in ([(c, tau1, tau1_bound, 0) for c in tau1_cells]
+                                              + [(c, dgrid, delta_bound, 1) for c in delta_cells]):
+                psi, omega = spec.psi_values[i], spec.omega_values[j]
+                exact = _exact(n, psi, omega)[part]
+                assert _rel_normal(grid.values[i, j], exact) <= bound, (n, psi, omega, path)
+    assert delta_guarded > 0
 
 
 @pytest.mark.parametrize("n", (200, 400))
@@ -203,91 +214,94 @@ def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     spec = _seeded_spec(n, seed=n)
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
-    s0, s1, a_top, b_top = factorization._grid_sums(n, psis, log_omegas)
+    s0, s1 = factorization._grid_sums(n, psis, log_omegas)
     summed = np.ones(s0.shape, dtype=bool)
     summed[factorization._guarded(s0, s1)] = False
     rows, cols = np.nonzero(summed)
-    log_kn = a_top[rows] + b_top[cols] + np.log(s0[rows, cols])
     tau1 = s1[rows, cols] / (n * psis[rows] * s0[rows, cols])
-    ref_log_kn, ref_tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
+    ref_tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
     np.testing.assert_allclose(tau1, ref_tau1, rtol=1e-10, atol=0)
-    np.testing.assert_allclose(log_kn, ref_log_kn, rtol=1e-13, atol=1e-13)
 
 
-# (tau_1, Delta) bounds per n: twice the worst error over every cell of
-# the seeded axes that is neither singular nor guarded, measured against
-# ``_log_sum_exp_cells`` + ``_divided_excess``.  tau_1's error is relative.
-# Delta's is its error in D_n over K_{n-1} + K_n, since Delta's own
-# relative error near the singular lines is the cancellation in
-# tau_1 - 1 that both paths share (1e-10 at psi = 0.4996 in the
-# reference), and at n = 1 the exact Delta is 0.
+# (tau_1, Delta) bounds per n: twice the worst relative error over every
+# cell of the seeded axes that neither grid guards, tau_1 against
+# ``_log_sum_exp_cells`` and Delta against a log-sum-exp over each
+# cell's terms in the same two tables, taken in np.longdouble: a double
+# log of Delta near 600 is only good to ulp(600) = 1.1e-13, which would
+# hide the grid's own error.  At n = 64 and 200 the worst cells lie in
+# the columns scaled in the log domain, whose exponent near 709 rounds
+# to ulp(709) / 2.  Delta = 0 at n = 1 and 1 at n = 2, 3, exactly.
 SUMS_BOUNDS = {
-    1: (6.7e-16, 3.4e-16),
-    2: (2.9e-15, 1.4e-15),
-    3: (4.5e-15, 2.8e-15),
-    5: (7.0e-15, 3.8e-15),
-    20: (2.5e-14, 3.7e-14),
-    64: (1.4e-13, 2.2e-13),
-    200: (2.9e-13, 2.9e-13),
+    1: (6.7e-16, 0.0),
+    2: (2.9e-15, 0.0),
+    3: (4.5e-15, 0.0),
+    5: (7.0e-15, 7.9e-16),
+    20: (2.5e-14, 2.9e-15),
+    64: (1.4e-13, 1.3e-13),
+    200: (2.9e-13, 1.2e-13),
 }
 
 
 @pytest.mark.parametrize("n", SUMS_BOUNDS)
-def test_summed_cells_match_the_log_domain_path(n):
-    # the fold over i <-> n-i and Delta read off the product sums, on
-    # odd and even n and the one-term fold at n = 1; at n = 64 and 200
-    # the axes reach omega columns whose factor leaves the double range
+def test_summed_cells_match_the_log_domain_path(n, monkeypatch):
+    # the fold over i <-> n-i, odd and even n, the one-term fold at n = 1
+    # and Delta's sums of products; at n = 64 and 200 the axes reach
+    # omega columns whose factor leaves the double range
     spec = _seeded_spec(n, seed=n)
     psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
-    log_omegas = np.log(omegas)
-    s0, s1, _, _ = factorization._grid_sums(n, psis, log_omegas)
     dgrid = delta_grid(spec)
-    summed = dgrid.flags.copy()
-    summed[factorization._guarded(s0, s1)] = False
-    rows, cols = np.nonzero(summed)
-    log_kn, tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
-    row, col_sign, log_col = factorization._factors(n, psis[rows], omegas[cols])
-    ref = factorization._divided_excess(log_kn, tau1 - 1.0, row, col_sign, log_col)
-    got = dgrid.values[rows, cols]
+    tau1_mask, delta_mask = _guard_masks(spec, monkeypatch)
+    rows, cols = np.nonzero(~(tau1_mask | delta_mask))
     tau1_bound, delta_bound = SUMS_BOUNDS[n]
+    if n < 4:
+        assert (dgrid.values == float(n > 1)).all() and (dgrid.flags == (n > 1)).all()
+    else:
+        tables = factorization._delta_tables(n, psis, omegas)
+        log_ref = factorization._log_delta_cells(*(t.astype(np.longdouble) for t in tables),
+                                                 rows, cols)
+        got = dgrid.values[rows, cols]
+        finite = np.isfinite(got)
+        np.testing.assert_array_equal(got[~finite], np.inf)
+        assert (log_ref[~finite] > math.log(sys.float_info.max)).all()
+        err = np.abs(np.expm1(np.log(got[finite].astype(np.longdouble)) - log_ref[finite]))
+        assert err.max() <= delta_bound
+    tau1 = _log_sum_exp_cells(n, psis[rows], np.log(omegas[cols]))
     rel = np.abs(tau1_region_grid(spec).values[rows, cols] - tau1) / tau1
     assert rel.max() <= tau1_bound
-    infinite = np.isinf(ref)
-    np.testing.assert_array_equal(got[infinite], ref[infinite])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.exp(np.log(np.abs(got - ref)) + np.log(np.abs(row)) + log_col
-                     - log_kn - np.log1p(tau1))
-    assert err[~infinite].max() <= delta_bound
 
 
 @pytest.mark.parametrize("n", (5, 20, 64, 100))
 def test_default_axes_need_no_log_sum_exp(n, monkeypatch):
-    # no cell of either grid takes its guard's per-cell kernel row; at
-    # n = 100 the default axes reach omega columns whose factor
+    # no cell of either grid takes its guard's log-sum-exp; at n = 100
+    # the default axes reach omega columns whose factor
     # omega^floor(n^2 / 4) leaves the double range, and they stay on the
     # sums
-    spec = GridSpec.linspace(n)
-    assert not _guard_mask(spec, monkeypatch).any()
+    tau1_mask, delta_mask = _guard_masks(GridSpec.linspace(n), monkeypatch)
+    assert not tau1_mask.any() and not delta_mask.any()
 
 
 @pytest.mark.parametrize("n", (2, 5, 20, 64, 200))
 def test_psi_edge_rows_match_closed_forms(n):
     # K_n = 1 and tau_1 = omega^(n-1) at psi = 0, so Delta there is
-    # (omega^(n-1) - 1) / ((omega - 1)(omega + 1 if n odd)); tau_1 = 1 at
-    # psi = 1
+    # (omega^(n-1) - 1) / ((omega - 1)(omega + 1 if n odd)), and
+    # (n - 1) / (1 + [n odd]) at omega = 1; tau_1 = 1 at psi = 1, and
+    # Delta's derivative there gives it the same closed form
     base = GridSpec.linspace(n)
     spec = GridSpec(psi_values=(0.0,) + base.psi_values + (1.0,),
-                    omega_values=base.omega_values, n=n)
+                    omega_values=tuple(sorted(base.omega_values + (1.0,))), n=n)
     tau1, dgrid = tau1_region_grid(spec), delta_grid(spec)
     assert (tau1.values[-1] == 1.0).all()
     with mp.workdps(DPS):
         for j, omega in enumerate(spec.omega_values):
             w = mp.mpf(omega)
             assert _rel(tau1.values[0, j], w ** (n - 1)) <= 1e-12, (n, omega)
-            if abs(omega - 1.0) >= DELTA_MARGIN:
+            if omega == 1.0:
+                d = mp.mpf(n - 1) / (1 + n % 2)
+            else:
                 d = (w ** (n - 1) - 1) / ((w - 1) * ((w + 1) if n % 2 else 1))
-                assert _rel(dgrid.values[0, j], d) <= 1e-12, (n, omega)
+            assert _rel(dgrid.values[0, j], d) <= 1e-12, (n, omega)
+            assert _rel(dgrid.values[-1, j], d) <= 1e-12, (n, omega)
 
 
 _GRID_DIGEST = """
@@ -312,11 +326,10 @@ def test_grid_bits_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
-def _row_reference(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(delta flags, tau_1 flags), one psi row at a time."""
+def _row_reference(spec: GridSpec) -> np.ndarray:
+    """tau_1 over the grid, one psi row at a time."""
     n = spec.n
-    omegas = np.asarray(spec.omega_values)
-    log_omegas = np.log(omegas)
+    log_omegas = np.log(np.asarray(spec.omega_values))
 
     def log_k_over_omegas(a, psi):
         m = n - a
@@ -325,24 +338,28 @@ def _row_reference(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
                  + xlogy(i, psi) + xlogy(m - i, 1.0 - psi))
         return logsumexp(coeff[None, :] + np.outer(log_omegas, (m - i) * (i + a)), axis=1)
 
-    delta_flags = np.empty((len(spec.psi_values), len(omegas)), dtype=bool)
-    tau1_flags = np.empty_like(delta_flags)
-    for row, psi in enumerate(spec.psi_values):
-        t1 = np.exp(log_k_over_omegas(1, psi) - log_k_over_omegas(0, psi))
-        tau1_flags[row] = t1 <= 1.0 + TAU1_TIE_TOL
-        delta_flags[row] = ~((psi == 0.5) | (psi == 1.0) | (omegas == 1.0))
-    return delta_flags, tau1_flags
+    return np.array([np.exp(log_k_over_omegas(1, psi) - log_k_over_omegas(0, psi))
+                     for psi in spec.psi_values])
 
 
 @pytest.mark.parametrize("n", NS)
 def test_flags_match_row_reference(n):
+    # the reference's tau_1 decides wherever it is clear of 1; on the
+    # lines psi = 1/2 and omega = 1, tau_1 = 1 and the cells are flagged
     for spec in _specs(n):
-        delta_flags, tau1_flags = _row_reference(spec)
-        np.testing.assert_array_equal(delta_grid(spec).flags, delta_flags)
-        np.testing.assert_array_equal(tau1_region_grid(spec).flags, tau1_flags)
-    # the seeded axes carry both singular lines
-    assert not delta_flags[list(spec.psi_values).index(0.5)].any()
-    assert not delta_flags[:, list(spec.omega_values).index(1.0)].any()
+        t1 = _row_reference(spec)
+        psis = np.asarray(spec.psi_values)[:, None]
+        omegas = np.asarray(spec.omega_values)
+        clear = np.abs(t1 - 1.0) > 1e-12
+        lines = (psis == 0.5) | (omegas == 1.0)
+        assert not (clear & lines).any()
+        flags = tau1_region_grid(spec).flags
+        np.testing.assert_array_equal(flags[clear], (t1 <= 1.0)[clear])
+        assert flags[lines].all()
+        assert delta_grid(spec).flags.all()
+    # the seeded axes carry both lines
+    assert lines[list(spec.psi_values).index(0.5)].all()
+    assert lines[:, list(spec.omega_values).index(1.0)].all()
 
 
 def test_delta_grid_peak_memory():
