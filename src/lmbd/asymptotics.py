@@ -12,11 +12,11 @@ limits of tau_r and of the mean and variance are read off those laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, _exp, _log_kn_tau, _log_weights, _logsumexp
+from .core import ModelParams, _Checked, _exp, _integer, _log_kn_tau, _log_weights, _logsumexp
 
 __all__ = [
     "LimitRegime",
@@ -32,25 +32,29 @@ _OMEGA_EDGES = ("to-zero", "to-infinity")
 _PSI_EDGES = ("none", "to-zero", "to-one")
 
 
-@dataclass(frozen=True)
-class LimitRegime:
-    """One edge regime: which omega edge, optionally which psi edge."""
-
+class _LimitRegimeFields(NamedTuple):
     omega_edge: str
     n: int
     psi_edge: str = "none"
 
-    def __post_init__(self) -> None:
-        if self.omega_edge not in _OMEGA_EDGES:
+
+class LimitRegime(_Checked, _LimitRegimeFields):
+    """One edge regime: which omega edge, optionally which psi edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, omega_edge: str, n: int, psi_edge: str = "none"):
+        if omega_edge not in _OMEGA_EDGES:
             raise ValueError(f"omega_edge must be one of {_OMEGA_EDGES}")
-        if self.psi_edge not in _PSI_EDGES:
+        if psi_edge not in _PSI_EDGES:
             raise ValueError(f"psi_edge must be one of {_PSI_EDGES}")
-        if self.n < 1:
+        n = _integer("n", n)
+        if n < 1:
             raise ValueError("n must be >= 1")
+        return super().__new__(cls, omega_edge, n, psi_edge)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     regime: LimitRegime
     limit_mean: float
     limit_variance: float

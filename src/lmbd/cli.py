@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,7 +66,7 @@ def _cmd_cdf(args):
 
 def _cmd_moments(args):
     ms = moments(_params(args))
-    return ({k: _finite_or_none(v) for k, v in asdict(ms).items()},
+    return ({k: _finite_or_none(v) for k, v in ms._asdict().items()},
             f"mean={_fmt(ms.mean)} variance={_fmt(ms.variance)}")
 
 
@@ -160,7 +159,7 @@ def _read_sample(args) -> tuple[CountSample, bool]:
 def _cmd_fit(args):
     sample_, inferred = _read_sample(args)
     fit = fit_mle(sample_)
-    result = dict(asdict(fit), n=sample_.n, n_inferred=inferred,
+    result = dict(fit._asdict(), n=sample_.n, n_inferred=inferred,
                   omega_hat=_finite_or_none(fit.omega_hat))
     return result, f"fit psi={_fmt(fit.psi_hat)} omega={fit.omega_hat} converged={fit.converged}"
 
@@ -174,7 +173,7 @@ def _cmd_compare(args):
         "sample_total": report.sample_total,
         "empirical_accuracy": report.empirical_accuracy,
         "best_aic": report.best_aic,
-        "models": [dict(asdict(m), parameters={
+        "models": [dict(m._asdict(), parameters={
             k: _finite_or_none(v) for k, v in m.parameters.items()}) for m in report.models],
     }
     return result, f"best model by AIC: {report.best_aic}"

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,29 +46,55 @@ __all__ = [
 ]
 
 
-def _validate(n: int, psi: float, omega: float) -> None:
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: ints and numpy integers pass, anything
+    else (a float included) raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _validate(n: int, psi: float, omega: float) -> int:
+    """Check one (n, psi, omega) triple; returns n as a Python int."""
+    n = _integer("trial count", n)
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0.0 <= psi <= 1.0:
         raise ValueError(f"psi must lie in [0, 1], got {psi}")
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
+    return n
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """The (n, psi, omega) triple defining one distribution instance."""
+class _Checked:
+    """First base of a named tuple whose ``__new__`` validates: ``_make``,
+    and through it ``_replace``, build the record with ``__new__`` too,
+    as copy and pickle already do (``__getnewargs__``)."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ModelParamsFields(NamedTuple):
     n: int
     psi: float
     omega: float
 
-    def __post_init__(self) -> None:
-        _validate(self.n, self.psi, self.omega)
+
+class ModelParams(_Checked, _ModelParamsFields):
+    """The (n, psi, omega) triple defining one distribution instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, psi: float, omega: float):
+        return super().__new__(cls, _validate(n, psi, omega), psi, omega)
 
 
-@dataclass(frozen=True)
-class PmfTable:
+class PmfTable(NamedTuple):
     """Log-probabilities over the support {0..n}.
 
     ``log_normalizer`` is the log K_n value used before the final
@@ -82,8 +109,7 @@ class PmfTable:
         return np.exp(self.log_prob)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     """tau ratios and the induced mean/variance/marginal.
 
     mean and variance are read off the pmf table, variance = n psi eta
@@ -242,7 +268,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     evaluated as log K_n, a max-shifted log-sum-exp over the kernel's
     terms, plus log tau_a read off the same row (log tau_0 = 0 exactly).
     """
-    _validate(n, psi, omega)
+    n = _validate(n, psi, omega)
     if not 0 <= a <= n:
         raise ValueError(f"a must lie in [0, n={n}], got {a}")
     log_omega = math.log(omega)
@@ -267,7 +293,7 @@ def pmf(params: ModelParams) -> PmfTable:
     psi in {0, 1} gives an exact point mass at 0 or n: the kernel's
     0 log 0 = 0 leaves one term at 0 and the rest at -inf.
     """
-    n, psi, omega = params.n, params.psi, params.omega
+    n, psi, omega = params
     logw = _log_weights(n, psi, math.log(omega))
     log_norm = _logsumexp(logw)
     logp = logw - log_norm
@@ -337,7 +363,7 @@ def marginal_pi(params: ModelParams) -> float:
 
 def _log_joint_weight(params: ModelParams, y: int):
     """Unnormalized log weight of one configuration with y successes."""
-    n, psi, omega = params.n, params.psi, params.omega
+    n, psi, omega = params
     return _xlogy(y, psi) + _xlogy(n - y, 1.0 - psi) + (n - y) * y * math.log(omega)
 
 

@@ -14,12 +14,12 @@ matching is its stopping rule rather than a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import _kernel_row, _log_weights, _logsumexp, _mass
+from .core import _Checked, _integer, _kernel_row, _log_weights, _logsumexp, _mass
 
 __all__ = [
     "EnsembleSpec",
@@ -36,32 +36,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """An ensemble of n classifiers with a fitted or assumed dependence model."""
-
+class _EnsembleSpecFields(NamedTuple):
     n: int
     params: ModelParams
 
-    def __post_init__(self) -> None:
-        if self.n != self.params.n:
+
+class EnsembleSpec(_Checked, _EnsembleSpecFields):
+    """An ensemble of n classifiers with a fitted or assumed dependence model."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, params: ModelParams):
+        n = _integer("ensemble size", n)
+        if n != params.n:
             raise ValueError("ensemble size must match params.n")
+        return super().__new__(cls, n, params)
 
 
-@dataclass(frozen=True)
-class CountSample:
-    """Frequencies of observed success counts y in {0..n}."""
-
+class _CountSampleFields(NamedTuple):
     n: int
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.n + 1:
-            raise ValueError(f"counts must have length n+1={self.n + 1}")
-        if any(c < 0 or c != int(c) for c in self.counts):
+
+class CountSample(_Checked, _CountSampleFields):
+    """Frequencies of observed success counts y in {0..n}."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, counts: tuple[int, ...]):
+        n = _integer("n", n)
+        if len(counts) != n + 1:
+            raise ValueError(f"counts must have length n+1={n + 1}")
+        if any(c < 0 or c != int(c) for c in counts):
             raise ValueError("counts must be non-negative integers")
-        if sum(self.counts) < 1:
+        if sum(counts) < 1:
             raise ValueError("sample must contain at least one observation")
+        return super().__new__(cls, n, counts)
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "CountSample":
@@ -78,8 +88,7 @@ class CountSample:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     psi_hat: float
     omega_hat: float
     log_likelihood: float
@@ -88,8 +97,7 @@ class FitResult:
     standard_errors: tuple[float, float] | None
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     name: str
     n_params: int
     log_likelihood: float
@@ -99,8 +107,7 @@ class ModelReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     sample_total: int
     empirical_accuracy: float
     models: tuple[ModelReport, ...]

@@ -42,12 +42,12 @@ a log-sum-exp instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_EXP_FLOOR, ModelParams, _exp, _kernel_row, _log_kn_tau, _log_weights,
-                   _logsumexp, _row_cache, _tau1_pi, _xlogy)
+from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel_row, _log_kn_tau,
+                   _log_weights, _logsumexp, _row_cache, _tau1_pi, _xlogy)
 
 __all__ = [
     "GridSpec",
@@ -61,45 +61,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Axes of a (psi, omega) scan at fixed n."""
+def _check_axes(psi_values, omega_values) -> None:
+    for name, vals in (("psi_values", psi_values), ("omega_values", omega_values)):
+        if len(vals) == 0:
+            raise ValueError(f"{name} must be non-empty")
+        # a NaN fails this too, so the ends bound every value
+        if not all(a < b for a, b in zip(vals, vals[1:])):
+            raise ValueError(f"{name} must be strictly increasing")
+    if not (0.0 <= psi_values[0] and psi_values[-1] <= 1.0):
+        raise ValueError("psi_values must lie in [0, 1]")
+    if not (0.0 < omega_values[0] and omega_values[-1] < math.inf):
+        raise ValueError("omega_values must be positive and finite")
 
+
+class _GridSpecFields(NamedTuple):
     psi_values: tuple[float, ...]
     omega_values: tuple[float, ...]
     n: int
 
-    def __post_init__(self) -> None:
-        for name, vals in (("psi_values", self.psi_values),
-                           ("omega_values", self.omega_values)):
-            if len(vals) == 0:
-                raise ValueError(f"{name} must be non-empty")
-            # a NaN fails this too, so the ends bound every value
-            if not all(a < b for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if not (0.0 <= self.psi_values[0] and self.psi_values[-1] <= 1.0):
-            raise ValueError("psi_values must lie in [0, 1]")
-        if not (0.0 < self.omega_values[0] and self.omega_values[-1] < math.inf):
-            raise ValueError("omega_values must be positive and finite")
-        if self.n < 1:
+
+class GridSpec(_Checked, _GridSpecFields):
+    """Axes of a (psi, omega) scan at fixed n."""
+
+    __slots__ = ()
+
+    def __new__(cls, psi_values: tuple[float, ...], omega_values: tuple[float, ...], n: int):
+        _check_axes(psi_values, omega_values)
+        n = _integer("n", n)
+        if n < 1:
             raise ValueError("n must be >= 1")
+        return super().__new__(cls, psi_values, omega_values, n)
 
     @staticmethod
     def linspace(n: int, psi_steps: int = 101, omega_steps: int = 101,
                  psi_min: float = 0.01, psi_max: float = 0.99,
                  omega_min: float = 0.05, omega_max: float = 2.0) -> "GridSpec":
         # check the ends first: numpy warns when it spreads an infinite one
-        GridSpec((psi_min,), (omega_min,), n)
-        GridSpec((psi_max,), (omega_max,), n)
+        _check_axes((psi_min,), (omega_min,))
+        _check_axes((psi_max,), (omega_max,))
         return GridSpec(
-            psi_values=tuple(np.linspace(psi_min, psi_max, psi_steps)),
-            omega_values=tuple(np.linspace(omega_min, omega_max, omega_steps)),
+            psi_values=tuple(np.linspace(psi_min, psi_max, psi_steps).tolist()),
+            omega_values=tuple(np.linspace(omega_min, omega_max, omega_steps).tolist()),
             n=n,
         )
 
 
-@dataclass(frozen=True)
-class RegionGrid:
+class RegionGrid(NamedTuple):
     """Row-major cell values over spec.psi_values x spec.omega_values,
     with one boolean flag per cell; each grid function says what its
     flags mark."""
@@ -109,8 +116,7 @@ class RegionGrid:
     flags: np.ndarray
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     """psi vs pi ordering at one parameter triple."""
 
     params: ModelParams
@@ -196,7 +202,7 @@ def d_n(params: ModelParams) -> float:
     """K_{n-1} - K_n = K_n (tau_1 - 1), as Delta times the linear factors
     in the log domain: exactly 0.0 on the lines psi in {1/2, 1} and
     omega = 1, a correctly signed infinity beyond the double range."""
-    n, psi, omega = params.n, params.psi, params.omega
+    n, psi, omega = params
     # each factor is 0 or at least 2^-53 in size, so the product cannot
     # underflow: it is 0 exactly on the lines
     factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omega - 1.0)
@@ -212,7 +218,7 @@ def delta(params: ModelParams) -> float:
     (omega+1 if n odd)], continued onto the lines where the factors
     vanish: positive for n >= 2, 0 at n = 1, +inf above the double range
     and 0 below it (near psi = 1/2 with omega < 1 from n = 1088 on)."""
-    return _exp(_log_delta(params.n, params.psi, params.omega))
+    return _exp(_log_delta(*params))
 
 
 # cells per block on a guarded cell's path are chosen so that one

@@ -8,7 +8,7 @@ is checked and no rate is asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .core import ModelParams, _table_moments, pmf
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
 
-@dataclass(frozen=True)
-class CltScanRow:
+class CltScanRow(NamedTuple):
     n: int
     psi: float
     omega: float

@@ -97,6 +97,8 @@ class TestLogK:
             log_k(3, 0, 0.5, 0.0)
         with pytest.raises(ValueError):
             log_k(0, 0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="integer"):
+            log_k(2.5, 0, 0.5, 1.0)
 
 
 class TestTau:

@@ -446,6 +446,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="psi_values"):
             GridSpec.linspace(3, psi_max=math.inf)
 
+    def test_linspace_axes_are_python_floats(self):
+        spec = GridSpec.linspace(5, 11, 7, 0.05, 0.95, 0.5, 2.5)
+        for axis, expect in ((spec.psi_values, np.linspace(0.05, 0.95, 11)),
+                             (spec.omega_values, np.linspace(0.5, 2.5, 7))):
+            assert type(axis) is tuple and {type(v) for v in axis} == {float}
+            assert np.array_equal(axis, expect)
+
     def test_linspace_defaults(self):
         spec = GridSpec.linspace(n=4)
         assert len(spec.psi_values) == 101

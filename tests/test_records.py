@@ -1,0 +1,140 @@
+"""The public records are named tuples: their field order, that they
+hold no per-instance state, and that the five validated inputs check
+their values on every way a record can be built."""
+
+import copy
+import dataclasses
+import math
+import pickle
+import sys
+
+import numpy as np
+import pytest
+
+import lmbd
+from lmbd import CountSample, EnsembleSpec, GridSpec, LimitRegime, ModelParams
+
+# positional construction and unpacking follow this order, which is the
+# field order the records had as dataclasses
+FIELDS = {
+    "ModelParams": ("n", "psi", "omega"),
+    "PmfTable": ("params", "log_prob", "log_normalizer"),
+    "MomentSummary": ("tau1", "tau2", "eta", "mean", "variance", "pi"),
+    "LimitRegime": ("omega_edge", "n", "psi_edge"),
+    "LimitReport": ("regime", "limit_mean", "limit_variance", "limit_distribution",
+                    "numeric_evidence"),
+    "CltScanRow": ("n", "psi", "omega", "ks_distance"),
+    "GridSpec": ("psi_values", "omega_values", "n"),
+    "RegionGrid": ("spec", "values", "flags"),
+    "Theorem2Report": ("params", "tau1", "pi", "theorem_applies", "relation"),
+    "EnsembleSpec": ("n", "params"),
+    "CountSample": ("n", "counts"),
+    "FitResult": ("psi_hat", "omega_hat", "log_likelihood", "converged", "iterations",
+                  "standard_errors"),
+    "ModelReport": ("name", "n_params", "log_likelihood", "aic", "predicted_accuracy",
+                    "parameters", "converged"),
+    "ComparisonReport": ("sample_total", "empirical_accuracy", "models", "best_aic"),
+}
+RECORDS = [getattr(lmbd, name) for name in FIELDS]
+
+VALID = {
+    ModelParams: (5, 0.3, 1.2),
+    GridSpec: ((0.1, 0.2), (1.0, 2.0), 3),
+    LimitRegime: ("to-zero", 4, "to-one"),
+    EnsembleSpec: (3, ModelParams(3, 0.6, 1.0)),
+    CountSample: (2, (1, 0, 1)),
+}
+
+# (record, field, invalid value, message)
+INVALID = [
+    (ModelParams, "n", 2.5, "must be an integer"),
+    (ModelParams, "n", "5", "must be an integer"),
+    (ModelParams, "n", 0, ">= 1"),
+    (ModelParams, "psi", 1.5, "psi"),
+    (ModelParams, "omega", 0.0, "omega"),
+    (ModelParams, "omega", math.inf, "omega"),
+    (GridSpec, "n", 2.5, "must be an integer"),
+    (GridSpec, "n", 0, ">= 1"),
+    (GridSpec, "psi_values", (0.2, 0.1), "psi_values"),
+    (GridSpec, "omega_values", (), "omega_values"),
+    (LimitRegime, "n", 2.5, "must be an integer"),
+    (LimitRegime, "n", 0, ">= 1"),
+    (LimitRegime, "omega_edge", "sideways", "omega_edge"),
+    (LimitRegime, "psi_edge", "to-half", "psi_edge"),
+    (EnsembleSpec, "n", 3.0, "must be an integer"),
+    (EnsembleSpec, "n", 4, "match params.n"),
+    (CountSample, "n", 2.0, "must be an integer"),
+    (CountSample, "counts", (1, 1), "length"),
+    (CountSample, "counts", (1, -1, 1), "non-negative"),
+    (CountSample, "counts", (0, 0, 0), "at least one"),
+]
+
+
+def _unchecked(cls, values):
+    """A record built round ``__new__``, as only ``tuple.__new__`` can."""
+    return tuple.__new__(cls, values)
+
+
+PATHS = {
+    "positional": lambda cls, kw: cls(*kw.values()),
+    "keyword": lambda cls, kw: cls(**kw),
+    "_replace": lambda cls, kw: cls(*VALID[cls])._replace(**kw),
+    "_make": lambda cls, kw: cls._make(kw.values()),
+    "copy": lambda cls, kw: copy.copy(_unchecked(cls, kw.values())),
+    "deepcopy": lambda cls, kw: copy.deepcopy(_unchecked(cls, kw.values())),
+    "pickle": lambda cls, kw: pickle.loads(pickle.dumps(_unchecked(cls, kw.values()))),
+}
+
+
+def test_field_order_is_pinned():
+    public = {name: obj for name in lmbd.__all__
+              if isinstance(obj := getattr(lmbd, name), type) and issubclass(obj, tuple)}
+    assert {name: cls._fields for name, cls in public.items()} == FIELDS
+    assert {name: cls._field_defaults for name, cls in public.items()
+            if cls._field_defaults} == {"LimitRegime": {"psi_edge": "none"}}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_is_a_tuple_without_instance_state(cls):
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    assert all(klass.__dict__.get("__slots__") == () for klass in cls.__mro__[:-2])
+    record = cls(*VALID[cls]) if cls in VALID else cls._make(range(len(cls._fields)))
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], record[0])
+
+
+def test_no_module_binds_dataclass():
+    for name, module in list(sys.modules.items()):
+        if name == "lmbd" or name.startswith("lmbd."):
+            for attr, value in vars(module).items():
+                assert "dataclass" not in attr, (name, attr)
+                assert getattr(value, "__module__", None) != "dataclasses", (name, attr)
+                assert value is not dataclasses, (name, attr)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
+def test_every_path_builds_the_same_record(cls, path):
+    expect = tuple.__new__(cls, VALID[cls])
+    record = PATHS[path](cls, dict(zip(cls._fields, VALID[cls])))
+    assert type(record) is cls and record == expect
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("cls, field, bad, match", INVALID,
+                         ids=[f"{c.__name__}-{f}-{b!r}" for c, f, b, _ in INVALID])
+def test_every_path_validates(cls, field, bad, match, path):
+    kw = dict(zip(cls._fields, VALID[cls]), **{field: bad})
+    if path == "_replace":
+        kw = {field: bad}
+    with pytest.raises(ValueError, match=match):
+        PATHS[path](cls, kw)
+
+
+@pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
+def test_a_numpy_integer_n_is_stored_as_an_int(cls):
+    kw = dict(zip(cls._fields, VALID[cls]))
+    kw["n"] = np.int64(kw["n"])
+    record = cls(**kw)
+    assert type(record.n) is int and record == cls(*VALID[cls])
