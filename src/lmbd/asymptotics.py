@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, _Checked, _exp, _integer, _log_kn_tau, _log_weights, _logsumexp
+from .core import (ModelParams, _Checked, _exp, _integer, _log_sum, _log_tau, _log_weights, _logit,
+                   _logsumexp)
 
 __all__ = [
     "LimitRegime",
@@ -99,11 +100,13 @@ def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
     top = n if regime.omega_edge == "to-zero" else n // 2
     if not 1 <= j <= top:
         raise ValueError(f"j must lie in [1, {top}] at omega {regime.omega_edge}, got {j}")
-    logw = np.full(n + 1, -np.inf)
-    for y, log_mass in _log_limit_law(regime, psi).items():
-        logw[y] = log_mass
+    log_law = _log_limit_law(regime, psi)
+    peak = max(log_law.values())
+    row = np.full(n + 1, -np.inf)
+    for y, log_mass in log_law.items():
+        row[y] = log_mass - peak
     log_omega = -math.inf if regime.omega_edge == "to-zero" else math.inf  # read at psi = 0 only
-    return _exp(float(_log_kn_tau(j, logw, psi, log_omega)[1]))
+    return _exp(float(_log_tau(j, row, _log_sum(row), psi, log_omega)))
 
 
 def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
@@ -158,11 +161,11 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
         ModelParams(n=regime.n, psi=psi, omega=w)
     limit = limit_distribution(regime, psi)
     mean, var = limit_moments(regime, psi)
-    # every probe's pmf table at once, renormalized twice as ``pmf`` does
-    logp = _log_weights(regime.n, psi, np.log(probes)[:, None])
-    for _ in range(2):
-        logp -= _logsumexp(logp, axis=1)[:, None]
-    evidence = tuple(zip(probes, _total_variations(np.exp(logp), limit).tolist()))
+    # every probe's pmf table at once, in one kernel block as ``pmf``
+    # builds one
+    row = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
+    probs = np.exp(row - _log_sum(row)[:, None])
+    evidence = tuple(zip(probes, _total_variations(probs, limit).tolist()))
     return LimitReport(
         regime=regime,
         limit_mean=mean,

@@ -10,15 +10,24 @@ the trials would have if they were independent; ``omega`` is the
 association parameter (omega < 1 positive association, omega > 1 negative,
 omega = 1 reduces the law to Binomial(n, psi)).
 
-Every quantity here is computed in the log domain: the weight
-omega^((n-y) y) has a log magnitude of up to n^2/4 * |ln omega|, which
-overflows double precision long before n reaches interesting sizes.
-The convention 0 * log 0 = 0 keeps psi in {0, 1} exact.
+The law is a two-parameter exponential family in the natural parameters
+theta = (logit psi, log omega): K_n = (1-psi)^n sum_y w(y) with
+w(y) = C(n, y) exp(theta_1 y + theta_2 y (n-y)), whose log reaches
+theta_2 n^2 / 4 and overflows double precision long before n is large.
+One kernel, ``_log_weights``, builds every table of K_n's terms in the
+log domain, centred at the weights' global mode m:
 
-One kernel, ``_log_weights``, builds K_n's per-term logs, and every
-quantity is read off that row.  The ratios tau_r = K_{n-r} / K_n are
-falling-factorial moments of it, tau_r = E[(Y)_r] / ((n)_r psi^r), read
-by ``_log_kn_tau``; log K_{n-a} is log K_n plus log tau_a.
+    log w(y) - log w(m) = [log C(n, y) - log C(n, m)] + (y - m) theta_1
+                          + theta_2 (y - m)(n - y - m).
+
+The last factor is an exact integer, so an entry rounds in proportion
+to its own distance from the top, never to theta_2 n^2 / 4.  log C(n, .)
+is a mirrored cumulative sum, so the row at psi = 1/2 is symmetric bit
+for bit.  psi = 0 and 1 are theta_1 = -inf and +inf, a point mass with
+no 0 log 0 case.  Every quantity is read off that row: log K_n is the
+log of its term at m plus one log-sum-exp whose largest term is 1, and
+tau_r = K_{n-r} / K_n is a falling-factorial moment of it,
+E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
 """
 
 from __future__ import annotations
@@ -97,8 +106,9 @@ class ModelParams(_Checked, _ModelParamsFields):
 class PmfTable(NamedTuple):
     """Log-probabilities over the support {0..n}.
 
-    ``log_normalizer`` is the log K_n value used before the final
-    renormalization pass.
+    ``log_normalizer`` is log K_n, the value ``log_k(n, 0, psi, omega)``
+    returns; ``log_prob`` is the kernel's row less its log-sum, in one
+    pass with no renormalization after it.
     """
 
     params: ModelParams
@@ -127,39 +137,43 @@ class MomentSummary(NamedTuple):
     pi: float
 
 
-@functools.lru_cache(maxsize=None)
-def _log_factorials(size: int) -> np.ndarray:
-    """log k! for k = 0..size-1 from ``math.lgamma``, read-only.  Sizes
-    are powers of two, so all tables together hold at most twice the
-    largest."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    table.flags.writeable = False
-    return table
-
-
-# rows up to this m are cached, 128 per builder (some 12 MB of kernel
-# rows); a longer row costs little to build next to the call that uses it
+# rows up to this n are cached, 128 per builder (some 20 MB of kernel
+# rows); of the longer ones each builder keeps the last, which one call
+# reads several times
 _ROW_CACHE_MAX_M = 4096
 
 
 def _row_cache(build):
-    """``build(m)``'s arrays, made read-only, cached for m <= _ROW_CACHE_MAX_M."""
-    def read_only(m: int):
-        row = build(m)
+    """``build(n, *args)``'s arrays, made read-only and cached."""
+    def read_only(n: int, *args):
+        row = build(n, *args)
         for part in row:
             part.flags.writeable = False
         return row
-    cached = functools.lru_cache(maxsize=128)(read_only)
-    return functools.wraps(build)(lambda m: cached(m) if m <= _ROW_CACHE_MAX_M else read_only(m))
+    short, long = (functools.lru_cache(maxsize=size)(read_only) for size in (128, 1))
+    return functools.wraps(build)(
+        lambda n, *args: (short if n <= _ROW_CACHE_MAX_M else long)(n, *args))
 
 
 @_row_cache
-def _kernel_row(m: int):
-    """(i, m - i, log C(m, i)) for i = 0..m, read-only: the kernel's
-    parts that depend on m alone."""
-    i = np.arange(m + 1)
-    lf = _log_factorials(1 << int(m).bit_length())
-    return i, m - i, lf[m] - lf[i] - lf[m - i]
+def _kernel_row(n: int):
+    """(y, y (n-y), log C(n, y), steps, slope) as read-only floats for
+    y = 0..n: the kernel's parts that depend on n alone.  The steps
+    log C(n, k+1) - log C(n, k) = log1p((n-1-2k) / (k+1)) and their
+    slopes n-1-2k, k < n, sit between a rising and a falling sentinel
+    (+inf and -inf, slope 0).  log C(n, .) sums the steps up to n/2 in
+    long double where the platform has one, so that each entry is
+    within about an ulp rather than n ulp, and is mirrored, so that
+    C(n, y) = C(n, n-y) bit for bit."""
+    y = np.arange(n + 1.0)
+    k = y[:(n + 1) // 2]
+    half = np.log1p((n - 1 - 2 * k) / (k + 1))
+    log_binom = np.zeros(n + 1)
+    log_binom[1:n // 2 + 1] = np.cumsum(half[:n // 2], dtype=np.longdouble)
+    log_binom[n - n // 2:] = log_binom[:n // 2 + 1][::-1]
+    steps = np.concatenate(([np.inf], half, -half[:n // 2][::-1], [-np.inf]))
+    slope = np.concatenate(([0.0], n - 1 - 2 * y[:n], [0.0]))
+    return y, y * (n - y), log_binom, steps, slope
 
 
 def _xlogy(k, p):
@@ -178,22 +192,77 @@ def _xlogy(k, p):
         return np.where(k == 0, 0.0, k * np.log(p))
 
 
-def _log_weights(n: int, psi, log_omega):
-    """The log-weight kernel: per-term logs of K_n,
+def _logit(psi):
+    """theta_1 = log psi - log(1 - psi): -inf at psi = 0, +inf at 1."""
+    if isinstance(psi, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(psi) - np.log1p(-psi)
+    if 0.0 < psi < 1.0:
+        return math.log(psi) - math.log1p(-psi)
+    return math.copysign(math.inf, psi - 0.5)
 
-        log C(n, y) + y log psi + (n-y) log(1-psi) + (n-y) y log omega,
 
-    y = 0..n on the last axis: the pmf's log-weights.  ``psi`` and
-    ``log_omega`` broadcast against it: scalars give one row, arrays of
-    shape (P, 1) a (P, n+1) block.
+def _mode(n: int, theta1, theta2, batch: bool):
+    """The weights' global mode off the signs of their steps, for finite
+    theta_1: an int, or shape (P, 1) for a batch.  The steps fall, or
+    for theta_2 < 0 fall, rise and fall again: the local maxima are at
+    most two, after the first and after the last run of rising steps,
+    and the mode is the higher one (the lower on a tie).  A batch with
+    one theta_2 >= 0 counts the rising steps instead."""
+    _, cross, log_binom, steps, slope = _kernel_row(n)
+    rising = theta2 * slope + steps > -theta1
+    if batch and not isinstance(theta2, np.ndarray) and theta2 >= 0.0:
+        return rising.sum(axis=-1, keepdims=True) - 1
+    lo = rising.argmin(axis=-1, keepdims=batch) - 1
+    hi = n + 1 - rising[..., ::-1].argmax(axis=-1, keepdims=batch)
+    if (lo == hi).all() if batch else lo == hi:
+        return lo if batch else int(lo)
+    lift = (log_binom[hi] - log_binom[lo] + (hi - lo) * theta1
+            + theta2 * (cross[hi] - cross[lo]))
+    return np.where(lift > 0.0, hi, lo) if batch else int(hi if lift > 0.0 else lo)
+
+
+def _log_weights(n: int, theta1, theta2):
+    """The log-weight kernel: (m, row), K_n's terms
+    w(y) = C(n, y) exp(theta_1 y + theta_2 y (n-y)) over y = 0..n on the
+    last axis, centred at their global mode m:
+
+        row[y] = [log C(n, y) - log C(n, m)] + (y - m) theta_1
+                 + theta_2 (y - m)(n - y - m),
+
+    the last product an exact integer, y (n-y) - m (n-m).
+    theta_1 = logit psi and theta_2 = log omega broadcast against y:
+    scalars give one row, arrays of shape (P, 1) a (P, n+1) block.  At
+    theta_1 = -inf or +inf (psi = 0 or 1) the row is a point mass at 0
+    or n.
     """
-    y, rest, log_binom = _kernel_row(n)
-    return (log_binom + _xlogy(y, psi) + _xlogy(rest, 1.0 - psi)
-            + rest * y * log_omega)
+    y, cross, log_binom, _, _ = _kernel_row(n)
+    batch = isinstance(theta1, np.ndarray) or isinstance(theta2, np.ndarray)
+    edge = np.isinf(theta1) if batch else math.isinf(theta1)
+    if not (edge.any() if batch else edge):
+        m = _mode(n, theta1, theta2, batch)
+        row = log_binom - log_binom[m] + (y - m) * theta1
+        if isinstance(theta2, np.ndarray) or theta2:  # omega = 1 adds 0.0
+            row += theta2 * (cross - cross[m])
+        return m, row
+    if not batch:
+        m = n * (theta1 > 0)
+        return m, np.where(y == m, 0.0, -np.inf)
+    m = np.where(edge, n * (theta1 > 0), _mode(n, np.where(edge, 0.0, theta1), theta2, True))
+    with np.errstate(invalid="ignore"):  # 0 * inf at an edge row's centre
+        row = log_binom - log_binom[m] + (y - m) * theta1 + theta2 * (cross - cross[m])
+    np.put_along_axis(row, m, 0.0, axis=-1)
+    return m, row
 
 
 # exp(-700) ~ 1e-304 is still a normal double
 _EXP_FLOOR = -700.0
+
+
+def _log_sum(row: np.ndarray):
+    """log(sum(exp(row))) over the last axis of a kernel row, whose
+    largest term is exp(0) = 1: ``_logsumexp`` without its shift."""
+    return np.log(np.exp(np.maximum(row, _EXP_FLOOR)).sum(axis=-1))
 
 
 def _logsumexp(terms: np.ndarray, axis=None):
@@ -227,29 +296,62 @@ def _mass(log_probs: np.ndarray) -> float:
     return min(1.0, float(np.exp(_logsumexp(log_probs))))
 
 
-def _log_kn_tau(r: int, logw, psi, log_omega):
-    """(log K_n, log tau_r) off K_n's log-weights ``logw`` (last axis y = 0..n).
+@_row_cache
+def _log_falling_ratio(n: int, r: int):
+    """A one-tuple of log[(y)_r / (n)_r] for y = r..n, read-only: the
+    reverse sum -sum_{j=y+1..n} log1p(r / (j-r)), from 0 at y = n."""
+    out = np.zeros(n - r + 1)
+    out[:-1] = -np.cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)))[::-1]
+    return (out,)
 
-    C(n-r, y-r) = C(n, y) (y)_r / (n)_r, with the falling factorial
-    (y)_r = y (y-1) ... (y-r+1), makes tau_r = K_{n-r} / K_n the moment
-    E[(Y)_r] / ((n)_r psi^r) of the law ``logw`` holds, in any normalization.
-    Both sums are shifted by the row's maximum, so log K_n's size cancels
-    exactly rather than through a difference of two large logs.  ``psi``
-    and ``log_omega`` broadcast against the other axes of ``logw``; at
-    psi = 0, where E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r)).
-    """
-    n = logw.shape[-1] - 1
-    lf = _log_factorials(1 << n.bit_length())
-    log_fall = lf[r:n + 1] - lf[:n + 1 - r]  # log (y)_r for y = r..n
-    top = logw.max(axis=-1, keepdims=True)
-    shifted = logw - top
-    # the K_n sum, whose largest term is exp(0) = 1: _logsumexp without
-    # its own shift
-    log_sum = np.log(np.exp(np.maximum(shifted, _EXP_FLOOR)).sum(axis=-1))
+
+def _log_tau(r: int, row, log_sum, psi, log_omega):
+    """log tau_r off a row of K_n's log-weights whose largest entry is 0
+    or near it, and whose log-sum is ``log_sum``: C(n-r, y-r) =
+    C(n, y) (y)_r / (n)_r makes tau_r the moment E[(Y)_r] / ((n)_r psi^r)
+    of the law the row holds.  ``psi`` and ``log_omega`` broadcast
+    against the other axes of ``row``; at psi = 0, where
+    E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r))."""
+    n = row.shape[-1] - 1
+    terms = row[..., r:] + _log_falling_ratio(n, r)[0]
+    if row.ndim == 1:
+        if psi == 0.0:
+            return r * (n - r) * log_omega
+        return _logsumexp(terms) - log_sum - r * math.log(psi)
     edge = psi == 0.0
-    log_tau = (_logsumexp(shifted[..., r:] + log_fall, axis=-1 if logw.ndim > 1 else None)
-               - log_sum - log_fall[-1] - r * np.log(psi + edge))  # log 1 at psi = 0
-    return top[..., 0] + log_sum, np.where(edge, r * (n - r) * log_omega, log_tau)
+    log_tau = _logsumexp(terms, axis=-1) - log_sum - r * np.log(psi + edge)  # log 1 at psi = 0
+    return np.where(edge, r * (n - r) * log_omega, log_tau)
+
+
+def _kernel(n: int, psi: float, omega: float):
+    """(m, row, its log-sum, log omega): the kernel at (psi, omega)."""
+    log_omega = math.log(omega)
+    m, row = _log_weights(n, _logit(psi), log_omega)
+    return m, row, _log_sum(row), log_omega
+
+
+def _log_kn(n: int, psi: float, log_omega: float, m: int, log_sum) -> float:
+    """log K_n off its kernel row: the log of K_n's term
+    C(n, m) psi^m (1-psi)^(n-m) omega^(m (n-m)) at the mode m plus the
+    row's log-sum, rounded once (``math.fsum``).  Its largest part,
+    theta_2 m (n-m), up to theta_2 n^2 / 4, enters as two products that
+    are exact for n < 2^14, theta_2 split into halves of 26 bits
+    (Dekker 1971)."""
+    cross = m * (n - m)
+    split = 134217729.0 * log_omega  # 2^27 + 1
+    high = split - (split - log_omega)
+    return math.fsum((_kernel_row(n)[2][m], high * cross, (log_omega - high) * cross, log_sum,
+                      m * math.log(psi) if m else 0.0,
+                      (n - m) * math.log1p(-psi) if m < n else 0.0))
+
+
+def _log_tau_r(n: int, psi: float, omega: float, r: int) -> float:
+    """log tau_r, r in [1, n], off one kernel row; at r = n it is
+    -log K_n, as K_0 = 1."""
+    m, row, log_sum, log_omega = _kernel(n, psi, omega)
+    if r == n:
+        return -_log_kn(n, psi, log_omega, m, log_sum)
+    return float(_log_tau(r, row, log_sum, psi, log_omega))
 
 
 def _exp(x: float) -> float:
@@ -265,15 +367,18 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
 
     K_{n-a} = sum_{i=0}^{n-a} C(n-a, i) psi^i (1-psi)^(n-a-i)
               omega^((n-a-i)(i+a)),
-    evaluated as log K_n, a max-shifted log-sum-exp over the kernel's
-    terms, plus log tau_a read off the same row (log tau_0 = 0 exactly).
+    evaluated as log K_n plus log tau_a, read off one kernel row; at
+    a = n that sum is log K_0 = 0 exactly, as ``tau`` reads
+    log tau_n = -log K_n.
     """
     n = _validate(n, psi, omega)
     if not 0 <= a <= n:
         raise ValueError(f"a must lie in [0, n={n}], got {a}")
-    log_omega = math.log(omega)
-    log_kn, log_tau = _log_kn_tau(a, _log_weights(n, psi, log_omega), psi, log_omega)
-    return float(log_kn + log_tau)
+    if a == n:
+        return 0.0
+    m, row, log_sum, log_omega = _kernel(n, psi, omega)
+    log_kn = _log_kn(n, psi, log_omega, m, log_sum)
+    return log_kn + float(_log_tau(a, row, log_sum, psi, log_omega)) if a else log_kn
 
 
 def tau(r: int, params: ModelParams) -> float:
@@ -281,25 +386,17 @@ def tau(r: int, params: ModelParams) -> float:
     row; +inf where it lies beyond the double range."""
     if not 1 <= r <= params.n:
         raise ValueError(f"r must lie in [1, n={params.n}], got {r}")
-    log_omega = math.log(params.omega)
-    logw = _log_weights(params.n, params.psi, log_omega)
-    return _exp(float(_log_kn_tau(r, logw, params.psi, log_omega)[1]))
+    return _exp(_log_tau_r(*params, r))
 
 
 def pmf(params: ModelParams) -> PmfTable:
-    """Full log-pmf table over {0..n}, renormalized so the exponentiated
-    entries sum to 1.
-
-    psi in {0, 1} gives an exact point mass at 0 or n: the kernel's
-    0 log 0 = 0 leaves one term at 0 and the rest at -inf.
-    """
+    """Full log-pmf table over {0..n}: the kernel's centred row less its
+    log-sum, in one pass.  psi in {0, 1} gives an exact point mass at 0
+    or n."""
     n, psi, omega = params
-    logw = _log_weights(n, psi, math.log(omega))
-    log_norm = _logsumexp(logw)
-    logp = logw - log_norm
-    # second renormalization pass removes the last few ulp of drift
-    logp = logp - _logsumexp(logp)
-    return PmfTable(params=params, log_prob=logp, log_normalizer=log_norm)
+    m, row, log_sum, log_omega = _kernel(n, psi, omega)
+    return PmfTable(params=params, log_prob=row - log_sum,
+                    log_normalizer=_log_kn(n, psi, log_omega, m, log_sum))
 
 
 def cdf(params: ModelParams, y: int) -> float:
@@ -332,9 +429,8 @@ def moments(params: ModelParams) -> MomentSummary:
     n, psi = params.n, params.psi
     table = pmf(params)
     log_omega = math.log(params.omega)
-    t1 = _exp(float(_log_kn_tau(1, table.log_prob, psi, log_omega)[1]))
-    t2 = (_exp(float(_log_kn_tau(2, table.log_prob, psi, log_omega)[1])) if n >= 2
-          else math.nan)
+    t1 = _exp(_log_tau(1, table.log_prob, 0.0, psi, log_omega))
+    t2 = _exp(_log_tau(2, table.log_prob, 0.0, psi, log_omega)) if n >= 2 else math.nan
     mean, variance = _table_moments(table.probs())
     eta = variance / (n * psi) if psi > 0.0 else t1
     return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean,
@@ -346,9 +442,8 @@ def _tau1_pi(params: ModelParams) -> tuple[float, float]:
     tau_1 overflows, as it may at a tiny psi; there it is
     exp(log psi + log tau_1).  Elsewhere the product, which keeps
     pi < psi wherever tau_1 < 1.  0 at psi = 0."""
-    n, psi = params.n, params.psi
-    log_omega = math.log(params.omega)
-    log_tau1 = float(_log_kn_tau(1, _log_weights(n, psi, log_omega), psi, log_omega)[1])
+    psi = params.psi
+    log_tau1 = _log_tau_r(*params, 1)
     t1 = _exp(log_tau1)
     if psi == 0.0:
         return t1, 0.0
@@ -359,12 +454,6 @@ def marginal_pi(params: ModelParams) -> float:
     """Per-trial marginal success probability pi = psi * tau_1; 0 at
     psi = 0, where tau_1 may overflow."""
     return _tau1_pi(params)[1]
-
-
-def _log_joint_weight(params: ModelParams, y: int):
-    """Unnormalized log weight of one configuration with y successes."""
-    n, psi, omega = params
-    return _xlogy(y, psi) + _xlogy(n - y, 1.0 - psi) + (n - y) * y * math.log(omega)
 
 
 def joint_log_prob(params: ModelParams, bits) -> float:
@@ -379,25 +468,26 @@ def joint_log_prob(params: ModelParams, bits) -> float:
         raise ValueError(f"bits must have length n={params.n}, got shape {b.shape}")
     if not np.isin(b, (0, 1)).all():
         raise ValueError("bits must be 0/1 valued")
-    log_kn = log_k(params.n, 0, params.psi, params.omega)
-    return float(_log_joint_weight(params, int(b.sum())) - log_kn)
+    y = int(b.sum())
+    return float(pmf(params).log_prob[y] - _kernel_row(params.n)[2][y])
 
 
 def conditional_cpr(params: ModelParams) -> float:
-    """Cross-product ratio of two trials given the remaining n-2.
+    """Cross-product ratio of two trials given the remaining n-2:
+    exactly omega^-2, +inf beyond the double range.
 
-    Exchangeability makes the value independent of which two trials are
-    picked and of the conditioning configuration; the identity
-    omega = 1 / sqrt(CPR) holds for every valid parameter triple.
+    Given s successes among the other trials, the four outcomes of the
+    two hold s+2, s, s+1 and s+1 successes.  K_n, psi and the binomial
+    counts cancel from the ratio, and the exponents of omega leave
+    (s+2)(n-s-2) + s(n-s) - 2(s+1)(n-s-1) = -2 whatever s and n are.
+    So the identity omega = 1 / sqrt(CPR) holds for every valid
+    parameter triple.
     """
     if params.n < 2:
         raise ValueError("conditional CPR needs n >= 2")
     if not 0.0 < params.psi < 1.0:
         raise ValueError("conditional CPR needs psi in (0, 1)")
-    # the two free trials plus n-2 failures hold y = 2, 0, 1 and 1
-    # successes; K_n cancels from the ratio
-    w = [_log_joint_weight(params, y) for y in range(3)]
-    return _exp(w[2] + w[0] - 2.0 * w[1])
+    return _exp(-2.0 * math.log(params.omega))
 
 
 def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:

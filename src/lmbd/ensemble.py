@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import _Checked, _integer, _kernel_row, _log_weights, _logsumexp, _mass
+from .core import _Checked, _integer, _kernel_row, _log_sum, _log_weights, _mass
 
 __all__ = [
     "EnsembleSpec",
@@ -75,6 +75,7 @@ class CountSample(_Checked, _CountSampleFields):
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "CountSample":
+        n = _integer("n", n)
         counts = [0] * (n + 1)
         for y, c in pairs:
             y, c = int(y), int(c)
@@ -131,7 +132,8 @@ def binomial_accuracy(n: int, pi: float) -> float:
     """Binomial(n, pi) majority tail, the independence baseline."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    return _mass(_log_weights(n, pi, 0.0)[majority_threshold(n) + 1:])
+    q = majority_threshold(n)
+    return _mass(pmf(ModelParams(n, pi, 1.0)).log_prob[q + 1:])
 
 
 def _rising_sums(x: float, m: int) -> np.ndarray:
@@ -248,14 +250,13 @@ def fit_mle(sample: CountSample) -> FitResult:
 
     stats = np.stack((y, y * (n - y))).astype(float)
     dev = stats - (stats @ counts / total)[:, None]
-    log_binom = _kernel_row(n)[2]
     seen = counts > 0
 
     def derivs(theta: np.ndarray):
-        # the log-pmf table in natural parameters, exact even where psi
-        # rounds to 0 or 1
-        logw = log_binom + theta @ stats
-        logp = logw - _logsumexp(logw)
+        # the kernel's log-pmf table in natural parameters, exact even
+        # where psi rounds to 0 or 1
+        row = _log_weights(n, theta[0], theta[1])[1]
+        logp = row - _log_sum(row)
         p = np.exp(logp)
         gap = dev @ p  # E[T] - mean T
         cov = (dev * p) @ dev.T - np.outer(gap, gap)
@@ -329,7 +330,7 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
 
     pi_hat = s1 / (n * total)
     seen = counts > 0
-    ll_bin = float((counts[seen] * _log_weights(n, pi_hat, 0.0)[seen]).sum())
+    ll_bin = float((counts[seen] * pmf(ModelParams(n, pi_hat, 1.0)).log_prob[seen]).sum())
     binom = report("binomial", {"pi": pi_hat}, ll_bin, binomial_accuracy(n, pi_hat))
     if excess <= binomial_excess:
         betabin = report("beta-binomial", {"alpha": math.inf, "beta": math.inf},

@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel_row, _log_kn_tau,
-                   _log_weights, _logsumexp, _row_cache, _tau1_pi, _xlogy)
+from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel_row, _log_sum,
+                   _log_tau, _log_weights, _logit, _logsumexp, _row_cache, _tau1_pi, _xlogy)
 
 __all__ = [
     "GridSpec",
@@ -199,18 +199,25 @@ def _d_n_sign(n: int, psi, omega):
 
 
 def d_n(params: ModelParams) -> float:
-    """K_{n-1} - K_n = K_n (tau_1 - 1), as Delta times the linear factors
-    in the log domain: exactly 0.0 on the lines psi in {1/2, 1} and
-    omega = 1, a correctly signed infinity beyond the double range."""
+    """K_{n-1} - K_n = K_n (tau_1 - 1), as Delta times the linear factors:
+    exactly 0.0 on the lines psi in {1/2, 1} and omega = 1, a correctly
+    signed infinity beyond the double range."""
     n, psi, omega = params
     # each factor is 0 or at least 2^-53 in size, so the product cannot
     # underflow: it is 0 exactly on the lines
     factors = (psi - 1.0) * (2.0 * psi - 1.0) * (omega - 1.0)
     if n < 2 or factors == 0.0:
         return 0.0
-    log_factors = (math.log1p(-psi) + math.log(abs(2.0 * psi - 1.0))
-                   + math.log(abs(omega - 1.0)) + n % 2 * math.log1p(omega))
-    return math.copysign(_exp(_log_delta(n, psi, omega) + log_factors), factors)
+    # 2 psi - 1 and omega - 1, which vanish on the lines, multiply in as
+    # doubles: their logs would round at their own size, up to
+    # |log 2^-53|, and exp would carry that into every digit.  Only
+    # where Delta (1 - psi) (1 + omega)^[n odd] leaves the range of exp
+    # are they added as logs
+    small = abs(2.0 * psi - 1.0) * abs(omega - 1.0)
+    log_rest = _log_delta(n, psi, omega) + math.log1p(-psi) + n % 2 * math.log1p(omega)
+    if abs(log_rest) < -_EXP_FLOOR:
+        return math.copysign(math.exp(log_rest) * small, factors)
+    return math.copysign(_exp(log_rest + math.log(small)), factors)
 
 
 def delta(params: ModelParams) -> float:
@@ -253,8 +260,11 @@ def _blocks(terms: int, *cells: np.ndarray) -> list:
 def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
     """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
     each cell's kernel row."""
-    log_tau1 = np.concatenate([_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)[1]
-                               for p, w in _blocks(n + 1, psis, log_omegas)])
+    log_tau1 = []
+    for p, w in _blocks(n + 1, psis, log_omegas):
+        row = _log_weights(n, _logit(p)[:, None], w[:, None])[1]
+        log_tau1.append(_log_tau(1, row, _log_sum(row), p, w))
+    log_tau1 = np.concatenate(log_tau1)
     with np.errstate(over="ignore"):
         return np.exp(log_tau1)
 
@@ -269,31 +279,28 @@ def _log_delta_cells(table_a: np.ndarray, table_b: np.ndarray, rows, cols) -> np
 def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
     """(s0, s1) over the psis x omegas grid with tau_1 = s1 / (n psi s0).
 
-    K_n's log-weight is a psi-only row A[i, p] plus an omega-only column
+    K_n's log-weight is a psi-only row A[p, i] plus an omega-only column
     B[i, w] = i (n-i) log omega, each shifted by its maximum and
-    exponentiated once; tau_1 = E[Y] / (n psi) weights the psi factor by
+    exponentiated once; A's rows are the kernel's at omega = 1, which
+    come out shifted.  tau_1 = E[Y] / (n psi) weights the psi factor by
     i.  B is symmetric under i <-> n-i, so the psi factors of i and n-i
     are added first and the sums run over i = 0..floor(n/2).  ``einsum``,
     like the grids' other sums, gives the same bits whatever the BLAS
     thread count, which a BLAS product does not.
     """
-    i, rest, log_binom = (part[:, None] for part in _kernel_row(n))
-    a = log_binom + _xlogy(i, psis) + _xlogy(rest, 1.0 - psis)
-    a -= a.max(axis=0)
-    ea = _flushed_exp(a)
+    ea = _flushed_exp(_log_weights(n, _logit(psis)[:, None], 0.0)[1])
     half = n // 2 + 1
-    i, rest = i[:half], rest[:half]
-    low, high = ea[:half], ea[::-1][:half]  # high[i] = ea[n - i]
-    psi_factors = np.concatenate([low + high, i * low + rest * high], axis=1)
+    i, expo = (part[:half] for part in _kernel_row(n)[:2])  # expo = i (n-i)
+    low, high = ea[:, :half], ea[:, ::-1][:, :half]  # high[:, i] = ea[:, n - i]
+    psi_factors = np.concatenate([low + high, low * i + high * (n - i)])
     # i (n-i) peaks at floor(n^2 / 4), which is B's maximum for omega > 1;
     # the exponent difference is an exact integer
-    expo = i * rest
-    top_expo = np.where(log_omegas > 0.0, expo[-1, 0], 0)
-    eb = _flushed_exp((expo - top_expo) * log_omegas)
+    top_expo = np.where(log_omegas > 0.0, expo[-1], 0.0)
+    eb = _flushed_exp((expo[:, None] - top_expo) * log_omegas)
     if n % 2 == 0:
         # i = n/2 is its own partner, so its psi factors were doubled
         eb[-1] *= 0.5
-    sums = np.einsum("ip,iw->pw", psi_factors, eb)
+    sums = np.einsum("pi,iw->pw", psi_factors, eb)
     return sums[: len(psis)], sums[len(psis):]
 
 

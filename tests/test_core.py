@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,6 +379,17 @@ class TestConditionalCpr:
     def test_beyond_the_double_range_is_inf(self):
         # omega^-2 = 1e400
         assert conditional_cpr(ModelParams(5, 0.3, 1e-200)) == math.inf
+
+    @pytest.mark.parametrize("n", [2, 64, 2000])
+    @pytest.mark.parametrize("psi", [0.3, 0.5])
+    @pytest.mark.parametrize("omega", [1e-8, 0.2, 1.0, 1.5, 1e8])
+    def test_closed_form_omega_to_the_minus_two(self, n, psi, omega):
+        # psi and n cancel: (s+2)(n-s-2) + s(n-s) - 2(s+1)(n-s-1) = -2
+        with mp.workdps(50):
+            exact = 1 / mp.mpf(omega) ** 2
+            got = conditional_cpr(ModelParams(n, psi, omega))
+            assert float(abs(mp.mpf(got) - exact) / exact) <= 1e-14
+        assert conditional_cpr(ModelParams(n, psi, 1e-200)) == math.inf
 
 
 class TestSample:

@@ -22,7 +22,7 @@ from lmbd import (
     sample,
 )
 
-from lmbd.core import _kernel_row, _logsumexp, _xlogy
+from lmbd.core import _kernel_row, _log_sum, _log_weights, _logit, _logsumexp
 from lmbd.ensemble import _MAX_STEPS, _beta_binomial_log_lik, _newton_ascent
 
 from enumeration_oracle import enumerate_pmf_oracle
@@ -88,9 +88,15 @@ class TestBinomialAccuracy:
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 500])
     @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 1.0])
     def test_kernel_row_leaves_the_binomial_terms_bit_for_bit(self, n, p):
-        # the omega = 1 kernel row adds 0.0 to the bare binomial log-terms
-        y = np.arange(majority_threshold(n) + 1, n + 1)
-        logp = _kernel_row(n)[2][y] + _xlogy(y, p) + _xlogy(n - y, 1.0 - p)
+        # the omega = 1 kernel row adds theta_2 (y-m)(n-y-m) = 0.0 to the
+        # bare binomial log-terms, centred at the mode m
+        m, row = _log_weights(n, _logit(p), 0.0)
+        y, _, log_binom, _, _ = _kernel_row(n)
+        with np.errstate(invalid="ignore"):  # 0 * inf at the psi edges' centre
+            bare = log_binom - log_binom[m] + (y - m) * _logit(p)
+        bare[m] = 0.0
+        assert np.array_equal(row, bare)
+        logp = (bare - _log_sum(bare))[majority_threshold(n) + 1:]
         assert binomial_accuracy(n, p) == min(1.0, float(np.exp(_logsumexp(logp))))
 
     def test_pi_domain(self):
@@ -150,6 +156,11 @@ class TestCountSample:
             CountSample(n=2, counts=(0, 0, 0))
         with pytest.raises(ValueError):
             CountSample.from_pairs(2, [(3, 1)])
+
+    def test_from_pairs_rejects_a_non_integer_n(self):
+        with pytest.raises(ValueError, match="integer"):
+            CountSample.from_pairs(2.5, [(0, 1)])
+        assert CountSample.from_pairs(np.int64(2), [(1, 3)]).counts == (0, 3, 0)
 
 
 class TestFitMle:

@@ -30,7 +30,9 @@ import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
 from lmbd import GridSpec, delta_grid, factorization, tau1_region_grid
-from lmbd.core import _log_kn_tau, _log_weights
+from lmbd.core import _log_sum, _log_tau, _log_weights, _logit
+
+import mp_oracle
 
 
 DPS = 50
@@ -57,22 +59,6 @@ def _specs(n: int) -> list[GridSpec]:
     return [GridSpec.linspace(n), _seeded_spec(n, seed=n)]
 
 
-def _exact_log_k(n: int, a: int, p: mp.mpf, w: mp.mpf) -> mp.mpf:
-    m = n - a
-    p_pow, q_pow = [mp.mpf(1)], [mp.mpf(1)]
-    for _ in range(m):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * (1 - p))
-    # omega^((m-i)(i+a)) gains the factor omega^(m-1-a-2i) from i to i+1
-    w_pow, w_step, w_down = w ** (m * a), w ** (m - 1 - a), w ** -2
-    terms = []
-    for i in range(m + 1):
-        terms.append(math.comb(m, i) * p_pow[i] * q_pow[m - i] * w_pow)
-        w_pow *= w_step
-        w_step *= w_down
-    return mp.log(mp.fsum(terms))
-
-
 def _exact(n: int, psi: float, omega: float) -> tuple[mp.mpf, mp.mpf]:
     """(tau_1, Delta) at one cell, from the two K sums.  On the lines
     psi in {1/2, 1} and omega = 1, where Delta is 0/0, both are taken at
@@ -88,7 +74,7 @@ def _exact(n: int, psi: float, omega: float) -> tuple[mp.mpf, mp.mpf]:
             p -= LIMIT_STEP / mp.mpf(10) ** scale
         if omega == 1.0:
             w += LIMIT_STEP
-        la, lb = _exact_log_k(n, 1, p, w), _exact_log_k(n, 0, p, w)
+        la, lb = mp_oracle.log_k(n, 1, p, w), mp_oracle.log_k(n, 0, p, w)
         factors = (p - 1) * (2 * p - 1) * (w - 1) * ((w + 1) if n % 2 else 1)
         return mp.exp(la - lb), (mp.exp(la) - mp.exp(lb)) / factors
 
@@ -146,10 +132,13 @@ def _guard_masks(spec: GridSpec, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_sum_exp_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
     """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
-    each cell's kernel row (``core._log_kn_tau``): the numerics of the
+    each cell's kernel row (``core._log_tau``): the numerics of the
     tau_1 guard."""
-    log_tau1 = np.concatenate([_log_kn_tau(1, _log_weights(n, p[:, None], w[:, None]), p, w)[1]
-                               for p, w in factorization._blocks(n + 1, psis, log_omegas)])
+    log_tau1 = []
+    for p, w in factorization._blocks(n + 1, psis, log_omegas):
+        row = _log_weights(n, _logit(p)[:, None], w[:, None])[1]
+        log_tau1.append(_log_tau(1, row, _log_sum(row), p, w))
+    log_tau1 = np.concatenate(log_tau1)
     with np.errstate(over="ignore"):
         return np.exp(log_tau1)
 

@@ -1,35 +1,53 @@
 """The log-weight kernel's parts, and what is read off its K_n row,
-against a 50-digit mpmath oracle.
+against a 50-digit mpmath oracle (``mp_oracle``).
 
-``core._kernel_row`` caches one read-only row per n, with log C(n, y)
-read off a table of ``math.lgamma`` values, and ``core._logsumexp``
-floors its shifted terms before ``exp``.  The pmf
-bounds are twice the worst errors of the scipy-based kernel that came
-before the table (7.2e-12 at n = 500, 1.3e-10 at n = 2000, the
-omega = 2 cell both times): they grow like n^2 eps through the
-omega-exponent (n - y) y.  ``tau`` and ``log_k`` read tau_r off the same
-row as a falling-factorial moment (``core._log_kn_tau``); the oracle sums
-each K_{n-r} by its own definition instead.
+``core._kernel_row`` caches one read-only row per n, with log C(n, y) a
+mirrored cumulative sum of log((n-k)/(k+1)), and ``core._log_weights``
+centres K_n's terms at their global mode in the natural parameters
+(logit psi, log omega), so an entry rounds in proportion to its own
+size rather than to theta_2 n^2 / 4.  ``core._logsumexp`` floors its
+shifted terms before ``exp``.  The pmf bounds are twice the worst errors
+of that kernel on the cells below, which reach omega = 1e8 and the
+critical Curie-Weiss coupling omega = e^(-2/n); the kernel before it,
+with log C(n, y) off an ``lgamma`` table and the uncentred product
+theta_2 y (n-y), was off by up to 3.9e-9 at n = 2000 on those cells.
+``tau`` and ``log_k`` read tau_r off the same row as a falling-factorial
+moment (``core._log_tau``); the oracle sums each K_{n-r} by its own
+definition instead.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmbd import ModelParams, log_k, pmf, tau
-from lmbd.core import _kernel_row, _log_factorials, _log_weights, _logsumexp, _xlogy
+from lmbd.core import (_kernel_row, _log_falling_ratio, _log_sum, _log_weights, _logit,
+                       _logsumexp, _xlogy)
+
+import mp_oracle
 
 DPS = 50
 EPS = np.finfo(float).eps
 BINOM_MS = (*range(70), 127, 128, 500, 511, 512, 1000, 1023, 1024, 1999, 2000)
-PMF_CELLS = ((0.3, 1.5), (0.5, 0.95), (0.7, 1.01), (0.02, 1e-3), (0.9, 2.0))
-PMF_BOUND = {500: 1.44e-11, 2000: 2.6e-10}
+# omega = None is the critical Curie-Weiss coupling e^(-2/n) at each n
+PMF_CELLS = ((0.3, 1.5), (0.5, 0.95), (0.7, 1.01), (0.02, 1e-3), (0.9, 2.0),
+             *((psi, omega) for psi in (1e-6, 0.01, 0.3, 1 - 1e-6) for omega in (1e3, 1e8)),
+             (0.5, None), (0.55, None))
+# twice the worst relative error on these cells: 1.84e-13 at n = 500
+# (psi = 0.9, omega = 2) and 2.47e-13 at n = 2000 (psi = 1/2,
+# omega = e^(-2/n))
+PMF_BOUND = {500: 3.7e-13, 2000: 5.0e-13}
+
+
+def _omega(n: int, omega):
+    return math.exp(-2.0 / n) if omega is None else omega
 
 
 @pytest.mark.parametrize("m", BINOM_MS)
@@ -46,15 +64,20 @@ def test_log_binom_matches_mpmath(m):
 
 @pytest.mark.parametrize("m", [0, 1, 7, 300])
 def test_kernel_rows_are_read_only(m):
-    i, rest, log_binom = _kernel_row(m)
+    i, cross, log_binom, steps, slope = _kernel_row(m)
     assert list(i) == list(range(m + 1))
-    assert list(rest) == list(range(m, -1, -1))
-    for part in (i, rest, log_binom):
-        assert not part.flags.writeable
+    assert list(cross) == [y * (m - y) for y in range(m + 1)]
+    assert list(slope) == [0, *range(m - 1, -m - 1, -2), 0]
+    assert steps[0] == np.inf and steps[-1] == -np.inf
+    # mirrored: C(m, y) = C(m, m-y) and the steps change sign, bit for bit
+    assert list(log_binom[::-1]) == list(log_binom)
+    assert list(steps[::-1]) == list(-steps)
+    rows = [i, cross, log_binom, steps, slope] + ([_log_falling_ratio(m, 1)[0]] if m else [])
+    for row in rows:
+        assert not row.flags.writeable
         with pytest.raises(ValueError):
-            part[0] = 1
+            row[0] = 1
     assert _kernel_row(m) is _kernel_row(m)
-    assert not _log_factorials(1 << m.bit_length()).flags.writeable
 
 
 def test_xlogy_takes_zero_log_zero_as_zero():
@@ -71,10 +94,30 @@ def test_xlogy_takes_zero_log_zero_as_zero():
 
 def test_kernel_puts_the_psi_edges_on_one_term():
     # psi = 0 puts all weight on y = 0, psi = 1 on y = n
-    w0 = _log_weights(6, 0.0, math.log(1.5))
-    w1 = _log_weights(6, 1.0, math.log(1.5))
-    assert w0[0] == 0.0 and np.isneginf(w0[1:]).all()
-    assert w1[-1] == 0.0 and np.isneginf(w1[:-1]).all()
+    m0, w0 = _log_weights(6, _logit(0.0), math.log(1.5))
+    m1, w1 = _log_weights(6, _logit(1.0), math.log(1.5))
+    assert m0 == 0 and w0[0] == 0.0 and np.isneginf(w0[1:]).all()
+    assert m1 == 6 and w1[-1] == 0.0 and np.isneginf(w1[:-1]).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+def test_batches_match_scalar_rows_bit_for_bit(n):
+    # the kernel's (P, 1) blocks, as the grids and convergence reports
+    # build them, against its scalar rows at the same theta: psi edges,
+    # two wells (omega < 1) and omega = 1 among them
+    psis = (0.0, 1e-300, 0.3, 0.5, 0.55, 1 - 1e-16, 1.0)
+    log_omegas = (-18.4, -2.0 / n, -1e-3, 0.0, 0.7, 18.4)
+    cells = [(_logit(p), w) for p in psis for w in log_omegas]
+    theta1, theta2 = (np.array(column)[:, None] for column in zip(*cells))
+    rows = [_log_weights(n, t1, t2)[1] for t1, t2 in cells]
+    assert np.array_equal(_log_weights(n, theta1, theta2)[1], rows)
+    per_psi = theta1[::len(log_omegas)]
+    for t2 in log_omegas:  # one theta_2 for the block, as the grids pass
+        block = _log_weights(n, per_psi, t2)[1]
+        assert np.array_equal(block, [_log_weights(n, t1, t2)[1] for t1 in per_psi[:, 0]])
+    for t1 in per_psi[:, 0]:  # one theta_1, as the reports pass
+        block = _log_weights(n, t1, theta2[:len(log_omegas)])[1]
+        assert np.array_equal(block, [_log_weights(n, t1, t2)[1] for t2 in log_omegas])
 
 
 def _unfloored_logsumexp(terms):
@@ -84,17 +127,15 @@ def _unfloored_logsumexp(terms):
     return float(top + np.log(np.exp(terms - top).sum()))
 
 
-def _falling_moment_terms(logw: np.ndarray, r: int) -> np.ndarray:
-    """The terms whose log-sum-exp ``core._log_kn_tau`` takes for E[(Y)_r]:
-    the row shifted by its maximum, plus log (y)_r for y = r..n."""
-    n = len(logw) - 1
-    lf = _log_factorials(1 << n.bit_length())
-    return (logw - logw.max())[r:] + lf[r:n + 1] - lf[:n + 1 - r]
+def _falling_moment_terms(row: np.ndarray, r: int) -> np.ndarray:
+    """The terms whose log-sum-exp ``core._log_tau`` takes for E[(Y)_r]:
+    the kernel row plus log[(y)_r / (n)_r] for y = r..n."""
+    return row[r:] + _log_falling_ratio(len(row) - 1, r)[0]
 
 
 def test_logsumexp_floor_leaves_bits_unchanged():
     # terms far below the maximum, where exp underflows and the floor acts
-    rows = [_log_weights(n, psi, math.log(omega))
+    rows = [_log_weights(n, _logit(psi), math.log(omega))[1]
             for n in (5, 64, 500, 2000)
             for psi in (1e-9, 0.3, 0.5, 0.99)
             for omega in (1e-8, 0.5, 1.0, 1.5, 1e8)]
@@ -102,6 +143,8 @@ def test_logsumexp_floor_leaves_bits_unchanged():
     arrays += [t - _logsumexp(t) for t in arrays]
     arrays.append(np.array([0.0, -800.0, -np.inf, -1e300]))
     assert [_logsumexp(t) for t in arrays] == [_unfloored_logsumexp(t) for t in arrays]
+    # a kernel row's largest entry is exactly 0, so its sum needs no shift
+    assert [float(_log_sum(w)) for w in rows] == [_unfloored_logsumexp(w) for w in rows]
 
 
 def test_logsumexp_passes_inf_and_nan_through():
@@ -110,62 +153,76 @@ def test_logsumexp_passes_inf_and_nan_through():
     assert math.isnan(_logsumexp(np.array([1.0, np.nan])))
 
 
-@functools.lru_cache(maxsize=None)
-def _exact_log_factorials(n: int) -> tuple:
-    with mp.workdps(DPS):
-        out = [mp.mpf(0)]
-        for k in range(1, n + 1):
-            out.append(out[-1] + mp.log(k))
-    return tuple(out)
-
-
-def _exact_probs(n: int, psi: float, omega: float) -> np.ndarray:
-    lf = _exact_log_factorials(n)
-    with mp.workdps(DPS):
-        lp, lq = mp.log(mp.mpf(psi)), mp.log(1 - mp.mpf(psi))
-        lw = mp.log(mp.mpf(omega))
-        logw = [lf[n] - lf[y] - lf[n - y] + y * lp + (n - y) * lq + (n - y) * y * lw
-                for y in range(n + 1)]
-        top = max(logw)
-        w = [mp.exp(v - top) for v in logw]
-        total = mp.fsum(w)
-        return np.array([float(v / total) for v in w])
+def _pmf_rel_errs(n: int, psi: float, omega: float) -> np.ndarray:
+    """``pmf``'s relative error per entry, 0 where the exact value is not
+    a normal double; those entries must come out below 1e-300."""
+    exact = mp_oracle.probs(n, psi, omega)
+    got = pmf(ModelParams(n, psi, omega)).probs()
+    normal = exact > np.finfo(float).tiny
+    # entries below the double range come out as (sub)normal noise or 0
+    assert np.all(got[~normal] <= 1e-300)
+    return np.where(normal, np.abs(got - exact) / np.where(normal, exact, 1.0), 0.0)
 
 
 @pytest.mark.parametrize("n", sorted(PMF_BOUND))
 @pytest.mark.parametrize("psi,omega", PMF_CELLS)
 def test_pmf_matches_mpmath(n, psi, omega):
-    exact = _exact_probs(n, psi, omega)
-    got = pmf(ModelParams(n, psi, omega)).probs()
-    normal = exact > np.finfo(float).tiny
-    rel = np.abs(got[normal] - exact[normal]) / exact[normal]
-    assert rel.max() <= PMF_BOUND[n]
-    # entries below the double range come out as (sub)normal noise or 0
-    assert np.all(got[~normal] <= 1e-300)
+    assert _pmf_rel_errs(n, psi, _omega(n, omega)).max() <= PMF_BOUND[n]
+
+
+# the property test's n stay below 300, and its bound is PMF_BOUND's at
+# n = 500, widened where an entry's log is made of large parts that
+# cancel: (y - m) theta_1 and theta_2 (y - m)(n - y - m) each carry the
+# rounding of theta itself, eps |theta|, and round at their own size
+EDGE_PSIS = (0.0, 1e-300, 1 - 1e-16, 1.0)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(n, psi, omega): log omega uniform on [-18.4, 18.4], or the
+    Curie-Weiss coupling omega = e^(-2 beta / n), beta in [0, 3], whose
+    two wells merge at the critical beta = 1."""
+    n = draw(st.integers(1, 300))
+    psi = draw(st.sampled_from(EDGE_PSIS) | st.floats(0.0, 1.0, exclude_min=True,
+                                                       exclude_max=True))
+    if draw(st.booleans()):
+        log_omega = draw(st.floats(-18.4, 18.4))
+    else:
+        log_omega = -2.0 * draw(st.floats(0.0, 3.0)) / n
+    return n, psi, math.exp(log_omega)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_kernel_cases())
+def test_kernel_property_oracle(case):
+    n, psi, omega = case
+    theta1, theta2 = _logit(psi), math.log(omega)
+    m = int(_log_weights(n, theta1, theta2)[0])
+    exact = mp_oracle.log_weights(n, psi, omega)
+    if math.isinf(theta1):
+        assert m == (n if theta1 > 0 else 0)
+        assert _pmf_rel_errs(n, psi, omega).max() == 0.0
+    else:
+        d = np.arange(n + 1) - m
+        parts = np.abs(d * theta1) + np.abs(theta2 * (d * (n - m - np.arange(n + 1))))
+        assert (_pmf_rel_errs(n, psi, omega) <= np.maximum(PMF_BOUND[500], 4 * EPS * parts)).all()
+        # the centre is an argmax of the exact weights, up to the
+        # rounding of the steps and heights it is chosen by
+        tol = 8 * EPS * (n * abs(theta1) + n * n * abs(theta2) + n)
+        with mp.workdps(DPS):
+            assert exact[m] >= max(exact) - tol, (m, exact.index(max(exact)))
+    # at psi = 1/2 the law is symmetric, and so is its table, bit for bit
+    log_prob = pmf(ModelParams(n, 0.5, omega)).log_prob
+    assert np.array_equal(log_prob, log_prob[::-1])
 
 
 # twice the worst error on these cells, at r in {1, 2, n/2, n}: tau_r
-# relative (n = 2000: 2.7e-11 at psi = 0.3, omega = 1.5, r = 1000);
-# log K_{n-r} absolute over max(1, |log K_{n-r}|), which at r = n is
-# the rounding of log K_n + log tau_n, two values near 9791 at
-# n = 2000, psi = 0.7, omega = 1.01 (1.8e-12)
-TAU_BOUND = {64: 9.3e-14, 500: 1.03e-11, 2000: 5.5e-11}
-LOG_K_BOUND = {64: 4.3e-14, 500: 2.3e-13, 2000: 3.7e-12}
-
-
-@functools.lru_cache(maxsize=None)
-def _exact_log_k(n: int, r: int, psi: float, omega: float) -> mp.mpf:
-    """log K_{n-r}, summed over its own terms
-    C(n-r, i) psi^i (1-psi)^(n-r-i) omega^((n-r-i)(i+r))."""
-    lf = _exact_log_factorials(n)
-    m = n - r
-    with mp.workdps(DPS):
-        lp, lq = mp.log(mp.mpf(psi)), mp.log(1 - mp.mpf(psi))
-        lw = mp.log(mp.mpf(omega))
-        terms = [lf[m] - lf[i] - lf[m - i] + i * lp + (m - i) * lq + (m - i) * (i + r) * lw
-                 for i in range(m + 1)]
-        top = max(terms)
-        return top + mp.log(mp.fsum(mp.exp(t - top) for t in terms))
+# relative (n = 2000: 9.0e-13 at psi = 0.3, omega = 1e3); log K_{n-r}
+# absolute over max(1, |log K_{n-r}|), a few ulp of log K_{n-r} (3.6e-16
+# at n = 500, psi = 0.55, omega = e^(-2/n)).  tau_n = 1 / K_n, and
+# log K_0 = 0 exactly
+TAU_BOUND = {64: 3.7e-14, 500: 1.9e-13, 2000: 1.8e-12}
+LOG_K_BOUND = {64: 5.2e-16, 500: 7.2e-16, 2000: 4.6e-16}
 
 
 def _tau_rel_err(got: float, exact_log: mp.mpf) -> float:
@@ -181,8 +238,12 @@ def _tau_rel_err(got: float, exact_log: mp.mpf) -> float:
 @pytest.mark.parametrize("n", sorted(TAU_BOUND))
 @pytest.mark.parametrize("psi,omega", PMF_CELLS)
 def test_tau_and_log_k_match_mpmath(n, psi, omega):
+    omega = _omega(n, omega)
+    with mp.workdps(DPS):
+        exact_kn = mp_oracle.log_k(n, 0, mp.mpf(psi), mp.mpf(omega))
     for r in (1, 2, n // 2, n):
-        exact_kr, exact_kn = _exact_log_k(n, r, psi, omega), _exact_log_k(n, 0, psi, omega)
+        with mp.workdps(DPS):
+            exact_kr = mp_oracle.log_k(n, r, mp.mpf(psi), mp.mpf(omega))
         assert _tau_rel_err(tau(r, ModelParams(n, psi, omega)),
                             exact_kr - exact_kn) <= TAU_BOUND[n], r
         with mp.workdps(DPS):
