@@ -96,7 +96,7 @@ def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
     """
     if regime.psi_edge != "none":
         raise ValueError(f"tau_limit needs interior psi, got psi_edge={regime.psi_edge!r}")
-    n = regime.n
+    n, j = regime.n, _integer("j", j)
     top = n if regime.omega_edge == "to-zero" else n // 2
     if not 1 <= j <= top:
         raise ValueError(f"j must lie in [1, {top}] at omega {regime.omega_edge}, got {j}")
@@ -133,6 +133,9 @@ def _total_variations(table_probs: np.ndarray, limit: dict[int, float]) -> np.nd
     finite limit law."""
     q = np.zeros(table_probs.shape[-1])
     for point, mass in limit.items():
+        point = _integer("limit point", point)
+        if not 0 <= point < len(q):
+            raise ValueError(f"limit point {point} lies outside [0, {len(q) - 1}]")
         q[point] = mass
     return 0.5 * np.abs(table_probs - q).sum(axis=-1)
 

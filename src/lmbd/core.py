@@ -20,14 +20,15 @@ log domain, centred at the weights' global mode m:
     log w(y) - log w(m) = [log C(n, y) - log C(n, m)] + (y - m) theta_1
                           + theta_2 (y - m)(n - y - m).
 
-The last factor is an exact integer, so an entry rounds in proportion
-to its own distance from the top, never to theta_2 n^2 / 4.  log C(n, .)
-is a mirrored cumulative sum, so the row at psi = 1/2 is symmetric bit
-for bit.  psi = 0 and 1 are theta_1 = -inf and +inf, a point mass with
-no 0 log 0 case.  Every quantity is read off that row: log K_n is the
-log of its term at m plus one log-sum-exp whose largest term is 1, and
-tau_r = K_{n-r} / K_n is a falling-factorial moment of it,
-E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
+m is the first argmax of the uncentred log-weights, which their rounding
+can only trade for a near tie.  The last factor is an exact integer, so
+an entry rounds in proportion to its own distance from the top, never to
+theta_2 n^2 / 4.  log C(n, .) is a mirrored cumulative sum, so the row
+at psi = 1/2 is symmetric bit for bit.  psi = 0 and 1 are theta_1 = -inf
+and +inf, a point mass with no 0 log 0 case.  Every quantity is read off
+that row: log K_n is the log of its term at m plus one log-sum-exp whose
+largest term is 1, and tau_r = K_{n-r} / K_n is a falling-factorial
+moment of it, E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
 """
 
 from __future__ import annotations
@@ -157,23 +158,18 @@ def _row_cache(build):
 
 @_row_cache
 def _kernel_row(n: int):
-    """(y, y (n-y), log C(n, y), steps, slope) as read-only floats for
-    y = 0..n: the kernel's parts that depend on n alone.  The steps
-    log C(n, k+1) - log C(n, k) = log1p((n-1-2k) / (k+1)) and their
-    slopes n-1-2k, k < n, sit between a rising and a falling sentinel
-    (+inf and -inf, slope 0).  log C(n, .) sums the steps up to n/2 in
-    long double where the platform has one, so that each entry is
-    within about an ulp rather than n ulp, and is mirrored, so that
-    C(n, y) = C(n, n-y) bit for bit."""
+    """(y, y (n-y), log C(n, y)) as read-only floats for y = 0..n: the
+    kernel's parts that depend on n alone.  log C(n, .) sums its
+    increments log1p((n-1-2k) / (k+1)) up to n/2 in long double where
+    the platform has one, so that each entry is within about an ulp
+    rather than n ulp, and is mirrored, so that C(n, y) = C(n, n-y) bit
+    for bit."""
     y = np.arange(n + 1.0)
-    k = y[:(n + 1) // 2]
-    half = np.log1p((n - 1 - 2 * k) / (k + 1))
+    k = y[:n // 2]
     log_binom = np.zeros(n + 1)
-    log_binom[1:n // 2 + 1] = np.cumsum(half[:n // 2], dtype=np.longdouble)
+    log_binom[1:n // 2 + 1] = np.cumsum(np.log1p((n - 1 - 2 * k) / (k + 1)), dtype=np.longdouble)
     log_binom[n - n // 2:] = log_binom[:n // 2 + 1][::-1]
-    steps = np.concatenate(([np.inf], half, -half[:n // 2][::-1], [-np.inf]))
-    slope = np.concatenate(([0.0], n - 1 - 2 * y[:n], [0.0]))
-    return y, y * (n - y), log_binom, steps, slope
+    return y, y * (n - y), log_binom
 
 
 def _xlogy(k, p):
@@ -203,23 +199,12 @@ def _logit(psi):
 
 
 def _mode(n: int, theta1, theta2, batch: bool):
-    """The weights' global mode off the signs of their steps, for finite
-    theta_1: an int, or shape (P, 1) for a batch.  The steps fall, or
-    for theta_2 < 0 fall, rise and fall again: the local maxima are at
-    most two, after the first and after the last run of rising steps,
-    and the mode is the higher one (the lower on a tie).  A batch with
-    one theta_2 >= 0 counts the rising steps instead."""
-    _, cross, log_binom, steps, slope = _kernel_row(n)
-    rising = theta2 * slope + steps > -theta1
-    if batch and not isinstance(theta2, np.ndarray) and theta2 >= 0.0:
-        return rising.sum(axis=-1, keepdims=True) - 1
-    lo = rising.argmin(axis=-1, keepdims=batch) - 1
-    hi = n + 1 - rising[..., ::-1].argmax(axis=-1, keepdims=batch)
-    if (lo == hi).all() if batch else lo == hi:
-        return lo if batch else int(lo)
-    lift = (log_binom[hi] - log_binom[lo] + (hi - lo) * theta1
-            + theta2 * (cross[hi] - cross[lo]))
-    return np.where(lift > 0.0, hi, lo) if batch else int(hi if lift > 0.0 else lo)
+    """The weights' global mode at a finite theta_1, an int or shape (P, 1):
+    the first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y)."""
+    y, cross, log_binom = _kernel_row(n)
+    top = log_binom + y * theta1 + theta2 * cross
+    m = top.argmax(axis=-1, keepdims=batch)
+    return m if batch else int(m)
 
 
 def _log_weights(n: int, theta1, theta2):
@@ -236,7 +221,7 @@ def _log_weights(n: int, theta1, theta2):
     theta_1 = -inf or +inf (psi = 0 or 1) the row is a point mass at 0
     or n.
     """
-    y, cross, log_binom, _, _ = _kernel_row(n)
+    y, cross, log_binom = _kernel_row(n)
     batch = isinstance(theta1, np.ndarray) or isinstance(theta2, np.ndarray)
     edge = np.isinf(theta1) if batch else math.isinf(theta1)
     if not (edge.any() if batch else edge):
@@ -299,9 +284,9 @@ def _mass(log_probs: np.ndarray) -> float:
 @_row_cache
 def _log_falling_ratio(n: int, r: int):
     """A one-tuple of log[(y)_r / (n)_r] for y = r..n, read-only: the
-    reverse sum -sum_{j=y+1..n} log1p(r / (j-r)), from 0 at y = n."""
+    reverse sum -sum_{j=y+1..n} log1p(r / (j-r)), in long double."""
     out = np.zeros(n - r + 1)
-    out[:-1] = -np.cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)))[::-1]
+    out[:-1] = -np.cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)), dtype=np.longdouble)[::-1]
     return (out,)
 
 
@@ -371,7 +356,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     a = n that sum is log K_0 = 0 exactly, as ``tau`` reads
     log tau_n = -log K_n.
     """
-    n = _validate(n, psi, omega)
+    n, a = _validate(n, psi, omega), _integer("a", a)
     if not 0 <= a <= n:
         raise ValueError(f"a must lie in [0, n={n}], got {a}")
     if a == n:
@@ -384,6 +369,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
 def tau(r: int, params: ModelParams) -> float:
     """The ratio tau_r = K_{n-r} / K_n, r in [1, n], read off the K_n
     row; +inf where it lies beyond the double range."""
+    r = _integer("r", r)
     if not 1 <= r <= params.n:
         raise ValueError(f"r must lie in [1, n={params.n}], got {r}")
     return _exp(_log_tau_r(*params, r))
@@ -401,6 +387,7 @@ def pmf(params: ModelParams) -> PmfTable:
 
 def cdf(params: ModelParams, y: int) -> float:
     """P(Y <= y), accumulated by log-sum-exp over the table prefix."""
+    y = _integer("y", y)
     if not 0 <= y <= params.n:
         raise IndexError(f"y must lie in [0, n={params.n}], got {y}")
     return _mass(pmf(params).log_prob[: y + 1])
@@ -495,12 +482,11 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
 
     Deterministic given ``seed``; the generator is local to the call.
     """
+    count = _integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    table = pmf(params)
-    cum = np.cumsum(table.probs())
+    cum = np.cumsum(pmf(params).probs())
     cum[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
+    u = np.random.default_rng(_integer("seed", seed)).random(count)
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 

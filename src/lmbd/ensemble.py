@@ -78,7 +78,7 @@ class CountSample(_Checked, _CountSampleFields):
         n = _integer("n", n)
         counts = [0] * (n + 1)
         for y, c in pairs:
-            y, c = int(y), int(c)
+            y, c = _integer("y", y), _integer("count", c)
             if not 0 <= y <= n:
                 raise ValueError(f"observed y={y} outside support [0, {n}]")
             counts[y] += c
@@ -117,6 +117,7 @@ class ComparisonReport(NamedTuple):
 
 def majority_threshold(n: int) -> int:
     """q = n/2 for even n, (n-1)/2 for odd n; a vote wins iff Y > q."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return n // 2
@@ -148,8 +149,9 @@ def _rising_sums(x: float, m: int) -> np.ndarray:
 
 def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     """Majority tail of the Beta(alpha, beta) mixture of Binomials."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("alpha and beta must be positive")
+    n = _integer("n", n)
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     # log B(y+alpha, n-y+beta) - log B(alpha, beta) by rising factorials
     ra, rb, rab = (_rising_sums(x, n)[0] for x in (alpha, beta, alpha + beta))
     logp = _kernel_row(n)[2] + ra + rb[::-1] - rab[n]

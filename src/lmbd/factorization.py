@@ -99,6 +99,8 @@ class GridSpec(_Checked, _GridSpecFields):
         # check the ends first: numpy warns when it spreads an infinite one
         _check_axes((psi_min,), (omega_min,))
         _check_axes((psi_max,), (omega_max,))
+        psi_steps = _integer("psi_steps", psi_steps)
+        omega_steps = _integer("omega_steps", omega_steps)
         return GridSpec(
             psi_values=tuple(np.linspace(psi_min, psi_max, psi_steps).tolist()),
             omega_values=tuple(np.linspace(omega_min, omega_max, omega_steps).tolist()),

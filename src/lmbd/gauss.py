@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, _table_moments, pmf
+from .core import ModelParams, _integer, _table_moments, pmf
 
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
@@ -46,7 +46,7 @@ def standardized_ks_distance(params: ModelParams) -> float:
 
 def clt_scan(ns, psi: float, omega: float) -> list[CltScanRow]:
     """One diagnostic row per trial count, in input order."""
-    ns = [int(n) for n in ns]
+    ns = [_integer("n", n) for n in ns]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
     return [

@@ -247,6 +247,11 @@ class TestTotalVariation:
         probs = np.array([1.0, 0.0, 0.0])
         assert total_variation(probs, {2: 1.0}) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("point", [-1, 3])
+    def test_a_point_off_the_table_raises(self, point):
+        with pytest.raises(ValueError, match="outside"):
+            total_variation(np.array([0.5, 0.0, 0.5]), {point: 1.0})
+
 
 class TestRegimeValidation:
     def test_bad_edges(self):

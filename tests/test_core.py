@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -482,3 +484,44 @@ def test_public_names_are_the_submodules_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(lmbd, name) is getattr(module, name)
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each module-level private function, class
+    or assignment target: a name with one leading underscore."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _reads(stmt: ast.stmt, modules: set[str]) -> set[str]:
+    """The names a statement loads, bare or as ``module._name`` of a
+    package module."""
+    loads = [node for node in ast.walk(stmt) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    return ({node.id for node in loads if isinstance(node, ast.Name)}
+            | {node.attr for node in loads if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id in modules})
+
+
+def test_every_private_name_is_read_by_the_package():
+    # code only the tests need belongs in tests/: a module-level private
+    # name that no statement of src/lmbd reads, its own definition
+    # aside, is dead
+    paths = sorted(Path(lmbd.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    trees = [ast.parse(path.read_text()) for path in paths]
+    statements = [(stmt, _reads(stmt, modules)) for tree in trees for stmt in tree.body]
+    definitions = [d for tree in trees for d in _private_definitions(tree)]
+    assert len(definitions) > 50
+    dead = [name for name, home in definitions
+            if not any(name in reads for stmt, reads in statements if stmt is not home)]
+    assert dead == []

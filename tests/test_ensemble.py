@@ -91,7 +91,7 @@ class TestBinomialAccuracy:
         # the omega = 1 kernel row adds theta_2 (y-m)(n-y-m) = 0.0 to the
         # bare binomial log-terms, centred at the mode m
         m, row = _log_weights(n, _logit(p), 0.0)
-        y, _, log_binom, _, _ = _kernel_row(n)
+        y, _, log_binom = _kernel_row(n)
         with np.errstate(invalid="ignore"):  # 0 * inf at the psi edges' centre
             bare = log_binom - log_binom[m] + (y - m) * _logit(p)
         bare[m] = 0.0
@@ -128,6 +128,12 @@ class TestBetaBinomialAccuracy:
             beta_binomial_accuracy(3, 0.0, 1.0)
         with pytest.raises(ValueError):
             beta_binomial_accuracy(3, 1.0, -2.0)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (1.0, math.nan),
+                                            (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_shapes_raise(self, alpha, beta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            beta_binomial_accuracy(5, alpha, beta)
 
 
 def expected_count_sample(params: ModelParams, total: int = 10 ** 6) -> CountSample:

@@ -153,16 +153,18 @@ def _rel_normal(got: float, exact: mp.mpf) -> float:
 
 LARGE_NS = (200, 400, 1000)
 CELLS_PER_PATH = 4
-# (tau_1, Delta) bounds per n and path (guarded or not).  tau_1's are
-# twice the worst relative error, on sampled cells, of a reference of
-# two log-sum-exp passes over every cell, one for K_{n-1} and one for
-# K_n.  Delta's are twice its own worst error on its cells (at n = 200
-# its guarded cells all lie beyond the double range), except at
-# n = 1000, where that would be 1.7e-13 and the earlier 1.1e-13 holds
+# (tau_1, Delta) bounds per n and path (guarded or not), each twice its
+# own worst relative error on its cells: tau_1 summed 2.0e-14, 1.9e-14
+# and 2.4e-16 and guarded 5.8e-14, 3.4e-14 and 4.8e-14 at n = 200, 400
+# and 1000, with tau's falling-factorial row summed in an 80-bit
+# np.longdouble (in double the guarded worst at n = 1000 reads 3.9e-14,
+# the rest unmeasured).  At n = 200 Delta's guarded cells all lie beyond the double
+# range; at n = 1000 its unguarded bound would be 1.7e-13 and the
+# earlier 1.1e-13 holds
 LARGE_N_BOUNDS = {
-    200: {False: (1.4e-12, 2.4e-14), True: (2.4e-13, 0.0)},
-    400: {False: (5.9e-12, 7.6e-15), True: (2.5e-12, 2.1e-14)},
-    1000: {False: (3.2e-11, 1.1e-13), True: (1.6e-11, 5.2e-14)},
+    200: {False: (4.1e-14, 2.4e-14), True: (1.2e-13, 0.0)},
+    400: {False: (3.9e-14, 7.6e-15), True: (7.0e-14, 2.1e-14)},
+    1000: {False: (4.8e-16, 1.1e-13), True: (9.6e-14, 5.2e-14)},
 }
 
 
@@ -198,8 +200,8 @@ def test_large_n_cells_match_mpmath_on_both_paths(n, monkeypatch):
 @pytest.mark.parametrize("n", (200, 400))
 def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     # the sampled cells above miss most of a grid; here every cell of the
-    # sums of products is held to a log-sum-exp over its kernel row, whose
-    # own error at n = 400 reaches some 5e-12 of tau_1
+    # sums of products is held to a log-sum-exp over its kernel row, at
+    # twice their worst gap: 6.5e-14 at n = 200 and 6.9e-14 at n = 400
     spec = _seeded_spec(n, seed=n)
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
@@ -209,7 +211,7 @@ def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     rows, cols = np.nonzero(summed)
     tau1 = s1[rows, cols] / (n * psis[rows] * s0[rows, cols])
     ref_tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
-    np.testing.assert_allclose(tau1, ref_tau1, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(tau1, ref_tau1, rtol=1.4e-13, atol=0)
 
 
 # (tau_1, Delta) bounds per n: twice the worst relative error over every

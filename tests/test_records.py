@@ -1,6 +1,7 @@
 """The public records are named tuples: their field order, that they
 hold no per-instance state, and that the five validated inputs check
-their values on every way a record can be built."""
+their values on every way a record can be built; and that every
+integer argument of a public call rejects a float."""
 
 import copy
 import dataclasses
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import lmbd
-from lmbd import CountSample, EnsembleSpec, GridSpec, LimitRegime, ModelParams
+from lmbd import (CountSample, EnsembleSpec, GridSpec, LimitRegime, ModelParams,
+                  beta_binomial_accuracy, binomial_accuracy, cdf, clt_scan, log_k,
+                  majority_threshold, sample, tau, tau_limit, total_variation)
 
 # positional construction and unpacking follow this order, which is the
 # field order the records had as dataclasses
@@ -138,3 +141,31 @@ def test_a_numpy_integer_n_is_stored_as_an_int(cls):
     kw["n"] = np.int64(kw["n"])
     record = cls(**kw)
     assert type(record.n) is int and record == cls(*VALID[cls])
+
+
+P = ModelParams(10, 0.3, 1.2)
+# every integer argument of a public call other than a record's n, each
+# given a float: all read it with ``core._integer``
+NON_INTEGER_CALLS = {
+    "cdf-y": lambda: cdf(P, 2.5),
+    "tau-r": lambda: tau(1.5, P),
+    "log_k-a": lambda: log_k(10, 1.5, 0.3, 1.2),
+    "sample-count": lambda: sample(P, 2.5, 1),
+    "sample-seed": lambda: sample(P, 2, 1.5),
+    "beta_binomial_accuracy-n": lambda: beta_binomial_accuracy(2.5, 1.0, 1.0),
+    "binomial_accuracy-n": lambda: binomial_accuracy(2.5, 0.3),
+    "majority_threshold-n": lambda: majority_threshold(2.5),
+    "clt_scan-ns": lambda: clt_scan([8.5, 16], 0.3, 1.2),
+    "tau_limit-j": lambda: tau_limit(1.5, LimitRegime("to-zero", 4), 0.3),
+    "linspace-psi_steps": lambda: GridSpec.linspace(5, 2.5),
+    "linspace-omega_steps": lambda: GridSpec.linspace(5, 11, 7.0),
+    "from_pairs-y": lambda: CountSample.from_pairs(5, [(2.5, 1)]),
+    "from_pairs-count": lambda: CountSample.from_pairs(5, [(2, 1.5)]),
+    "total_variation-point": lambda: total_variation(np.array([0.5, 0.0, 0.5]), {1.5: 1.0}),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_every_integer_argument_rejects_a_float(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
