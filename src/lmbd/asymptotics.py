@@ -49,10 +49,7 @@ class LimitRegime(_Checked, _LimitRegimeFields):
             raise ValueError(f"omega_edge must be one of {_OMEGA_EDGES}")
         if psi_edge not in _PSI_EDGES:
             raise ValueError(f"psi_edge must be one of {_PSI_EDGES}")
-        n = _integer("n", n)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return super().__new__(cls, omega_edge, n, psi_edge)
+        return super().__new__(cls, omega_edge, _integer("n", n, 1), psi_edge)
 
 
 class LimitReport(NamedTuple):
@@ -96,10 +93,9 @@ def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
     """
     if regime.psi_edge != "none":
         raise ValueError(f"tau_limit needs interior psi, got psi_edge={regime.psi_edge!r}")
-    n, j = regime.n, _integer("j", j)
+    n = regime.n
     top = n if regime.omega_edge == "to-zero" else n // 2
-    if not 1 <= j <= top:
-        raise ValueError(f"j must lie in [1, {top}] at omega {regime.omega_edge}, got {j}")
+    j = _integer(f"j at omega {regime.omega_edge}", j, 1, top)
     log_law = _log_limit_law(regime, psi)
     peak = max(log_law.values())
     row = np.full(n + 1, -np.inf)
@@ -133,10 +129,7 @@ def _total_variations(table_probs: np.ndarray, limit: dict[int, float]) -> np.nd
     finite limit law."""
     q = np.zeros(table_probs.shape[-1])
     for point, mass in limit.items():
-        point = _integer("limit point", point)
-        if not 0 <= point < len(q):
-            raise ValueError(f"limit point {point} lies outside [0, {len(q) - 1}]")
-        q[point] = mass
+        q[_integer("limit point", point, 0, len(q) - 1)] = mass
     return 0.5 * np.abs(table_probs - q).sum(axis=-1)
 
 

@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(artifact)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -56,25 +56,19 @@ __all__ = [
 ]
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: ints and numpy integers pass, anything
-    else (a float included) raises ValueError."""
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in [low, high], or in [low, inf) where
+    ``high`` is None: ints and numpy integers pass; anything else (a
+    float included), or an integer out of range, raises one ValueError
+    that names the argument."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _validate(n: int, psi: float, omega: float) -> int:
-    """Check one (n, psi, omega) triple; returns n as a Python int."""
-    n = _integer("trial count", n)
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
-    if not 0.0 <= psi <= 1.0:
-        raise ValueError(f"psi must lie in [0, 1], got {psi}")
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    return n
+    if value < low or high is not None and value > high:
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
 
 
 class _Checked:
@@ -101,7 +95,12 @@ class ModelParams(_Checked, _ModelParamsFields):
     __slots__ = ()
 
     def __new__(cls, n: int, psi: float, omega: float):
-        return super().__new__(cls, _validate(n, psi, omega), psi, omega)
+        n = _integer("n", n, 1)
+        if not 0.0 <= psi <= 1.0:
+            raise ValueError(f"psi must lie in [0, 1], got {psi}")
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {omega}")
+        return super().__new__(cls, n, psi, omega)
 
 
 class PmfTable(NamedTuple):
@@ -356,9 +355,8 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     a = n that sum is log K_0 = 0 exactly, as ``tau`` reads
     log tau_n = -log K_n.
     """
-    n, a = _validate(n, psi, omega), _integer("a", a)
-    if not 0 <= a <= n:
-        raise ValueError(f"a must lie in [0, n={n}], got {a}")
+    n = ModelParams(n, psi, omega).n
+    a = _integer("a", a, 0, n)
     if a == n:
         return 0.0
     m, row, log_sum, log_omega = _kernel(n, psi, omega)
@@ -369,10 +367,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
 def tau(r: int, params: ModelParams) -> float:
     """The ratio tau_r = K_{n-r} / K_n, r in [1, n], read off the K_n
     row; +inf where it lies beyond the double range."""
-    r = _integer("r", r)
-    if not 1 <= r <= params.n:
-        raise ValueError(f"r must lie in [1, n={params.n}], got {r}")
-    return _exp(_log_tau_r(*params, r))
+    return _exp(_log_tau_r(*params, _integer("r", r, 1, params.n)))
 
 
 def pmf(params: ModelParams) -> PmfTable:
@@ -387,9 +382,7 @@ def pmf(params: ModelParams) -> PmfTable:
 
 def cdf(params: ModelParams, y: int) -> float:
     """P(Y <= y), accumulated by log-sum-exp over the table prefix."""
-    y = _integer("y", y)
-    if not 0 <= y <= params.n:
-        raise IndexError(f"y must lie in [0, n={params.n}], got {y}")
+    y = _integer("y", y, 0, params.n)
     return _mass(pmf(params).log_prob[: y + 1])
 
 
@@ -470,8 +463,7 @@ def conditional_cpr(params: ModelParams) -> float:
     So the identity omega = 1 / sqrt(CPR) holds for every valid
     parameter triple.
     """
-    if params.n < 2:
-        raise ValueError("conditional CPR needs n >= 2")
+    _integer("n", params.n, 2)
     if not 0.0 < params.psi < 1.0:
         raise ValueError("conditional CPR needs psi in (0, 1)")
     return _exp(-2.0 * math.log(params.omega))
@@ -482,11 +474,9 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
 
     Deterministic given ``seed``; the generator is local to the call.
     """
-    count = _integer("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
     cum = np.cumsum(pmf(params).probs())
     cum[-1] = 1.0
-    u = np.random.default_rng(_integer("seed", seed)).random(count)
+    u = np.random.default_rng(seed).random(count)
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 

@@ -47,7 +47,7 @@ class EnsembleSpec(_Checked, _EnsembleSpecFields):
     __slots__ = ()
 
     def __new__(cls, n: int, params: ModelParams):
-        n = _integer("ensemble size", n)
+        n = _integer("ensemble size", n, 1)
         if n != params.n:
             raise ValueError("ensemble size must match params.n")
         return super().__new__(cls, n, params)
@@ -64,24 +64,20 @@ class CountSample(_Checked, _CountSampleFields):
     __slots__ = ()
 
     def __new__(cls, n: int, counts: tuple[int, ...]):
-        n = _integer("n", n)
+        n = _integer("n", n, 1)
         if len(counts) != n + 1:
             raise ValueError(f"counts must have length n+1={n + 1}")
-        if any(c < 0 or c != int(c) for c in counts):
-            raise ValueError("counts must be non-negative integers")
+        counts = tuple(_integer("count", c, 0) for c in counts)
         if sum(counts) < 1:
             raise ValueError("sample must contain at least one observation")
         return super().__new__(cls, n, counts)
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "CountSample":
-        n = _integer("n", n)
+        n = _integer("n", n, 1)
         counts = [0] * (n + 1)
         for y, c in pairs:
-            y, c = _integer("y", y), _integer("count", c)
-            if not 0 <= y <= n:
-                raise ValueError(f"observed y={y} outside support [0, {n}]")
-            counts[y] += c
+            counts[_integer("observed y", y, 0, n)] += _integer("count", c, 0)
         return CountSample(n=n, counts=tuple(counts))
 
     @property
@@ -117,10 +113,7 @@ class ComparisonReport(NamedTuple):
 
 def majority_threshold(n: int) -> int:
     """q = n/2 for even n, (n-1)/2 for odd n; a vote wins iff Y > q."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n // 2
+    return _integer("n", n, 1) // 2
 
 
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
@@ -149,7 +142,7 @@ def _rising_sums(x: float, m: int) -> np.ndarray:
 
 def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     """Majority tail of the Beta(alpha, beta) mixture of Binomials."""
-    n = _integer("n", n)
+    n = _integer("n", n, 1)
     if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     # log B(y+alpha, n-y+beta) - log B(alpha, beta) by rising factorials

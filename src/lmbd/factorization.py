@@ -87,10 +87,7 @@ class GridSpec(_Checked, _GridSpecFields):
 
     def __new__(cls, psi_values: tuple[float, ...], omega_values: tuple[float, ...], n: int):
         _check_axes(psi_values, omega_values)
-        n = _integer("n", n)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return super().__new__(cls, psi_values, omega_values, n)
+        return super().__new__(cls, psi_values, omega_values, _integer("n", n, 1))
 
     @staticmethod
     def linspace(n: int, psi_steps: int = 101, omega_steps: int = 101,
@@ -99,8 +96,8 @@ class GridSpec(_Checked, _GridSpecFields):
         # check the ends first: numpy warns when it spreads an infinite one
         _check_axes((psi_min,), (omega_min,))
         _check_axes((psi_max,), (omega_max,))
-        psi_steps = _integer("psi_steps", psi_steps)
-        omega_steps = _integer("omega_steps", omega_steps)
+        psi_steps = _integer("psi_steps", psi_steps, 1)
+        omega_steps = _integer("omega_steps", omega_steps, 1)
         return GridSpec(
             psi_values=tuple(np.linspace(psi_min, psi_max, psi_steps).tolist()),
             omega_values=tuple(np.linspace(omega_min, omega_max, omega_steps).tolist()),

@@ -223,6 +223,8 @@ class TestConvergenceReport:
 
     def test_non_monotone_probes_rejected(self):
         regime = LimitRegime("to-zero", n=4)
+        with pytest.raises(ValueError, match="non-empty"):
+            convergence_report(regime, 0.5, [])
         with pytest.raises(ValueError):
             convergence_report(regime, 0.5, [0.1, 0.2, 0.01])
         with pytest.raises(ValueError):
@@ -249,7 +251,7 @@ class TestTotalVariation:
 
     @pytest.mark.parametrize("point", [-1, 3])
     def test_a_point_off_the_table_raises(self, point):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"limit point must lie in \[0, 2\]"):
             total_variation(np.array([0.5, 0.0, 0.5]), {point: 1.0})
 
 

@@ -346,7 +346,7 @@ class TestNInference:
     def test_explicit_n_below_observed_is_an_error(self, capsys, data):
         code, _, err = run(capsys, "fit", "--input", str(data), "--n", "4")
         assert code == 1
-        assert "outside support" in err
+        assert "observed y must lie in [0, 4], got 5" in err
 
 
 def _fresh_json(code: str):
@@ -428,6 +428,34 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+_INVALID_INPUT = {"zeros.csv": "y,count\n0,5\n", "header.csv": "y,count\n# none seen\n"}
+_BASE = ["--n", "6", "--psi", "0.4", "--omega", "1.3"]
+# (argv, the one stderr line): an invalid argument is a domain error,
+# never a traceback; without --n a sample seen only at y = 0 infers n = 0
+INVALID_ARGV = {
+    "fit-all-zero-sample": (["fit", "--input", "zeros.csv"], "n must be >= 1, got 0"),
+    "compare-all-zero-sample": (["compare", "--input", "zeros.csv"], "n must be >= 1, got 0"),
+    "fit-no-observations": (["fit", "--input", "header.csv"],
+                            "no observations found in header.csv"),
+    "pmf-n-0": (["pmf", "--n", "0", "--psi", "0.4", "--omega", "1.3"], "n must be >= 1, got 0"),
+    "sample-seed": (["sample", *_BASE, "--count", "5", "--seed", "-1"],
+                    "seed must be >= 0, got -1"),
+    "delta-grid-psi-steps": (["delta-grid", "--n", "5", "--psi-steps", "-2"],
+                             "psi_steps must be >= 1, got -2"),
+    "cdf-y-above": (["cdf", *_BASE, "--y", "7"], "y must lie in [0, 6], got 7"),
+    "cdf-y-below": (["cdf", *_BASE, "--y", "-1"], "y must lie in [0, 6], got -1"),
+    "tau-r-0": (["tau", *_BASE, "--r", "0"], "r must lie in [1, 6], got 0"),
+}
+
+
+@pytest.mark.parametrize("argv, line", INVALID_ARGV.values(), ids=INVALID_ARGV)
+def test_invalid_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, line):
+    for name, text in _INVALID_INPUT.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")
 
 
 class TestDeterminism:

@@ -194,11 +194,10 @@ class TestCdf:
     def test_binomial_value(self):
         assert cdf(ModelParams(3, 0.6, 1.0), 1) == pytest.approx(0.352, abs=LOG_TOL)
 
-    def test_index_error(self):
-        with pytest.raises(IndexError):
-            cdf(ModelParams(3, 0.5, 1.0), 4)
-        with pytest.raises(IndexError):
-            cdf(ModelParams(3, 0.5, 1.0), -1)
+    def test_y_outside_the_support_raises(self):
+        for y in (-1, 4):
+            with pytest.raises(ValueError, match=r"y must lie in \[0, 3\]"):
+                cdf(ModelParams(3, 0.5, 1.0), y)
 
     def test_monotone_in_y(self):
         p = ModelParams(9, 0.4, 1.6)
@@ -326,6 +325,10 @@ class TestJointLogProb:
         with pytest.raises(ValueError):
             joint_log_prob(ModelParams(3, 0.5, 1.0), [1, 0])
 
+    def test_a_non_binary_bit_raises(self):
+        with pytest.raises(ValueError, match="0/1"):
+            joint_log_prob(ModelParams(3, 0.5, 1.0), [1, 2, 0])
+
     def test_bits_as_list_tuple_or_array(self):
         p = ModelParams(3, 0.5, 1.2)
         lp = joint_log_prob(p, [1, 0, 1])
@@ -372,8 +375,13 @@ class TestConditionalCpr:
             assert cpr == pytest.approx(base, rel=1e-12)
 
     def test_n1_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"n must be >= 2, got 1"):
             conditional_cpr(ModelParams(1, 0.5, 1.0))
+
+    @pytest.mark.parametrize("psi", [0.0, 1.0])
+    def test_psi_edge_rejected(self, psi):
+        with pytest.raises(ValueError, match=r"psi in \(0, 1\)"):
+            conditional_cpr(ModelParams(4, psi, 1.5))
 
     def test_tiny_omega_is_omega_to_the_minus_two(self):
         assert conditional_cpr(ModelParams(5, 0.3, 1e-100)) == pytest.approx(1e200, rel=1e-12)

@@ -353,16 +353,33 @@ def test_flags_match_row_reference(n):
     assert lines[:, list(spec.omega_values).index(1.0)].all()
 
 
-def test_delta_grid_peak_memory():
-    # psi rows go through the kernel in blocks; the unblocked
-    # 101 x 101 x 65 array alone would be 5.1 MiB
-    spec = GridSpec.linspace(64)
-    delta_grid(spec)
+def _traced_peak(grid_of, spec: GridSpec) -> int:
+    """The bytes ``grid_of(spec)`` holds at its peak over those held
+    before it, on a second call: the first fills the row caches."""
+    grid_of(spec)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        delta_grid(spec)
+        grid_of(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base <= 2 ** 20
+    return peak - base
+
+
+# the default axes at n = 400 send cells of both grids through their
+# guards, which take their log-sum-exps in blocks of about
+# _BLOCK_DOUBLES doubles.  Blocked, the peaks read 0.85 MiB (delta_grid)
+# and 1.00 MiB (tau1_region_grid); in one block, 2.77 and 17.95 MiB.
+# Each bound is about twice the blocked peak
+MEMORY_SPEC = GridSpec.linspace(400)
+
+
+def test_delta_grid_peak_memory(monkeypatch):
+    assert _guard_masks(MEMORY_SPEC, monkeypatch)[1].any()
+    assert _traced_peak(delta_grid, MEMORY_SPEC) <= 1.7 * 2 ** 20
+
+
+def test_tau1_region_grid_peak_memory(monkeypatch):
+    assert _guard_masks(MEMORY_SPEC, monkeypatch)[0].any()
+    assert _traced_peak(tau1_region_grid, MEMORY_SPEC) <= 2 * 2 ** 20

@@ -14,8 +14,8 @@ import pytest
 
 import lmbd
 from lmbd import (CountSample, EnsembleSpec, GridSpec, LimitRegime, ModelParams,
-                  beta_binomial_accuracy, binomial_accuracy, cdf, clt_scan, log_k,
-                  majority_threshold, sample, tau, tau_limit, total_variation)
+                  beta_binomial_accuracy, binomial_accuracy, cdf, clt_scan, conditional_cpr,
+                  log_k, majority_threshold, sample, tau, tau_limit, total_variation)
 
 # positional construction and unpacking follow this order, which is the
 # field order the records had as dataclasses
@@ -66,9 +66,11 @@ INVALID = [
     (LimitRegime, "psi_edge", "to-half", "psi_edge"),
     (EnsembleSpec, "n", 3.0, "must be an integer"),
     (EnsembleSpec, "n", 4, "match params.n"),
+    (EnsembleSpec, "n", 0, ">= 1"),
     (CountSample, "n", 2.0, "must be an integer"),
     (CountSample, "counts", (1, 1), "length"),
-    (CountSample, "counts", (1, -1, 1), "non-negative"),
+    (CountSample, "n", 0, ">= 1"),
+    (CountSample, "counts", (1, -1, 1), "count must be >= 0"),
     (CountSample, "counts", (0, 0, 0), "at least one"),
 ]
 
@@ -169,3 +171,51 @@ NON_INTEGER_CALLS = {
 def test_every_integer_argument_rejects_a_float(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+# every integer argument of a public call other than a record's n, each
+# given a value out of its range, and the one message ``core._integer``
+# gives for it, which names the argument
+OUT_OF_RANGE_CALLS = {
+    "cdf-y": (lambda: cdf(P, 11), "y must lie in [0, 10], got 11"),
+    "tau-r": (lambda: tau(0, P), "r must lie in [1, 10], got 0"),
+    "log_k-n": (lambda: log_k(0, 0, 0.3, 1.2), "n must be >= 1, got 0"),
+    "log_k-a": (lambda: log_k(10, 11, 0.3, 1.2), "a must lie in [0, 10], got 11"),
+    "sample-count": (lambda: sample(P, 0, 1), "count must be >= 1, got 0"),
+    "sample-seed": (lambda: sample(P, 2, -1), "seed must be >= 0, got -1"),
+    "beta_binomial_accuracy-n": (lambda: beta_binomial_accuracy(-1, 1.0, 1.0),
+                                 "n must be >= 1, got -1"),
+    "binomial_accuracy-n": (lambda: binomial_accuracy(0, 0.3), "n must be >= 1, got 0"),
+    "majority_threshold-n": (lambda: majority_threshold(0), "n must be >= 1, got 0"),
+    "clt_scan-ns": (lambda: clt_scan([0, 16], 0.3, 1.2), "n must be >= 1, got 0"),
+    "tau_limit-j-to-zero": (lambda: tau_limit(5, LimitRegime("to-zero", 4), 0.3),
+                            "j at omega to-zero must lie in [1, 4], got 5"),
+    "tau_limit-j-to-infinity": (lambda: tau_limit(3, LimitRegime("to-infinity", 4), 0.3),
+                                "j at omega to-infinity must lie in [1, 2], got 3"),
+    "linspace-psi_steps": (lambda: GridSpec.linspace(5, -2), "psi_steps must be >= 1, got -2"),
+    "linspace-omega_steps": (lambda: GridSpec.linspace(5, 11, 0),
+                             "omega_steps must be >= 1, got 0"),
+    "from_pairs-n": (lambda: CountSample.from_pairs(0, [(0, 5)]), "n must be >= 1, got 0"),
+    "from_pairs-y": (lambda: CountSample.from_pairs(5, [(6, 1)]),
+                     "observed y must lie in [0, 5], got 6"),
+    "from_pairs-count": (lambda: CountSample.from_pairs(5, [(2, 3), (2, -1)]),
+                         "count must be >= 0, got -1"),
+    "total_variation-point": (lambda: total_variation(np.array([0.5, 0.0, 0.5]), {-1: 1.0}),
+                              "limit point must lie in [0, 2], got -1"),
+    "conditional_cpr-n": (lambda: conditional_cpr(ModelParams(1, 0.5, 1.0)),
+                          "n must be >= 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_RANGE_CALLS.values(), ids=OUT_OF_RANGE_CALLS)
+def test_every_integer_argument_rejects_a_value_out_of_range(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("counts", [(1, 0, True), (np.int64(1), 0, 1)])
+def test_counts_are_stored_as_ints(counts):
+    sample_ = CountSample(2, counts)
+    assert sample_.counts == (1, 0, 1) and {type(c) for c in sample_.counts} == {int}
+    assert type(sample_.total) is int
