@@ -2,11 +2,14 @@
 evidence against the exact pmf.
 
 omega -> 0+ concentrates the law on the all-equal outcomes {0, n};
-omega -> +infinity concentrates it on the most balanced counts: n/2 for
-even n, the pair {(n-1)/2, (n+1)/2} for odd n.  For fixed interior psi
-the actual weak limits are two-point laws; pushing psi to an edge
-collapses them to the point masses of the degenerate regimes.  The
-limits of tau_r and of the mean and variance are read off those laws.
+omega -> +infinity concentrates it on the most balanced counts
+{floor(n/2), ceil(n/2)}, one point for even n.  C(n, y) and y (n-y) are
+equal on each support, so for fixed interior psi the weak limit has
+masses proportional to (psi / (1-psi))^y there; pushing psi to an edge
+keeps the support's lowest or highest point alone.  Each limit law is
+one log-pmf row over y = 0..n, -inf off its support (``_limit_row``),
+and the limits of tau_r, the mean and the variance are read off it as
+off any pmf table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (ModelParams, _Checked, _exp, _integer, _log_sum, _log_tau, _log_weights, _logit,
-                   _logsumexp)
+                   _table_moments)
 
 __all__ = [
     "LimitRegime",
@@ -60,49 +63,49 @@ class LimitReport(NamedTuple):
     numeric_evidence: tuple[tuple[float, float], ...]
 
 
-def _log_limit_law(regime: LimitRegime, psi: float) -> dict[int, float]:
-    """Log masses, up to one common constant, of the regime's weak limit
-    (see ``limit_distribution``)."""
+def _limit_row(regime: LimitRegime, psi: float) -> np.ndarray:
+    """The regime's weak limit as a log-pmf row over y = 0..n, -inf off
+    its support {lo, hi}: masses proportional to (1-psi)^d at lo and
+    psi^d at hi, d = hi - lo, the law's own C(n, y) psi^y (1-psi)^(n-y)
+    less the factors the two points share, shifted to a largest entry
+    of 0 and less the log of the masses' sum.  A psi edge keeps lo or hi
+    alone."""
     n = regime.n
-    if regime.psi_edge == "none":
-        if not 0.0 < psi < 1.0:
-            raise ValueError(f"psi must be interior (0, 1), got {psi}")
-        if regime.omega_edge == "to-zero":
-            return {0: n * math.log1p(-psi), n: n * math.log(psi)}
-        if n % 2 == 0:
-            return {n // 2: 0.0}
-        return {(n - 1) // 2: math.log1p(-psi), (n + 1) // 2: math.log(psi)}
-    if regime.omega_edge == "to-zero":
-        return {0: 0.0} if regime.psi_edge == "to-zero" else {n: 0.0}
-    if n % 2 == 0:
-        return {n // 2: 0.0}
-    return {(n - 1) // 2: 0.0} if regime.psi_edge == "to-zero" else {(n + 1) // 2: 0.0}
+    lo, hi = (0, n) if regime.omega_edge == "to-zero" else (n // 2, n - n // 2)
+    row = np.full(n + 1, -np.inf)
+    if regime.psi_edge != "none":
+        row[lo if regime.psi_edge == "to-zero" else hi] = 0.0
+        return row
+    if not 0.0 < psi < 1.0:
+        raise ValueError(f"psi must be interior (0, 1), got {psi}")
+    d = hi - lo
+    log_q, log_p = d * math.log1p(-psi), d * math.log(psi)
+    top = max(log_q, log_p)
+    row[lo], row[hi] = log_q - top, log_p - top
+    return row - math.log1p(math.exp(-abs(log_q - log_p))) if d else row
 
 
 def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
-    """Limit of tau_j at the regime's omega edge for interior psi (no psi
-    edge), j in [1, n] as omega -> 0+ and in [1, floor(n/2)] as
-    omega -> +inf: the falling-factorial moment of the limit law.
+    """Limit of tau_j, j in [1, n], at the regime's omega edge for
+    interior psi (no psi edge): the falling-factorial moment
+    E[(Y)_j] / ((n)_j psi^j) of the limit law, 0 where every point of
+    its support lies below j.
 
     omega -> 0+:           psi^(n-j) / (psi^n + (1-psi)^n)
-    omega -> +inf, even n: C(n-j, n/2 - j) / (C(n, n/2) psi^j)
-                           = (n/2)_j / ((n)_j psi^j)
+    omega -> +inf, even n: (n/2)_j / ((n)_j psi^j)
     omega -> +inf, odd n:  ((1-psi) ((n-1)/2)_j + psi ((n+1)/2)_j) / ((n)_j psi^j),
                            ((n-1)/2 + psi) / (n psi) at j = 1,
                            ((n-3)/4 + psi) / (n psi^2) at j = 2
     """
     if regime.psi_edge != "none":
         raise ValueError(f"tau_limit needs interior psi, got psi_edge={regime.psi_edge!r}")
-    n = regime.n
-    top = n if regime.omega_edge == "to-zero" else n // 2
-    j = _integer(f"j at omega {regime.omega_edge}", j, 1, top)
-    log_law = _log_limit_law(regime, psi)
-    peak = max(log_law.values())
-    row = np.full(n + 1, -np.inf)
-    for y, log_mass in log_law.items():
-        row[y] = log_mass - peak
-    log_omega = -math.inf if regime.omega_edge == "to-zero" else math.inf  # read at psi = 0 only
-    return _exp(float(_log_tau(j, row, _log_sum(row), psi, log_omega)))
+    j = _integer("j", j, 1, regime.n)
+    return _exp(float(_log_tau(j, _limit_row(regime, psi), 0.0, psi)))
+
+
+def _masses(row: np.ndarray, probs: np.ndarray) -> dict[int, float]:
+    """{y: mass} over the support of a limit row, ``probs`` its exp."""
+    return {int(y): float(probs[y]) for y in np.flatnonzero(row > -np.inf)}
 
 
 def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
@@ -111,31 +114,22 @@ def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
     Interior psi yields the two-point refinements; a psi edge collapses
     them to the point masses of the degenerate statement.
     """
-    log_law = _log_limit_law(regime, psi)
-    log_total = _logsumexp(np.array(list(log_law.values())))
-    return {y: math.exp(v - log_total) for y, v in log_law.items()}
+    row = _limit_row(regime, psi)
+    return _masses(row, np.exp(row))
 
 
 def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
     """Limiting (mean, variance) of the regime: those of its
     ``limit_distribution``."""
-    law = limit_distribution(regime, psi)
-    mean = sum(y * mass for y, mass in law.items())
-    return mean, sum((y - mean) ** 2 * mass for y, mass in law.items())
-
-
-def _total_variations(table_probs: np.ndarray, limit: dict[int, float]) -> np.ndarray:
-    """TV distance (half L1) of each pmf table on the last axis to a
-    finite limit law."""
-    q = np.zeros(table_probs.shape[-1])
-    for point, mass in limit.items():
-        q[_integer("limit point", point, 0, len(q) - 1)] = mass
-    return 0.5 * np.abs(table_probs - q).sum(axis=-1)
+    return _table_moments(np.exp(_limit_row(regime, psi)))
 
 
 def total_variation(table_probs: np.ndarray, limit: dict[int, float]) -> float:
     """TV distance (half L1) between a pmf table and a finite limit law."""
-    return float(_total_variations(table_probs, limit))
+    q = np.zeros(table_probs.shape[-1])
+    for point, mass in limit.items():
+        q[_integer("limit point", point, 0, len(q) - 1)] = mass
+    return float(0.5 * np.abs(table_probs - q).sum(axis=-1))
 
 
 def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitReport:
@@ -155,17 +149,18 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
         raise ValueError("probes must increase monotonically toward omega = inf")
     for w in probes:
         ModelParams(n=regime.n, psi=psi, omega=w)
-    limit = limit_distribution(regime, psi)
-    mean, var = limit_moments(regime, psi)
+    row = _limit_row(regime, psi)
+    limit = np.exp(row)
+    mean, var = _table_moments(limit)
     # every probe's pmf table at once, in one kernel block as ``pmf``
     # builds one
-    row = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
-    probs = np.exp(row - _log_sum(row)[:, None])
-    evidence = tuple(zip(probes, _total_variations(probs, limit).tolist()))
+    kernel = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
+    probs = np.exp(kernel - _log_sum(kernel)[:, None])
+    evidence = tuple(zip(probes, (0.5 * np.abs(probs - limit).sum(axis=-1)).tolist()))
     return LimitReport(
         regime=regime,
         limit_mean=mean,
         limit_variance=var,
-        limit_distribution=limit,
+        limit_distribution=_masses(row, limit),
         numeric_evidence=evidence,
     )

@@ -52,7 +52,7 @@ def _cmd_pmf(args):
         return {
             "y": list(range(args.n + 1)),
             "prob": [float(p) for p in table.probs()],
-            "log_prob": [float(v) for v in table.log_prob],
+            "log_prob": [_finite_or_none(float(v)) for v in table.log_prob],
             "log_normalizer": table.log_normalizer,
         }, summary
     rows = [(y, p, lp) for y, (p, lp) in enumerate(zip(table.probs(), table.log_prob))]

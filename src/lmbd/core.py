@@ -155,36 +155,35 @@ def _row_cache(build):
         lambda n, *args: (short if n <= _ROW_CACHE_MAX_M else long)(n, *args))
 
 
+def _split_cumsum(steps: np.ndarray, n: int) -> np.ndarray:
+    """The cumulative sums of ``steps``, which it overwrites, rounded once
+    where every step and every partial sum lies in [0, n).  Adding and
+    subtracting sigma = 3 * 2^b, b = n's bit length, rounds each step to
+    a multiple of 2^(b-51) whose sums are exact in a double; the
+    remainders are summed on their own and added last (Rump, Ogita &
+    Oishi 2008, ExtractScalar)."""
+    sigma = 3.0 * 2.0 ** n.bit_length()
+    high = steps + sigma
+    high -= sigma
+    steps -= high
+    high = np.cumsum(high, out=high)
+    high += np.cumsum(steps, out=steps)
+    return high
+
+
 @_row_cache
 def _kernel_row(n: int):
     """(y, y (n-y), log C(n, y)) as read-only floats for y = 0..n: the
     kernel's parts that depend on n alone.  log C(n, .) sums its
-    increments log1p((n-1-2k) / (k+1)) up to n/2 in long double where
-    the platform has one, so that each entry is within about an ulp
-    rather than n ulp, and is mirrored, so that C(n, y) = C(n, n-y) bit
-    for bit."""
+    increments log1p((n-1-2k) / (k+1)) up to n/2 by ``_split_cumsum``,
+    so that each entry is within about an ulp rather than n ulp, and is
+    mirrored, so that C(n, y) = C(n, n-y) bit for bit."""
     y = np.arange(n + 1.0)
     k = y[:n // 2]
     log_binom = np.zeros(n + 1)
-    log_binom[1:n // 2 + 1] = np.cumsum(np.log1p((n - 1 - 2 * k) / (k + 1)), dtype=np.longdouble)
+    log_binom[1:n // 2 + 1] = _split_cumsum(np.log1p((n - 1 - 2 * k) / (k + 1)), n)
     log_binom[n - n // 2:] = log_binom[:n // 2 + 1][::-1]
     return y, y * (n - y), log_binom
-
-
-def _xlogy(k, p):
-    """k log p with 0 log 0 = 0, for integers k >= 0 and p in [0, 1].
-
-    A scalar p takes ``math.log``, an array ``np.log``.  Only a p that
-    holds a 0 pays for the 0 log 0 case.
-    """
-    if not isinstance(p, np.ndarray):
-        if p > 0.0:
-            return k * math.log(p)
-        return np.where(k == 0, 0.0, -np.inf)
-    if p.all():
-        return k * np.log(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(k == 0, 0.0, k * np.log(p))
 
 
 def _logit(psi):
@@ -283,19 +282,21 @@ def _mass(log_probs: np.ndarray) -> float:
 @_row_cache
 def _log_falling_ratio(n: int, r: int):
     """A one-tuple of log[(y)_r / (n)_r] for y = r..n, read-only: the
-    reverse sum -sum_{j=y+1..n} log1p(r / (j-r)), in long double."""
+    reverse sum -sum_{j=y+1..n} log1p(r / (j-r)) by ``_split_cumsum``,
+    whose partial sums are at most log C(n, r) < n."""
     out = np.zeros(n - r + 1)
-    out[:-1] = -np.cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)), dtype=np.longdouble)[::-1]
+    out[:-1] = -_split_cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)), n)[::-1]
     return (out,)
 
 
-def _log_tau(r: int, row, log_sum, psi, log_omega):
+def _log_tau(r: int, row, log_sum, psi, log_omega=None):
     """log tau_r off a row of K_n's log-weights whose largest entry is 0
     or near it, and whose log-sum is ``log_sum``: C(n-r, y-r) =
     C(n, y) (y)_r / (n)_r makes tau_r the moment E[(Y)_r] / ((n)_r psi^r)
     of the law the row holds.  ``psi`` and ``log_omega`` broadcast
     against the other axes of ``row``; at psi = 0, where
-    E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r))."""
+    E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r)), the one place
+    ``log_omega`` is read."""
     n = row.shape[-1] - 1
     terms = row[..., r:] + _log_falling_ratio(n, r)[0]
     if row.ndim == 1:

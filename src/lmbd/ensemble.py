@@ -302,7 +302,8 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
     """
     n = sample.n
     total = sample.total
-    empirical = sum(sample.counts[majority_threshold(n) + 1:]) / total
+    tail = majority_threshold(n) + 1
+    empirical = sum(sample.counts[tail:]) / total
     counts = np.asarray(sample.counts, dtype=float)
 
     def report(name, parameters, log_lik, accuracy, converged=True):
@@ -325,8 +326,10 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
 
     pi_hat = s1 / (n * total)
     seen = counts > 0
-    ll_bin = float((counts[seen] * pmf(ModelParams(n, pi_hat, 1.0)).log_prob[seen]).sum())
-    binom = report("binomial", {"pi": pi_hat}, ll_bin, binomial_accuracy(n, pi_hat))
+    # one Binomial table for the log-likelihood and ``binomial_accuracy``'s tail
+    binomial = pmf(ModelParams(n, pi_hat, 1.0)).log_prob
+    ll_bin = float((counts[seen] * binomial[seen]).sum())
+    binom = report("binomial", {"pi": pi_hat}, ll_bin, _mass(binomial[tail:]))
     if excess <= binomial_excess:
         betabin = report("beta-binomial", {"alpha": math.inf, "beta": math.inf},
                          ll_bin, binom.predicted_accuracy, False)

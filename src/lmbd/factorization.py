@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel_row, _log_sum,
-                   _log_tau, _log_weights, _logit, _logsumexp, _row_cache, _tau1_pi, _xlogy)
+                   _log_tau, _log_weights, _logit, _logsumexp, _row_cache, _tau1_pi)
 
 __all__ = [
     "GridSpec",
@@ -134,6 +134,22 @@ def _log_q_integer(e: np.ndarray, log_x):
     with np.errstate(invalid="ignore"):
         ratio = np.expm1(e * log_x) / np.expm1(log_x)
     return np.log(np.where(log_x == 0.0, e, ratio))
+
+
+def _xlogy(k, p):
+    """k log p with 0 log 0 = 0, for integers k >= 0 and p in [0, 1].
+
+    A scalar p takes ``math.log``, an array ``np.log``.  Only a p that
+    holds a 0 pays for the 0 log 0 case.
+    """
+    if not isinstance(p, np.ndarray):
+        if p > 0.0:
+            return k * math.log(p)
+        return np.where(k == 0, 0.0, -np.inf)
+    if p.all():
+        return k * np.log(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k == 0, 0.0, k * np.log(p))
 
 
 @_row_cache

@@ -76,9 +76,12 @@ class TestTauLimitOmegaInfEven:
         got = tau(j, ModelParams(n, psi, 1e6))
         assert got == pytest.approx(tau_limit(j, to_infinity(n), psi), rel=1e-3)
 
-    def test_j_beyond_half_rejected(self):
-        with pytest.raises(ValueError):
-            tau_limit(3, to_infinity(4), 0.5)
+    def test_j_beyond_half_is_zero(self):
+        # the limit law sits on y = 2 alone, so E[(Y)_j] = 0 for j = 3, 4;
+        # exact tau_3 at omega = 1e8 reads about 4 / (3 omega)
+        for j in (3, 4):
+            assert tau_limit(j, to_infinity(4), 0.5) == 0.0
+            assert tau(j, ModelParams(4, 0.5, 1e8)) == pytest.approx(0.0, abs=2e-8)
 
 
 class TestTauLimitOmegaInfOdd:
@@ -105,9 +108,38 @@ class TestTauLimitOmegaInfOdd:
         got = tau(j, ModelParams(n, psi, 1e6))
         assert got == pytest.approx(tau_limit(j, to_infinity(n), psi), rel=1e-3)
 
-    def test_j_beyond_half_rejected(self):
-        with pytest.raises(ValueError):
-            tau_limit(3, to_infinity(5), 0.5)
+    def test_j_beyond_half_reads_the_upper_point(self):
+        # only y = 3 reaches j = 3, with mass psi: psi 3! / ((5)_3 psi^3)
+        # = 1 / (10 psi^2), 0.4 at psi = 1/2; nothing reaches j = 4 or 5
+        for psi in (0.2, 0.5, 0.8):
+            expect = 1 / (10 * psi ** 2)
+            assert tau_limit(3, to_infinity(5), psi) == pytest.approx(expect, rel=1e-14)
+            assert tau(3, ModelParams(5, psi, 1e8)) == pytest.approx(expect, rel=1e-7)
+            assert tau_limit(4, to_infinity(5), psi) == 0.0
+            assert tau_limit(5, to_infinity(5), psi) == 0.0
+
+
+class TestTauLimitRange:
+    @pytest.mark.parametrize("edge", ["to-zero", "to-infinity"])
+    @pytest.mark.parametrize("psi", [1e-4, 0.3, 0.5, 1 - 1e-4])
+    def test_n1_gives_one(self, edge, psi):
+        # K_0 / K_1 = 1 / (psi + 1 - psi) at every omega
+        assert tau_limit(1, LimitRegime(edge, 1), psi) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("edge", ["to-zero", "to-infinity"])
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_j_beyond_n_rejected(self, edge, n):
+        with pytest.raises(ValueError, match=rf"j must lie in \[1, {n}\], got {n + 1}"):
+            tau_limit(n + 1, LimitRegime(edge, n), 0.5)
+
+    @pytest.mark.parametrize("edge", ["to-zero", "to-infinity"])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_every_j_matches_exact_tau_near_the_edge(self, edge, n):
+        omega = 1e-8 if edge == "to-zero" else 1e8
+        for j in range(1, n + 1):
+            expect = tau_limit(j, LimitRegime(edge, n), 0.4)
+            assert tau(j, ModelParams(n, 0.4, omega)) == pytest.approx(expect, rel=1e-5,
+                                                                      abs=1e-6), j
 
 
 class TestLimitMoments:

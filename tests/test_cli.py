@@ -67,6 +67,17 @@ class TestPmfCommand:
         np.testing.assert_allclose(doc["result"]["prob"], [1 / 6, 2 / 3, 1 / 6],
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("psi, mass_at", [("0", 0), ("1", 3)])
+    def test_json_point_mass_is_strict(self, capsys, tmp_path, psi, mass_at):
+        # log 0 off the point mass is written as null, not -Infinity
+        out = tmp_path / "pmf.json"
+        code, _, _ = run(capsys, "pmf", "--n", "3", "--psi", psi, "--omega", "1.5",
+                         "--format", "json", "--out", str(out))
+        assert code == 0
+        res = load_json(out)["result"]
+        assert res["prob"] == [float(y == mass_at) for y in range(4)]
+        assert res["log_prob"] == [0.0 if y == mass_at else None for y in range(4)]
+
     def test_stdout_without_out(self, capsys):
         code, stdout, err = run(capsys, "pmf", "--n", "2", "--psi", "0.5",
                                 "--omega", "1")

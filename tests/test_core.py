@@ -533,3 +533,22 @@ def test_every_private_name_is_read_by_the_package():
     dead = [name for name, home in definitions
             if not any(name in reads for stmt, reads in statements if stmt is not home)]
     assert dead == []
+
+
+def test_no_long_double_in_the_package():
+    # the oracle bounds must hold where np.longdouble is a plain double
+    # (MSVC, arm64 macOS): no name, attribute or dtype string of src/lmbd
+    # may ask for an extended type
+    wide = {"longdouble", "clongdouble", "float96", "float128", "complex192", "complex256"}
+    paths = sorted(Path(lmbd.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            word = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    else None)
+            if word in wide:
+                found.append(f"{path.name}:{node.lineno}: {word}")
+    assert found == []

@@ -156,9 +156,9 @@ CELLS_PER_PATH = 4
 # (tau_1, Delta) bounds per n and path (guarded or not), each twice its
 # own worst relative error on its cells: tau_1 summed 2.0e-14, 1.9e-14
 # and 2.4e-16 and guarded 5.8e-14, 3.4e-14 and 4.8e-14 at n = 200, 400
-# and 1000, with tau's falling-factorial row summed in an 80-bit
-# np.longdouble (in double the guarded worst at n = 1000 reads 3.9e-14,
-# the rest unmeasured).  At n = 200 Delta's guarded cells all lie beyond the double
+# and 1000, with tau's falling-factorial row summed by
+# ``core._split_cumsum`` (summed in plain double, the guarded worst at
+# n = 1000 read 3.9e-14, the rest unmeasured).  At n = 200 Delta's guarded cells all lie beyond the double
 # range; at n = 1000 its unguarded bound would be 1.7e-13 and the
 # earlier 1.1e-13 holds
 LARGE_N_BOUNDS = {

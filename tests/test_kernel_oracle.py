@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from lmbd import ModelParams, log_k, pmf, tau
 from lmbd.core import (_kernel_row, _log_falling_ratio, _log_sum, _log_weights, _logit,
-                       _logsumexp, _xlogy)
+                       _logsumexp)
+from lmbd.factorization import _xlogy
 
 import mp_oracle
 
@@ -42,7 +43,9 @@ PMF_CELLS = ((0.3, 1.5), (0.5, 0.95), (0.7, 1.01), (0.02, 1e-3), (0.9, 2.0),
              (0.5, None), (0.55, None))
 # twice the worst relative error on these cells: 1.84e-13 at n = 500
 # (psi = 0.9, omega = 2) and 2.47e-13 at n = 2000 (psi = 1/2,
-# omega = e^(-2/n))
+# omega = e^(-2/n)), with log C(n, .) summed by ``core._split_cumsum``;
+# with it and tau's row summed by a plain ``np.cumsum`` instead, the
+# worst reads 1.59e-12 at n = 2000 (psi = 0.55, omega = e^(-2/n))
 PMF_BOUND = {500: 3.7e-13, 2000: 5.0e-13}
 
 
@@ -215,10 +218,10 @@ def test_kernel_property_oracle(case):
 
 # twice the worst error on these cells, at r in {1, 2, n/2, n}: tau_r
 # relative, against log K_{n-r} - log K_n taken at DPS digits (n = 500:
-# 7.9e-14 at psi = 0.7, omega = 1.01, r = n; n = 2000: 2.5e-13 at
-# psi = 0.3, omega = 1e8, r = n/2, where the falling-factorial row
-# summed in double rather than long double gave 9.0e-13, as it would
-# where np.longdouble is no wider than a double); log K_{n-r}
+# 1.14e-13 at psi = 0.7, omega = 1.01, r = n; n = 2000: 2.6e-13 at
+# psi = 0.3, omega = 1e8, r = n/2; with both rows summed by a plain
+# ``np.cumsum`` rather than ``core._split_cumsum`` it reads 1.02e-12
+# at psi = 1/2, omega = e^(-2/n), r = n/2); log K_{n-r}
 # absolute over max(1, |log K_{n-r}|), a few ulp of log K_{n-r} (3.6e-16
 # at n = 500, psi = 0.55, omega = e^(-2/n)).  tau_n = 1 / K_n, and
 # log K_0 = 0 exactly

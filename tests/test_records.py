@@ -189,9 +189,9 @@ OUT_OF_RANGE_CALLS = {
     "majority_threshold-n": (lambda: majority_threshold(0), "n must be >= 1, got 0"),
     "clt_scan-ns": (lambda: clt_scan([0, 16], 0.3, 1.2), "n must be >= 1, got 0"),
     "tau_limit-j-to-zero": (lambda: tau_limit(5, LimitRegime("to-zero", 4), 0.3),
-                            "j at omega to-zero must lie in [1, 4], got 5"),
-    "tau_limit-j-to-infinity": (lambda: tau_limit(3, LimitRegime("to-infinity", 4), 0.3),
-                                "j at omega to-infinity must lie in [1, 2], got 3"),
+                            "j must lie in [1, 4], got 5"),
+    "tau_limit-j-to-infinity": (lambda: tau_limit(5, LimitRegime("to-infinity", 4), 0.3),
+                                "j must lie in [1, 4], got 5"),
     "linspace-psi_steps": (lambda: GridSpec.linspace(5, -2), "psi_steps must be >= 1, got -2"),
     "linspace-omega_steps": (lambda: GridSpec.linspace(5, 11, 0),
                              "omega_steps must be >= 1, got 0"),
