@@ -138,7 +138,11 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
 
     Probes must approach the regime's omega edge monotonically
     (strictly decreasing for omega -> 0, increasing for omega -> inf).
+    The regime takes no psi edge: no omega sequence at a fixed psi
+    approaches the iterated psi-edge limit.
     """
+    if regime.psi_edge != "none":
+        raise ValueError(f"convergence_report needs no psi edge, got psi_edge={regime.psi_edge!r}")
     probes = [float(w) for w in probe_points]
     if not probes:
         raise ValueError("probe_points must be non-empty")

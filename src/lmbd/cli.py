@@ -4,10 +4,11 @@ The CLI is one command table, ``COMMANDS``: each entry names a
 subcommand, its help string, its handler and its argument specs, and
 ``build_parser`` walks the table.  Every subcommand maps one-to-one onto
 a library operation and adds no numerics of its own.  A handler returns
-only ``(result, summary)``; ``main`` writes the artifact in one place.
-A dict result is JSON with the run manifest embedded under a
-``manifest`` key; a ``(header, rows)`` result is CSV with a
-``# manifest: {...}`` comment header.  Identical arguments (and seed)
+only ``(result, summary)``, the result as raw records and values, and
+``_artifact`` alone renders every value: a ``(header, rows)`` result as
+CSV under a ``# manifest: {...}`` comment line, any other as JSON with
+the run manifest under a ``manifest`` key, and a non-finite value as
+JSON ``null`` or an empty CSV field.  Identical arguments (and seed)
 byte-reproduce every output.
 
 Exit codes: 0 success, 1 numeric/domain error, 2 usage error.
@@ -17,28 +18,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .asymptotics import LimitRegime, convergence_report
 from .core import ModelParams, cdf, moments, pmf, sample, tau
 from .ensemble import CountSample, EnsembleSpec, ensemble_accuracy, fit_mle, model_comparison
 from .factorization import GridSpec, d_n, delta_grid, tau1_region_grid
-from .gauss import clt_scan
+from .gauss import CltScanRow, clt_scan
 
 __all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _finite_or_none(x: float) -> float | None:
-    """x, or JSON null where it is not finite (NaN or inf)."""
-    return x if np.isfinite(x) else None
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
@@ -48,15 +43,11 @@ def _params(args: argparse.Namespace) -> ModelParams:
 def _cmd_pmf(args):
     table = pmf(_params(args))
     summary = f"pmf n={args.n} psi={args.psi} omega={args.omega} rows={args.n + 1}"
+    y, prob, log_prob = range(args.n + 1), table.probs().tolist(), table.log_prob.tolist()
     if args.format == "json":
-        return {
-            "y": list(range(args.n + 1)),
-            "prob": [float(p) for p in table.probs()],
-            "log_prob": [_finite_or_none(float(v)) for v in table.log_prob],
-            "log_normalizer": table.log_normalizer,
-        }, summary
-    rows = [(y, p, lp) for y, (p, lp) in enumerate(zip(table.probs(), table.log_prob))]
-    return (["y", "prob", "log_prob"], rows), summary
+        return {"y": list(y), "prob": prob, "log_prob": log_prob,
+                "log_normalizer": table.log_normalizer}, summary
+    return (["y", "prob", "log_prob"], list(zip(y, prob, log_prob))), summary
 
 
 def _cmd_cdf(args):
@@ -66,37 +57,32 @@ def _cmd_cdf(args):
 
 def _cmd_moments(args):
     ms = moments(_params(args))
-    return ({k: _finite_or_none(v) for k, v in ms._asdict().items()},
-            f"mean={_fmt(ms.mean)} variance={_fmt(ms.variance)}")
+    return ms, f"mean={_fmt(ms.mean)} variance={_fmt(ms.variance)}"
 
 
 def _cmd_tau(args):
     value = tau(args.r, _params(args))
-    return {"r": args.r, "tau": _finite_or_none(value)}, f"tau_{args.r} = {_fmt(value)}"
+    return {"r": args.r, "tau": value}, f"tau_{args.r} = {_fmt(value)}"
 
 
 def _cmd_dn(args):
     value = d_n(_params(args))
-    return {"d_n": _finite_or_none(value)}, f"D_n = {_fmt(value)}"
+    return {"d_n": value}, f"D_n = {_fmt(value)}"
 
 
 def _cmd_limits(args):
     edge = "to-zero" if args.regime == "omega-zero" else "to-infinity"
-    psi_edge = {"none": "none", "zero": "to-zero", "one": "to-one"}[args.psi_edge]
-    regime = LimitRegime(omega_edge=edge, n=args.n, psi_edge=psi_edge)
     if args.probes:
         probes = [float(p) for p in args.probes.split(",")]
     else:
         probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
-    report = convergence_report(regime, args.psi, probes)
+    report = convergence_report(LimitRegime(edge, args.n), args.psi, probes)
     result = {
         "omega_edge": edge,
-        "psi_edge": psi_edge,
         "n": args.n,
         "limit_mean": report.limit_mean,
         "limit_variance": report.limit_variance,
-        "limit_distribution": {str(k): v for k, v in
-                               sorted(report.limit_distribution.items())},
+        "limit_distribution": {str(k): v for k, v in report.limit_distribution.items()},
         "evidence": [{"omega": w, "tv": tv} for w, tv in report.numeric_evidence],
     }
     final_tv = report.numeric_evidence[-1][1]
@@ -105,8 +91,7 @@ def _cmd_limits(args):
 
 def _cmd_clt(args):
     rows = clt_scan([int(v) for v in args.ns.split(",")], args.psi, args.omega)
-    return ((["n", "psi", "omega", "ks_distance"],
-             [(r.n, r.psi, r.omega, r.ks_distance) for r in rows]),
+    return ((CltScanRow._fields, rows),
             f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}")
 
 
@@ -115,8 +100,8 @@ def _grid(grid_of, args):
     per (psi, omega) cell."""
     grid = grid_of(GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
                                      args.psi_max, args.omega_min, args.omega_max))
-    rows = [(psi, omega, _fmt(v), int(flag))
-            for psi, values, flags in zip(grid.spec.psi_values, grid.values, grid.flags)
+    rows = [(psi, omega, v, int(flag))
+            for psi, values, flags in zip(grid.spec.psi_values, grid.values.tolist(), grid.flags)
             for omega, v, flag in zip(grid.spec.omega_values, values, flags)]
     return grid, (["psi", "omega", "value", "flag"], rows)
 
@@ -159,29 +144,20 @@ def _read_sample(args) -> tuple[CountSample, bool]:
 def _cmd_fit(args):
     sample_, inferred = _read_sample(args)
     fit = fit_mle(sample_)
-    result = dict(fit._asdict(), n=sample_.n, n_inferred=inferred,
-                  omega_hat=_finite_or_none(fit.omega_hat))
+    result = dict(fit._asdict(), n=sample_.n, n_inferred=inferred)
     return result, f"fit psi={_fmt(fit.psi_hat)} omega={fit.omega_hat} converged={fit.converged}"
 
 
 def _cmd_compare(args):
     sample_, inferred = _read_sample(args)
     report = model_comparison(sample_)
-    result = {
-        "n": sample_.n,
-        "n_inferred": inferred,
-        "sample_total": report.sample_total,
-        "empirical_accuracy": report.empirical_accuracy,
-        "best_aic": report.best_aic,
-        "models": [dict(m._asdict(), parameters={
-            k: _finite_or_none(v) for k, v in m.parameters.items()}) for m in report.models],
-    }
+    result = dict(report._asdict(), n=sample_.n, n_inferred=inferred)
     return result, f"best model by AIC: {report.best_aic}"
 
 
 def _cmd_sample(args):
     draws = sample(_params(args), args.count, args.seed)
-    return ((["y"], [(int(v),) for v in draws]),
+    return ((["y"], [(v,) for v in draws.tolist()]),
             f"{args.count} draws, seed={args.seed}, mean={_fmt(draws.mean())}")
 
 
@@ -225,7 +201,6 @@ COMMANDS = (
         ("--regime", {"choices": ("omega-zero", "omega-inf"), "required": True}),
         _required("--n", int),
         _required("--psi", float),
-        ("--psi-edge", {"choices": ("none", "zero", "one"), "default": "none"}),
         ("--probes", {"type": str, "help": "comma-separated omega probe values"}),
     )),
     Command("clt", "Gaussian-approximation distance scan", _cmd_clt, (
@@ -261,9 +236,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(x):
+    """``x`` for JSON: records as dicts of their fields, tuples as lists,
+    and None (``null``) for every non-finite float."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    x = x._asdict() if hasattr(x, "_asdict") else x
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return [_plain(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+
+def _json(x) -> str:
+    return json.dumps(_plain(x), sort_keys=True, allow_nan=False)
+
+
 def _artifact(args: argparse.Namespace, result) -> str:
-    """The run manifest with ``result``: a dict as one JSON document, a
-    (header, rows) pair as CSV under a ``# manifest:`` comment line."""
+    """The run manifest with ``result``: a (header, rows) pair as CSV
+    under a ``# manifest:`` comment line, with floats to 17 significant
+    digits and a non-finite one as an empty field; anything else as one
+    JSON document."""
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -272,12 +264,12 @@ def _artifact(args: argparse.Namespace, result) -> str:
         "seed": getattr(args, "seed", None),
         "out": args.out,
     }
-    if isinstance(result, dict):
-        return json.dumps({"manifest": manifest, "result": result}, sort_keys=True) + "\n"
+    if type(result) is not tuple:
+        return _json({"manifest": manifest, "result": result}) + "\n"
     header, rows = result
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(header)]
-    lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
-              for row in rows]
+    lines = ["# manifest: " + _json(manifest), ",".join(header)]
+    lines += [",".join("" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+                       for v in map(_plain, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -47,6 +47,8 @@ def standardized_ks_distance(params: ModelParams) -> float:
 def clt_scan(ns, psi: float, omega: float) -> list[CltScanRow]:
     """One diagnostic row per trial count, in input order."""
     ns = [_integer("n", n, 1) for n in ns]
+    if not ns:
+        raise ValueError("ns must be non-empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
     return [

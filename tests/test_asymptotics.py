@@ -262,6 +262,15 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             convergence_report(LimitRegime("to-infinity", n=4), 0.5, [100.0, 10.0])
 
+    @pytest.mark.parametrize("psi_edge", ["to-zero", "to-one"])
+    def test_psi_edge_regime_rejected(self, psi_edge):
+        # no omega sequence at a fixed psi approaches the psi-edge limit:
+        # at psi = 0.9 the TV to the to-zero limit would settle near 0.9
+        for omega_edge, probes in (("to-zero", [1e-2, 1e-4, 1e-8]),
+                                   ("to-infinity", [1e2, 1e4, 1e8])):
+            with pytest.raises(ValueError, match=f"psi_edge='{psi_edge}'"):
+                convergence_report(LimitRegime(omega_edge, 5, psi_edge), 0.9, probes)
+
     def test_empirical_slope_logged_not_asserted(self):
         # order-of-approach sanity only: geometric probes give roughly
         # geometric TV decay in the even omega->inf regime

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -15,9 +16,12 @@ import lmbd
 from lmbd import (
     CountSample,
     EnsembleSpec,
+    GridSpec,
     ModelParams,
+    MomentSummary,
     cdf,
     d_n,
+    delta_grid,
     ensemble_accuracy,
     fit_mle,
     pmf,
@@ -77,6 +81,21 @@ class TestPmfCommand:
         res = load_json(out)["result"]
         assert res["prob"] == [float(y == mass_at) for y in range(4)]
         assert res["log_prob"] == [0.0 if y == mass_at else None for y in range(4)]
+
+    @pytest.mark.parametrize("psi", ["0", "1"])
+    def test_point_mass_csv_matches_json(self, capsys, psi):
+        # log 0 is an empty CSV field where the JSON form writes null
+        argv = ["pmf", "--n", "3", "--psi", psi, "--omega", "1.5", "--format"]
+        code, stdout, _ = run(capsys, *argv, "json")
+        assert code == 0
+        res = parse_artifact(stdout)[1]
+        code, stdout, _ = run(capsys, *argv, "csv")
+        assert code == 0
+        header, *rows = parse_artifact(stdout)[1]
+        assert header == ["y", "prob", "log_prob"]
+        assert rows == [[str(y), cli._fmt(p), "" if lp is None else cli._fmt(lp)]
+                        for y, p, lp in zip(res["y"], res["prob"], res["log_prob"])]
+        assert [r[2] for r in rows].count("") == 3
 
     def test_stdout_without_out(self, capsys):
         code, stdout, err = run(capsys, "pmf", "--n", "2", "--psi", "0.5",
@@ -170,6 +189,19 @@ class TestGridCommands:
         values = [float(line.split(",")[2]) for line in lines[2:]
                   if line.split(",")[3] == "1"]
         assert len(values) > 0 and min(values) > 0.0
+
+    def test_delta_grid_beyond_the_double_range_is_empty(self, capsys):
+        # at n = 600 Delta overflows a double in most cells: each is an
+        # empty field, and its flag still marks Delta > 0
+        code, stdout, _ = run(capsys, "delta-grid", "--n", "600", "--psi-steps", "3",
+                              "--omega-steps", "3", "--omega-max", "3")
+        assert code == 0
+        _, rows = parse_artifact(stdout)
+        grid = delta_grid(GridSpec.linspace(600, 3, 3, omega_max=3.0))
+        assert np.isposinf(grid.values).sum() == 6 and not np.isnan(grid.values).any()
+        assert [r[2] for r in rows[1:]] == [
+            "" if math.isinf(v) else cli._fmt(v) for v in grid.values.ravel().tolist()]
+        assert all(r[3] == "1" for r in rows[1:]) and grid.flags.all()
 
     @pytest.mark.parametrize("command, name", [("delta-grid", "delta_grid"),
                                                ("tau1-grid", "tau1_region_grid")])
@@ -478,8 +510,8 @@ class TestDeterminism:
         "tau": ["tau", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--r", "2"],
         "dn": ["dn", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
         "limits": ["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.5"],
-        "limits-probes-psi-edge": ["limits", "--regime", "omega-zero", "--n", "5", "--psi",
-                                   "0.9", "--psi-edge", "one", "--probes", "0.1,0.01,0.001"],
+        "limits-probes": ["limits", "--regime", "omega-zero", "--n", "5", "--psi", "0.9",
+                          "--probes", "0.1,0.01,0.001"],
         "clt": ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
         "delta-grid": ["delta-grid", "--n", "4", "--psi-steps", "11", "--omega-steps", "11"],
         "delta-grid-axes": ["delta-grid", "--n", "7", "--psi-steps", "9", "--omega-steps", "7",
@@ -529,7 +561,7 @@ TABLE_ARGV = {
     "tau": ["tau", "--n", "6", "--psi", "0.4", "--omega", "1.3", "--r", "2"],
     "dn": ["dn", "--n", "6", "--psi", "0.4", "--omega", "1.3"],
     "limits": ["limits", "--regime", "omega-inf", "--n", "7", "--psi", "0.2",
-               "--psi-edge", "zero", "--probes", "10,100,1000"],
+               "--probes", "10,100,1000"],
     "clt": ["clt", "--ns", "10,20", "--psi", "0.5", "--omega", "1.1"],
     "delta-grid": ["delta-grid", "--n", "5", "--psi-steps", "5", "--omega-min", "0.5"],
     "tau1-grid": ["tau1-grid", "--n", "4", "--omega-steps", "7", "--psi-max", "0.9"],
@@ -551,12 +583,14 @@ def counts_dir(tmp_path, monkeypatch):
 
 def parse_artifact(text):
     """(manifest, body) of an artifact, parsed strictly: JSON without NaN
-    or Infinity tokens, CSV with a header and rows of its width."""
+    or Infinity tokens, CSV with a header and rows of its width, and no
+    inf, -inf or nan cell."""
     if text.startswith("# manifest: "):
         first, _, body = text.partition("\n")
         manifest = json.loads(first[len("# manifest: "):], parse_constant=_reject_constant)
         rows = [line.split(",") for line in body.splitlines()]
         assert len(rows) >= 2 and {len(r) for r in rows} == {len(rows[0])}
+        assert not {"inf", "-inf", "nan"} & {cell.lower() for row in rows for cell in row}
         return manifest, rows
     doc = json.loads(text, parse_constant=_reject_constant)
     assert set(doc) == {"manifest", "result"}
@@ -659,6 +693,26 @@ def test_all_singular_delta_grid(capsys, tmp_path, axes, values):
     cells = [float(r[2]) for r in rows[1:]]
     np.testing.assert_allclose(cells, values, rtol=8.9e-16)
     assert float(low) == min(cells)
+
+
+def test_artifact_writes_every_non_finite_value_as_null():
+    args = argparse.Namespace(command="moments", out=None, func=None)
+    record = MomentSummary(math.inf, math.nan, 0.5, -math.inf, 2.0, 0.25)
+    result = {"record": record, "list": [math.inf, (-math.inf, math.nan), 1.5], "x": math.nan}
+    doc = json.loads(cli._artifact(args, result), parse_constant=_reject_constant)
+    assert doc["result"] == {
+        "record": {"tau1": None, "tau2": None, "eta": 0.5, "mean": None, "variance": 2.0,
+                   "pi": 0.25},
+        "list": [None, [None, None], 1.5],
+        "x": None,
+    }
+
+
+def test_artifact_writes_every_non_finite_cell_empty():
+    args = argparse.Namespace(command="clt", out=None, func=None)
+    table = (["a", "b", "c"], [(1, math.inf, 0.5), (2, -math.inf, math.nan)])
+    _, rows = parse_artifact(cli._artifact(args, table))
+    assert rows == [["a", "b", "c"], ["1", "", "0.5"], ["2", "", ""]]
 
 
 def readme_cli_lines():
