@@ -145,8 +145,10 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     n = _integer("n", n, 1)
     if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
-    # log B(y+alpha, n-y+beta) - log B(alpha, beta) by rising factorials
-    ra, rb, rab = (_rising_sums(x, n)[0] for x in (alpha, beta, alpha + beta))
+    # log B(y+alpha, n-y+beta) - log B(alpha, beta) by the logs of rising
+    # factorials alone: their derivative rows overflow at the shapes' ends
+    ra, rb, rab = (np.concatenate(([0.0], np.cumsum(np.log(x + np.arange(n)))))
+                   for x in (alpha, beta, alpha + beta))
     logp = _kernel_row(n)[2] + ra + rb[::-1] - rab[n]
     return _mass(logp[majority_threshold(n) + 1:])
 

@@ -29,14 +29,14 @@ pi - psi that of (1 - 2 psi)(omega - 1) in all four quadrants.  D_1 = 0.
 Each term is a psi-only factor times an omega-only factor.  With
 a = max(psi, q) and b = min(psi, q), S_d = a^(d-1) [d]_{b/a}, and
 [d]_x = expm1(d log x) / expm1(log x) for x < 1, x^(d-1) [d]_{1/x} above
-1: no term divides by a linear factor, so Delta is accurate to rounding
-on the lines psi in {1/2, 1} and omega = 1 as off them.  ``_delta_tables``
+1: no term divides by a linear factor, so Delta is as accurate on the
+lines psi in {1/2, 1} and omega = 1 as off them.  ``_delta_tables``
 builds both factors' logs, per psi and per omega; ``delta`` takes their
 log-sum-exp, and ``delta_grid`` exponentiates each table once and sums
 their products in one ``einsum``.  ``tau1_region_grid`` reads tau_1 the
-same way off K_n's kernel (``_grid_sums``).  A grid cell whose sums fall
-below exp(-300), where the factors flushed to 0 could matter, is read by
-a log-sum-exp instead.
+same way off K_n's kernel (``_grid_sums``).  One guard, ``_fill_guarded``,
+re-reads by a log-sum-exp each grid cell whose sums fall below exp(-300),
+where the factors flushed to 0 could matter.
 """
 
 from __future__ import annotations
@@ -265,30 +265,26 @@ def _flushed_exp(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _blocks(terms: int, *cells: np.ndarray) -> list:
-    """The cells, parallel arrays of one entry per cell, cut into blocks
-    of about _BLOCK_DOUBLES / terms cells."""
-    step = max(1, _BLOCK_DOUBLES // terms)
-    return [tuple(c[k:k + step] for c in cells) for k in range(0, len(cells[0]), step)]
-
-
-def _log_k_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
+def _tau1_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
     """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
     each cell's kernel row."""
-    log_tau1 = []
-    for p, w in _blocks(n + 1, psis, log_omegas):
-        row = _log_weights(n, _logit(p)[:, None], w[:, None])[1]
-        log_tau1.append(_log_tau(1, row, _log_sum(row), p, w))
-    log_tau1 = np.concatenate(log_tau1)
+    row = _log_weights(n, _logit(psis)[:, None], log_omegas[:, None])[1]
     with np.errstate(over="ignore"):
-        return np.exp(log_tau1)
+        return np.exp(_log_tau(1, row, _log_sum(row), psis, log_omegas))
 
 
-def _log_delta_cells(table_a: np.ndarray, table_b: np.ndarray, rows, cols) -> np.ndarray:
-    """log Delta at the cells (rows[k], cols[k]) of ``delta_grid``'s
-    tables, by a log-sum-exp over each cell's terms."""
-    return np.concatenate([_logsumexp(table_a[:, r] + table_b[:, c], axis=0)
-                           for r, c in _blocks(len(table_a), rows, cols)])
+def _fill_guarded(values: np.ndarray, sums, terms: int, read) -> None:
+    """Overwrite the cells of ``values`` where any of the ``sums`` falls
+    below _SUM_FLOOR with ``read(rows, cols)``, a log-domain reader of
+    ``terms`` terms per cell, called on blocks of about
+    _BLOCK_DOUBLES / terms cells."""
+    if all(s.min() >= _SUM_FLOOR for s in sums):
+        return
+    rows, cols = np.nonzero(np.logical_or.reduce([s < _SUM_FLOOR for s in sums]))
+    step = max(1, _BLOCK_DOUBLES // terms)
+    for k in range(0, len(rows), step):
+        r, c = rows[k:k + step], cols[k:k + step]
+        values[r, c] = read(r, c)
 
 
 def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
@@ -319,17 +315,6 @@ def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
     return sums[: len(psis)], sums[len(psis):]
 
 
-_NO_CELLS = (np.empty(0, dtype=np.intp),) * 2
-
-
-def _guarded(*sums: np.ndarray):
-    """(rows, columns) of the cells where any of the ``sums`` falls below
-    _SUM_FLOOR (every psi = 0 cell of ``tau1_region_grid`` among them)."""
-    if all(s.min() >= _SUM_FLOOR for s in sums):
-        return _NO_CELLS
-    return np.nonzero(np.logical_or.reduce([s < _SUM_FLOOR for s in sums]))
-
-
 def delta_grid(spec: GridSpec) -> RegionGrid:
     """Delta per cell, flagged where Delta > 0: every cell for n >= 2
     unless Delta falls below the double range, where it reads 0 as in
@@ -356,9 +341,8 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
             wide = np.isinf(col_factor)
             if wide.any():
                 values[:, wide] = np.exp(np.log(sums[:, wide]) + a_top[:, None] + b_top[wide])
-            rows, cols = _guarded(sums)
-            if len(rows):
-                values[rows, cols] = np.exp(_log_delta_cells(table_a, table_b, rows, cols))
+            _fill_guarded(values, (sums,), len(table_a), lambda r, c: np.exp(
+                _logsumexp(table_a[:, r] + table_b[:, c], axis=0)))
     return RegionGrid(spec=spec, values=values, flags=values > 0.0)
 
 
@@ -375,9 +359,7 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     s0, s1 = _grid_sums(n, psis, log_omegas)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = s1 / (n * psis[:, None] * s0)
-    rows, cols = _guarded(s0, s1)
-    if len(rows):
-        t1[rows, cols] = _log_k_cells(n, psis[rows], log_omegas[cols])
+    _fill_guarded(t1, (s0, s1), n + 1, lambda r, c: _tau1_cells(n, psis[r], log_omegas[c]))
     return RegionGrid(spec=spec, values=t1, flags=_d_n_sign(n, psis[:, None], omegas) <= 0)
 
 

@@ -434,6 +434,16 @@ print(json.dumps(seen))
     assert load_json(tmp_path / "fit.out")["result"]["converged"] is True
 
 
+def test_manifest_version_is_the_distribution_version():
+    """Every manifest writes ``lmbd.__version__``; it must be the version
+    pyproject.toml declares for the distribution."""
+    import tomllib  # Python 3.11 on
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert lmbd.__version__ == tomllib.load(f)["project"]["version"]
+
+
 def test_import_lmbd_loads_every_submodule():
     """In a fresh process, ``import lmbd`` alone loads every library
     submodule.  The benchmark's tracer (bench/tracer.py) times the

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -128,6 +129,27 @@ class TestBetaBinomialAccuracy:
             beta_binomial_accuracy(3, 0.0, 1.0)
         with pytest.raises(ValueError):
             beta_binomial_accuracy(3, 1.0, -2.0)
+
+    @pytest.mark.parametrize("n,alpha,beta", [
+        (10, 1e300, 1e300), (7, 1e200, 3e199), (10, 1e154, 1e154),
+        (10, 1e-155, 1e-155), (10, 1e-300, 1e-300), (7, 1e-200, 2.0)])
+    def test_extreme_shapes_match_rising_factorials(self, n, alpha, beta):
+        # the majority tail as sum_y C(n, y) alpha^(y) beta^(n-y) /
+        # (alpha+beta)^(n) over rising factorials x^(j) at 40 digits; the
+        # bound is twice the worst error, 1.02e-12 at (10, 1e154, 1e154).
+        # Here a derivative row 1/(x+k)^2 would overflow or divide by 0
+        with mp.workdps(40):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+
+            def rising(x, j):
+                return mp.fprod(x + k for k in range(j))
+
+            expect = mp.fsum(mp.binomial(n, y) * rising(a, y) * rising(b, n - y)
+                             for y in range(majority_threshold(n) + 1, n + 1)) / rising(a + b, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = beta_binomial_accuracy(n, alpha, beta)
+        assert abs((got - expect) / expect) <= 2.0e-12
 
     @pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (1.0, math.nan),
                                             (math.inf, 1.0), (1.0, math.inf)])

@@ -30,7 +30,7 @@ import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
 from lmbd import GridSpec, delta_grid, factorization, tau1_region_grid
-from lmbd.core import _log_sum, _log_tau, _log_weights, _logit
+from lmbd.core import _logsumexp
 
 import mp_oracle
 
@@ -104,43 +104,39 @@ def test_sampled_cells_match_mpmath(n):
 
 
 def _guard_masks(spec: GridSpec, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
-    """The cells each grid sends through its guard's log-sum-exp:
-    (``_log_k_cells`` of tau1_region_grid, ``_log_delta_cells`` of
-    delta_grid)."""
-    psis = np.asarray(spec.psi_values)
-    log_omegas = np.log(np.asarray(spec.omega_values))
-    tau1_mask = np.zeros((len(psis), len(log_omegas)), dtype=bool)
-    delta_mask = np.zeros_like(tau1_mask)
-    log_k_cells, log_delta_cells = factorization._log_k_cells, factorization._log_delta_cells
+    """The cells each grid's guard (``factorization._fill_guarded``)
+    re-reads in the log domain: (tau1_region_grid's, delta_grid's)."""
+    fill = factorization._fill_guarded
+    masks = []
+    for grid_of in (tau1_region_grid, delta_grid):
+        mask = np.zeros((len(spec.psi_values), len(spec.omega_values)), dtype=bool)
 
-    def tau1_cells(n, cell_psis, cell_log_omegas):
-        tau1_mask[np.searchsorted(psis, cell_psis),
-                  np.searchsorted(log_omegas, cell_log_omegas)] = True
-        return log_k_cells(n, cell_psis, cell_log_omegas)
+        def marked(values, sums, terms, read, mask=mask):
+            def read_and_mark(rows, cols):
+                mask[rows, cols] = True
+                return read(rows, cols)
+            fill(values, sums, terms, read_and_mark)
 
-    def delta_cells(table_a, table_b, rows, cols):
-        delta_mask[rows, cols] = True
-        return log_delta_cells(table_a, table_b, rows, cols)
+        with monkeypatch.context() as m:
+            m.setattr(factorization, "_fill_guarded", marked)
+            grid_of(spec)
+        masks.append(mask)
+    return masks[0], masks[1]
 
-    with monkeypatch.context() as m:
-        m.setattr(factorization, "_log_k_cells", tau1_cells)
-        m.setattr(factorization, "_log_delta_cells", delta_cells)
-        tau1_region_grid(spec)
-        delta_grid(spec)
-    return tau1_mask, delta_mask
+
+def _in_blocks(terms: int, read, *cells: np.ndarray) -> np.ndarray:
+    """``read`` over the cells, parallel arrays of one entry per cell,
+    taken in blocks of about _BLOCK_DOUBLES / terms cells, as the guard
+    takes them."""
+    step = max(1, factorization._BLOCK_DOUBLES // terms)
+    return np.concatenate([read(*(c[k:k + step] for c in cells))
+                           for k in range(0, len(cells[0]), step)])
 
 
 def _log_sum_exp_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
-    """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
-    each cell's kernel row (``core._log_tau``): the numerics of the
-    tau_1 guard."""
-    log_tau1 = []
-    for p, w in factorization._blocks(n + 1, psis, log_omegas):
-        row = _log_weights(n, _logit(p)[:, None], w[:, None])[1]
-        log_tau1.append(_log_tau(1, row, _log_sum(row), p, w))
-    log_tau1 = np.concatenate(log_tau1)
-    with np.errstate(over="ignore"):
-        return np.exp(log_tau1)
+    """tau_1 at the cells (psis[k], log_omegas[k]) by the tau_1 guard's
+    log-sum-exp over each cell's kernel row (``_tau1_cells``)."""
+    return _in_blocks(n + 1, lambda p, w: factorization._tau1_cells(n, p, w), psis, log_omegas)
 
 
 def _rel_normal(got: float, exact: mp.mpf) -> float:
@@ -198,7 +194,7 @@ def test_large_n_cells_match_mpmath_on_both_paths(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", (200, 400))
-def test_every_cell_agrees_with_the_log_sum_exp_path(n):
+def test_every_cell_agrees_with_the_log_sum_exp_path(n, monkeypatch):
     # the sampled cells above miss most of a grid; here every cell of the
     # sums of products is held to a log-sum-exp over its kernel row, at
     # twice their worst gap: 6.5e-14 at n = 200 and 6.9e-14 at n = 400
@@ -206,9 +202,7 @@ def test_every_cell_agrees_with_the_log_sum_exp_path(n):
     psis = np.asarray(spec.psi_values)
     log_omegas = np.log(np.asarray(spec.omega_values))
     s0, s1 = factorization._grid_sums(n, psis, log_omegas)
-    summed = np.ones(s0.shape, dtype=bool)
-    summed[factorization._guarded(s0, s1)] = False
-    rows, cols = np.nonzero(summed)
+    rows, cols = np.nonzero(~_guard_masks(spec, monkeypatch)[0])
     tau1 = s1[rows, cols] / (n * psis[rows] * s0[rows, cols])
     ref_tau1 = _log_sum_exp_cells(n, psis[rows], log_omegas[cols])
     np.testing.assert_allclose(tau1, ref_tau1, rtol=1.4e-13, atol=0)
@@ -249,8 +243,9 @@ def test_summed_cells_match_the_log_domain_path(n, monkeypatch):
         assert (dgrid.values == float(n > 1)).all() and (dgrid.flags == (n > 1)).all()
     else:
         tables = factorization._delta_tables(n, psis, omegas)
-        log_ref = factorization._log_delta_cells(*(t.astype(np.longdouble) for t in tables),
-                                                 rows, cols)
+        table_a, table_b = (t.astype(np.longdouble) for t in tables)
+        log_ref = _in_blocks(len(table_a), lambda r, c: _logsumexp(
+            table_a[:, r] + table_b[:, c], axis=0), rows, cols)
         got = dgrid.values[rows, cols]
         finite = np.isfinite(got)
         np.testing.assert_array_equal(got[~finite], np.inf)
@@ -270,6 +265,20 @@ def test_default_axes_need_no_log_sum_exp(n, monkeypatch):
     # sums
     tau1_mask, delta_mask = _guard_masks(GridSpec.linspace(n), monkeypatch)
     assert not tau1_mask.any() and not delta_mask.any()
+
+
+@pytest.mark.parametrize("block_doubles", (1, 977))
+def test_grids_do_not_depend_on_the_guard_block_size(block_doubles, monkeypatch):
+    # the default axes at n = 400 guard 1913 tau_1 and 502 Delta cells:
+    # one cell per block, and blocks that end mid-row, give the same bits
+    spec = GridSpec.linspace(400)
+    tau1_mask, delta_mask = _guard_masks(spec, monkeypatch)
+    assert (tau1_mask.sum(), delta_mask.sum()) == (1913, 502)
+    default = (tau1_region_grid(spec), delta_grid(spec))
+    monkeypatch.setattr(factorization, "_BLOCK_DOUBLES", block_doubles)
+    for want, got in zip(default, (tau1_region_grid(spec), delta_grid(spec))):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.flags, want.flags)
 
 
 @pytest.mark.parametrize("n", (2, 5, 20, 64, 200))
