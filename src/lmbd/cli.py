@@ -22,12 +22,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-from . import __version__
-from .asymptotics import LimitRegime, convergence_report
-from .core import ModelParams, cdf, moments, pmf, sample, tau
-from .ensemble import CountSample, EnsembleSpec, ensemble_accuracy, fit_mle, model_comparison
-from .factorization import GridSpec, d_n, delta_grid, tau1_region_grid
-from .gauss import CltScanRow, clt_scan
+from . import __version__, asymptotics, core, ensemble, factorization, gauss
 
 __all__ = ["main"]
 
@@ -36,12 +31,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _params(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(n=args.n, psi=args.psi, omega=args.omega)
+def _params(args: argparse.Namespace) -> core.ModelParams:
+    return core.ModelParams(n=args.n, psi=args.psi, omega=args.omega)
 
 
 def _cmd_pmf(args):
-    table = pmf(_params(args))
+    table = core.pmf(_params(args))
     summary = f"pmf n={args.n} psi={args.psi} omega={args.omega} rows={args.n + 1}"
     y, prob, log_prob = range(args.n + 1), table.probs().tolist(), table.log_prob.tolist()
     if args.format == "json":
@@ -51,22 +46,22 @@ def _cmd_pmf(args):
 
 
 def _cmd_cdf(args):
-    value = cdf(_params(args), args.y)
+    value = core.cdf(_params(args), args.y)
     return {"y": args.y, "cdf": value}, f"cdf(y={args.y}) = {_fmt(value)}"
 
 
 def _cmd_moments(args):
-    ms = moments(_params(args))
+    ms = core.moments(_params(args))
     return ms, f"mean={_fmt(ms.mean)} variance={_fmt(ms.variance)}"
 
 
 def _cmd_tau(args):
-    value = tau(args.r, _params(args))
+    value = core.tau(args.r, _params(args))
     return {"r": args.r, "tau": value}, f"tau_{args.r} = {_fmt(value)}"
 
 
 def _cmd_dn(args):
-    value = d_n(_params(args))
+    value = factorization.d_n(_params(args))
     return {"d_n": value}, f"D_n = {_fmt(value)}"
 
 
@@ -76,7 +71,8 @@ def _cmd_limits(args):
         probes = [float(p) for p in args.probes.split(",")]
     else:
         probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
-    report = convergence_report(LimitRegime(edge, args.n), args.psi, probes)
+    regime = asymptotics.LimitRegime(edge, args.n)
+    report = asymptotics.convergence_report(regime, args.psi, probes)
     result = {
         "omega_edge": edge,
         "n": args.n,
@@ -90,16 +86,17 @@ def _cmd_limits(args):
 
 
 def _cmd_clt(args):
-    rows = clt_scan([int(v) for v in args.ns.split(",")], args.psi, args.omega)
-    return ((CltScanRow._fields, rows),
+    rows = gauss.clt_scan([int(v) for v in args.ns.split(",")], args.psi, args.omega)
+    return ((gauss.CltScanRow._fields, rows),
             f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}")
 
 
 def _grid(grid_of, args):
     """``grid_of`` over the arguments' axes, and its CSV table: one row
     per (psi, omega) cell."""
-    grid = grid_of(GridSpec.linspace(args.n, args.psi_steps, args.omega_steps, args.psi_min,
-                                     args.psi_max, args.omega_min, args.omega_max))
+    grid = grid_of(factorization.GridSpec.linspace(
+        args.n, args.psi_steps, args.omega_steps, args.psi_min, args.psi_max,
+        args.omega_min, args.omega_max))
     rows = [(psi, omega, v, int(flag))
             for psi, values, flags in zip(grid.spec.psi_values, grid.values.tolist(), grid.flags)
             for omega, v, flag in zip(grid.spec.omega_values, values, flags)]
@@ -107,56 +104,60 @@ def _grid(grid_of, args):
 
 
 def _cmd_delta_grid(args):
-    grid, table = _grid(delta_grid, args)
+    grid, table = _grid(factorization.delta_grid, args)
     return table, (f"delta grid n={args.n}: {int(grid.flags.sum())} positive cells, "
                    f"min={_fmt(grid.values.min())}")
 
 
 def _cmd_tau1_grid(args):
-    grid, table = _grid(tau1_region_grid, args)
+    grid, table = _grid(factorization.tau1_region_grid, args)
     return table, f"tau1 grid n={args.n}: {int(grid.flags.sum())} cells with tau1 <= 1"
 
 
 def _cmd_accuracy(args):
-    value = ensemble_accuracy(EnsembleSpec(n=args.n, params=_params(args)))
+    value = ensemble.ensemble_accuracy(ensemble.EnsembleSpec(n=args.n, params=_params(args)))
     return {"accuracy": value}, f"majority-vote accuracy = {_fmt(value)}"
 
 
-def _read_sample(args) -> tuple[CountSample, bool]:
+def _read_sample(args) -> tuple[ensemble.CountSample, bool]:
     """The y,count CSV at ``args.input`` over the support {0..n}, and
     whether n was inferred: without ``--n`` it is the largest observed
     y, which truncates the support whenever the top counts went unseen."""
     pairs = []
     with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("y,"):
                 continue
-            y, c = line.split(",")
-            pairs.append((int(y), int(c)))
+            try:
+                y, c = map(int, line.split(","))
+            except ValueError:
+                raise ValueError(f"{args.input}, line {number}: row {line!r} is not "
+                                 "two integers y,count") from None
+            pairs.append((y, c))
     if not pairs:
         raise ValueError(f"no observations found in {args.input}")
     inferred = args.n is None
     n = max(y for y, _ in pairs) if inferred else args.n
-    return CountSample.from_pairs(n, pairs), inferred
+    return ensemble.CountSample.from_pairs(n, pairs), inferred
 
 
 def _cmd_fit(args):
-    sample_, inferred = _read_sample(args)
-    fit = fit_mle(sample_)
-    result = dict(fit._asdict(), n=sample_.n, n_inferred=inferred)
+    sample, inferred = _read_sample(args)
+    fit = ensemble.fit_mle(sample)
+    result = dict(fit._asdict(), n=sample.n, n_inferred=inferred)
     return result, f"fit psi={_fmt(fit.psi_hat)} omega={fit.omega_hat} converged={fit.converged}"
 
 
 def _cmd_compare(args):
-    sample_, inferred = _read_sample(args)
-    report = model_comparison(sample_)
-    result = dict(report._asdict(), n=sample_.n, n_inferred=inferred)
+    sample, inferred = _read_sample(args)
+    report = ensemble.model_comparison(sample)
+    result = dict(report._asdict(), n=sample.n, n_inferred=inferred)
     return result, f"best model by AIC: {report.best_aic}"
 
 
 def _cmd_sample(args):
-    draws = sample(_params(args), args.count, args.seed)
+    draws = core.sample(_params(args), args.count, args.seed)
     return ((["y"], [(v,) for v in draws.tolist()]),
             f"{args.count} draws, seed={args.seed}, mean={_fmt(draws.mean())}")
 

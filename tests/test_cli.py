@@ -177,6 +177,15 @@ class TestLimitsCommand:
         assert len(load_json(out)["result"]["evidence"]) == 3
 
 
+# the library function each subcommand calls
+LIBRARY_FUNCTION = {
+    "pmf": "pmf", "cdf": "cdf", "moments": "moments", "tau": "tau", "dn": "d_n",
+    "limits": "convergence_report", "clt": "clt_scan", "delta-grid": "delta_grid",
+    "tau1-grid": "tau1_region_grid", "accuracy": "ensemble_accuracy", "fit": "fit_mle",
+    "compare": "model_comparison", "sample": "sample",
+}
+
+
 class TestGridCommands:
     def test_delta_grid_positive(self, capsys, tmp_path):
         out = tmp_path / "grid.csv"
@@ -203,19 +212,23 @@ class TestGridCommands:
             "" if math.isinf(v) else cli._fmt(v) for v in grid.values.ravel().tolist()]
         assert all(r[3] == "1" for r in rows[1:]) and grid.flags.all()
 
-    @pytest.mark.parametrize("command, name", [("delta-grid", "delta_grid"),
-                                               ("tau1-grid", "tau1_region_grid")])
-    def test_grid_function_is_looked_up_at_call_time(self, capsys, monkeypatch, command, name):
-        # a tracer wraps the grid functions by replacing cli's attributes
+    @pytest.mark.parametrize("command, name", [(c.name, LIBRARY_FUNCTION[c.name])
+                                               for c in cli.COMMANDS])
+    def test_grid_function_is_looked_up_at_call_time(self, capsys, monkeypatch, counts_dir,
+                                                     command, name):
+        # every subcommand, not only the grids
+        # a tracer wraps a library function by replacing its submodule's
+        # attribute, which the handler reads when it runs
+        module = sys.modules[getattr(lmbd, name).__module__]
         calls = []
-        grid_of = getattr(cli, name)
+        function = getattr(module, name)
 
-        def counted(spec):
-            calls.append(spec)
-            return grid_of(spec)
+        def counted(*args):
+            calls.append(args)
+            return function(*args)
 
-        monkeypatch.setattr(cli, name, counted)
-        code, _, _ = run(capsys, command, "--n", "3", "--psi-steps", "3", "--omega-steps", "3")
+        monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, *TABLE_ARGV[command])
         assert code == 0
         assert len(calls) == 1
 
@@ -445,13 +458,74 @@ def test_manifest_version_is_the_distribution_version():
 
 
 def test_import_lmbd_loads_every_submodule():
-    """In a fresh process, ``import lmbd`` alone loads every library
-    submodule.  The benchmark's tracer (bench/tracer.py) times the
-    functions it finds on them, so a submodule loaded lazily would read
-    zero in its per-layer figures instead of failing."""
+    """In a fresh process, ``import lmbd`` alone registers every library
+    submodule in ``sys.modules``, where each runs on its first attribute
+    access.  The benchmark's tracer (bench/tracer.py) wraps the
+    functions of the modules it finds there, so a submodule missing
+    from it would read zero in its per-layer figures instead of
+    failing."""
     loaded = set(_fresh_json("import json, sys, lmbd; print(json.dumps(sorted(sys.modules)))"))
     expect = {f"lmbd.{m}" for m in ("core", "asymptotics", "gauss", "factorization", "ensemble")}
     assert expect <= loaded
+
+
+# a submodule has run once it is a plain module; until then its class is
+# LazyLoader's placeholder
+_RAN = """sorted(k for k, m in sys.modules.items()
+             if k.startswith("lmbd.") and type(m) is types.ModuleType)"""
+
+
+def test_import_lmbd_runs_no_submodule():
+    code = f"""
+import json, sys, types
+import lmbd
+seen = {{"import lmbd": {_RAN}}}
+hasattr(lmbd, "__wrapped__")
+seen["__wrapped__"] = {_RAN}
+lmbd.pmf
+seen["lmbd.pmf"] = {_RAN}
+print(json.dumps(seen))
+"""
+    assert _fresh_json(code) == {"import lmbd": [], "__wrapped__": [], "lmbd.pmf": ["lmbd.core"]}
+
+
+@pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS])
+def test_subcommand_runs_only_the_modules_it_reads(counts_dir, command):
+    # cli, core and the submodule that defines the command's function
+    own = getattr(lmbd, LIBRARY_FUNCTION[command]).__module__
+    argv = TABLE_ARGV[command] + ["--out", os.devnull]
+    code = f"""
+import json, sys, types
+import lmbd.cli
+assert lmbd.cli.main({argv!r}) == 0
+print(json.dumps({_RAN}))
+"""
+    assert _fresh_json(code) == sorted({"lmbd.cli", "lmbd.core", own})
+
+
+def test_tracer_wraps_every_public_function():
+    """In a fresh process, bench/tracer.py's install runs every lazy
+    submodule and wraps each function of its ``__all__``, on the
+    submodule and as ``lmbd.<name>``."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = f"""
+import inspect, json, sys
+sys.path.insert(0, {str(bench)!r})
+import lmbd, tracer
+tracer.Tracer().install()
+modules = (lmbd.core, lmbd.asymptotics, lmbd.gauss, lmbd.factorization, lmbd.ensemble)
+functions = [(m, name) for m in modules for name in m.__all__
+             if inspect.isfunction(getattr(m, name))]
+print(json.dumps({{
+    "functions": len(functions),
+    "unwrapped": [name for m, name in functions
+                  if not hasattr(getattr(m, name), "__wrapped__")
+                  or getattr(lmbd, name) is not getattr(m, name)],
+}}))
+"""
+    seen = _fresh_json(code)
+    assert seen["functions"] >= 20
+    assert seen["unwrapped"] == []
 
 
 class TestExitCodes:
@@ -483,15 +557,21 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-_INVALID_INPUT = {"zeros.csv": "y,count\n0,5\n", "header.csv": "y,count\n# none seen\n"}
+_INVALID_INPUT = {"zeros.csv": "y,count\n0,5\n", "header.csv": "y,count\n# none seen\n",
+                  "wide.csv": "y,count\n0,3,1\n", "float.csv": "y,count\n1,2\n\n0,1.5\n"}
 _BASE = ["--n", "6", "--psi", "0.4", "--omega", "1.3"]
 # (argv, the one stderr line): an invalid argument is a domain error,
-# never a traceback; without --n a sample seen only at y = 0 infers n = 0
+# never a traceback; without --n a sample seen only at y = 0 infers n = 0,
+# and a malformed sample row is named by its file and line
 INVALID_ARGV = {
     "fit-all-zero-sample": (["fit", "--input", "zeros.csv"], "n must be >= 1, got 0"),
     "compare-all-zero-sample": (["compare", "--input", "zeros.csv"], "n must be >= 1, got 0"),
     "fit-no-observations": (["fit", "--input", "header.csv"],
                             "no observations found in header.csv"),
+    "fit-three-fields": (["fit", "--input", "wide.csv"],
+                         "wide.csv, line 2: row '0,3,1' is not two integers y,count"),
+    "compare-float-count": (["compare", "--input", "float.csv"],
+                            "float.csv, line 4: row '0,1.5' is not two integers y,count"),
     "pmf-n-0": (["pmf", "--n", "0", "--psi", "0.4", "--omega", "1.3"], "n must be >= 1, got 0"),
     "sample-seed": (["sample", *_BASE, "--count", "5", "--seed", "-1"],
                     "seed must be >= 0, got -1"),
