@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ModelParams, _Checked, _exp, _integer, _log_sum, _log_tau, _log_weights, _logit,
-                   _table_moments)
+from .core import (_Checked, _exp, _integer, _log_sum, _log_tau, _log_weights, _logit, _ordered,
+                   _positive, _table_moments)
 
 __all__ = [
     "LimitRegime",
@@ -136,35 +136,23 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
     """Evaluate the exact pmf at each omega probe and report the TV
     distance to the regime's limit law.
 
-    Probes must approach the regime's omega edge monotonically
-    (strictly decreasing for omega -> 0, increasing for omega -> inf).
-    The regime takes no psi edge: no omega sequence at a fixed psi
+    Probes must be positive and finite and approach the regime's omega
+    edge monotonically (strictly decreasing for omega -> 0, increasing
+    for omega -> inf); psi must be interior (``_limit_row``).  The
+    regime takes no psi edge: no omega sequence at a fixed psi
     approaches the iterated psi-edge limit.
     """
     if regime.psi_edge != "none":
         raise ValueError(f"convergence_report needs no psi edge, got psi_edge={regime.psi_edge!r}")
-    probes = [float(w) for w in probe_points]
-    if not probes:
-        raise ValueError("probe_points must be non-empty")
-    diffs = np.diff(probes)
-    if regime.omega_edge == "to-zero" and not (diffs < 0).all():
-        raise ValueError("probes must decrease monotonically toward omega = 0")
-    if regime.omega_edge == "to-infinity" and not (diffs > 0).all():
-        raise ValueError("probes must increase monotonically toward omega = inf")
-    for w in probes:
-        ModelParams(n=regime.n, psi=psi, omega=w)
+    probes = _ordered("probe_points", [float(w) for w in probe_points],
+                      -1 if regime.omega_edge == "to-zero" else 1)
+    for end in (0, -1):  # ordered probes: their ends bound every probe
+        _positive("probe_points", probes[end])
     row = _limit_row(regime, psi)
     limit = np.exp(row)
-    mean, var = _table_moments(limit)
     # every probe's pmf table at once, in one kernel block as ``pmf``
     # builds one
     kernel = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
     probs = np.exp(kernel - _log_sum(kernel)[:, None])
     evidence = tuple(zip(probes, (0.5 * np.abs(probs - limit).sum(axis=-1)).tolist()))
-    return LimitReport(
-        regime=regime,
-        limit_mean=mean,
-        limit_variance=var,
-        limit_distribution=_masses(row, limit),
-        numeric_evidence=evidence,
-    )
+    return LimitReport(regime, *_table_moments(limit), _masses(row, limit), evidence)

@@ -35,6 +35,16 @@ def _params(args: argparse.Namespace) -> core.ModelParams:
     return core.ModelParams(n=args.n, psi=args.psi, omega=args.omega)
 
 
+def _list(flag: str, text: str, type_: type) -> list:
+    """The comma-separated values of ``flag`` as ``type_``; a token that
+    does not parse raises one ValueError that names the flag, and the
+    parser's own message quotes the token."""
+    try:
+        return [type_(token) for token in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _cmd_pmf(args):
     table = core.pmf(_params(args))
     summary = f"pmf n={args.n} psi={args.psi} omega={args.omega} rows={args.n + 1}"
@@ -68,7 +78,7 @@ def _cmd_dn(args):
 def _cmd_limits(args):
     edge = "to-zero" if args.regime == "omega-zero" else "to-infinity"
     if args.probes:
-        probes = [float(p) for p in args.probes.split(",")]
+        probes = _list("--probes", args.probes, float)
     else:
         probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
     regime = asymptotics.LimitRegime(edge, args.n)
@@ -86,7 +96,7 @@ def _cmd_limits(args):
 
 
 def _cmd_clt(args):
-    rows = gauss.clt_scan([int(v) for v in args.ns.split(",")], args.psi, args.omega)
+    rows = gauss.clt_scan(_list("--ns", args.ns, int), args.psi, args.omega)
     return ((gauss.CltScanRow._fields, rows),
             f"clt scan over {len(rows)} n values, final ks={_fmt(rows[-1].ks_distance)}")
 

@@ -71,6 +71,37 @@ def _integer(name: str, value, low: int, high: int | None = None) -> int:
     return value
 
 
+def _probability(name: str, value):
+    """``value`` if it lies in [0, 1]; a NaN, or anything else, raises
+    one ValueError that names the argument and the value."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _positive(name: str, value):
+    """``value`` if it is positive and finite; a NaN, or anything else,
+    raises one ValueError that names the argument and the value."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _ordered(name: str, values, step: int = 1):
+    """``values``, as given, if non-empty and strictly increasing
+    (``step`` 1) or decreasing (``step`` -1); otherwise one ValueError
+    that names the argument and the first pair out of order.  A NaN
+    fails either order, so the ends bound every value."""
+    if not len(values):
+        raise ValueError(f"{name} must be non-empty")
+    order = operator.lt if step > 0 else operator.gt
+    if not all(map(order, values, values[1:])):
+        a, b = next((a, b) for a, b in zip(values, values[1:]) if not order(a, b))
+        raise ValueError(f"{name} must be strictly {'in' if step > 0 else 'de'}creasing, "
+                         f"got {b} after {a}")
+    return values
+
+
 class _Checked:
     """First base of a named tuple whose ``__new__`` validates: ``_make``,
     and through it ``_replace``, build the record with ``__new__`` too,
@@ -95,12 +126,8 @@ class ModelParams(_Checked, _ModelParamsFields):
     __slots__ = ()
 
     def __new__(cls, n: int, psi: float, omega: float):
-        n = _integer("n", n, 1)
-        if not 0.0 <= psi <= 1.0:
-            raise ValueError(f"psi must lie in [0, 1], got {psi}")
-        if not 0.0 < omega < math.inf:
-            raise ValueError(f"omega must be positive and finite, got {omega}")
-        return super().__new__(cls, n, psi, omega)
+        return super().__new__(cls, _integer("n", n, 1), _probability("psi", psi),
+                               _positive("omega", omega))
 
 
 class PmfTable(NamedTuple):

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import _Checked, _integer, _kernel_row, _log_sum, _log_weights, _mass
+from .core import (_Checked, _integer, _kernel_row, _log_sum, _log_weights, _mass, _positive,
+                   _probability)
 
 __all__ = [
     "EnsembleSpec",
@@ -92,6 +93,7 @@ class FitResult(NamedTuple):
     converged: bool
     iterations: int
     standard_errors: tuple[float, float] | None
+    theta_hat: tuple[float, float]
 
 
 class ModelReport(NamedTuple):
@@ -124,8 +126,7 @@ def ensemble_accuracy(spec: EnsembleSpec) -> float:
 
 def binomial_accuracy(n: int, pi: float) -> float:
     """Binomial(n, pi) majority tail, the independence baseline."""
-    if not 0.0 <= pi <= 1.0:
-        raise ValueError(f"pi must lie in [0, 1], got {pi}")
+    pi = _probability("pi", pi)
     q = majority_threshold(n)
     return _mass(pmf(ModelParams(n, pi, 1.0)).log_prob[q + 1:])
 
@@ -142,9 +143,7 @@ def _rising_sums(x: float, m: int) -> np.ndarray:
 
 def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     """Majority tail of the Beta(alpha, beta) mixture of Binomials."""
-    n = _integer("n", n, 1)
-    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-        raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
+    n, alpha, beta = _integer("n", n, 1), _positive("alpha", alpha), _positive("beta", beta)
     # log B(y+alpha, n-y+beta) - log B(alpha, beta) by the logs of rising
     # factorials alone: their derivative rows overflow at the shapes' ends
     ra, rb, rab = (np.concatenate(([0.0], np.cumsum(np.log(x + np.arange(n)))))
@@ -226,14 +225,18 @@ def fit_mle(sample: CountSample) -> FitResult:
     table per iterate gives the score N (mean T - E[T]) and the
     information N Cov(T) exactly; the standard errors are that
     information's inverse at the optimum, mapped to (psi, omega) by the
-    delta method.
+    delta method.  ``theta_hat`` is theta as Newton left it: psi_hat =
+    expit(theta_1) rounds to 1.0 once theta_1 passes about 37, where the
+    law that (psi_hat, omega_hat) names is a point mass, so the fitted
+    law is the kernel's at theta_hat, whose log-likelihood is
+    ``log_likelihood``.
 
     The MLE is finite exactly when mean T is interior to the convex hull
     of T(0..n).  A sample on a face (observed support one value, a pair
     {k, k+1} or {0, n}; every sample at n = 1) returns converged=False,
-    omega_hat = NaN, psi_hat = mean y / n, no standard errors, and the
-    empirical log-likelihood sum c log(c/N): the supremum, which the
-    face's limit laws reach.
+    omega_hat = NaN, psi_hat = mean y / n, theta_hat = (NaN, NaN), no
+    standard errors, and the empirical log-likelihood sum c log(c/N):
+    the supremum, which the face's limit laws reach.
     """
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
@@ -243,7 +246,7 @@ def fit_mle(sample: CountSample) -> FitResult:
     if _on_hull_face(counts):
         return FitResult(psi_hat=mean_y / n, omega_hat=math.nan,
                          log_likelihood=_empirical_log_lik(counts), converged=False,
-                         iterations=0, standard_errors=None)
+                         iterations=0, standard_errors=None, theta_hat=(math.nan, math.nan))
 
     stats = np.stack((y, y * (n - y))).astype(float)
     dev = stats - (stats @ counts / total)[:, None]
@@ -269,7 +272,7 @@ def fit_mle(sample: CountSample) -> FitResult:
                            math.sqrt(var[1]) * omega_hat)
     return FitResult(psi_hat=psi_hat, omega_hat=omega_hat, log_likelihood=log_lik,
                      converged=converged, iterations=steps,
-                     standard_errors=standard_errors)
+                     standard_errors=standard_errors, theta_hat=tuple(theta.tolist()))
 
 
 def _beta_binomial_log_lik(counts: np.ndarray, theta: np.ndarray):
@@ -315,8 +318,12 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
                            parameters=parameters, converged=converged)
 
     fit = fit_mle(sample)
-    mbd_accuracy = empirical if math.isnan(fit.omega_hat) else ensemble_accuracy(
-        EnsembleSpec(n=n, params=ModelParams(n=n, psi=fit.psi_hat, omega=fit.omega_hat)))
+    mbd_accuracy = empirical
+    if not math.isnan(fit.omega_hat):
+        # the fitted law off the kernel at theta-hat, exact where psi-hat
+        # rounds to 0 or 1
+        row = _log_weights(n, *fit.theta_hat)[1]
+        mbd_accuracy = _mass(row[tail:] - _log_sum(row))
     mbd = report("lmbd", {"psi": fit.psi_hat, "omega": fit.omega_hat},
                  fit.log_likelihood, mbd_accuracy, fit.converged)
 

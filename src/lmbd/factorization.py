@@ -47,7 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel_row, _log_sum,
-                   _log_tau, _log_weights, _logit, _logsumexp, _row_cache, _tau1_pi)
+                   _log_tau, _log_weights, _logit, _logsumexp, _ordered, _positive,
+                   _probability, _row_cache, _tau1_pi)
 
 __all__ = [
     "GridSpec",
@@ -59,19 +60,6 @@ __all__ = [
     "tau1_region_grid",
     "theorem2_check",
 ]
-
-
-def _check_axes(psi_values, omega_values) -> None:
-    for name, vals in (("psi_values", psi_values), ("omega_values", omega_values)):
-        if len(vals) == 0:
-            raise ValueError(f"{name} must be non-empty")
-        # a NaN fails this too, so the ends bound every value
-        if not all(a < b for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"{name} must be strictly increasing")
-    if not (0.0 <= psi_values[0] and psi_values[-1] <= 1.0):
-        raise ValueError("psi_values must lie in [0, 1]")
-    if not (0.0 < omega_values[0] and omega_values[-1] < math.inf):
-        raise ValueError("omega_values must be positive and finite")
 
 
 class _GridSpecFields(NamedTuple):
@@ -86,7 +74,11 @@ class GridSpec(_Checked, _GridSpecFields):
     __slots__ = ()
 
     def __new__(cls, psi_values: tuple[float, ...], omega_values: tuple[float, ...], n: int):
-        _check_axes(psi_values, omega_values)
+        psi_values = _ordered("psi_values", psi_values)
+        omega_values = _ordered("omega_values", omega_values)
+        for end in (0, -1):  # ordered axes: their ends bound every value
+            _probability("psi_values", psi_values[end])
+            _positive("omega_values", omega_values[end])
         return super().__new__(cls, psi_values, omega_values, _integer("n", n, 1))
 
     @staticmethod
@@ -94,8 +86,9 @@ class GridSpec(_Checked, _GridSpecFields):
                  psi_min: float = 0.01, psi_max: float = 0.99,
                  omega_min: float = 0.05, omega_max: float = 2.0) -> "GridSpec":
         # check the ends first: numpy warns when it spreads an infinite one
-        _check_axes((psi_min,), (omega_min,))
-        _check_axes((psi_max,), (omega_max,))
+        for psi, omega in ((psi_min, omega_min), (psi_max, omega_max)):
+            _probability("psi_values", psi)
+            _positive("omega_values", omega)
         psi_steps = _integer("psi_steps", psi_steps, 1)
         omega_steps = _integer("omega_steps", omega_steps, 1)
         return GridSpec(

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, _integer, _table_moments, pmf
+from .core import ModelParams, _integer, _ordered, _table_moments, pmf
 
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
@@ -46,17 +46,5 @@ def standardized_ks_distance(params: ModelParams) -> float:
 
 def clt_scan(ns, psi: float, omega: float) -> list[CltScanRow]:
     """One diagnostic row per trial count, in input order."""
-    ns = [_integer("n", n, 1) for n in ns]
-    if not ns:
-        raise ValueError("ns must be non-empty")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("ns must be strictly increasing")
-    return [
-        CltScanRow(
-            n=n,
-            psi=psi,
-            omega=omega,
-            ks_distance=standardized_ks_distance(ModelParams(n=n, psi=psi, omega=omega)),
-        )
-        for n in ns
-    ]
+    return [CltScanRow(n, psi, omega, standardized_ks_distance(ModelParams(n, psi, omega)))
+            for n in _ordered("ns", [_integer("n", n, 1) for n in ns])]

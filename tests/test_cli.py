@@ -328,6 +328,7 @@ class TestFitConvergedFlag:
         assert fit.converged is False
         assert math.isnan(fit.omega_hat)
         assert fit.standard_errors is None
+        assert all(map(math.isnan, fit.theta_hat))
         total = sum(pairs.values())
         # the supremum, reached by the limit laws on the face
         assert fit.log_likelihood == pytest.approx(
@@ -336,6 +337,16 @@ class TestFitConvergedFlag:
         assert res["converged"] is False
         assert res["omega_hat"] is None
         assert res["standard_errors"] is None
+        assert res["theta_hat"] == [None, None]
+
+    def test_fit_writes_theta_hat(self, capsys, tmp_path):
+        # psi_hat rounds to 1.0 here; theta_hat keeps the fitted law
+        pairs = {198: 1, 199: 5, 200: 4}
+        fit = fit_mle(CountSample.from_pairs(200, pairs.items()))
+        assert fit.psi_hat == 1.0 and fit.converged is True
+        res = self.fit_artifact(capsys, tmp_path, 200, pairs)
+        assert res["theta_hat"] == list(fit.theta_hat)
+        assert res["theta_hat"][0] > 37.0
 
     def test_interior_pair_converges(self, capsys, tmp_path):
         # {0, 2} at n = 4 is a chord inside the hull: a finite MLE exists
@@ -469,6 +480,15 @@ def test_import_lmbd_loads_every_submodule():
     assert expect <= loaded
 
 
+def test_dir_lmbd_lists_every_public_name():
+    """In a fresh process, ``dir(lmbd)`` holds ``__version__``, every
+    name of ``lmbd.__all__`` and the five submodules."""
+    seen = _fresh_json("import json, lmbd; print(json.dumps([dir(lmbd), lmbd.__all__]))")
+    names, public = set(seen[0]), seen[1]
+    assert {"__version__", *public} <= names
+    assert {"core", "asymptotics", "gauss", "factorization", "ensemble"} <= names
+
+
 # a submodule has run once it is a plain module; until then its class is
 # LazyLoader's placeholder
 _RAN = """sorted(k for k, m in sys.modules.items()
@@ -580,6 +600,22 @@ INVALID_ARGV = {
     "cdf-y-above": (["cdf", *_BASE, "--y", "7"], "y must lie in [0, 6], got 7"),
     "cdf-y-below": (["cdf", *_BASE, "--y", "-1"], "y must lie in [0, 6], got -1"),
     "tau-r-0": (["tau", *_BASE, "--r", "0"], "r must lie in [1, 6], got 0"),
+    # a comma list names its flag and the token that does not parse
+    "clt-ns-token": (["clt", "--ns", "8,x", "--psi", "0.4", "--omega", "1.3"],
+                     "--ns: invalid literal for int() with base 10: 'x'"),
+    "clt-ns-empty-tokens": (["clt", "--ns", ",", "--psi", "0.4", "--omega", "1.3"],
+                            "--ns: invalid literal for int() with base 10: ''"),
+    "limits-probes-token": (["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.3",
+                             "--probes", "0.1,x"],
+                            "--probes: could not convert string to float: 'x'"),
+    # the library's readers name the argument and its value
+    "delta-grid-psi-max": (["delta-grid", "--n", "5", "--psi-max", "1.5"],
+                           "psi_values must lie in [0, 1], got 1.5"),
+    "clt-ns-repeated": (["clt", "--ns", "8,8", "--psi", "0.4", "--omega", "1.3"],
+                        "ns must be strictly increasing, got 8 after 8"),
+    "limits-probes-rising": (["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.3",
+                              "--probes", "0.1,0.2"],
+                             "probe_points must be strictly decreasing, got 0.2 after 0.1"),
 }
 
 

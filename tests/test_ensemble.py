@@ -207,6 +207,28 @@ class TestFitMle:
         assert fit.psi_hat == pytest.approx(psi, abs=1e-3)
         assert fit.omega_hat == pytest.approx(omega, abs=1e-3)
 
+    # psi_hat rounds to 1.0 on the first sample, where the law that
+    # (psi_hat, omega_hat) names is a point mass at n
+    THETA_SAMPLES = {
+        "psi-hat-rounds-to-one": (200, {198: 1, 199: 5, 200: 4}),
+        "interior": (7, {0: 3, 2: 10, 3: 12, 5: 4, 7: 1}),
+    }
+
+    @pytest.mark.parametrize("n, pairs", THETA_SAMPLES.values(), ids=THETA_SAMPLES)
+    def test_log_likelihood_is_the_kernels_at_theta_hat(self, n, pairs):
+        s = CountSample.from_pairs(n, pairs.items())
+        fit = fit_mle(s)
+        assert fit.converged
+        theta1, theta2 = fit.theta_hat
+        assert fit.omega_hat == math.exp(theta2)
+        assert fit.psi_hat == pytest.approx(1.0 / (1.0 + math.exp(-theta1)), rel=1e-15)
+        row = _log_weights(n, theta1, theta2)[1]
+        log_prob = row - _log_sum(row)
+        counts = np.asarray(s.counts, dtype=float)
+        seen = counts > 0
+        assert float(counts[seen] @ log_prob[seen]) == pytest.approx(
+            fit.log_likelihood, rel=0, abs=1e-12)
+
     def test_sampled_recovery_within_three_se(self):
         truth = ModelParams(9, 0.6, 0.8)
         fit = fit_mle(drawn_sample(truth, 10 ** 5, seed=31415))

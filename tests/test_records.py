@@ -1,7 +1,8 @@
 """The public records are named tuples: their field order, that they
 hold no per-instance state, and that the five validated inputs check
-their values on every way a record can be built; and that every
-integer argument of a public call rejects a float."""
+their values on every way a record can be built; that every integer
+argument of a public call rejects a float; and that every range and
+order rule gives one exact message."""
 
 import copy
 import dataclasses
@@ -15,7 +16,8 @@ import pytest
 import lmbd
 from lmbd import (CountSample, EnsembleSpec, GridSpec, LimitRegime, ModelParams,
                   beta_binomial_accuracy, binomial_accuracy, cdf, clt_scan, conditional_cpr,
-                  log_k, majority_threshold, sample, tau, tau_limit, total_variation)
+                  convergence_report, log_k, majority_threshold, sample, tau, tau_limit,
+                  total_variation)
 
 # positional construction and unpacking follow this order, which is the
 # field order the records had as dataclasses
@@ -33,7 +35,7 @@ FIELDS = {
     "EnsembleSpec": ("n", "params"),
     "CountSample": ("n", "counts"),
     "FitResult": ("psi_hat", "omega_hat", "log_likelihood", "converged", "iterations",
-                  "standard_errors"),
+                  "standard_errors", "theta_hat"),
     "ModelReport": ("name", "n_params", "log_likelihood", "aic", "predicted_accuracy",
                     "parameters", "converged"),
     "ComparisonReport": ("sample_total", "empirical_accuracy", "models", "best_aic"),
@@ -210,6 +212,68 @@ OUT_OF_RANGE_CALLS = {
 
 @pytest.mark.parametrize("call, message", OUT_OF_RANGE_CALLS.values(), ids=OUT_OF_RANGE_CALLS)
 def test_every_integer_argument_rejects_a_value_out_of_range(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+TO_ZERO, TO_INFINITY = LimitRegime("to-zero", 4), LimitRegime("to-infinity", 4)
+# every argument that must be a probability in [0, 1], a positive finite
+# number, or a non-empty strictly ordered sequence, each given a value
+# that breaks its rule, and the one message ``core._probability``,
+# ``core._positive`` or ``core._ordered`` gives for it, which names the
+# argument and the value
+RULE_CALLS = {
+    "ModelParams-psi": (lambda: ModelParams(5, 1.5, 1.2), "psi must lie in [0, 1], got 1.5"),
+    "ModelParams-psi-nan": (lambda: ModelParams(5, math.nan, 1.2),
+                            "psi must lie in [0, 1], got nan"),
+    "ModelParams-omega": (lambda: ModelParams(5, 0.3, 0.0),
+                          "omega must be positive and finite, got 0.0"),
+    "ModelParams-omega-inf": (lambda: ModelParams(5, 0.3, math.inf),
+                              "omega must be positive and finite, got inf"),
+    "GridSpec-empty": (lambda: GridSpec((), (1.0,), 3), "psi_values must be non-empty"),
+    "GridSpec-unordered": (lambda: GridSpec((0.5, 0.2), (1.0,), 3),
+                           "psi_values must be strictly increasing, got 0.2 after 0.5"),
+    "GridSpec-nan": (lambda: GridSpec((0.2,), (0.5, math.nan, 2.0), 3),
+                     "omega_values must be strictly increasing, got nan after 0.5"),
+    "GridSpec-psi-end": (lambda: GridSpec((0.2, 1.5), (1.0,), 3),
+                         "psi_values must lie in [0, 1], got 1.5"),
+    "GridSpec-omega-end": (lambda: GridSpec((0.2,), (1.0, math.inf), 3),
+                           "omega_values must be positive and finite, got inf"),
+    "linspace-psi_min": (lambda: GridSpec.linspace(3, psi_min=-0.1),
+                         "psi_values must lie in [0, 1], got -0.1"),
+    "linspace-psi_max": (lambda: GridSpec.linspace(3, psi_max=math.inf),
+                         "psi_values must lie in [0, 1], got inf"),
+    "linspace-omega_min": (lambda: GridSpec.linspace(3, omega_min=0.0),
+                           "omega_values must be positive and finite, got 0.0"),
+    "linspace-omega_max": (lambda: GridSpec.linspace(3, omega_max=math.nan),
+                           "omega_values must be positive and finite, got nan"),
+    "clt_scan-unordered": (lambda: clt_scan([16, 8], 0.3, 1.2),
+                           "ns must be strictly increasing, got 8 after 16"),
+    "convergence_report-empty": (lambda: convergence_report(TO_ZERO, 0.5, []),
+                                 "probe_points must be non-empty"),
+    "convergence_report-to-zero-rising": (
+        lambda: convergence_report(TO_ZERO, 0.5, [0.1, 0.2, 0.01]),
+        "probe_points must be strictly decreasing, got 0.2 after 0.1"),
+    "convergence_report-to-infinity-falling": (
+        lambda: convergence_report(TO_INFINITY, 0.5, [100.0, 10.0]),
+        "probe_points must be strictly increasing, got 10.0 after 100.0"),
+    "convergence_report-to-zero-end": (lambda: convergence_report(TO_ZERO, 0.5, [0.1, 0.0]),
+                                       "probe_points must be positive and finite, got 0.0"),
+    "convergence_report-to-infinity-end": (
+        lambda: convergence_report(TO_INFINITY, 0.5, [-1.0, 10.0]),
+        "probe_points must be positive and finite, got -1.0"),
+    "binomial_accuracy-pi": (lambda: binomial_accuracy(5, -0.1),
+                             "pi must lie in [0, 1], got -0.1"),
+    "beta_binomial_accuracy-alpha": (lambda: beta_binomial_accuracy(5, 0.0, 1.0),
+                                     "alpha must be positive and finite, got 0.0"),
+    "beta_binomial_accuracy-beta": (lambda: beta_binomial_accuracy(5, 1.0, math.inf),
+                                    "beta must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("call, message", RULE_CALLS.values(), ids=RULE_CALLS)
+def test_every_range_and_order_rule_names_its_argument_and_value(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
