@@ -9,7 +9,10 @@ masses proportional to (psi / (1-psi))^y there; pushing psi to an edge
 keeps the support's lowest or highest point alone.  Each limit law is
 one log-pmf row over y = 0..n, -inf off its support (``_limit_row``),
 and the limits of tau_r, the mean and the variance are read off it as
-off any pmf table.
+off any pmf table.  The same equal factors make the pmf on the support
+proportional to the limit law, so the total-variation distance between
+them is exactly the pmf's mass off the support, which
+``convergence_report`` sums from the pmf's own small entries.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_Checked, _exp, _integer, _log_sum, _log_tau, _log_weights, _logit, _ordered,
-                   _positive, _table_moments)
+from .core import (_Checked, _exp, _integer, _interior, _log_sum, _log_tau, _log_weights, _logit,
+                   _ordered, _positive, _table_moments)
 
 __all__ = [
     "LimitRegime",
@@ -29,7 +32,6 @@ __all__ = [
     "limit_moments",
     "limit_distribution",
     "convergence_report",
-    "total_variation",
 ]
 
 _OMEGA_EDGES = ("to-zero", "to-infinity")
@@ -76,9 +78,7 @@ def _limit_row(regime: LimitRegime, psi: float) -> np.ndarray:
     if regime.psi_edge != "none":
         row[lo if regime.psi_edge == "to-zero" else hi] = 0.0
         return row
-    if not 0.0 < psi < 1.0:
-        raise ValueError(f"psi must be interior (0, 1), got {psi}")
-    d = hi - lo
+    d, psi = hi - lo, _interior("psi", psi)
     log_q, log_p = d * math.log1p(-psi), d * math.log(psi)
     top = max(log_q, log_p)
     row[lo], row[hi] = log_q - top, log_p - top
@@ -124,35 +124,32 @@ def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
     return _table_moments(np.exp(_limit_row(regime, psi)))
 
 
-def total_variation(table_probs: np.ndarray, limit: dict[int, float]) -> float:
-    """TV distance (half L1) between a pmf table and a finite limit law."""
-    q = np.zeros(table_probs.shape[-1])
-    for point, mass in limit.items():
-        q[_integer("limit point", point, 0, len(q) - 1)] = mass
-    return float(0.5 * np.abs(table_probs - q).sum(axis=-1))
-
-
 def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitReport:
     """Evaluate the exact pmf at each omega probe and report the TV
     distance to the regime's limit law.
 
+    C(n, y) and y (n-y) are equal on the limit's support, so the pmf
+    there is proportional to the limit law, and half the L1 distance is
+    the pmf's mass off the support: the sum of the probe's pmf entries
+    where the limit row is -inf, exact to rounding however small, with
+    no difference of doubles near 1.  At n = 1 the support is {0, 1}
+    and the TV is exactly 0.
+
     Probes must be positive and finite and approach the regime's omega
     edge monotonically (strictly decreasing for omega -> 0, increasing
-    for omega -> inf); psi must be interior (``_limit_row``).  The
+    for omega -> inf); psi must lie in (0, 1) (``_limit_row``).  The
     regime takes no psi edge: no omega sequence at a fixed psi
     approaches the iterated psi-edge limit.
     """
     if regime.psi_edge != "none":
         raise ValueError(f"convergence_report needs no psi edge, got psi_edge={regime.psi_edge!r}")
     probes = _ordered("probe_points", [float(w) for w in probe_points],
-                      -1 if regime.omega_edge == "to-zero" else 1)
-    for end in (0, -1):  # ordered probes: their ends bound every probe
-        _positive("probe_points", probes[end])
+                      -1 if regime.omega_edge == "to-zero" else 1, _positive)
     row = _limit_row(regime, psi)
     limit = np.exp(row)
     # every probe's pmf table at once, in one kernel block as ``pmf``
     # builds one
     kernel = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
     probs = np.exp(kernel - _log_sum(kernel)[:, None])
-    evidence = tuple(zip(probes, (0.5 * np.abs(probs - limit).sum(axis=-1)).tolist()))
+    evidence = tuple(zip(probes, probs[:, row == -np.inf].sum(axis=-1).tolist()))
     return LimitReport(regime, *_table_moments(limit), _masses(row, limit), evidence)

@@ -77,10 +77,8 @@ def _cmd_dn(args):
 
 def _cmd_limits(args):
     edge = "to-zero" if args.regime == "omega-zero" else "to-infinity"
-    if args.probes:
-        probes = _list("--probes", args.probes, float)
-    else:
-        probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
+    probes = (_list("--probes", args.probes, float) if args.probes
+              else [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)])
     regime = asymptotics.LimitRegime(edge, args.n)
     report = asymptotics.convergence_report(regime, args.psi, probes)
     result = {
@@ -247,6 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each library argument that the CLI fills from flags of another name
+_FLAGS = {"probe_points": ("--probes",), "psi_values": ("--psi-min", "--psi-max"),
+          "omega_values": ("--omega-min", "--omega-max")}
+
+
+def _flagged(args: argparse.Namespace, message: str) -> str:
+    """``message`` with the library argument it opens with replaced by
+    the flag the user typed: of two flags, the one whose value the
+    message ends by quoting, else both."""
+    name, _, rest = message.partition(" ")
+    flags = _FLAGS.get(name, ())
+    quoted = [f for f in flags if rest.endswith(f"got {getattr(args, f[2:].replace('-', '_'))}")]
+    return f"{'/'.join(quoted[:1] or flags)} {rest}" if flags else message
+
+
 def _plain(x):
     """``x`` for JSON: records as dicts of their fields, tuples as lists,
     and None (``null``) for every non-finite float."""
@@ -293,7 +306,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(artifact)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_flagged(args, str(exc))}", file=sys.stderr)
         return 1
     if args.out:
         print(summary)

@@ -79,6 +79,14 @@ def _probability(name: str, value):
     return value
 
 
+def _interior(name: str, value):
+    """``value`` if it lies in (0, 1); a NaN, or anything else, raises
+    one ValueError that names the argument and the value."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
 def _positive(name: str, value):
     """``value`` if it is positive and finite; a NaN, or anything else,
     raises one ValueError that names the argument and the value."""
@@ -87,11 +95,13 @@ def _positive(name: str, value):
     return value
 
 
-def _ordered(name: str, values, step: int = 1):
+def _ordered(name: str, values, step: int = 1, read=None):
     """``values``, as given, if non-empty and strictly increasing
     (``step`` 1) or decreasing (``step`` -1); otherwise one ValueError
     that names the argument and the first pair out of order.  A NaN
-    fails either order, so the ends bound every value."""
+    fails either order, so the ends bound every value, and ``read``
+    (``_probability`` or ``_positive``), where given, checks the two
+    ends alone."""
     if not len(values):
         raise ValueError(f"{name} must be non-empty")
     order = operator.lt if step > 0 else operator.gt
@@ -99,6 +109,9 @@ def _ordered(name: str, values, step: int = 1):
         a, b = next((a, b) for a, b in zip(values, values[1:]) if not order(a, b))
         raise ValueError(f"{name} must be strictly {'in' if step > 0 else 'de'}creasing, "
                          f"got {b} after {a}")
+    if read is not None:
+        read(name, values[0])
+        read(name, values[-1])
     return values
 
 
@@ -492,8 +505,7 @@ def conditional_cpr(params: ModelParams) -> float:
     parameter triple.
     """
     _integer("n", params.n, 2)
-    if not 0.0 < params.psi < 1.0:
-        raise ValueError("conditional CPR needs psi in (0, 1)")
+    _interior("psi", params.psi)
     return _exp(-2.0 * math.log(params.omega))
 
 

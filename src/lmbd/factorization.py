@@ -74,12 +74,9 @@ class GridSpec(_Checked, _GridSpecFields):
     __slots__ = ()
 
     def __new__(cls, psi_values: tuple[float, ...], omega_values: tuple[float, ...], n: int):
-        psi_values = _ordered("psi_values", psi_values)
-        omega_values = _ordered("omega_values", omega_values)
-        for end in (0, -1):  # ordered axes: their ends bound every value
-            _probability("psi_values", psi_values[end])
-            _positive("omega_values", omega_values[end])
-        return super().__new__(cls, psi_values, omega_values, _integer("n", n, 1))
+        return super().__new__(cls, _ordered("psi_values", psi_values, 1, _probability),
+                               _ordered("omega_values", omega_values, 1, _positive),
+                               _integer("n", n, 1))
 
     @staticmethod
     def linspace(n: int, psi_steps: int = 101, omega_steps: int = 101,

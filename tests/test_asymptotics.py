@@ -12,7 +12,6 @@ from lmbd import (
     pmf,
     tau,
     tau_limit,
-    total_variation,
 )
 
 
@@ -241,10 +240,13 @@ class TestConvergenceReport:
         regime = LimitRegime(edge, n=n)
         probes = [10.0 ** (-k if edge == "to-zero" else k) for k in range(1, 9)]
         report = convergence_report(regime, 0.37, probes)
-        limit = limit_distribution(regime, 0.37)
+        limit = np.zeros(n + 1)
+        for y, mass in limit_distribution(regime, 0.37).items():
+            limit[y] = mass
         assert [w for w, _ in report.numeric_evidence] == probes
         for w, tv in report.numeric_evidence:
-            expect = total_variation(pmf(ModelParams(n, 0.37, w)).probs(), limit)
+            # half the L1 distance to the limit law, each probe's pmf on its own
+            expect = 0.5 * np.abs(pmf(ModelParams(n, 0.37, w)).probs() - limit).sum()
             assert tv == pytest.approx(expect, rel=0, abs=1e-15), w
 
     def test_non_positive_probe_rejected(self):
@@ -278,22 +280,6 @@ class TestConvergenceReport:
         report = convergence_report(regime, 0.5, [1e2, 1e3, 1e4])
         tvs = [tv for _, tv in report.numeric_evidence]
         assert tvs[0] / tvs[1] > 5 and tvs[1] / tvs[2] > 5
-
-
-class TestTotalVariation:
-    def test_identical_laws(self):
-        p = pmf(ModelParams(5, 0.4, 1.3)).probs()
-        dist = {k: float(v) for k, v in enumerate(p)}
-        assert total_variation(p, dist) == pytest.approx(0.0, abs=1e-15)
-
-    def test_disjoint_laws(self):
-        probs = np.array([1.0, 0.0, 0.0])
-        assert total_variation(probs, {2: 1.0}) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("point", [-1, 3])
-    def test_a_point_off_the_table_raises(self, point):
-        with pytest.raises(ValueError, match=r"limit point must lie in \[0, 2\]"):
-            total_variation(np.array([0.5, 0.0, 0.5]), {point: 1.0})
 
 
 class TestRegimeValidation:

@@ -608,14 +608,20 @@ INVALID_ARGV = {
     "limits-probes-token": (["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.3",
                              "--probes", "0.1,x"],
                             "--probes: could not convert string to float: 'x'"),
-    # the library's readers name the argument and its value
+    # the library's readers name the argument and its value, and an
+    # argument filled by another flag is named by that flag
     "delta-grid-psi-max": (["delta-grid", "--n", "5", "--psi-max", "1.5"],
-                           "psi_values must lie in [0, 1], got 1.5"),
+                           "--psi-max must lie in [0, 1], got 1.5"),
+    # ... or by both of its flags where the message quotes neither value
+    "delta-grid-psi-ends-swapped": (["delta-grid", "--n", "5", "--psi-steps", "2",
+                                     "--psi-min", "0.9", "--psi-max", "0.1"],
+                                    "--psi-min/--psi-max must be strictly increasing, "
+                                    "got 0.1 after 0.9"),
     "clt-ns-repeated": (["clt", "--ns", "8,8", "--psi", "0.4", "--omega", "1.3"],
                         "ns must be strictly increasing, got 8 after 8"),
     "limits-probes-rising": (["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.3",
                               "--probes", "0.1,0.2"],
-                             "probe_points must be strictly decreasing, got 0.2 after 0.1"),
+                             "--probes must be strictly decreasing, got 0.2 after 0.1"),
 }
 
 

@@ -380,7 +380,7 @@ class TestConditionalCpr:
 
     @pytest.mark.parametrize("psi", [0.0, 1.0])
     def test_psi_edge_rejected(self, psi):
-        with pytest.raises(ValueError, match=r"psi in \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"psi must lie in \(0, 1\), got {psi}"):
             conditional_cpr(ModelParams(4, psi, 1.5))
 
     def test_tiny_omega_is_omega_to_the_minus_two(self):

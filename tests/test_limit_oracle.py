@@ -9,7 +9,9 @@ the variance summed about the mean, and the limit of tau_j as the
 falling-factorial moment E[(Y)_j] / ((n)_j psi^j).  Errors are relative,
 with |exact| floored at the smallest normal double, so a mass or a tau
 that underflows counts as exact when the library returns 0; a tau beyond
-the double range must read +inf.
+the double range must read +inf.  The convergence report's TV at each
+omega probe is checked against the exact pmf's mass off the limit's
+support, at 50 digits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lmbd import LimitRegime, limit_distribution, limit_moments, tau_limit
+from lmbd import LimitRegime, convergence_report, limit_distribution, limit_moments, tau_limit
 
 DPS = 50
 EDGES = ("to-zero", "to-infinity")
@@ -138,3 +140,56 @@ def test_tau_limit_matches_mpmath_for_every_j():
             errors.append((_rel(got, want), (edge, n, psi, j)))
     worst = max(errors)
     assert worst[0] <= TAU_BOUND, worst
+
+
+PROBES = {"to-zero": [10.0 ** -k for k in range(1, 9)],
+          "to-infinity": [10.0 ** k for k in range(1, 9)]}
+
+
+def _off_support_masses(edge: str, n: int, psi: float, omegas) -> list[mp.mpf]:
+    """The exact pmf's mass off the limit's support at each omega: its
+    weights C(n, y) psi^y (1-psi)^(n-y) omega^((n-y) y) off the support
+    over all of them, at 50 digits.  Double-precision log-weights pick
+    the terms within 140 nats of the largest one or of the largest one
+    off the support; the others, each below e^-140 < 1e-60 of those,
+    cannot move a 50-digit ratio."""
+    support = _support(edge, n)
+    y = np.arange(n + 1)
+    log_f = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    off = ~np.isin(y, support)
+    out = []
+    with mp.workdps(DPS):
+        lp, lq = mp.log(mp.mpf(psi)), mp.log(1 - mp.mpf(psi))
+        for omega in omegas:
+            log_w = (log_f[n] - log_f - log_f[::-1] + y * math.log(psi)
+                     + (n - y) * math.log1p(-psi) + y * (n - y) * math.log(omega))
+            off_top = log_w.max(where=off, initial=-np.inf)  # -inf at n = 1: no term is off
+            keep = np.flatnonzero((log_w > log_w.max() - 140) | off & (log_w > off_top - 140))
+            lw, top = mp.log(mp.mpf(omega)), float(log_w.max())
+            w = {int(k): mp.exp(mp.log(math.comb(n, int(k))) + k * lp + (n - k) * lq
+                                + k * (n - k) * lw - top) for k in keep}
+            out.append(mp.fsum(v for k, v in w.items() if k not in support) / mp.fsum(w.values()))
+    return out
+
+
+# twice the worst relative error of a normal TV over these regimes and
+# probes, 1.83e-13 at (to-infinity, 1952, psi 1.29e-3): the pmf's own
+# error at n ~ 2000 (PMF_BOUND in test_kernel_oracle.py reads 5.0e-13
+# there); at n <= 20 the worst reads 6.6e-14.  The two regimes added
+# here read 2.642e-20 at (to-zero, 6, 0.3, omega 1e-4) and 1.057e-16 at
+# (to-infinity, 7, 0.3, omega 1e8), where half the L1 distance over
+# doubles near 1 read rounding noise, 5.8e-17 and 2.2e-16
+TV_BOUND = 3.7e-13
+
+
+def test_convergence_report_tv_is_the_exact_off_support_mass():
+    errors = []
+    for edge, n, psi in REGIMES + [("to-zero", 6, 0.3), ("to-infinity", 7, 0.3)]:
+        evidence = convergence_report(LimitRegime(edge, n), psi, PROBES[edge]).numeric_evidence
+        normal = [(omega, tv) for omega, tv in evidence if tv >= sys.float_info.min]
+        exact = _off_support_masses(edge, n, psi, [omega for omega, _ in normal])
+        errors += [(_rel(tv, want), (edge, n, psi, omega))
+                   for (omega, tv), want in zip(normal, exact)]
+    assert len(errors) > 2000
+    worst = max(errors)
+    assert worst[0] <= TV_BOUND, worst

@@ -16,8 +16,8 @@ import pytest
 import lmbd
 from lmbd import (CountSample, EnsembleSpec, GridSpec, LimitRegime, ModelParams,
                   beta_binomial_accuracy, binomial_accuracy, cdf, clt_scan, conditional_cpr,
-                  convergence_report, log_k, majority_threshold, sample, tau, tau_limit,
-                  total_variation)
+                  convergence_report, limit_distribution, log_k, majority_threshold, sample,
+                  tau, tau_limit)
 
 # positional construction and unpacking follow this order, which is the
 # field order the records had as dataclasses
@@ -165,7 +165,6 @@ NON_INTEGER_CALLS = {
     "linspace-omega_steps": lambda: GridSpec.linspace(5, 11, 7.0),
     "from_pairs-y": lambda: CountSample.from_pairs(5, [(2.5, 1)]),
     "from_pairs-count": lambda: CountSample.from_pairs(5, [(2, 1.5)]),
-    "total_variation-point": lambda: total_variation(np.array([0.5, 0.0, 0.5]), {1.5: 1.0}),
 }
 
 
@@ -203,8 +202,6 @@ OUT_OF_RANGE_CALLS = {
                      "observed y must lie in [0, 5], got 6"),
     "from_pairs-count": (lambda: CountSample.from_pairs(5, [(2, 3), (2, -1)]),
                          "count must be >= 0, got -1"),
-    "total_variation-point": (lambda: total_variation(np.array([0.5, 0.0, 0.5]), {-1: 1.0}),
-                              "limit point must lie in [0, 2], got -1"),
     "conditional_cpr-n": (lambda: conditional_cpr(ModelParams(1, 0.5, 1.0)),
                           "n must be >= 2, got 1"),
 }
@@ -218,11 +215,11 @@ def test_every_integer_argument_rejects_a_value_out_of_range(call, message):
 
 
 TO_ZERO, TO_INFINITY = LimitRegime("to-zero", 4), LimitRegime("to-infinity", 4)
-# every argument that must be a probability in [0, 1], a positive finite
-# number, or a non-empty strictly ordered sequence, each given a value
-# that breaks its rule, and the one message ``core._probability``,
-# ``core._positive`` or ``core._ordered`` gives for it, which names the
-# argument and the value
+# every argument that must be a probability in [0, 1] or in (0, 1), a
+# positive finite number, or a non-empty strictly ordered sequence, each
+# given a value that breaks its rule, and the one message
+# ``core._probability``, ``core._interior``, ``core._positive`` or
+# ``core._ordered`` gives for it, which names the argument and the value
 RULE_CALLS = {
     "ModelParams-psi": (lambda: ModelParams(5, 1.5, 1.2), "psi must lie in [0, 1], got 1.5"),
     "ModelParams-psi-nan": (lambda: ModelParams(5, math.nan, 1.2),
@@ -263,6 +260,12 @@ RULE_CALLS = {
     "convergence_report-to-infinity-end": (
         lambda: convergence_report(TO_INFINITY, 0.5, [-1.0, 10.0]),
         "probe_points must be positive and finite, got -1.0"),
+    "conditional_cpr-psi": (lambda: conditional_cpr(ModelParams(5, 0.0, 1.2)),
+                            "psi must lie in (0, 1), got 0.0"),
+    "limit_distribution-psi": (lambda: limit_distribution(TO_ZERO, 1.5),
+                               "psi must lie in (0, 1), got 1.5"),
+    "convergence_report-psi": (lambda: convergence_report(TO_INFINITY, 1.0, [10.0]),
+                               "psi must lie in (0, 1), got 1.0"),
     "binomial_accuracy-pi": (lambda: binomial_accuracy(5, -0.1),
                              "pi must lie in [0, 1], got -0.1"),
     "beta_binomial_accuracy-alpha": (lambda: beta_binomial_accuracy(5, 0.0, 1.0),
