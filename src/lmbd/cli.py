@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # each library argument that the CLI fills from flags of another name
 _FLAGS = {"probe_points": ("--probes",), "psi_values": ("--psi-min", "--psi-max"),
-          "omega_values": ("--omega-min", "--omega-max")}
+          "omega_values": ("--omega-min", "--omega-max"), "psi_steps": ("--psi-steps",),
+          "omega_steps": ("--omega-steps",)}
 
 
 def _flagged(args: argparse.Namespace, message: str) -> str:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -513,10 +514,16 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     """i.i.d. success-count draws by inverse cdf over the pmf table.
 
     Deterministic given ``seed``; the generator is local to the call.
+    The uniforms are 53-bit doubles (w >> 11) * 2**-53, as numpy builds
+    its own, from the little-endian 64-bit words of the standard
+    library's Mersenne Twister ``random.Random(seed).randbytes``, so the
+    first k draws of a longer call equal a k-draw call, and no process
+    loads numpy's random module.
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
     cum = np.cumsum(pmf(params).probs())
     cum[-1] = 1.0
-    u = np.random.default_rng(seed).random(count)
+    words = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8")
+    u = (words >> 11) * 2.0 ** -53
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 

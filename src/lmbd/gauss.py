@@ -47,4 +47,4 @@ def standardized_ks_distance(params: ModelParams) -> float:
 def clt_scan(ns, psi: float, omega: float) -> list[CltScanRow]:
     """One diagnostic row per trial count, in input order."""
     return [CltScanRow(n, psi, omega, standardized_ks_distance(ModelParams(n, psi, omega)))
-            for n in _ordered("ns", [_integer("n", n, 1) for n in ns])]
+            for n in _ordered("ns", [_integer("ns", n, 1) for n in ns])]

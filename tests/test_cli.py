@@ -511,16 +511,28 @@ print(json.dumps(seen))
 
 @pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS])
 def test_subcommand_runs_only_the_modules_it_reads(counts_dir, command):
-    # cli, core and the submodule that defines the command's function
+    """cli, core and the submodule that defines the command's function,
+    and never ``numpy.random``, whose import would cost the process
+    about 6 MB of peak RSS."""
     own = getattr(lmbd, LIBRARY_FUNCTION[command]).__module__
     argv = TABLE_ARGV[command] + ["--out", os.devnull]
     code = f"""
 import json, sys, types
 import lmbd.cli
 assert lmbd.cli.main({argv!r}) == 0
-print(json.dumps({_RAN}))
+print(json.dumps([{_RAN}, "numpy.random" in sys.modules]))
 """
-    assert _fresh_json(code) == sorted({"lmbd.cli", "lmbd.core", own})
+    assert _fresh_json(code) == [sorted({"lmbd.cli", "lmbd.core", own}), False]
+
+
+def test_sample_loads_no_numpy_random():
+    code = """
+import json, sys
+import lmbd
+draws = lmbd.sample(lmbd.ModelParams(5, 0.4, 1.2), 100, seed=3)
+print(json.dumps([len(draws), "numpy.random" in sys.modules]))
+"""
+    assert _fresh_json(code) == [100, False]
 
 
 def test_tracer_wraps_every_public_function():
@@ -596,7 +608,9 @@ INVALID_ARGV = {
     "sample-seed": (["sample", *_BASE, "--count", "5", "--seed", "-1"],
                     "seed must be >= 0, got -1"),
     "delta-grid-psi-steps": (["delta-grid", "--n", "5", "--psi-steps", "-2"],
-                             "psi_steps must be >= 1, got -2"),
+                             "--psi-steps must be >= 1, got -2"),
+    "tau1-grid-omega-steps": (["tau1-grid", "--n", "5", "--omega-steps", "0"],
+                              "--omega-steps must be >= 1, got 0"),
     "cdf-y-above": (["cdf", *_BASE, "--y", "7"], "y must lie in [0, 6], got 7"),
     "cdf-y-below": (["cdf", *_BASE, "--y", "-1"], "y must lie in [0, 6], got -1"),
     "tau-r-0": (["tau", *_BASE, "--r", "0"], "r must lie in [1, 6], got 0"),
@@ -619,6 +633,8 @@ INVALID_ARGV = {
                                     "got 0.1 after 0.9"),
     "clt-ns-repeated": (["clt", "--ns", "8,8", "--psi", "0.4", "--omega", "1.3"],
                         "ns must be strictly increasing, got 8 after 8"),
+    "clt-ns-0": (["clt", "--ns", "0,16", "--psi", "0.3", "--omega", "1"],
+                 "ns must be >= 1, got 0"),
     "limits-probes-rising": (["limits", "--regime", "omega-zero", "--n", "4", "--psi", "0.3",
                               "--probes", "0.1,0.2"],
                              "--probes must be strictly decreasing, got 0.2 after 0.1"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, chi2
 
 import lmbd
 
@@ -31,6 +31,10 @@ LOG_TOL = 1e-12
 
 # relative tolerance for ratios of exponentiated quantities
 RATIO_TOL = 1e-10
+
+# significance level of the samplers' goodness-of-fit tests: a correct
+# sampler fails one of them with probability 1e-6
+GOF_ALPHA = 1e-6
 
 GRID = [
     (n, psi, omega)
@@ -430,6 +434,30 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample(ModelParams(3, 0.5, 1.0), 0, seed=1)
+
+    def test_stream_is_pinned_and_prefix_consistent(self):
+        """The draws for a seed are fixed, and a longer call extends a
+        shorter one: the uniforms are read in order off one stream."""
+        p = ModelParams(5, 0.4, 1.2)
+        draws = sample(p, 12, seed=7).tolist()
+        assert draws == [4, 2, 1, 3, 1, 2, 3, 1, 1, 2, 1, 2]
+        assert sample(p, 1000, seed=7)[:12].tolist() == draws
+
+    @pytest.mark.parametrize("n, psi, omega, seed", [
+        (9, 0.3, 0.5, 1), (12, 0.7, 1.3, 2), (20, 0.45, 0.9, 3)])
+    def test_chi_square_goodness_of_fit(self, n, psi, omega, seed):
+        """10^5 draws against the exact pmf, with the bins whose expected
+        count is below 5 pooled into one, at significance GOF_ALPHA."""
+        p, count = ModelParams(n, psi, omega), 10 ** 5
+        expect = pmf(p).probs() * count
+        seen = np.bincount(sample(p, count, seed), minlength=n + 1)
+        small = expect < 5.0
+        expect = np.append(expect[~small], expect[small].sum())
+        seen = np.append(seen[~small], seen[small].sum())
+        if not small.any():
+            expect, seen = expect[:-1], seen[:-1]
+        stat = ((seen - expect) ** 2 / expect).sum()
+        assert chi2.sf(stat, len(expect) - 1) > GOF_ALPHA
 
 
 class TestEnumerationOracle:

@@ -188,7 +188,7 @@ OUT_OF_RANGE_CALLS = {
                                  "n must be >= 1, got -1"),
     "binomial_accuracy-n": (lambda: binomial_accuracy(0, 0.3), "n must be >= 1, got 0"),
     "majority_threshold-n": (lambda: majority_threshold(0), "n must be >= 1, got 0"),
-    "clt_scan-ns": (lambda: clt_scan([0, 16], 0.3, 1.2), "n must be >= 1, got 0"),
+    "clt_scan-ns": (lambda: clt_scan([0, 16], 0.3, 1.2), "ns must be >= 1, got 0"),
     "clt_scan-ns-empty": (lambda: clt_scan([], 5.0, -1.0), "ns must be non-empty"),
     "tau_limit-j-to-zero": (lambda: tau_limit(5, LimitRegime("to-zero", 4), 0.3),
                             "j must lie in [1, 4], got 5"),
