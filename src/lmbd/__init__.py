@@ -14,23 +14,44 @@ first attribute access.  ``lmbd.<name>`` runs the submodules in the
 order above until one lists the name, then binds it here, so later
 reads are plain lookups; the first read of ``__all__`` (``from lmbd
 import *`` makes it) runs them all and binds every public name.
-Before Python 3.12 LazyLoader's first access is not thread-safe: a
-second thread can see a submodule that has not finished running, so
-touch what the threads will use from one thread before starting them.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 __version__ = "0.1.0"
+
+_LOCK = threading.RLock()
+_RUNNING = set()
+
+
+class _LazyModule(types.ModuleType):
+    """A submodule registered but not yet run.  Its first attribute read
+    runs it under the package's re-entrant lock, so another thread waits
+    for the whole module while the running thread (the submodules'
+    imports of each other) reads it as far as it has run; then it is a
+    plain module."""
+
+    def __getattribute__(self, attr):
+        with _LOCK:
+            if type(self) is _LazyModule and self not in _RUNNING:
+                _RUNNING.add(self)
+                try:
+                    spec = object.__getattribute__(self, "__spec__")
+                    spec.loader.exec_module(self)
+                    self.__class__ = types.ModuleType
+                finally:
+                    _RUNNING.discard(self)
+        return types.ModuleType.__getattribute__(self, attr)
 
 
 def _lazy(name: str):
     """The submodule ``name``, registered but not yet run."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module.__class__ = _LazyModule
     return module
 
 

@@ -430,11 +430,14 @@ def cdf(params: ModelParams, y: int) -> float:
 
 def _table_moments(probs: np.ndarray) -> tuple[float, float]:
     """(mean, variance) of a pmf table, both summed about its mode (see
-    ``moments``)."""
+    ``moments``).  The sums are pairwise, in numpy's own loop rather than
+    a BLAS dot, so their bits do not depend on the BLAS thread count."""
     mode = int(np.argmax(probs))
-    dev = np.arange(len(probs)) - mode
-    d = float(probs @ dev)
-    return mode + d, max(0.0, float(probs @ (dev * dev)) - d * d)
+    dev = np.arange(-mode, len(probs) - mode, dtype=float)
+    terms = probs * dev
+    d = float(terms.sum())
+    terms *= dev
+    return mode + d, max(0.0, float(terms.sum()) - d * d)
 
 
 def moments(params: ModelParams) -> MomentSummary:

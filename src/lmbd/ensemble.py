@@ -162,22 +162,47 @@ _MAX_STEPS = 100
 _MAX_HALVINGS = 60
 
 
+def _eigenpairs(a) -> list[tuple[float, tuple[float, ...]]]:
+    """The eigenpairs (lambda, v) of the symmetric 1x1 or 2x2 matrix
+    ``a`` in closed form: a 2x2 one is diagonalised by one Jacobi
+    rotation (Golub & Van Loan, Algorithm 8.5.1), whose columns are the
+    unit eigenvectors."""
+    if len(a) == 1:
+        return [(a[0][0], (1.0,))]
+    (p, b), (_, q) = a
+    if b == 0.0:
+        return [(p, (1.0, 0.0)), (q, (0.0, 1.0))]
+    tau = (q - p) / (2.0 * b)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.hypot(1.0, t)
+    return [(p - t * b, (c, -t * c)), (q + t * b, (t * c, c))]
+
+
 def _newton_ascent(derivs, theta: np.ndarray, total: float):
     """Damped Newton ascent with a backtracking (Armijo) line search on
-    ``derivs(theta)`` = (log-likelihood, gradient, Hessian).  The step is
-    V diag(1/s) V' g over the eigenpairs (lambda, V) of -H: Newton's,
-    s = lambda, where -H is positive definite, and otherwise saddle-free
-    (Dauphin et al. 2014), s = max(|lambda|, 1), the gradient's step along
-    |lambda| < 1.  In the quadratic region it takes full steps while the
-    decrement keeps falling, and stops when the score is at rounding
-    level.  Returns (theta, log-likelihood, Hessian, steps, converged)."""
+    ``derivs(theta)`` = (log-likelihood, gradient, Hessian), the last two
+    1 or 2 long and 1x1 or 2x2.  The step is V diag(1/s) V' g over the
+    eigenpairs (lambda, V) of -H, in closed form (``_eigenpairs``, so no
+    LAPACK call): Newton's, s = lambda, where -H is positive definite, and
+    otherwise saddle-free (Dauphin et al. 2014), s = max(|lambda|, 1), the
+    gradient's step along |lambda| < 1.  In the quadratic region it takes
+    full steps while the decrement keeps falling, and stops when the
+    score is at rounding level.  Returns (theta, log-likelihood, Hessian,
+    steps, converged)."""
     value, grad, hess = derivs(theta)
     last = math.inf
     for step in range(_MAX_STEPS):
-        lam, vecs = np.linalg.eigh(-hess)
-        newton = bool(lam.min() > 0.0)
-        direction = vecs @ ((grad @ vecs) / (lam if newton else np.maximum(abs(lam), 1.0)))
-        slope = float(grad @ direction)
+        g = [float(v) for v in grad]
+        pairs = _eigenpairs([[-float(h) for h in row] for row in hess])
+        newton = all(lam > 0.0 for lam, _ in pairs)
+        direction = [0.0] * len(g)
+        slope = 0.0
+        for lam, v in pairs:
+            gv = sum(gi * vi for gi, vi in zip(g, v))
+            coef = gv / (lam if newton else max(abs(lam), 1.0))
+            direction = [d + coef * vi for d, vi in zip(direction, v)]
+            slope += coef * gv
+        direction = np.array(direction)
         quadratic = newton and slope <= total * _QUADRATIC_TOL
         if quadratic and slope >= last / 4.0:
             return theta, value, hess, step, True
@@ -203,7 +228,7 @@ def _expit(a: float) -> float:
 def _empirical_log_lik(counts: np.ndarray) -> float:
     """sum c log(c / N): the supremum of any count likelihood."""
     c = counts[counts > 0]
-    return float(c @ np.log(c / c.sum()))
+    return float((c * np.log(c / c.sum())).sum())
 
 
 def _on_hull_face(counts: np.ndarray) -> bool:
@@ -242,34 +267,40 @@ def fit_mle(sample: CountSample) -> FitResult:
     counts = np.asarray(sample.counts, dtype=float)
     total = counts.sum()
     y = np.arange(n + 1)
-    mean_y = float(y @ counts / total)
+    mean_y = float((y * counts).sum() / total)
     if _on_hull_face(counts):
         return FitResult(psi_hat=mean_y / n, omega_hat=math.nan,
                          log_likelihood=_empirical_log_lik(counts), converged=False,
                          iterations=0, standard_errors=None, theta_hat=(math.nan, math.nan))
 
     stats = np.stack((y, y * (n - y))).astype(float)
-    dev = stats - (stats @ counts / total)[:, None]
+    d1, d2 = stats - ((stats * counts).sum(axis=1) / total)[:, None]
+    # T - mean T and its products, whose p-weighted sums are E[T] - mean T
+    # and the second moments about mean T
+    dev = np.stack((d1, d2, d1 * d1, d1 * d2, d2 * d2))
     seen = counts > 0
+    seen_counts = counts[seen]
 
     def derivs(theta: np.ndarray):
         # the kernel's log-pmf table in natural parameters, exact even
         # where psi rounds to 0 or 1
         row = _log_weights(n, theta[0], theta[1])[1]
         logp = row - _log_sum(row)
-        p = np.exp(logp)
-        gap = dev @ p  # E[T] - mean T
-        cov = (dev * p) @ dev.T - np.outer(gap, gap)
-        return float(counts[seen] @ logp[seen]), -total * gap, -total * cov
+        g1, g2, s11, s12, s22 = (dev * np.exp(logp)).sum(axis=1).tolist()
+        c11, c12, c22 = s11 - g1 * g1, s12 - g1 * g2, s22 - g2 * g2  # Cov(T)
+        return (float((seen_counts * logp[seen]).sum()), [-total * g1, -total * g2],
+                [[-total * c11, -total * c12], [-total * c12, -total * c22]])
 
     theta0 = np.array([math.log(mean_y / (n - mean_y)), 0.0])
     theta, log_lik, hess, steps, converged = _newton_ascent(derivs, theta0, total)
     psi_hat, omega_hat = _expit(theta[0]), math.exp(theta[1])
     standard_errors = None
     if converged:
-        var = np.diag(np.linalg.inv(-hess))
-        standard_errors = (math.sqrt(var[0]) * psi_hat * _expit(-theta[0]),
-                           math.sqrt(var[1]) * omega_hat)
+        # the diagonal of (-H)^-1 = [[-h22, h12], [h12, -h11]] / det H
+        (h11, h12), (_, h22) = hess
+        det = h11 * h22 - h12 * h12
+        standard_errors = (math.sqrt(-h22 / det) * psi_hat * _expit(-theta[0]),
+                           math.sqrt(-h11 / det) * omega_hat)
     return FitResult(psi_hat=psi_hat, omega_hat=omega_hat, log_likelihood=log_lik,
                      converged=converged, iterations=steps,
                      standard_errors=standard_errors, theta_hat=tuple(theta.tolist()))
@@ -283,13 +314,14 @@ def _beta_binomial_log_lik(counts: np.ndarray, theta: np.ndarray):
     n = len(counts) - 1
     alpha, beta = np.exp(theta)
     ra, rb, rab = (_rising_sums(x, n) for x in (alpha, beta, alpha + beta))
-    sa, sb, sab = ra @ counts, rb @ counts[::-1], counts.sum() * rab[:, n]
+    sa, sb = (ra * counts).sum(axis=1), (rb * counts[::-1]).sum(axis=1)
+    sab = counts.sum() * rab[:, n]
     ga, gb = sa[1] - sab[1], sb[1] - sab[1]
     haa, hbb, hab = sa[2] - sab[2], sb[2] - sab[2], -sab[2]
-    grad = np.array([alpha * ga, beta * gb])
-    hess = np.array([[alpha * alpha * haa + alpha * ga, alpha * beta * hab],
-                     [alpha * beta * hab, beta * beta * hbb + beta * gb]])
-    log_lik = counts @ _kernel_row(n)[2] + sa[0] + sb[0] - sab[0]
+    grad = [alpha * ga, beta * gb]
+    hess = [[alpha * alpha * haa + alpha * ga, alpha * beta * hab],
+            [alpha * beta * hab, beta * beta * hbb + beta * gb]]
+    log_lik = (counts * _kernel_row(n)[2]).sum() + sa[0] + sb[0] - sab[0]
     return float(log_lik), grad, hess
 
 

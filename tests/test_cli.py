@@ -490,7 +490,7 @@ def test_dir_lmbd_lists_every_public_name():
 
 
 # a submodule has run once it is a plain module; until then its class is
-# LazyLoader's placeholder
+# the package's lazy placeholder
 _RAN = """sorted(k for k, m in sys.modules.items()
              if k.startswith("lmbd.") and type(m) is types.ModuleType)"""
 
@@ -507,6 +507,42 @@ seen["lmbd.pmf"] = {_RAN}
 print(json.dumps(seen))
 """
     assert _fresh_json(code) == {"import lmbd": [], "__wrapped__": [], "lmbd.pmf": ["lmbd.core"]}
+
+
+_FIRST_TOUCH = """
+import json, sys, threading
+import lmbd
+sys.setswitchinterval(1e-5)
+names = {"core": "pmf", "asymptotics": "tau_limit", "gauss": "clt_scan",
+         "factorization": "delta_grid", "ensemble": "fit_mle"}
+barrier = threading.Barrier(2 * len(names))
+errors = []
+
+def touch(module, name):
+    barrier.wait()
+    try:
+        callable(getattr(getattr(lmbd, module), name))
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=touch, args=item, daemon=True)
+           for item in names.items() for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(json.dumps(errors + [t.name for t in threads if t.is_alive()]))
+"""
+
+
+def test_threads_first_touching_a_submodule_see_it_whole():
+    """In a fresh process, two threads at once read a public function of
+    each submodule right after ``import lmbd``: the second waits for the
+    first to finish running the submodule instead of reading it half
+    run, and none is left waiting.  Three processes, since the race
+    need not show in every one."""
+    for _ in range(3):
+        assert _fresh_json(_FIRST_TOUCH) == []
 
 
 @pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS])

@@ -580,3 +580,27 @@ def test_no_long_double_in_the_package():
             if word in wide:
                 found.append(f"{path.name}:{node.lineno}: {word}")
     assert found == []
+
+
+def test_no_blas_or_lapack_call_in_the_package():
+    # a BLAS reduction splits its sum across the BLAS threads, so its bits
+    # depend on their count, and a LAPACK call pages in about 1 MB of the
+    # library.  src/lmbd sums in numpy's own loops: pairwise .sum(), or
+    # einsum without ``optimize``, with which einsum may call BLAS
+    banned = {"linalg", "dot", "vdot", "inner", "tensordot", "matmul", "vecdot", "matvec",
+              "vecmat"}
+    paths = sorted(Path(lmbd.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            word = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if word in banned:
+                found.append(f"{path.name}:{node.lineno}: {word}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif (isinstance(node, ast.Call) and "einsum" in ast.unparse(node.func)
+                  and any(k.arg == "optimize" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}: einsum(optimize=...)")
+    assert found == []

@@ -315,15 +315,38 @@ print(digest.hexdigest())
 """
 
 
-def test_grid_bits_do_not_depend_on_blas_threads():
-    digests = set()
+# a BLAS dot splits a long sum between its threads, which moved the last
+# bits of these at n = 20000 and 10^6 from one thread to two
+_MOMENT_AND_FIT_BITS = """
+from lmbd import (CountSample, ModelParams, clt_scan, fit_mle, model_comparison, moments,
+                  sample)
+draws = sample(ModelParams(9, 0.4, 0.9), 500, seed=11)
+fit_sample = CountSample.from_pairs(9, ((y, 1) for y in draws))
+print(repr([moments(ModelParams(20000, 0.5, 0.99999)), moments(ModelParams(10**6, 0.5, 0.99999)),
+            clt_scan([10**6], 0.5, 0.99999), fit_mle(fit_sample), model_comparison(fit_sample)]))
+"""
+
+
+def _outputs_under_blas_threads(code: str) -> set[str]:
+    """The stdout of ``code`` in fresh processes with one and two BLAS threads."""
+    outputs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.path.dirname(os.path.dirname(factorization.__file__)))
-        out = subprocess.run([sys.executable, "-c", _GRID_DIGEST], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        digests.add(out.stdout.strip())
+        outputs.add(out.stdout.strip())
+    return outputs
+
+
+def test_grid_bits_do_not_depend_on_blas_threads():
+    digests = _outputs_under_blas_threads(_GRID_DIGEST)
     assert len(digests) == 1, digests
+
+
+def test_moment_and_fit_bits_do_not_depend_on_blas_threads():
+    outputs = _outputs_under_blas_threads(_MOMENT_AND_FIT_BITS)
+    assert len(outputs) == 1, outputs
 
 
 def _row_reference(spec: GridSpec) -> np.ndarray:
