@@ -280,10 +280,13 @@ def _artifact(args: argparse.Namespace, result) -> str:
     """The run manifest with ``result``: a (header, rows) pair as CSV
     under a ``# manifest:`` comment line, with floats to 17 significant
     digits and a non-finite one as an empty field; anything else as one
-    JSON document."""
+    JSON document.  ``versions`` names the Python and numpy that ran,
+    numpy's read off the module every handler has loaded."""
     manifest = {
         "command": args.command,
         "version": __version__,
+        "versions": {"numpy": core.np.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
         "params": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func", "out") and v is not None},
         "seed": getattr(args, "seed", None),

@@ -293,20 +293,22 @@ def _logsumexp(terms: np.ndarray, axis=None):
     """log(sum(exp(terms))) with the largest term shifted to 0 (Blanchard,
     Higham & Higham 2021); an infinite or NaN maximum passes through.
 
-    With ``axis=None`` the whole array reduces to a float; with an axis,
-    that axis reduces and an array comes back.  Either way the shifted
-    terms are raised to _EXP_FLOOR first: numpy's exp is some ten times
-    slower per element when its result underflows, and terms that small
-    cannot change a sum that holds exp(0) = 1.
+    With ``axis=None`` the whole array reduces to a Python float, its
+    maximum tested by ``math.isfinite``; with an axis, that axis reduces
+    and an array comes back.  Either way the shifted terms are raised to
+    _EXP_FLOOR first: numpy's exp is some ten times slower per element
+    when its result underflows, and terms that small cannot change a sum
+    that holds exp(0) = 1.  The log stays numpy's, whose last bit
+    ``math.log`` does not always match.
     """
     if axis is None:
-        top = terms.max()
-        if not np.isfinite(top):
-            return float(top)
+        top = float(terms.max())
+        if not math.isfinite(top):
+            return top
         shifted = terms - top
         np.maximum(shifted, _EXP_FLOOR, out=shifted)
         np.exp(shifted, out=shifted)
-        return float(top + np.log(shifted.sum()))
+        return top + float(np.log(shifted.sum()))
     top = terms.max(axis=axis)
     shifted = terms - np.expand_dims(np.where(np.isfinite(top), top, 0.0), axis)
     np.maximum(shifted, _EXP_FLOOR, out=shifted)
@@ -423,9 +425,11 @@ def pmf(params: ModelParams) -> PmfTable:
 
 
 def cdf(params: ModelParams, y: int) -> float:
-    """P(Y <= y), accumulated by log-sum-exp over the table prefix."""
+    """P(Y <= y), accumulated by log-sum-exp over the kernel row's prefix
+    less its log-sum: the entries of ``pmf``'s table, with no log K_n."""
     y = _integer("y", y, 0, params.n)
-    return _mass(pmf(params).log_prob[: y + 1])
+    _, row, log_sum, _ = _kernel(*params)
+    return _mass(row[: y + 1] - log_sum)
 
 
 def _table_moments(probs: np.ndarray) -> tuple[float, float]:
@@ -485,8 +489,8 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     """Log probability of one ordered binary configuration.
 
     The joint law is exchangeable: the value depends on ``bits`` only
-    through y = sum(bits), and equals the pmf at y divided by the
-    C(n, y) arrangement count.
+    through y = sum(bits), and equals the pmf at y, the kernel row's
+    entry less its log-sum, divided by the C(n, y) arrangement count.
     """
     b = np.asarray(bits)
     if b.shape != (params.n,):
@@ -494,7 +498,8 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     if not np.isin(b, (0, 1)).all():
         raise ValueError("bits must be 0/1 valued")
     y = int(b.sum())
-    return float(pmf(params).log_prob[y] - _kernel_row(params.n)[2][y])
+    _, row, log_sum, _ = _kernel(*params)
+    return float(row[y] - log_sum - _kernel_row(params.n)[2][y])
 
 
 def conditional_cpr(params: ModelParams) -> float:
@@ -514,7 +519,8 @@ def conditional_cpr(params: ModelParams) -> float:
 
 
 def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
-    """i.i.d. success-count draws by inverse cdf over the pmf table.
+    """i.i.d. success-count draws by inverse cdf over the kernel row's
+    probabilities, exp(row - log-sum): ``pmf``'s table, bit for bit.
 
     Deterministic given ``seed``; the generator is local to the call.
     The uniforms are 53-bit doubles (w >> 11) * 2**-53, as numpy builds
@@ -524,7 +530,8 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     loads numpy's random module.
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
-    cum = np.cumsum(pmf(params).probs())
+    _, row, log_sum, _ = _kernel(*params)
+    cum = np.cumsum(np.exp(row - log_sum))
     cum[-1] = 1.0
     words = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8")
     u = (words >> 11) * 2.0 ** -53

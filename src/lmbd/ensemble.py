@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import (_Checked, _integer, _kernel_row, _log_sum, _log_weights, _mass, _positive,
-                   _probability)
+from .core import (_Checked, _integer, _kernel, _kernel_row, _log_sum, _log_weights, _mass,
+                   _positive, _probability)
 
 __all__ = [
     "EnsembleSpec",
@@ -87,6 +87,15 @@ class CountSample(_Checked, _CountSampleFields):
 
 
 class FitResult(NamedTuple):
+    """A count-likelihood fit (``fit_mle``).
+
+    theta_hat (and so psi_hat and omega_hat), the log-likelihood and
+    ``converged`` are its stable outputs.  ``iterations`` is not: near
+    the optimum the stopping rule reads the Newton decrement at rounding
+    level, so a last-bit change in the score moves it by one or two
+    steps.
+    """
+
     psi_hat: float
     omega_hat: float
     log_likelihood: float
@@ -118,17 +127,22 @@ def majority_threshold(n: int) -> int:
     return _integer("n", n, 1) // 2
 
 
+def _majority_tail(params: ModelParams) -> float:
+    """P(Y > q) off the kernel row at ``params``, less its log-sum: the
+    tail of ``pmf``'s table, with no log K_n."""
+    _, row, log_sum, _ = _kernel(*params)
+    return _mass(row[majority_threshold(params.n) + 1:] - log_sum)
+
+
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
-    """P(Y > q) under the dependence model: 1 - F(q)."""
-    q = majority_threshold(spec.n)
-    return _mass(pmf(spec.params).log_prob[q + 1:])
+    """P(Y > q) under the dependence model: 1 - F(q), off the kernel row."""
+    return _majority_tail(spec.params)
 
 
 def binomial_accuracy(n: int, pi: float) -> float:
-    """Binomial(n, pi) majority tail, the independence baseline."""
-    pi = _probability("pi", pi)
-    q = majority_threshold(n)
-    return _mass(pmf(ModelParams(n, pi, 1.0)).log_prob[q + 1:])
+    """Binomial(n, pi) majority tail, the independence baseline: the
+    kernel row at psi = pi, omega = 1."""
+    return _majority_tail(ModelParams(n, _probability("pi", pi), 1.0))
 
 
 def _rising_sums(x: float, m: int) -> np.ndarray:

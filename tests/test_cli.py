@@ -468,6 +468,15 @@ def test_manifest_version_is_the_distribution_version():
         assert lmbd.__version__ == tomllib.load(f)["project"]["version"]
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS, ids=lambda c: c.name)
+def test_manifest_records_the_python_and_numpy_versions(capsys, counts_dir, command):
+    code, stdout, _ = run(capsys, *TABLE_ARGV[command.name])
+    assert code == 0
+    manifest, _ = parse_artifact(stdout)
+    assert manifest["versions"] == {"numpy": np.__version__,
+                                    "python": "%d.%d.%d" % sys.version_info[:3]}
+
+
 def test_import_lmbd_loads_every_submodule():
     """In a fresh process, ``import lmbd`` alone registers every library
     submodule in ``sys.modules``, where each runs on its first attribute

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from pathlib import Path
 
 import mpmath as mp
@@ -12,9 +13,12 @@ from scipy.stats import binom, chi2
 import lmbd
 
 from lmbd import (
+    EnsembleSpec,
     ModelParams,
+    binomial_accuracy,
     cdf,
     conditional_cpr,
+    ensemble_accuracy,
     joint_log_prob,
     log_k,
     marginal_pi,
@@ -207,6 +211,64 @@ class TestCdf:
         p = ModelParams(9, 0.4, 1.6)
         vals = [cdf(p, y) for y in range(10)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+# n even and odd, small and large; psi and omega at and next to their edges
+READER_CELLS = [
+    (n, psi, omega)
+    for n in (1, 2, 5, 64, 65, 2000)
+    for psi in (0.0, 1e-9, 0.3, 0.5, 1 - 1e-9, 1.0)
+    for omega in (1e-8, 0.5, 1 - 1e-10, 1.0, 1 + 1e-10, 2.0, 1e8)
+]
+
+
+class TestSinglePointReaders:
+    """cdf, the two majority tails, joint_log_prob and sample read the
+    kernel row, and equal what they read off ``pmf``'s table, bit for
+    bit."""
+
+    @pytest.mark.parametrize("n,psi,omega", READER_CELLS)
+    def test_equal_the_pmf_table_bit_for_bit(self, n, psi, omega):
+        p = ModelParams(n, psi, omega)
+        table = pmf(p)
+        log_prob = table.log_prob
+        mass = lmbd.core._mass
+        if psi in (0.0, 1.0):  # a point mass; at psi = 1 the slice below n is all -inf
+            assert cdf(p, n - 1) == (1.0 if psi == 0.0 else 0.0)
+        for y in (0, n // 2, n):
+            assert cdf(p, y) == mass(log_prob[: y + 1]), y
+            bits = [1] * y + [0] * (n - y)
+            assert joint_log_prob(p, bits) == log_prob[y] - lmbd.core._kernel_row(n)[2][y], y
+        tail = n // 2 + 1
+        assert ensemble_accuracy(EnsembleSpec(n, p)) == mass(log_prob[tail:])
+        binomial = pmf(ModelParams(n, psi, 1.0)).log_prob
+        assert binomial_accuracy(n, psi) == mass(binomial[tail:])
+        seed = n + 7
+        cum = np.cumsum(table.probs())
+        cum[-1] = 1.0
+        words = np.frombuffer(random.Random(seed).randbytes(8 * 20), "<u8")
+        u = (words >> 11) * 2.0 ** -53
+        assert np.array_equal(sample(p, 20, seed), np.searchsorted(cum, u, side="right"))
+
+    @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (2000, 1e-9, 0.5)])
+    def test_no_log_k_n_beside_the_row(self, n, psi, omega, monkeypatch):
+        calls = []
+        log_kn = lmbd.core._log_kn
+
+        def counted(*args):
+            calls.append(args)
+            return log_kn(*args)
+
+        monkeypatch.setattr(lmbd.core, "_log_kn", counted)
+        p = ModelParams(n, psi, omega)
+        cdf(p, n // 2)
+        ensemble_accuracy(EnsembleSpec(n, p))
+        binomial_accuracy(n, psi)
+        sample(p, 5, 0)
+        joint_log_prob(p, [1] * (n // 2) + [0] * (n - n // 2))
+        assert calls == []
+        pmf(p)
+        assert len(calls) == 1
 
 
 class TestMoments:
