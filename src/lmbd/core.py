@@ -215,11 +215,15 @@ def _split_cumsum(steps: np.ndarray, n: int) -> np.ndarray:
 @_row_cache
 def _kernel_row(n: int):
     """(y, y (n-y), log C(n, y)) as read-only floats for y = 0..n: the
-    kernel's parts that depend on n alone.  log C(n, .) sums its
-    increments log1p((n-1-2k) / (k+1)) up to n/2 by ``_split_cumsum``,
-    so that each entry is within about an ulp rather than n ulp, and is
-    mirrored, so that C(n, y) = C(n, n-y) bit for bit."""
-    y = np.arange(n + 1.0)
+    kernel's parts that depend on n alone.  y is the tail of the
+    read-only offsets row arange(-n, n+1), its ``base``, so that y - m is
+    the view base[n-m : 2n+1-m].  log C(n, .) sums its increments
+    log1p((n-1-2k) / (k+1)) up to n/2 by ``_split_cumsum``, so that each
+    entry is within about an ulp rather than n ulp, and is mirrored, so
+    that C(n, y) = C(n, n-y) bit for bit."""
+    offsets = np.arange(-n, n + 1.0)
+    offsets.flags.writeable = False
+    y = offsets[n:]
     k = y[:n // 2]
     log_binom = np.zeros(n + 1)
     log_binom[1:n // 2 + 1] = _split_cumsum(np.log1p((n - 1 - 2 * k) / (k + 1)), n)
@@ -237,11 +241,18 @@ def _logit(psi):
     return math.copysign(math.inf, psi - 0.5)
 
 
-def _mode(n: int, theta1, theta2, batch: bool):
+def _mode(parts, theta1, theta2, batch: bool):
     """The weights' global mode at a finite theta_1, an int or shape (P, 1):
-    the first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y)."""
-    y, cross, log_binom = _kernel_row(n)
-    top = log_binom + y * theta1 + theta2 * cross
+    the first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y), given
+    ``_kernel_row(n)`` as ``parts``.  At omega = 1 the last term is 0.0,
+    which moves no entry past another, and is left out."""
+    y, cross, log_binom = parts
+    top = y * theta1
+    top += log_binom
+    if isinstance(theta2, np.ndarray) or theta2:
+        tilt = theta2 * cross
+        # a scalar theta_1 with a column of theta_2 widens the sum
+        top = top + tilt if tilt.ndim > top.ndim else np.add(top, tilt, out=top)
     m = top.argmax(axis=-1, keepdims=batch)
     return m if batch else int(m)
 
@@ -260,19 +271,27 @@ def _log_weights(n: int, theta1, theta2):
     theta_1 = -inf or +inf (psi = 0 or 1) the row is a point mass at 0
     or n.
     """
-    y, cross, log_binom = _kernel_row(n)
+    y, cross, log_binom = parts = _kernel_row(n)
     batch = isinstance(theta1, np.ndarray) or isinstance(theta2, np.ndarray)
     edge = np.isinf(theta1) if batch else math.isinf(theta1)
     if not (edge.any() if batch else edge):
-        m = _mode(n, theta1, theta2, batch)
-        row = log_binom - log_binom[m] + (y - m) * theta1
+        m = _mode(parts, theta1, theta2, batch)
+        row = log_binom - log_binom[m]
+        if batch:
+            shift = y - m
+            shift *= theta1
+        else:
+            shift = y.base[n - m:2 * n + 1 - m] * theta1
+        row += shift
         if isinstance(theta2, np.ndarray) or theta2:  # omega = 1 adds 0.0
-            row += theta2 * (cross - cross[m])
+            tilt = cross - cross[m]
+            tilt *= theta2
+            row += tilt
         return m, row
     if not batch:
         m = n * (theta1 > 0)
         return m, np.where(y == m, 0.0, -np.inf)
-    m = np.where(edge, n * (theta1 > 0), _mode(n, np.where(edge, 0.0, theta1), theta2, True))
+    m = np.where(edge, n * (theta1 > 0), _mode(parts, np.where(edge, 0.0, theta1), theta2, True))
     with np.errstate(invalid="ignore"):  # 0 * inf at an edge row's centre
         row = log_binom - log_binom[m] + (y - m) * theta1 + theta2 * (cross - cross[m])
     np.put_along_axis(row, m, 0.0, axis=-1)
@@ -286,7 +305,9 @@ _EXP_FLOOR = -700.0
 def _log_sum(row: np.ndarray):
     """log(sum(exp(row))) over the last axis of a kernel row, whose
     largest term is exp(0) = 1: ``_logsumexp`` without its shift."""
-    return np.log(np.exp(np.maximum(row, _EXP_FLOOR)).sum(axis=-1))
+    terms = np.maximum(row, _EXP_FLOOR)
+    np.exp(terms, out=terms)
+    return np.log(np.add.reduce(terms, axis=-1))
 
 
 def _logsumexp(terms: np.ndarray, axis=None):
@@ -302,18 +323,18 @@ def _logsumexp(terms: np.ndarray, axis=None):
     ``math.log`` does not always match.
     """
     if axis is None:
-        top = float(terms.max())
+        top = float(np.maximum.reduce(terms, axis=None))
         if not math.isfinite(top):
             return top
         shifted = terms - top
         np.maximum(shifted, _EXP_FLOOR, out=shifted)
         np.exp(shifted, out=shifted)
-        return top + float(np.log(shifted.sum()))
-    top = terms.max(axis=axis)
+        return top + float(np.log(np.add.reduce(shifted, axis=None)))
+    top = np.maximum.reduce(terms, axis=axis)
     shifted = terms - np.expand_dims(np.where(np.isfinite(top), top, 0.0), axis)
     np.maximum(shifted, _EXP_FLOOR, out=shifted)
     np.exp(shifted, out=shifted)
-    return top + np.log(shifted.sum(axis=axis))
+    return top + np.log(np.add.reduce(shifted, axis=axis))
 
 
 def _mass(log_probs: np.ndarray) -> float:
@@ -352,10 +373,11 @@ def _log_tau(r: int, row, log_sum, psi, log_omega=None):
 
 
 def _kernel(n: int, psi: float, omega: float):
-    """(m, row, its log-sum, log omega): the kernel at (psi, omega)."""
+    """(m, row, its log-sum as a float, log omega): the kernel at
+    (psi, omega)."""
     log_omega = math.log(omega)
     m, row = _log_weights(n, _logit(psi), log_omega)
-    return m, row, _log_sum(row), log_omega
+    return m, row, float(_log_sum(row)), log_omega
 
 
 def _log_kn(n: int, psi: float, log_omega: float, m: int, log_sum) -> float:
@@ -436,12 +458,12 @@ def _table_moments(probs: np.ndarray) -> tuple[float, float]:
     """(mean, variance) of a pmf table, both summed about its mode (see
     ``moments``).  The sums are pairwise, in numpy's own loop rather than
     a BLAS dot, so their bits do not depend on the BLAS thread count."""
-    mode = int(np.argmax(probs))
+    mode = int(probs.argmax())
     dev = np.arange(-mode, len(probs) - mode, dtype=float)
     terms = probs * dev
-    d = float(terms.sum())
+    d = float(np.add.reduce(terms))
     terms *= dev
-    return mode + d, max(0.0, float(terms.sum()) - d * d)
+    return mode + d, max(0.0, float(np.add.reduce(terms)) - d * d)
 
 
 def moments(params: ModelParams) -> MomentSummary:
@@ -495,9 +517,9 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     b = np.asarray(bits)
     if b.shape != (params.n,):
         raise ValueError(f"bits must have length n={params.n}, got shape {b.shape}")
-    if not np.isin(b, (0, 1)).all():
+    y = np.count_nonzero(b == 1)
+    if y + np.count_nonzero(b == 0) != params.n:
         raise ValueError("bits must be 0/1 valued")
-    y = int(b.sum())
     _, row, log_sum, _ = _kernel(*params)
     return float(row[y] - log_sum - _kernel_row(params.n)[2][y])
 

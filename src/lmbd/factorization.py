@@ -144,13 +144,15 @@ def _xlogy(k, p):
 
 @_row_cache
 def _delta_terms(n: int):
-    """(log C(n-1, j), j, d_j, e_j, j (n-j)) for j = 0..floor(n/2)-1 as
-    read-only floats, with d_j = n - 2j - 1 and e_j = d_j / (1 + [n odd]):
-    the parts of Delta's terms that depend on n alone."""
+    """(log C(n-1, j), j, d_j, d_j - 1, e_j, e_j - 1, j (n-j)) for
+    j = 0..floor(n/2)-1 as read-only floats, with d_j = n - 2j - 1 and
+    e_j = d_j / (1 + [n odd]): the parts of Delta's terms that depend on
+    n alone."""
     half = n // 2
     j = np.arange(half, dtype=float)
     d = n - 1.0 - 2.0 * j
-    return _kernel_row(n - 1)[2][:half], j, d, d / (1 + n % 2), j * (n - j)
+    e = d / (1 + n % 2)
+    return _kernel_row(n - 1)[2][:half], j, d, d - 1.0, e, e - 1.0, j * (n - j)
 
 
 def _delta_tables(n: int, psi, omega):
@@ -163,15 +165,17 @@ def _delta_tables(n: int, psi, omega):
     and (terms, len(omega)).  The per-psi and per-omega logs take
     ``math`` on scalars and numpy on arrays, as ``_xlogy`` does.
     """
-    log_binom, j, d, e, cross = _delta_terms(n)
+    parts = _delta_terms(n)
     q = 1.0 - psi
     if isinstance(psi, np.ndarray):
-        log_binom, j, d, e, cross = (part[:, None] for part in (log_binom, j, d, e, cross))
+        parts = (part[:, None] for part in parts)
         a = np.maximum(psi, q)
         log_a = np.log(a)
         with np.errstate(divide="ignore"):
             log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / a)
         log_omega = np.log(omega)
+        theta = (1 + n % 2) * log_omega
+        rising, falling = np.maximum(theta, 0.0), -np.abs(theta)
     else:
         a = max(psi, q)
         log_a = math.log(a)
@@ -179,11 +183,12 @@ def _delta_tables(n: int, psi, omega):
         gap = abs(2.0 * psi - 1.0) / a
         log_ratio = math.log1p(-gap) if gap < 1.0 else -math.inf
         log_omega = math.log(omega)
-    theta = (1 + n % 2) * log_omega
-    rising, falling = np.maximum(theta, 0.0), -np.abs(theta)
-    table_a = log_binom + _xlogy(j, psi * q) + (d - 1.0) * log_a + _log_q_integer(d, log_ratio)
+        theta = (1 + n % 2) * log_omega
+        rising, falling = max(theta, 0.0), -abs(theta)
+    log_binom, j, d, dm1, e, em1, cross = parts  # dm1 = d - 1, em1 = e - 1
+    table_a = log_binom + _xlogy(j, psi * q) + dm1 * log_a + _log_q_integer(d, log_ratio)
     # [e]_x = x^(e-1) [e]_{1/x} above x = 1
-    table_b = cross * log_omega + (e - 1.0) * rising + _log_q_integer(e, falling)
+    table_b = cross * log_omega + em1 * rising + _log_q_integer(e, falling)
     return table_a, table_b
 
 
@@ -194,13 +199,6 @@ def _log_delta(n: int, psi: float, omega: float) -> float:
     if n < 4:
         return 0.0 if n > 1 else -math.inf
     return _logsumexp(np.add(*_delta_tables(n, psi, omega)))
-
-
-def _d_n_sign(n: int, psi, omega):
-    """The sign of D_n as an int8: that of the linear factors, as
-    Delta > 0, and 0 at n = 1.  Scalars or broadcasting arrays."""
-    row = (n > 1) * np.sign(psi - 1.0) * np.sign(2.0 * psi - 1.0)
-    return row.astype(np.int8) * np.sign(omega - 1.0).astype(np.int8)
 
 
 def d_n(params: ModelParams) -> float:
@@ -350,7 +348,16 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = s1 / (n * psis[:, None] * s0)
     _fill_guarded(t1, (s0, s1), n + 1, lambda r, c: _tau1_cells(n, psis[r], log_omegas[c]))
-    return RegionGrid(spec=spec, values=t1, flags=_d_n_sign(n, psis[:, None], omegas) <= 0)
+    # D_n has the sign of the linear factors, as Delta > 0, and is 0 at n = 1;
+    # the signs multiply as int8, a float grid of them costs twice the time
+    sign = ((n > 1) * np.sign(psis - 1.0) * np.sign(2.0 * psis - 1.0)).astype(np.int8)
+    return RegionGrid(spec=spec, values=t1,
+                      flags=sign[:, None] * np.sign(omegas - 1.0).astype(np.int8) <= 0)
+
+
+def _sign(x: float) -> int:
+    """The sign of a float that is not NaN: -1, 0 or 1."""
+    return 1 if x > 0.0 else -1 if x < 0.0 else 0
 
 
 def theorem2_check(params: ModelParams) -> Theorem2Report:
@@ -361,8 +368,9 @@ def theorem2_check(params: ModelParams) -> Theorem2Report:
     with 1/2 < psi < 1 gives psi > pi, and so does omega < 1 with
     psi < 1/2; omega = 1, psi in {0, 1/2, 1} and n = 1 give equality.
     """
+    n, psi, omega = params
     t1, pi = _tau1_pi(params)
-    sign = np.sign(params.psi) * _d_n_sign(params.n, params.psi, params.omega)
+    sign = (n > 1) * _sign(psi) * _sign(psi - 1.0) * _sign(2.0 * psi - 1.0) * _sign(omega - 1.0)
     return Theorem2Report(params=params, tau1=t1, pi=pi,
-                          theorem_applies=params.psi >= 0.5 and params.omega > 1.0,
+                          theorem_applies=psi >= 0.5 and omega > 1.0,
                           relation="<" if sign > 0 else ">" if sign < 0 else "=")

@@ -401,6 +401,35 @@ class TestJointLogProb:
         assert lp == joint_log_prob(p, (1, 0, 1))
         assert lp == joint_log_prob(p, np.array([1, 0, 1]))
 
+    @pytest.mark.parametrize("bits", [
+        [1, 0, 1], [True, False, True], [1.0, 0.0, 1.0], [1.0, -0.0, 1],
+        np.array([1, 0, 1], np.uint8), np.array([True, False, True]),
+        np.array([1.0, 0.0, 1.0], np.float32), [np.int64(1), np.float64(0.0), np.True_],
+    ], ids=["ints", "bools", "floats", "negative-zero", "uint8", "bool-array", "float32",
+            "numpy-scalars"])
+    def test_accepted_bits(self, bits):
+        p = ModelParams(3, 0.4, 1.3)
+        assert joint_log_prob(p, bits) == joint_log_prob(p, (1, 0, 1))
+
+    @pytest.mark.parametrize("bits, message", [
+        ([1, 0, 2], "bits must be 0/1 valued"),
+        ([1, 0, -1], "bits must be 0/1 valued"),
+        ([0.5, 0, 1], "bits must be 0/1 valued"),
+        ([math.nan, 0, 1], "bits must be 0/1 valued"),
+        ([math.inf, 0, 1], "bits must be 0/1 valued"),
+        (["1", "0", "1"], "bits must be 0/1 valued"),
+        ([None, 0, 1], "bits must be 0/1 valued"),
+        ([1, 0], "bits must have length n=3, got shape (2,)"),
+        ([1, 0, 1, 1], "bits must have length n=3, got shape (4,)"),
+        ([[1, 0, 1]], "bits must have length n=3, got shape (1, 3)"),
+        (1, "bits must have length n=3, got shape ()"),
+        ("101", "bits must have length n=3, got shape ()"),
+    ])
+    def test_rejected_bits(self, bits, message):
+        with pytest.raises(ValueError) as info:
+            joint_log_prob(ModelParams(3, 0.4, 1.3), bits)
+        assert str(info.value) == message
+
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_omega_must_be_positive_and_finite(omega):

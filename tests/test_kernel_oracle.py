@@ -120,6 +120,21 @@ def test_batches_match_scalar_rows_bit_for_bit(n):
         assert np.array_equal(block, [_log_weights(n, t1, t2)[1] for t2 in log_omegas])
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 2000])
+def test_mode_is_the_first_argmax_at_and_next_to_omega_one(n):
+    # at omega = 1 the mode's search leaves out theta_2 y (n-y) = 0.0;
+    # theta_1 = log((k+1)/(n-k)) ties the weights of k and k+1 where the
+    # binomial mode steps, so rounding alone picks the first argmax there
+    y, cross, log_binom = _kernel_row(n)
+    ks = {k for k in (0, 1, n // 2 - 1, n // 2, n - 2, n - 1) if 0 <= k < n}
+    theta1s = [_logit(0.5)] + [math.log((k + 1) / (n - k)) for k in sorted(ks)]
+    for theta2 in (0.0, math.log1p(1e-12), math.log1p(-1e-12)):
+        first = [int(np.argmax(log_binom + y * t1 + theta2 * cross)) for t1 in theta1s]
+        assert [_log_weights(n, t1, theta2)[0] for t1 in theta1s] == first
+        m = _log_weights(n, np.array(theta1s)[:, None], theta2)[0]
+        assert m.shape == (len(theta1s), 1) and m[:, 0].tolist() == first
+
+
 def _unfloored_logsumexp(terms):
     top = terms.max()
     if not np.isfinite(top):

@@ -287,3 +287,27 @@ def test_counts_are_stored_as_ints(counts):
     sample_ = CountSample(2, counts)
     assert sample_.counts == (1, 0, 1) and {type(c) for c in sample_.counts} == {int}
     assert type(sample_.total) is int
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.5])
+@pytest.mark.parametrize("psi", [0.3, 0.0, 1.0])
+def test_scalar_readers_return_python_floats(psi, omega):
+    # numpy scalars would leak numpy's types and printing into callers;
+    # the interior point and the psi edges take different kernel paths
+    n = 7
+    p = ModelParams(n, psi, omega)
+    values = {
+        "tau": tau(1, p), "tau_n": tau(n, p), "cdf": cdf(p, 3),
+        "marginal_pi": lmbd.marginal_pi(p), "log_k": log_k(n, 0, psi, omega),
+        "log_k2": log_k(n, 2, psi, omega), "delta": lmbd.delta(p), "d_n": lmbd.d_n(p),
+        "ensemble_accuracy": lmbd.ensemble_accuracy(EnsembleSpec(n, p)),
+        "binomial_accuracy": binomial_accuracy(n, psi),
+        "joint_log_prob": lmbd.joint_log_prob(p, [1, 1, 1, 0, 0, 0, 0]),
+        "log_normalizer": lmbd.pmf(p).log_normalizer,
+    }
+    if 0.0 < psi < 1.0:
+        values["conditional_cpr"] = conditional_cpr(p)
+    values.update((f"moments.{k}", v) for k, v in lmbd.moments(p)._asdict().items())
+    report = lmbd.theorem2_check(p)
+    values.update({"theorem2.tau1": report.tau1, "theorem2.pi": report.pi})
+    assert {k: type(v) for k, v in values.items() if type(v) is not float} == {}
