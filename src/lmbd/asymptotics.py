@@ -100,7 +100,7 @@ def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
     if regime.psi_edge != "none":
         raise ValueError(f"tau_limit needs interior psi, got psi_edge={regime.psi_edge!r}")
     j = _integer("j", j, 1, regime.n)
-    return _exp(float(_log_tau(j, _limit_row(regime, psi), 0.0, psi)))
+    return _exp(_log_tau(j, _limit_row(regime, psi), 0.0, psi))
 
 
 def _masses(row: np.ndarray, probs: np.ndarray) -> dict[int, float]:
@@ -121,7 +121,8 @@ def limit_distribution(regime: LimitRegime, psi: float) -> dict[int, float]:
 def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
     """Limiting (mean, variance) of the regime: those of its
     ``limit_distribution``."""
-    return _table_moments(np.exp(_limit_row(regime, psi)))
+    row = _limit_row(regime, psi)
+    return _table_moments(np.exp(row), row)
 
 
 def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitReport:
@@ -152,4 +153,4 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
     kernel = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
     probs = np.exp(kernel - _log_sum(kernel)[:, None])
     evidence = tuple(zip(probes, probs[:, row == -np.inf].sum(axis=-1).tolist()))
-    return LimitReport(regime, *_table_moments(limit), _masses(row, limit), evidence)
+    return LimitReport(regime, *_table_moments(limit, row), _masses(row, limit), evidence)

@@ -26,9 +26,13 @@ an entry rounds in proportion to its own distance from the top, never to
 theta_2 n^2 / 4.  log C(n, .) is a mirrored cumulative sum, so the row
 at psi = 1/2 is symmetric bit for bit.  psi = 0 and 1 are theta_1 = -inf
 and +inf, a point mass with no 0 log 0 case.  Every quantity is read off
-that row: log K_n is the log of its term at m plus one log-sum-exp whose
-largest term is 1, and tau_r = K_{n-r} / K_n is a falling-factorial
-moment of it, E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
+that row: log K_n is the log of its term at m plus the log of the row's
+sum, whose largest term is 1, and tau_r = K_{n-r} / K_n is a
+falling-factorial moment of it, E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
+Terms at most about 1 cannot overflow, so a single-point sum of them (a
+cdf, a tail, tau_r's moment) is summed as it stands, with no log-sum-exp
+shift; only a sum below _SUM_FLOOR = e^-600 is read again by
+log-sum-exp (``_mass``).
 """
 
 from __future__ import annotations
@@ -135,13 +139,14 @@ class _ModelParamsFields(NamedTuple):
 
 
 class ModelParams(_Checked, _ModelParamsFields):
-    """The (n, psi, omega) triple defining one distribution instance."""
+    """The (n, psi, omega) triple defining one distribution instance,
+    psi and omega stored as Python floats."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, psi: float, omega: float):
-        return super().__new__(cls, _integer("n", n, 1), _probability("psi", psi),
-                               _positive("omega", omega))
+        return super().__new__(cls, _integer("n", n, 1), float(_probability("psi", psi)),
+                               float(_positive("omega", omega)))
 
 
 class PmfTable(NamedTuple):
@@ -300,27 +305,45 @@ def _log_weights(n: int, theta1, theta2):
 
 # exp(-700) ~ 1e-304 is still a normal double
 _EXP_FLOOR = -700.0
+# a sum of n + 1 terms, each raised to exp(_EXP_FLOOR) at the least, that
+# reaches exp(-600) is moved by the raising by at most (n + 1) e^-100 of
+# itself, far below 2^-53 for any n an array can hold; a smaller sum is
+# read again by ``_logsumexp``
+_LOG_SUM_FLOOR = -600.0
+_SUM_FLOOR = math.exp(_LOG_SUM_FLOOR)
+
+
+def _floored_sum(terms: np.ndarray):
+    """sum(exp(terms)) over the last axis, each term raised to _EXP_FLOOR
+    first: numpy's exp costs some hundred times more per element where
+    its result is subnormal."""
+    terms = np.maximum(terms, _EXP_FLOOR)
+    np.exp(terms, out=terms)
+    return np.add.reduce(terms, axis=-1)
 
 
 def _log_sum(row: np.ndarray):
     """log(sum(exp(row))) over the last axis of a kernel row, whose
-    largest term is exp(0) = 1: ``_logsumexp`` without its shift."""
-    terms = np.maximum(row, _EXP_FLOOR)
-    np.exp(terms, out=terms)
-    return np.log(np.add.reduce(terms, axis=-1))
+    largest term is exp(0) = 1, so that its sum is at least 1: neither a
+    shift nor _SUM_FLOOR's test is needed."""
+    return np.log(_floored_sum(row))
 
 
 def _logsumexp(terms: np.ndarray, axis=None):
     """log(sum(exp(terms))) with the largest term shifted to 0 (Blanchard,
     Higham & Higham 2021); an infinite or NaN maximum passes through.
 
-    With ``axis=None`` the whole array reduces to a Python float, its
-    maximum tested by ``math.isfinite``; with an axis, that axis reduces
-    and an array comes back.  Either way the shifted terms are raised to
-    _EXP_FLOOR first: numpy's exp is some ten times slower per element
-    when its result underflows, and terms that small cannot change a sum
-    that holds exp(0) = 1.  The log stays numpy's, whose last bit
-    ``math.log`` does not always match.
+    The shift guards against overflow, which terms at most about 0 cannot
+    reach: the single-point sums of such terms (``_mass``, ``_log_tau``
+    on one row) come here only when they fall below _SUM_FLOOR, where
+    the shift keeps the terms that exp(_EXP_FLOOR) would flush.  The
+    batch ``_log_tau`` and ``factorization``'s Delta tables sum here
+    always.  With ``axis=None`` the whole array reduces to a Python
+    float, its maximum tested by ``math.isfinite``; with an axis, that
+    axis reduces and an array comes back.  Either way the shifted terms
+    are raised to _EXP_FLOOR first, which cannot change a sum that holds
+    exp(0) = 1.  The log stays numpy's, whose last bit ``math.log`` does
+    not always match.
     """
     if axis is None:
         top = float(np.maximum.reduce(terms, axis=None))
@@ -339,8 +362,11 @@ def _logsumexp(terms: np.ndarray, axis=None):
 
 def _mass(log_probs: np.ndarray) -> float:
     """The probability of a slice of a log-pmf row, capped at 1 against
-    rounding."""
-    return min(1.0, float(np.exp(_logsumexp(log_probs))))
+    rounding: its probabilities summed as they stand (``_floored_sum``),
+    or, where that sum falls below _SUM_FLOOR, exp of their
+    ``_logsumexp``, which keeps the terms the floor flushes."""
+    total = float(_floored_sum(log_probs))
+    return min(1.0, total) if total >= _SUM_FLOOR else math.exp(_logsumexp(log_probs))
 
 
 @_row_cache
@@ -360,13 +386,24 @@ def _log_tau(r: int, row, log_sum, psi, log_omega=None):
     of the law the row holds.  ``psi`` and ``log_omega`` broadcast
     against the other axes of ``row``; at psi = 0, where
     E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r)), the one place
-    ``log_omega`` is read."""
+    ``log_omega`` is read.
+
+    The moment's terms, row + log[(y)_r / (n)_r], are at most about 0.
+    On one row they are summed as they stand and the sum's ``math.log``
+    taken, or their ``_logsumexp`` below _SUM_FLOOR, as ``_mass`` reads
+    them; the result is a Python float.  A block of rows keeps the
+    log-sum-exp on every row: it comes only from ``factorization``'s
+    guarded grid cells, the few whose grid sums fell below that module's
+    own floor, e^-300, and a linear pass would need a second, masked
+    one for its rows below e^-600."""
     n = row.shape[-1] - 1
     terms = row[..., r:] + _log_falling_ratio(n, r)[0]
     if row.ndim == 1:
         if psi == 0.0:
             return r * (n - r) * log_omega
-        return _logsumexp(terms) - log_sum - r * math.log(psi)
+        total = float(_floored_sum(terms))
+        log_moment = math.log(total) if total >= _SUM_FLOOR else _logsumexp(terms)
+        return log_moment - log_sum - r * math.log(psi)
     edge = psi == 0.0
     log_tau = _logsumexp(terms, axis=-1) - log_sum - r * np.log(psi + edge)  # log 1 at psi = 0
     return np.where(edge, r * (n - r) * log_omega, log_tau)
@@ -401,7 +438,7 @@ def _log_tau_r(n: int, psi: float, omega: float, r: int) -> float:
     m, row, log_sum, log_omega = _kernel(n, psi, omega)
     if r == n:
         return -_log_kn(n, psi, log_omega, m, log_sum)
-    return float(_log_tau(r, row, log_sum, psi, log_omega))
+    return _log_tau(r, row, log_sum, psi, log_omega)
 
 
 def _exp(x: float) -> float:
@@ -427,7 +464,7 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
         return 0.0
     m, row, log_sum, log_omega = _kernel(n, psi, omega)
     log_kn = _log_kn(n, psi, log_omega, m, log_sum)
-    return log_kn + float(_log_tau(a, row, log_sum, psi, log_omega)) if a else log_kn
+    return log_kn + _log_tau(a, row, log_sum, psi, log_omega) if a else log_kn
 
 
 def tau(r: int, params: ModelParams) -> float:
@@ -447,27 +484,45 @@ def pmf(params: ModelParams) -> PmfTable:
 
 
 def cdf(params: ModelParams, y: int) -> float:
-    """P(Y <= y), accumulated by log-sum-exp over the kernel row's prefix
-    less its log-sum: the entries of ``pmf``'s table, with no log K_n."""
+    """P(Y <= y), the ``_mass`` of the kernel row's prefix less its
+    log-sum: the entries of ``pmf``'s table, with no log K_n."""
     y = _integer("y", y, 0, params.n)
     _, row, log_sum, _ = _kernel(*params)
     return _mass(row[: y + 1] - log_sum)
 
 
-def _table_moments(probs: np.ndarray) -> tuple[float, float]:
-    """(mean, variance) of a pmf table, both summed about its mode (see
-    ``moments``).  The sums are pairwise, in numpy's own loop rather than
-    a BLAS dot, so their bits do not depend on the BLAS thread count."""
-    mode = int(probs.argmax())
-    dev = np.arange(-mode, len(probs) - mode, dtype=float)
+def _moment_sums(probs: np.ndarray, dev: np.ndarray) -> tuple[float, float]:
+    """(sum p dev, sum p dev^2), pairwise, in numpy's own loop rather
+    than a BLAS dot, so their bits do not depend on the BLAS thread
+    count."""
     terms = probs * dev
     d = float(np.add.reduce(terms))
     terms *= dev
-    return mode + d, max(0.0, float(np.add.reduce(terms)) - d * d)
+    return d, float(np.add.reduce(terms))
+
+
+def _table_moments(probs: np.ndarray, log_probs: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of a pmf table, ``log_probs`` its logs, both
+    summed about its mode m (see ``moments``).
+
+    Where sum p (y - m)^2 falls below _SUM_FLOOR, so does every
+    p (y - m) off the mode, which may be subnormal and keep few bits:
+    both sums are taken again over p e^600 = exp(log p + 600), the
+    addition exact for log p in [-1200, -300], and scaled back once.
+    Those scaled terms are raised to exp(_EXP_FLOOR) first, which moves
+    the sums by less than 2^-1074 once scaled back."""
+    mode = int(probs.argmax())
+    dev = np.arange(-mode, len(probs) - mode, dtype=float)
+    d, d2 = _moment_sums(probs, dev)
+    if d2 < _SUM_FLOOR:
+        scaled = np.maximum(log_probs - _LOG_SUM_FLOOR, _EXP_FLOOR)
+        d, d2 = (s * _SUM_FLOOR for s in _moment_sums(np.exp(scaled, out=scaled), dev))
+    return mode + d, max(0.0, d2 - d * d)
 
 
 def moments(params: ModelParams) -> MomentSummary:
-    """tau_1, tau_2, the mean and the variance off one pmf table.
+    """tau_1, tau_2, the mean and the variance off one kernel row less
+    its log-sum: ``pmf``'s table, with no log K_n.
 
     The closed form n psi (tau_1 - psi (n tau_1^2 - (n-1) tau_2)) cancels
     O(n^2) terms down to the variance, and a sum about the mean loses the
@@ -478,11 +533,14 @@ def moments(params: ModelParams) -> MomentSummary:
     mass and eta = tau_1, tau_1 may overflow while the mean stays 0.
     """
     n, psi = params.n, params.psi
-    table = pmf(params)
-    log_omega = math.log(params.omega)
-    t1 = _exp(_log_tau(1, table.log_prob, 0.0, psi, log_omega))
-    t2 = _exp(_log_tau(2, table.log_prob, 0.0, psi, log_omega)) if n >= 2 else math.nan
-    mean, variance = _table_moments(table.probs())
+    _, row, log_sum, log_omega = _kernel(*params)
+    log_prob = row - log_sum
+    t1 = _exp(_log_tau(1, log_prob, 0.0, psi, log_omega))
+    t2 = _exp(_log_tau(2, log_prob, 0.0, psi, log_omega)) if n >= 2 else math.nan
+    # raising the probabilities to exp(_EXP_FLOOR) moves a sum
+    # p (y - m)^2 that reaches _SUM_FLOOR by less than (n + 1) n^2 e^-100
+    # of itself, and a smaller one is read again
+    mean, variance = _table_moments(np.exp(np.maximum(log_prob, _EXP_FLOOR)), log_prob)
     eta = variance / (n * psi) if psi > 0.0 else t1
     return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean,
                          variance=variance, pi=mean / n)
@@ -518,7 +576,8 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     if b.shape != (params.n,):
         raise ValueError(f"bits must have length n={params.n}, got shape {b.shape}")
     y = np.count_nonzero(b == 1)
-    if y + np.count_nonzero(b == 0) != params.n:
+    # == compares complex values too, so 1+0j would pass for 1
+    if b.dtype.kind not in "biuf" or y + np.count_nonzero(b == 0) != params.n:
         raise ValueError("bits must be 0/1 valued")
     _, row, log_sum, _ = _kernel(*params)
     return float(row[y] - log_sum - _kernel_row(params.n)[2][y])

@@ -35,8 +35,9 @@ def standardized_ks_distance(params: ModelParams) -> float:
     cdf's right-continuous points.  The mean and the variance are read
     off the same table as the cdf, summed about its mode as ``moments``
     sums its variance."""
-    probs = pmf(params).probs()
-    mean, variance = _table_moments(probs)
+    table = pmf(params)
+    probs = table.probs()
+    mean, variance = _table_moments(probs, table.log_prob)
     if variance <= 0.0:
         raise ValueError("degenerate variance; standardization undefined")
     cdf_vals = np.minimum(1.0, np.cumsum(probs))

@@ -222,6 +222,20 @@ READER_CELLS = [
 ]
 
 
+def _calls_to(monkeypatch, name: str) -> list:
+    """The argument tuples of the calls to ``lmbd.core.<name>`` from here
+    on in the test."""
+    calls = []
+    real = getattr(lmbd.core, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lmbd.core, name, counted)
+    return calls
+
+
 class TestSinglePointReaders:
     """cdf, the two majority tails, joint_log_prob and sample read the
     kernel row, and equal what they read off ``pmf``'s table, bit for
@@ -252,22 +266,40 @@ class TestSinglePointReaders:
 
     @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (2000, 1e-9, 0.5)])
     def test_no_log_k_n_beside_the_row(self, n, psi, omega, monkeypatch):
-        calls = []
-        log_kn = lmbd.core._log_kn
-
-        def counted(*args):
-            calls.append(args)
-            return log_kn(*args)
-
-        monkeypatch.setattr(lmbd.core, "_log_kn", counted)
+        calls = _calls_to(monkeypatch, "_log_kn")
         p = ModelParams(n, psi, omega)
         cdf(p, n // 2)
         ensemble_accuracy(EnsembleSpec(n, p))
         binomial_accuracy(n, psi)
         sample(p, 5, 0)
         joint_log_prob(p, [1] * (n // 2) + [0] * (n - n // 2))
+        moments(p)
         assert calls == []
         pmf(p)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (65, 0.7, 0.9),
+                                             (2000, 0.3, 1.5)])
+    def test_sums_above_the_floor_take_no_log_sum_exp(self, n, psi, omega, monkeypatch):
+        # at interior cells a cdf, a majority tail and tau_r's moment
+        # reach core._SUM_FLOOR and are summed as they stand
+        calls = _calls_to(monkeypatch, "_logsumexp")
+        p = ModelParams(n, psi, omega)
+        for y in (n // 2, n):
+            cdf(p, y)
+        ensemble_accuracy(EnsembleSpec(n, p))
+        marginal_pi(p)
+        for r in (1, 2):
+            tau(r, p)
+        assert calls == []
+
+    @pytest.mark.parametrize("read", [lambda: tau(1, ModelParams(2000, 0.3, 1e-8)),
+                                      lambda: cdf(ModelParams(2000, 0.3, 1e8), 0)],
+                             ids=["tau1", "cdf"])
+    def test_a_sum_below_the_floor_is_read_by_log_sum_exp(self, read, monkeypatch):
+        # E[Y] / n ~ e^-1695 and P(Y = 0) ~ e^-(1e3 n): both underflow
+        calls = _calls_to(monkeypatch, "_logsumexp")
+        assert read() == 0.0
         assert len(calls) == 1
 
 
@@ -424,6 +456,7 @@ class TestJointLogProb:
         ([[1, 0, 1]], "bits must have length n=3, got shape (1, 3)"),
         (1, "bits must have length n=3, got shape ()"),
         ("101", "bits must have length n=3, got shape ()"),
+        ([1 + 0j, 0, 1], "bits must be 0/1 valued"),
     ])
     def test_rejected_bits(self, bits, message):
         with pytest.raises(ValueError) as info:

@@ -67,8 +67,9 @@ class TestStandardizedKsDistance:
         # the mean and variance are moments' own, read off the same table
         p = ModelParams(n, psi, omega)
         ms = moments(p)
-        probs = pmf(p).probs()
-        mean, variance = lmbd.core._table_moments(probs)
+        table = pmf(p)
+        probs = table.probs()
+        mean, variance = lmbd.core._table_moments(probs, table.log_prob)
         assert (mean, variance) == (ms.mean, ms.variance)
         z = (np.arange(n + 1) - mean) / math.sqrt(variance)
         cdf_vals = np.minimum(1.0, np.cumsum(probs))

@@ -27,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmbd import ModelParams, log_k, pmf, tau
+import lmbd
+from lmbd import EnsembleSpec, ModelParams, cdf, ensemble_accuracy, log_k, marginal_pi, pmf, tau
 from lmbd.core import (_kernel_row, _log_falling_ratio, _log_sum, _log_weights, _logit,
                        _logsumexp)
 from lmbd.factorization import _xlogy
@@ -268,3 +269,49 @@ def test_tau_and_log_k_match_mpmath(n, psi, omega):
         with mp.workdps(DPS):
             err = abs(mp.mpf(log_k(n, r, psi, omega)) - exact_kr) / max(1, abs(exact_kr))
         assert float(err) <= LOG_K_BOUND[n], r
+
+
+# single-point sums on both sides of core._SUM_FLOOR = e^-600, as
+# (reader, (n, psi, omega), y or r, whether the sum lies below it):
+# above it they are summed as they stand, below it read by
+# ``core._logsumexp``.  The values below it are normal doubles, e^-645
+# (tau_1, tau_2, pi), e^-679 (the tail) and e^-684 (the cdf), and one
+# subnormal, e^-713 (the cdf at 0)
+FLOOR_CASES = [
+    ("cdf", (2000, 0.3, 1.0), 600, False),
+    ("cdf", (2000, 0.3, 1.0), 5, True),
+    ("cdf", (2000, 0.3, 1.0), 0, True),
+    ("ensemble_accuracy", (2000, 0.45, 1.0), None, False),
+    ("ensemble_accuracy", (2000, 0.15, 1.0), None, True),
+    ("tau", (2000, 0.3, 1.5), 1, False),
+    ("tau", (2000, 0.42, 1e-8), 1, True),
+    ("tau", (2000, 0.42, 1e-8), 2, True),
+    ("marginal_pi", (2000, 0.3, 1.5), None, False),
+    ("marginal_pi", (2000, 0.42, 1e-8), None, True),
+]
+
+
+@pytest.mark.parametrize("reader,cell,arg,below", FLOOR_CASES)
+def test_single_point_sums_match_mpmath_across_the_floor(reader, cell, arg, below, monkeypatch):
+    n, psi, omega = cell
+    p = ModelParams(n, psi, omega)
+    calls = []
+    real = lmbd.core._logsumexp
+    monkeypatch.setattr(lmbd.core, "_logsumexp", lambda terms: calls.append(terms) or real(terms))
+    got = {"cdf": lambda: cdf(p, arg), "ensemble_accuracy": lambda: ensemble_accuracy(EnsembleSpec(n, p)),
+           "tau": lambda: tau(arg, p), "marginal_pi": lambda: marginal_pi(p)}[reader]()
+    assert len(calls) == below
+    with mp.workdps(DPS):
+        if reader in ("cdf", "ensemble_accuracy"):
+            # a sum of pmf entries, at the pmf's own bound
+            w = [mp.exp(v) for v in mp_oracle.log_weights(n, psi, omega)]
+            exact = mp.fsum(w[:arg + 1] if reader == "cdf" else w[n // 2 + 1:]) / mp.fsum(w)
+            bound = PMF_BOUND[n]
+        else:
+            # marginal_pi is psi tau_1, one rounding from tau_1
+            args = (mp.mpf(psi), mp.mpf(omega))
+            exact = mp.exp(mp_oracle.log_k(n, arg or 1, *args) - mp_oracle.log_k(n, 0, *args))
+            if reader == "marginal_pi":
+                exact *= args[0]
+            bound = TAU_BOUND[n]
+        assert float(abs(mp.mpf(got) - exact) / max(exact, sys.float_info.min)) <= bound

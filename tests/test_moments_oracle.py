@@ -28,6 +28,9 @@ CELLS = [(n, psi, omega) for n in NS for psi in PSIS for omega in OMEGAS]
 # the law piles onto y = n here, where a variance summed about a float
 # mean loses every digit
 CELLS.append((1000, 0.9, 0.2))
+# the law piles onto y = 0 here, with mean and variance below
+# core._SUM_FLOOR = e^-600 (2.2e-280 and 1.4e-278) yet normal doubles
+CELLS.append((64, 4e-5, 6e-7))
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,3 +75,15 @@ def test_moments_match_mpmath(n, psi, omega):
         assert math.isnan(ms.tau2)
     errs = {f: _rel_err(getattr(ms, f), exact[f]) for f in fields}
     assert max(errs.values()) <= bound, errs
+
+
+def test_subnormal_mean_and_variance_match_mpmath():
+    # the law sits on y = 0 but for some 1e-320 of mass, so the mean and
+    # variance are subnormal; summed over the subnormal products
+    # p (y - m) they kept 7.7e-5 and 7.6e-6 of themselves wrong
+    ms = moments(ModelParams(2000, 0.409, 0.687))
+    exact = _exact(2000, 0.409, 0.687)
+    assert 0.0 < ms.mean < ms.variance < sys.float_info.min
+    with mp.workdps(DPS):
+        for field in ("mean", "variance"):
+            assert abs(mp.mpf(getattr(ms, field)) - exact[field]) <= 2 * mp.mpf(2) ** -1074, field

@@ -289,8 +289,8 @@ def test_counts_are_stored_as_ints(counts):
     assert type(sample_.total) is int
 
 
-@pytest.mark.parametrize("omega", [1.0, 1.5])
-@pytest.mark.parametrize("psi", [0.3, 0.0, 1.0])
+@pytest.mark.parametrize("omega", [1.0, 1.5, pytest.param(np.float64(1.5), id="np.float64(1.5)")])
+@pytest.mark.parametrize("psi", [0.3, 0.0, 1.0, pytest.param(np.float64(0.3), id="np.float64(0.3)")])
 def test_scalar_readers_return_python_floats(psi, omega):
     # numpy scalars would leak numpy's types and printing into callers;
     # the interior point and the psi edges take different kernel paths
