@@ -29,10 +29,14 @@ and +inf, a point mass with no 0 log 0 case.  Every quantity is read off
 that row: log K_n is the log of its term at m plus the log of the row's
 sum, whose largest term is 1, and tau_r = K_{n-r} / K_n is a
 falling-factorial moment of it, E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
-Terms at most about 1 cannot overflow, so a single-point sum of them (a
-cdf, a tail, tau_r's moment) is summed as it stands, with no log-sum-exp
-shift; only a sum below _SUM_FLOOR = e^-600 is read again by
-log-sum-exp (``_mass``).
+The row's entries are at most 0, so their exponentials e_y cannot
+overflow, and ``_kernel`` takes them in one pass along with their total
+T >= 1, whose log is the log-sum.  A probability or a moment that is not
+returned as a log is a ratio of linear sums over e: a cdf or a tail is
+sum e_y / T (``_share``), pi = E[Y] / n is sum y e_y / (n T) and tau_r,
+r = 1, 2, is sum (y)_r e_y / ((n)_r T psi^r) (``_falling_share``).
+Only a sum below _SUM_FLOOR T, _SUM_FLOOR = e^-600, is read again by
+log-sum-exp, off the same row.
 """
 
 from __future__ import annotations
@@ -307,19 +311,24 @@ def _log_weights(n: int, theta1, theta2):
 _EXP_FLOOR = -700.0
 # a sum of n + 1 terms, each raised to exp(_EXP_FLOOR) at the least, that
 # reaches exp(-600) is moved by the raising by at most (n + 1) e^-100 of
-# itself, far below 2^-53 for any n an array can hold; a smaller sum is
-# read again by ``_logsumexp``
+# itself, and one weighted by the integers (y)_r <= n^2 by
+# (n + 1) n^2 e^-100, far below 2^-53 for any n an array can hold; a
+# smaller sum is read again by ``_logsumexp``
 _LOG_SUM_FLOOR = -600.0
 _SUM_FLOOR = math.exp(_LOG_SUM_FLOOR)
 
 
-def _floored_sum(terms: np.ndarray):
-    """sum(exp(terms)) over the last axis, each term raised to _EXP_FLOOR
-    first: numpy's exp costs some hundred times more per element where
-    its result is subnormal."""
+def _floored_exp(terms: np.ndarray) -> np.ndarray:
+    """exp(terms) as a new array, each term raised to _EXP_FLOOR first:
+    numpy's exp costs some hundred times more per element where its
+    result is subnormal."""
     terms = np.maximum(terms, _EXP_FLOOR)
-    np.exp(terms, out=terms)
-    return np.add.reduce(terms, axis=-1)
+    return np.exp(terms, out=terms)
+
+
+def _floored_sum(terms: np.ndarray):
+    """sum(exp(terms)) over the last axis, by ``_floored_exp``."""
+    return np.add.reduce(_floored_exp(terms), axis=-1)
 
 
 def _log_sum(row: np.ndarray):
@@ -361,12 +370,25 @@ def _logsumexp(terms: np.ndarray, axis=None):
 
 
 def _mass(log_probs: np.ndarray) -> float:
-    """The probability of a slice of a log-pmf row, capped at 1 against
-    rounding: its probabilities summed as they stand (``_floored_sum``),
-    or, where that sum falls below _SUM_FLOOR, exp of their
-    ``_logsumexp``, which keeps the terms the floor flushes."""
+    """The probability of a slice of a log-pmf table that has no kernel
+    row behind it (the Beta-Binomial's, a Binomial log-likelihood's),
+    capped at 1 against rounding: its probabilities summed as they stand
+    (``_floored_sum``), or, where that sum falls below _SUM_FLOOR, exp of
+    their ``_logsumexp``, which keeps the terms the floor flushes."""
     total = float(_floored_sum(log_probs))
     return min(1.0, total) if total >= _SUM_FLOOR else math.exp(_logsumexp(log_probs))
+
+
+def _share(row: np.ndarray, e: np.ndarray, total: float, part: slice) -> float:
+    """The probability of the support's slice ``part`` off a kernel row,
+    its floored exponentials ``e`` and their ``total`` (``_kernel``):
+    sum(e[part]) / total, capped at 1 against rounding.  Where that sum
+    falls below _SUM_FLOOR total, the row's own ``_logsumexp`` over
+    ``part`` less log total, which keeps the terms the floor flushes."""
+    mass = float(np.add.reduce(e[part]))
+    if mass >= _SUM_FLOOR * total:
+        return min(1.0, mass / total)
+    return math.exp(_logsumexp(row[part] - float(np.log(total))))
 
 
 @_row_cache
@@ -379,7 +401,7 @@ def _log_falling_ratio(n: int, r: int):
     return (out,)
 
 
-def _log_tau(r: int, row, log_sum, psi, log_omega=None):
+def _log_tau(r: int, row, log_sum, psi, log_omega=None, below: bool = False):
     """log tau_r off a row of K_n's log-weights whose largest entry is 0
     or near it, and whose log-sum is ``log_sum``: C(n-r, y-r) =
     C(n, y) (y)_r / (n)_r makes tau_r the moment E[(Y)_r] / ((n)_r psi^r)
@@ -391,17 +413,18 @@ def _log_tau(r: int, row, log_sum, psi, log_omega=None):
     The moment's terms, row + log[(y)_r / (n)_r], are at most about 0.
     On one row they are summed as they stand and the sum's ``math.log``
     taken, or their ``_logsumexp`` below _SUM_FLOOR, as ``_mass`` reads
-    them; the result is a Python float.  A block of rows keeps the
+    them, at once where the caller has found the moment ``below`` the
+    floor already; the result is a Python float.  A block of rows keeps the
     log-sum-exp on every row: it comes only from ``factorization``'s
     guarded grid cells, the few whose grid sums fell below that module's
-    own floor, e^-300, and a linear pass would need a second, masked
-    one for its rows below e^-600."""
+    own floor, ``_GRID_SUM_FLOOR`` = e^-300, and a linear pass would
+    need a second, masked one for its rows below e^-600."""
     n = row.shape[-1] - 1
     terms = row[..., r:] + _log_falling_ratio(n, r)[0]
     if row.ndim == 1:
         if psi == 0.0:
             return r * (n - r) * log_omega
-        total = float(_floored_sum(terms))
+        total = 0.0 if below else float(_floored_sum(terms))
         log_moment = math.log(total) if total >= _SUM_FLOOR else _logsumexp(terms)
         return log_moment - log_sum - r * math.log(psi)
     edge = psi == 0.0
@@ -410,11 +433,31 @@ def _log_tau(r: int, row, log_sum, psi, log_omega=None):
 
 
 def _kernel(n: int, psi: float, omega: float):
-    """(m, row, its log-sum as a float, log omega): the kernel at
-    (psi, omega)."""
+    """(m, row, e, T, log omega): the kernel at (psi, omega), with
+    e = exp(max(row, _EXP_FLOOR)) (``_floored_exp``) and its total T, a
+    Python float of at least 1, as the row's largest entry is 0.  The
+    row's log-sum is np.log(T), taken only by the readers that return
+    logs: ``pmf``, ``sample``, ``joint_log_prob``, ``tau`` and ``log_k``.
+    The others read e and T as they stand (``_share``,
+    ``_falling_share``)."""
     log_omega = math.log(omega)
     m, row = _log_weights(n, _logit(psi), log_omega)
-    return m, row, float(_log_sum(row)), log_omega
+    e = _floored_exp(row)
+    return m, row, e, float(np.add.reduce(e)), log_omega
+
+
+def _falling_share(r: int, e: np.ndarray, total: float):
+    """E[(Y)_r] / (n)_r, r = 1 or 2, off a kernel row's floored
+    exponentials ``e`` and their ``total``: sum (y)_r e_y / ((n)_r T).
+    The weights (y)_r are integers, so no product is subnormal.  None
+    where the sum falls below _SUM_FLOOR T, psi = 0 included; the caller
+    then reads tau_r off the row by log-sum-exp (``_log_tau``)."""
+    n = len(e) - 1
+    y = _kernel_row(n)[0]
+    moment = float(np.add.reduce((y if r == 1 else y * (y - 1.0)) * e))
+    if moment < _SUM_FLOOR * total:
+        return None
+    return moment / ((n if r == 1 else n * (n - 1)) * total)
 
 
 def _log_kn(n: int, psi: float, log_omega: float, m: int, log_sum) -> float:
@@ -430,15 +473,6 @@ def _log_kn(n: int, psi: float, log_omega: float, m: int, log_sum) -> float:
     return math.fsum((_kernel_row(n)[2][m], high * cross, (log_omega - high) * cross, log_sum,
                       m * math.log(psi) if m else 0.0,
                       (n - m) * math.log1p(-psi) if m < n else 0.0))
-
-
-def _log_tau_r(n: int, psi: float, omega: float, r: int) -> float:
-    """log tau_r, r in [1, n], off one kernel row; at r = n it is
-    -log K_n, as K_0 = 1."""
-    m, row, log_sum, log_omega = _kernel(n, psi, omega)
-    if r == n:
-        return -_log_kn(n, psi, log_omega, m, log_sum)
-    return _log_tau(r, row, log_sum, psi, log_omega)
 
 
 def _exp(x: float) -> float:
@@ -462,15 +496,22 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     a = _integer("a", a, 0, n)
     if a == n:
         return 0.0
-    m, row, log_sum, log_omega = _kernel(n, psi, omega)
+    m, row, _, total, log_omega = _kernel(n, psi, omega)
+    log_sum = float(np.log(total))
     log_kn = _log_kn(n, psi, log_omega, m, log_sum)
     return log_kn + _log_tau(a, row, log_sum, psi, log_omega) if a else log_kn
 
 
 def tau(r: int, params: ModelParams) -> float:
     """The ratio tau_r = K_{n-r} / K_n, r in [1, n], read off the K_n
-    row; +inf where it lies beyond the double range."""
-    return _exp(_log_tau_r(*params, _integer("r", r, 1, params.n)))
+    row, at r = n as 1 / K_n, since K_0 = 1; +inf where it lies beyond
+    the double range."""
+    n, psi, omega = params
+    r = _integer("r", r, 1, n)
+    m, row, _, total, log_omega = _kernel(n, psi, omega)
+    log_sum = float(np.log(total))
+    return _exp(-_log_kn(n, psi, log_omega, m, log_sum) if r == n
+                else _log_tau(r, row, log_sum, psi, log_omega))
 
 
 def pmf(params: ModelParams) -> PmfTable:
@@ -478,17 +519,19 @@ def pmf(params: ModelParams) -> PmfTable:
     log-sum, in one pass.  psi in {0, 1} gives an exact point mass at 0
     or n."""
     n, psi, omega = params
-    m, row, log_sum, log_omega = _kernel(n, psi, omega)
+    m, row, _, total, log_omega = _kernel(n, psi, omega)
+    log_sum = float(np.log(total))
     return PmfTable(params=params, log_prob=row - log_sum,
                     log_normalizer=_log_kn(n, psi, log_omega, m, log_sum))
 
 
 def cdf(params: ModelParams, y: int) -> float:
-    """P(Y <= y), the ``_mass`` of the kernel row's prefix less its
-    log-sum: the entries of ``pmf``'s table, with no log K_n."""
+    """P(Y <= y), the ``_share`` of the kernel row's prefix: its
+    exponentials' sum over their total, with no log K_n; exactly 1 at
+    y = n."""
     y = _integer("y", y, 0, params.n)
-    _, row, log_sum, _ = _kernel(*params)
-    return _mass(row[: y + 1] - log_sum)
+    _, row, e, total, _ = _kernel(*params)
+    return _share(row, e, total, slice(y + 1))
 
 
 def _moment_sums(probs: np.ndarray, dev: np.ndarray) -> tuple[float, float]:
@@ -521,8 +564,10 @@ def _table_moments(probs: np.ndarray, log_probs: np.ndarray) -> tuple[float, flo
 
 
 def moments(params: ModelParams) -> MomentSummary:
-    """tau_1, tau_2, the mean and the variance off one kernel row less
-    its log-sum: ``pmf``'s table, with no log K_n.
+    """tau_1, tau_2, the mean and the variance off one kernel row, with
+    no log K_n: tau_1 and tau_2 as ``theorem2_check`` reads tau_1
+    (``_tau_r``), the mean and the variance off ``pmf``'s table, the row
+    less its log-sum.
 
     The closed form n psi (tau_1 - psi (n tau_1^2 - (n-1) tau_2)) cancels
     O(n^2) terms down to the variance, and a sum about the mean loses the
@@ -533,10 +578,14 @@ def moments(params: ModelParams) -> MomentSummary:
     mass and eta = tau_1, tau_1 may overflow while the mean stays 0.
     """
     n, psi = params.n, params.psi
-    _, row, log_sum, log_omega = _kernel(*params)
-    log_prob = row - log_sum
-    t1 = _exp(_log_tau(1, log_prob, 0.0, psi, log_omega))
-    t2 = _exp(_log_tau(2, log_prob, 0.0, psi, log_omega)) if n >= 2 else math.nan
+    _, row, e, total, log_omega = _kernel(*params)
+    share = _falling_share(1, e, total)
+    t1 = _tau_r(1, psi, row, total, log_omega, share)[0]
+    # E[(Y)_2] / (n)_2 <= E[Y] / n, so tau_2's share is below the floor
+    # wherever tau_1's is
+    t2 = (_tau_r(2, psi, row, total, log_omega, share and _falling_share(2, e, total))[0]
+          if n >= 2 else math.nan)
+    log_prob = row - float(np.log(total))
     # raising the probabilities to exp(_EXP_FLOOR) moves a sum
     # p (y - m)^2 that reaches _SUM_FLOOR by less than (n + 1) n^2 e^-100
     # of itself, and a smaller one is read again
@@ -546,17 +595,32 @@ def moments(params: ModelParams) -> MomentSummary:
                          variance=variance, pi=mean / n)
 
 
-def _tau1_pi(params: ModelParams) -> tuple[float, float]:
-    """(tau_1, pi = psi tau_1) off one kernel row.  pi <= 1 even where
-    tau_1 overflows, as it may at a tiny psi; there it is
-    exp(log psi + log tau_1).  Elsewhere the product, which keeps
-    pi < psi wherever tau_1 < 1.  0 at psi = 0."""
-    psi = params.psi
-    log_tau1 = _log_tau_r(*params, 1)
-    t1 = _exp(log_tau1)
+def _tau_r(r: int, psi: float, row: np.ndarray, total: float, log_omega: float,
+           share: float | None) -> tuple[float, float]:
+    """(tau_r, E[(Y)_r] / (n)_r), r = 1 or 2, off one kernel row, the
+    total T of its floored exponentials and their ``_falling_share`` s:
+    tau_r = s / psi^r, divided by psi r times, last, so that a tau_r
+    beyond the double range reads +inf.  At r = 1, s is pi = E[Y] / n,
+    at most 1 even where tau_1 overflows.
+
+    Where the share falls below _SUM_FLOOR T (None), tau_r is read off
+    the row by ``_log_tau`` (omega^(r (n-r)) at psi = 0), and
+    s = psi^r tau_r: the product where tau_r is finite, else
+    exp(r log psi + log tau_r); 0 at psi = 0."""
+    if share is not None:
+        return (share / psi if r == 1 else share / psi / psi), share
+    log_tau = _log_tau(r, row, float(np.log(total)), psi, log_omega, below=True)
+    t = _exp(log_tau)
     if psi == 0.0:
-        return t1, 0.0
-    return t1, psi * t1 if t1 < math.inf else math.exp(math.log(psi) + log_tau1)
+        return t, 0.0
+    return t, psi ** r * t if t < math.inf else math.exp(r * math.log(psi) + log_tau)
+
+
+def _tau1_pi(params: ModelParams) -> tuple[float, float]:
+    """(tau_1, pi = E[Y] / n = psi tau_1) off one kernel row
+    (``_tau_r``)."""
+    _, row, e, total, log_omega = _kernel(*params)
+    return _tau_r(1, params.psi, row, total, log_omega, _falling_share(1, e, total))
 
 
 def marginal_pi(params: ModelParams) -> float:
@@ -579,8 +643,8 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     # == compares complex values too, so 1+0j would pass for 1
     if b.dtype.kind not in "biuf" or y + np.count_nonzero(b == 0) != params.n:
         raise ValueError("bits must be 0/1 valued")
-    _, row, log_sum, _ = _kernel(*params)
-    return float(row[y] - log_sum - _kernel_row(params.n)[2][y])
+    _, row, _, total, _ = _kernel(*params)
+    return float(row[y] - np.log(total) - _kernel_row(params.n)[2][y])
 
 
 def conditional_cpr(params: ModelParams) -> float:
@@ -611,8 +675,8 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     loads numpy's random module.
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
-    _, row, log_sum, _ = _kernel(*params)
-    cum = np.cumsum(np.exp(row - log_sum))
+    _, row, _, total, _ = _kernel(*params)
+    cum = np.cumsum(np.exp(row - float(np.log(total))))
     cum[-1] = 1.0
     words = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8")
     u = (words >> 11) * 2.0 ** -53

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import (_Checked, _integer, _kernel, _kernel_row, _log_sum, _log_weights, _mass,
-                   _positive, _probability)
+from .core import (_Checked, _floored_exp, _integer, _kernel, _kernel_row, _log_sum, _log_weights,
+                   _mass, _positive, _probability, _share)
 
 __all__ = [
     "EnsembleSpec",
@@ -128,10 +128,10 @@ def majority_threshold(n: int) -> int:
 
 
 def _majority_tail(params: ModelParams) -> float:
-    """P(Y > q) off the kernel row at ``params``, less its log-sum: the
-    tail of ``pmf``'s table, with no log K_n."""
-    _, row, log_sum, _ = _kernel(*params)
-    return _mass(row[majority_threshold(params.n) + 1:] - log_sum)
+    """P(Y > q), the ``_share`` of the kernel row's tail at ``params``,
+    with no log K_n."""
+    _, row, e, total, _ = _kernel(*params)
+    return _share(row, e, total, slice(majority_threshold(params.n) + 1, None))
 
 
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
@@ -369,7 +369,8 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
         # the fitted law off the kernel at theta-hat, exact where psi-hat
         # rounds to 0 or 1
         row = _log_weights(n, *fit.theta_hat)[1]
-        mbd_accuracy = _mass(row[tail:] - _log_sum(row))
+        e = _floored_exp(row)
+        mbd_accuracy = _share(row, e, float(np.add.reduce(e)), slice(tail, None))
     mbd = report("lmbd", {"psi": fit.psi_hat, "omega": fit.omega_hat},
                  fit.log_likelihood, mbd_accuracy, fit.converged)
 

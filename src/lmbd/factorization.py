@@ -241,7 +241,7 @@ _LOG_FACTOR_FLOOR = _EXP_FLOOR / 2
 # a cell whose sum falls below this is guarded; above it the flushed
 # terms, each below exp(_LOG_FACTOR_FLOOR) = exp(-350), move the sum by
 # at most n (n + 1) exp(-50) of itself
-_SUM_FLOOR = math.exp(3 * _EXP_FLOOR / 7)
+_GRID_SUM_FLOOR = math.exp(3 * _EXP_FLOOR / 7)
 
 
 def _flushed_exp(x: np.ndarray) -> np.ndarray:
@@ -263,12 +263,12 @@ def _tau1_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
 
 def _fill_guarded(values: np.ndarray, sums, terms: int, read) -> None:
     """Overwrite the cells of ``values`` where any of the ``sums`` falls
-    below _SUM_FLOOR with ``read(rows, cols)``, a log-domain reader of
+    below _GRID_SUM_FLOOR with ``read(rows, cols)``, a log-domain reader of
     ``terms`` terms per cell, called on blocks of about
     _BLOCK_DOUBLES / terms cells."""
-    if all(s.min() >= _SUM_FLOOR for s in sums):
+    if all(s.min() >= _GRID_SUM_FLOOR for s in sums):
         return
-    rows, cols = np.nonzero(np.logical_or.reduce([s < _SUM_FLOOR for s in sums]))
+    rows, cols = np.nonzero(np.logical_or.reduce([s < _GRID_SUM_FLOOR for s in sums]))
     step = max(1, _BLOCK_DOUBLES // terms)
     for k in range(0, len(rows), step):
         r, c = rows[k:k + step], cols[k:k + step]

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, _integer, _ordered, _table_moments, pmf
+from .core import ModelParams, _integer, _kernel, _ordered, _table_moments
 
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
@@ -34,10 +34,12 @@ def standardized_ks_distance(params: ModelParams) -> float:
     """sup_y | F(y) - Phi((y - mean) / sd) |, evaluated at the discrete
     cdf's right-continuous points.  The mean and the variance are read
     off the same table as the cdf, summed about its mode as ``moments``
-    sums its variance."""
-    table = pmf(params)
-    probs = table.probs()
-    mean, variance = _table_moments(probs, table.log_prob)
+    sums its variance.  The table is ``pmf``'s, bit for bit: the kernel
+    row less its log-sum, with no log K_n."""
+    _, row, _, total, _ = _kernel(*params)
+    log_prob = row - float(np.log(total))
+    probs = np.exp(log_prob)
+    mean, variance = _table_moments(probs, log_prob)
     if variance <= 0.0:
         raise ValueError("degenerate variance; standardization undefined")
     cdf_vals = np.minimum(1.0, np.cumsum(probs))

@@ -236,33 +236,60 @@ def _calls_to(monkeypatch, name: str) -> list:
     return calls
 
 
+def kernel_share(row: np.ndarray, part: slice) -> float:
+    """The probability of the support's slice ``part`` off a kernel row,
+    recomputed here: with e = exp(max(row, -700)) and T = sum e, the
+    ratio sum e[part] / T, capped at 1, or, where sum e[part] falls below
+    e^-600 T, exp of the row's log-sum-exp over ``part`` less log T."""
+    e = np.exp(np.maximum(row, -700.0))
+    total = float(np.add.reduce(e))
+    mass = float(np.add.reduce(e[part]))
+    if mass >= math.exp(-600.0) * total:
+        return min(1.0, mass / total)
+    return math.exp(lmbd.core._logsumexp(row[part] - float(np.log(total))))
+
+
+def _row(n: int, psi: float, omega: float) -> np.ndarray:
+    return lmbd.core._log_weights(n, lmbd.core._logit(psi), math.log(omega))[1]
+
+
 class TestSinglePointReaders:
-    """cdf, the two majority tails, joint_log_prob and sample read the
-    kernel row, and equal what they read off ``pmf``'s table, bit for
-    bit."""
+    """joint_log_prob and sample read the kernel row less its log-sum and
+    equal what they read off ``pmf``'s table, bit for bit; cdf and the
+    two majority tails are ratios of sums of the row's exponentials."""
 
     @pytest.mark.parametrize("n,psi,omega", READER_CELLS)
     def test_equal_the_pmf_table_bit_for_bit(self, n, psi, omega):
         p = ModelParams(n, psi, omega)
         table = pmf(p)
         log_prob = table.log_prob
-        mass = lmbd.core._mass
+        row = _row(n, psi, omega)
         if psi in (0.0, 1.0):  # a point mass; at psi = 1 the slice below n is all -inf
             assert cdf(p, n - 1) == (1.0 if psi == 0.0 else 0.0)
         for y in (0, n // 2, n):
-            assert cdf(p, y) == mass(log_prob[: y + 1]), y
+            assert cdf(p, y) == kernel_share(row, slice(y + 1)), y
             bits = [1] * y + [0] * (n - y)
             assert joint_log_prob(p, bits) == log_prob[y] - lmbd.core._kernel_row(n)[2][y], y
-        tail = n // 2 + 1
-        assert ensemble_accuracy(EnsembleSpec(n, p)) == mass(log_prob[tail:])
-        binomial = pmf(ModelParams(n, psi, 1.0)).log_prob
-        assert binomial_accuracy(n, psi) == mass(binomial[tail:])
+        tail = slice(n // 2 + 1, None)
+        assert ensemble_accuracy(EnsembleSpec(n, p)) == kernel_share(row, tail)
+        assert binomial_accuracy(n, psi) == kernel_share(_row(n, psi, 1.0), tail)
         seed = n + 7
         cum = np.cumsum(table.probs())
         cum[-1] = 1.0
         words = np.frombuffer(random.Random(seed).randbytes(8 * 20), "<u8")
         u = (words >> 11) * 2.0 ** -53
         assert np.array_equal(sample(p, 20, seed), np.searchsorted(cum, u, side="right"))
+
+    @pytest.mark.parametrize("n,psi,omega", READER_CELLS)
+    def test_cdf_at_n_is_one(self, n, psi, omega):
+        # the whole row's exponentials over their own total
+        assert cdf(ModelParams(n, psi, omega), n) == 1.0
+
+    @pytest.mark.parametrize("n,psi,omega", READER_CELLS)
+    def test_moments_tau1_is_theorem2s(self, n, psi, omega):
+        # one definition of tau_1, bit for bit
+        p = ModelParams(n, psi, omega)
+        assert moments(p).tau1 == lmbd.theorem2_check(p).tau1
 
     @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (2000, 1e-9, 0.5)])
     def test_no_log_k_n_beside_the_row(self, n, psi, omega, monkeypatch):
@@ -273,7 +300,11 @@ class TestSinglePointReaders:
         binomial_accuracy(n, psi)
         sample(p, 5, 0)
         joint_log_prob(p, [1] * (n // 2) + [0] * (n - n // 2))
-        moments(p)
+        if moments(p).variance > 0.0:
+            lmbd.clt_scan([n], psi, omega)
+        else:  # refused once the table is read
+            with pytest.raises(ValueError, match="degenerate variance"):
+                lmbd.clt_scan([n], psi, omega)
         assert calls == []
         pmf(p)
         assert len(calls) == 1
@@ -288,7 +319,9 @@ class TestSinglePointReaders:
         for y in (n // 2, n):
             cdf(p, y)
         ensemble_accuracy(EnsembleSpec(n, p))
+        binomial_accuracy(n, psi)
         marginal_pi(p)
+        lmbd.theorem2_check(p)
         for r in (1, 2):
             tau(r, p)
         assert calls == []
@@ -300,6 +333,16 @@ class TestSinglePointReaders:
         # E[Y] / n ~ e^-1695 and P(Y = 0) ~ e^-(1e3 n): both underflow
         calls = _calls_to(monkeypatch, "_logsumexp")
         assert read() == 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("read", [marginal_pi, lambda p: lmbd.theorem2_check(p).pi,
+                                      lambda p: moments(p).tau1],
+                             ids=["marginal_pi", "theorem2_check", "moments"])
+    def test_a_pi_below_the_floor_reads_the_same_row(self, read, monkeypatch):
+        # E[Y] / n ~ e^-645 falls below the floor and is read again off
+        # the row already built
+        calls = _calls_to(monkeypatch, "_log_weights")
+        assert read(ModelParams(2000, 0.42, 1e-8)) > 0.0
         assert len(calls) == 1
 
 

@@ -23,10 +23,11 @@ from lmbd import (
     sample,
 )
 
-from lmbd.core import _kernel_row, _log_sum, _log_weights, _logit, _mass
+from lmbd.core import _kernel_row, _log_sum, _log_weights, _logit
 from lmbd.ensemble import _MAX_STEPS, _beta_binomial_log_lik, _newton_ascent
 
 from enumeration_oracle import enumerate_pmf_oracle
+from test_core import kernel_share
 
 
 class TestMajorityThreshold:
@@ -97,8 +98,7 @@ class TestBinomialAccuracy:
             bare = log_binom - log_binom[m] + (y - m) * _logit(p)
         bare[m] = 0.0
         assert np.array_equal(row, bare)
-        logp = (bare - _log_sum(bare))[majority_threshold(n) + 1:]
-        assert binomial_accuracy(n, p) == _mass(logp)
+        assert binomial_accuracy(n, p) == kernel_share(bare, slice(majority_threshold(n) + 1, None))
 
     def test_pi_domain(self):
         with pytest.raises(ValueError):

@@ -38,14 +38,15 @@ class TestStandardizedKsDistance:
 
     @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
     def test_one_pmf_table_per_distance(self, n, psi, omega, monkeypatch):
+        # the table is the kernel row less its log-sum, off one kernel pass
         calls = []
+        kernel = lmbd.core._log_weights
 
-        def counted(params):
-            calls.append(params)
-            return pmf(params)
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
 
-        monkeypatch.setattr(lmbd.core, "pmf", counted)
-        monkeypatch.setattr(lmbd.gauss, "pmf", counted)
+        monkeypatch.setattr(lmbd.core, "_log_weights", counted)
         standardized_ks_distance(ModelParams(n, psi, omega))
         assert len(calls) == 1
 

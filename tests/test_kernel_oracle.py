@@ -271,7 +271,8 @@ def test_tau_and_log_k_match_mpmath(n, psi, omega):
         assert float(err) <= LOG_K_BOUND[n], r
 
 
-# single-point sums on both sides of core._SUM_FLOOR = e^-600, as
+# single-point sums on both sides of core._SUM_FLOOR = e^-600 (a share of
+# the kernel row's exponential total T against e^-600 T), as
 # (reader, (n, psi, omega), y or r, whether the sum lies below it):
 # above it they are summed as they stand, below it read by
 # ``core._logsumexp``.  The values below it are normal doubles, e^-645
@@ -288,6 +289,8 @@ FLOOR_CASES = [
     ("tau", (2000, 0.42, 1e-8), 2, True),
     ("marginal_pi", (2000, 0.3, 1.5), None, False),
     ("marginal_pi", (2000, 0.42, 1e-8), None, True),
+    ("theorem2_check", (2000, 0.3, 1.5), None, False),
+    ("theorem2_check", (2000, 0.42, 1e-8), None, True),
 ]
 
 
@@ -299,7 +302,8 @@ def test_single_point_sums_match_mpmath_across_the_floor(reader, cell, arg, belo
     real = lmbd.core._logsumexp
     monkeypatch.setattr(lmbd.core, "_logsumexp", lambda terms: calls.append(terms) or real(terms))
     got = {"cdf": lambda: cdf(p, arg), "ensemble_accuracy": lambda: ensemble_accuracy(EnsembleSpec(n, p)),
-           "tau": lambda: tau(arg, p), "marginal_pi": lambda: marginal_pi(p)}[reader]()
+           "tau": lambda: tau(arg, p), "marginal_pi": lambda: marginal_pi(p),
+           "theorem2_check": lambda: lmbd.theorem2_check(p).pi}[reader]()
     assert len(calls) == below
     with mp.workdps(DPS):
         if reader in ("cdf", "ensemble_accuracy"):
@@ -308,10 +312,10 @@ def test_single_point_sums_match_mpmath_across_the_floor(reader, cell, arg, belo
             exact = mp.fsum(w[:arg + 1] if reader == "cdf" else w[n // 2 + 1:]) / mp.fsum(w)
             bound = PMF_BOUND[n]
         else:
-            # marginal_pi is psi tau_1, one rounding from tau_1
+            # pi = psi tau_1 = E[Y] / n, held to tau_1's bound
             args = (mp.mpf(psi), mp.mpf(omega))
             exact = mp.exp(mp_oracle.log_k(n, arg or 1, *args) - mp_oracle.log_k(n, 0, *args))
-            if reader == "marginal_pi":
+            if reader != "tau":
                 exact *= args[0]
             bound = TAU_BOUND[n]
         assert float(abs(mp.mpf(got) - exact) / max(exact, sys.float_info.min)) <= bound
