@@ -14,8 +14,10 @@ The law is a two-parameter exponential family in the natural parameters
 theta = (logit psi, log omega): K_n = (1-psi)^n sum_y w(y) with
 w(y) = C(n, y) exp(theta_1 y + theta_2 y (n-y)), whose log reaches
 theta_2 n^2 / 4 and overflows double precision long before n is large.
-One kernel, ``_log_weights``, builds every table of K_n's terms in the
-log domain, centred at the weights' global mode m:
+One formula gives every table of K_n's terms in the log domain, centred
+at the weights' global mode m, through two builders: ``_kernel`` builds
+one row, for the single-point readers and the fits, and ``_log_weights``
+a block of rows, for the grids and the convergence reports:
 
     log w(y) - log w(m) = [log C(n, y) - log C(n, m)] + (y - m) theta_1
                           + theta_2 (y - m)(n - y - m).
@@ -149,8 +151,9 @@ class ModelParams(_Checked, _ModelParamsFields):
     __slots__ = ()
 
     def __new__(cls, n: int, psi: float, omega: float):
-        return super().__new__(cls, _integer("n", n, 1), float(_probability("psi", psi)),
-                               float(_positive("omega", omega)))
+        # the fields' own __new__ would only pack the tuple again
+        return tuple.__new__(cls, (_integer("n", n, 1), float(_probability("psi", psi)),
+                                   float(_positive("omega", omega))))
 
 
 class PmfTable(NamedTuple):
@@ -250,11 +253,21 @@ def _logit(psi):
     return math.copysign(math.inf, psi - 0.5)
 
 
-def _mode(parts, theta1, theta2, batch: bool):
-    """The weights' global mode at a finite theta_1, an int or shape (P, 1):
-    the first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y), given
-    ``_kernel_row(n)`` as ``parts``.  At omega = 1 the last term is 0.0,
-    which moves no entry past another, and is left out."""
+def _natural(params: ModelParams) -> tuple[int, float, float]:
+    """(n, theta_1, theta_2) = (n, logit psi, log omega), ``_kernel``'s
+    arguments at a checked triple: ``_logit``'s scalar branch, inline,
+    as calling it would add its array test to every single-point call."""
+    n, psi, omega = params
+    if 0.0 < psi < 1.0:
+        return n, math.log(psi) - math.log1p(-psi), math.log(omega)
+    return n, math.copysign(math.inf, psi - 0.5), math.log(omega)
+
+
+def _mode(parts, theta1, theta2):
+    """The weights' global modes at finite theta_1, shape (P, 1): the
+    first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y) per row,
+    given ``_kernel_row(n)`` as ``parts``.  At omega = 1 the last term
+    is 0.0, which moves no entry past another, and is left out."""
     y, cross, log_binom = parts
     top = y * theta1
     top += log_binom
@@ -262,45 +275,31 @@ def _mode(parts, theta1, theta2, batch: bool):
         tilt = theta2 * cross
         # a scalar theta_1 with a column of theta_2 widens the sum
         top = top + tilt if tilt.ndim > top.ndim else np.add(top, tilt, out=top)
-    m = top.argmax(axis=-1, keepdims=batch)
-    return m if batch else int(m)
+    return top.argmax(axis=-1, keepdims=True)
 
 
 def _log_weights(n: int, theta1, theta2):
-    """The log-weight kernel: (m, row), K_n's terms
-    w(y) = C(n, y) exp(theta_1 y + theta_2 y (n-y)) over y = 0..n on the
-    last axis, centred at their global mode m:
-
-        row[y] = [log C(n, y) - log C(n, m)] + (y - m) theta_1
-                 + theta_2 (y - m)(n - y - m),
-
-    the last product an exact integer, y (n-y) - m (n-m).
-    theta_1 = logit psi and theta_2 = log omega broadcast against y:
-    scalars give one row, arrays of shape (P, 1) a (P, n+1) block.  At
-    theta_1 = -inf or +inf (psi = 0 or 1) the row is a point mass at 0
-    or n.
+    """The block kernel: (m, rows), ``_kernel``'s row at each of P
+    parameter pairs, bit for bit.  theta_1 = logit psi and
+    theta_2 = log omega broadcast against y, one of them a column of
+    shape (P, 1), into a (P, n+1) block and m of shape (P, 1).  A block
+    with no psi edge (theta_1 = -inf or +inf, a point mass at 0 or n)
+    takes the shorter path.
     """
     y, cross, log_binom = parts = _kernel_row(n)
-    batch = isinstance(theta1, np.ndarray) or isinstance(theta2, np.ndarray)
-    edge = np.isinf(theta1) if batch else math.isinf(theta1)
-    if not (edge.any() if batch else edge):
-        m = _mode(parts, theta1, theta2, batch)
+    edge = np.isinf(theta1)
+    if not edge.any():
+        m = _mode(parts, theta1, theta2)
         row = log_binom - log_binom[m]
-        if batch:
-            shift = y - m
-            shift *= theta1
-        else:
-            shift = y.base[n - m:2 * n + 1 - m] * theta1
+        shift = y - m
+        shift *= theta1
         row += shift
         if isinstance(theta2, np.ndarray) or theta2:  # omega = 1 adds 0.0
             tilt = cross - cross[m]
             tilt *= theta2
             row += tilt
         return m, row
-    if not batch:
-        m = n * (theta1 > 0)
-        return m, np.where(y == m, 0.0, -np.inf)
-    m = np.where(edge, n * (theta1 > 0), _mode(parts, np.where(edge, 0.0, theta1), theta2, True))
+    m = np.where(edge, n * (theta1 > 0), _mode(parts, np.where(edge, 0.0, theta1), theta2))
     with np.errstate(invalid="ignore"):  # 0 * inf at an edge row's centre
         row = log_binom - log_binom[m] + (y - m) * theta1 + theta2 * (cross - cross[m])
     np.put_along_axis(row, m, 0.0, axis=-1)
@@ -346,8 +345,9 @@ def _logsumexp(terms: np.ndarray, axis=None):
     reach: the single-point sums of such terms (``_mass``, ``_log_tau``
     on one row) come here only when they fall below _SUM_FLOOR, where
     the shift keeps the terms that exp(_EXP_FLOOR) would flush.  The
-    batch ``_log_tau`` and ``factorization``'s Delta tables sum here
-    always.  With ``axis=None`` the whole array reduces to a Python
+    batch ``_log_tau`` and ``delta_grid``'s guarded cells sum here
+    always; ``factorization._log_delta`` sums one cell's Delta terms the
+    same way, inline.  With ``axis=None`` the whole array reduces to a Python
     float, its maximum tested by ``math.isfinite``; with an axis, that
     axis reduces and an array comes back.  Either way the shifted terms
     are raised to _EXP_FLOOR first, which cannot change a sum that holds
@@ -432,18 +432,44 @@ def _log_tau(r: int, row, log_sum, psi, log_omega=None, below: bool = False):
     return np.where(edge, r * (n - r) * log_omega, log_tau)
 
 
-def _kernel(n: int, psi: float, omega: float):
-    """(m, row, e, T, log omega): the kernel at (psi, omega), with
+def _kernel(n: int, theta1: float, theta2: float):
+    """The one-row kernel: (m, row, e, T), K_n's terms
+    w(y) = C(n, y) exp(theta_1 y + theta_2 y (n-y)) over y = 0..n at
+    theta_1 = logit psi and theta_2 = log omega, centred at their global
+    mode m, the first argmax of the uncentred log-weights:
+
+        row[y] = [log C(n, y) - log C(n, m)] + (y - m) theta_1
+                 + theta_2 (y - m)(n - y - m),
+
+    the last product an exact integer, y (n-y) - m (n-m), and y - m a
+    view of ``_kernel_row``'s offsets.  At theta_1 = -inf or +inf
+    (psi = 0 or 1) the row is a point mass at 0 or n.  With it come
     e = exp(max(row, _EXP_FLOOR)) (``_floored_exp``) and its total T, a
     Python float of at least 1, as the row's largest entry is 0.  The
     row's log-sum is np.log(T), taken only by the readers that return
-    logs: ``pmf``, ``sample``, ``joint_log_prob``, ``tau`` and ``log_k``.
-    The others read e and T as they stand (``_share``,
+    logs: ``pmf``, ``sample``, ``joint_log_prob``, ``tau``, ``log_k``
+    and the fit.  The others read e and T as they stand (``_share``,
     ``_falling_share``)."""
-    log_omega = math.log(omega)
-    m, row = _log_weights(n, _logit(psi), log_omega)
+    y, cross, log_binom = _kernel_row(n)
+    if math.isinf(theta1):  # psi = 0 or 1: a point mass
+        m = n * (theta1 > 0)
+        row = np.where(y == m, 0.0, -np.inf)
+    else:
+        top = y * theta1
+        top += log_binom
+        if theta2:  # omega = 1 adds 0.0, which moves no entry
+            tilt = cross * theta2
+            top += tilt
+        m = int(top.argmax())
+        row = log_binom - log_binom[m]
+        shift = y.base[n - m:2 * n + 1 - m] * theta1
+        row += shift
+        if theta2:
+            tilt = cross - cross[m]
+            tilt *= theta2
+            row += tilt
     e = _floored_exp(row)
-    return m, row, e, float(np.add.reduce(e)), log_omega
+    return m, row, e, float(np.add.reduce(e))
 
 
 def _falling_share(r: int, e: np.ndarray, total: float):
@@ -466,7 +492,10 @@ def _log_kn(n: int, psi: float, log_omega: float, m: int, log_sum) -> float:
     row's log-sum, rounded once (``math.fsum``).  Its largest part,
     theta_2 m (n-m), up to theta_2 n^2 / 4, enters as two products that
     are exact for n < 2^14, theta_2 split into halves of 26 bits
-    (Dekker 1971)."""
+    (Dekker 1971).  At n = 1, K_1 = psi + (1 - psi) = 1: log K_1 = 0
+    exactly."""
+    if n == 1:
+        return 0.0
     cross = m * (n - m)
     split = 134217729.0 * log_omega  # 2^27 + 1
     high = split - (split - log_omega)
@@ -492,11 +521,13 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     a = n that sum is log K_0 = 0 exactly, as ``tau`` reads
     log tau_n = -log K_n.
     """
-    n = ModelParams(n, psi, omega).n
+    params = ModelParams(n, psi, omega)
+    n, psi, _ = params
     a = _integer("a", a, 0, n)
     if a == n:
         return 0.0
-    m, row, _, total, log_omega = _kernel(n, psi, omega)
+    _, _, log_omega = natural = _natural(params)
+    m, row, _, total = _kernel(*natural)
     log_sum = float(np.log(total))
     log_kn = _log_kn(n, psi, log_omega, m, log_sum)
     return log_kn + _log_tau(a, row, log_sum, psi, log_omega) if a else log_kn
@@ -506,9 +537,10 @@ def tau(r: int, params: ModelParams) -> float:
     """The ratio tau_r = K_{n-r} / K_n, r in [1, n], read off the K_n
     row, at r = n as 1 / K_n, since K_0 = 1; +inf where it lies beyond
     the double range."""
-    n, psi, omega = params
+    n, psi, _ = params
     r = _integer("r", r, 1, n)
-    m, row, _, total, log_omega = _kernel(n, psi, omega)
+    _, _, log_omega = natural = _natural(params)
+    m, row, _, total = _kernel(*natural)
     log_sum = float(np.log(total))
     return _exp(-_log_kn(n, psi, log_omega, m, log_sum) if r == n
                 else _log_tau(r, row, log_sum, psi, log_omega))
@@ -518,8 +550,9 @@ def pmf(params: ModelParams) -> PmfTable:
     """Full log-pmf table over {0..n}: the kernel's centred row less its
     log-sum, in one pass.  psi in {0, 1} gives an exact point mass at 0
     or n."""
-    n, psi, omega = params
-    m, row, _, total, log_omega = _kernel(n, psi, omega)
+    n, psi, _ = params
+    _, _, log_omega = natural = _natural(params)
+    m, row, _, total = _kernel(*natural)
     log_sum = float(np.log(total))
     return PmfTable(params=params, log_prob=row - log_sum,
                     log_normalizer=_log_kn(n, psi, log_omega, m, log_sum))
@@ -530,7 +563,7 @@ def cdf(params: ModelParams, y: int) -> float:
     exponentials' sum over their total, with no log K_n; exactly 1 at
     y = n."""
     y = _integer("y", y, 0, params.n)
-    _, row, e, total, _ = _kernel(*params)
+    _, row, e, total = _kernel(*_natural(params))
     return _share(row, e, total, slice(y + 1))
 
 
@@ -576,20 +609,25 @@ def moments(params: ModelParams) -> MomentSummary:
     small correction: with d = sum p_y (y - m), the variance is
     sum p_y (y - m)^2 - d^2.  At psi = 0, where the table is a point
     mass and eta = tau_1, tau_1 may overflow while the mean stays 0.
+    At n = 1 the law is Bernoulli(psi): tau_1 = 1 and the mean is psi,
+    exactly.
     """
-    n, psi = params.n, params.psi
-    _, row, e, total, log_omega = _kernel(*params)
-    share = _falling_share(1, e, total)
-    t1 = _tau_r(1, psi, row, total, log_omega, share)[0]
-    # E[(Y)_2] / (n)_2 <= E[Y] / n, so tau_2's share is below the floor
-    # wherever tau_1's is
-    t2 = (_tau_r(2, psi, row, total, log_omega, share and _falling_share(2, e, total))[0]
-          if n >= 2 else math.nan)
+    n, psi, _ = params
+    _, _, log_omega = natural = _natural(params)
+    _, row, e, total = _kernel(*natural)
     log_prob = row - float(np.log(total))
     # raising the probabilities to exp(_EXP_FLOOR) moves a sum
     # p (y - m)^2 that reaches _SUM_FLOOR by less than (n + 1) n^2 e^-100
     # of itself, and a smaller one is read again
     mean, variance = _table_moments(np.exp(np.maximum(log_prob, _EXP_FLOOR)), log_prob)
+    if n == 1:  # K_0 = K_1 = 1: the law is Bernoulli(psi)
+        t1, t2, mean = 1.0, math.nan, psi
+    else:
+        share = _falling_share(1, e, total)
+        t1 = _tau_r(1, psi, row, total, log_omega, share)[0]
+        # E[(Y)_2] / (n)_2 <= E[Y] / n, so tau_2's share is below the
+        # floor wherever tau_1's is
+        t2 = _tau_r(2, psi, row, total, log_omega, share and _falling_share(2, e, total))[0]
     eta = variance / (n * psi) if psi > 0.0 else t1
     return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean,
                          variance=variance, pi=mean / n)
@@ -618,8 +656,11 @@ def _tau_r(r: int, psi: float, row: np.ndarray, total: float, log_omega: float,
 
 def _tau1_pi(params: ModelParams) -> tuple[float, float]:
     """(tau_1, pi = E[Y] / n = psi tau_1) off one kernel row
-    (``_tau_r``)."""
-    _, row, e, total, log_omega = _kernel(*params)
+    (``_tau_r``); (1, psi) exactly at n = 1, where K_0 = K_1 = 1."""
+    n, _, log_omega = natural = _natural(params)
+    if n == 1:
+        return 1.0, params.psi
+    _, row, e, total = _kernel(*natural)
     return _tau_r(1, params.psi, row, total, log_omega, _falling_share(1, e, total))
 
 
@@ -643,7 +684,7 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     # == compares complex values too, so 1+0j would pass for 1
     if b.dtype.kind not in "biuf" or y + np.count_nonzero(b == 0) != params.n:
         raise ValueError("bits must be 0/1 valued")
-    _, row, _, total, _ = _kernel(*params)
+    _, row, _, total = _kernel(*_natural(params))
     return float(row[y] - np.log(total) - _kernel_row(params.n)[2][y])
 
 
@@ -675,7 +716,7 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     loads numpy's random module.
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
-    _, row, _, total, _ = _kernel(*params)
+    _, row, _, total = _kernel(*_natural(params))
     cum = np.cumsum(np.exp(row - float(np.log(total))))
     cum[-1] = 1.0
     words = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8")

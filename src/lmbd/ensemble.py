@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, pmf
-from .core import (_Checked, _floored_exp, _integer, _kernel, _kernel_row, _log_sum, _log_weights,
-                   _mass, _positive, _probability, _share)
+from .core import (_Checked, _integer, _kernel, _kernel_row, _mass, _natural, _positive,
+                   _probability, _share)
 
 __all__ = [
     "EnsembleSpec",
@@ -129,9 +129,10 @@ def majority_threshold(n: int) -> int:
 
 def _majority_tail(params: ModelParams) -> float:
     """P(Y > q), the ``_share`` of the kernel row's tail at ``params``,
-    with no log K_n."""
-    _, row, e, total, _ = _kernel(*params)
-    return _share(row, e, total, slice(majority_threshold(params.n) + 1, None))
+    with no log K_n; q = n // 2 as ``majority_threshold`` reads it, off
+    the n that ``params`` has checked."""
+    _, row, e, total = _kernel(*_natural(params))
+    return _share(row, e, total, slice(params.n // 2 + 1, None))
 
 
 def ensemble_accuracy(spec: EnsembleSpec) -> float:
@@ -298,8 +299,8 @@ def fit_mle(sample: CountSample) -> FitResult:
     def derivs(theta: np.ndarray):
         # the kernel's log-pmf table in natural parameters, exact even
         # where psi rounds to 0 or 1
-        row = _log_weights(n, theta[0], theta[1])[1]
-        logp = row - _log_sum(row)
+        _, row, _, row_total = _kernel(n, theta[0], theta[1])
+        logp = row - float(np.log(row_total))
         g1, g2, s11, s12, s22 = (dev * np.exp(logp)).sum(axis=1).tolist()
         c11, c12, c22 = s11 - g1 * g1, s12 - g1 * g2, s22 - g2 * g2  # Cov(T)
         return (float((seen_counts * logp[seen]).sum()), [-total * g1, -total * g2],
@@ -368,9 +369,8 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
     if not math.isnan(fit.omega_hat):
         # the fitted law off the kernel at theta-hat, exact where psi-hat
         # rounds to 0 or 1
-        row = _log_weights(n, *fit.theta_hat)[1]
-        e = _floored_exp(row)
-        mbd_accuracy = _share(row, e, float(np.add.reduce(e)), slice(tail, None))
+        _, row, e, row_total = _kernel(n, *fit.theta_hat)
+        mbd_accuracy = _share(row, e, row_total, slice(tail, None))
     mbd = report("lmbd", {"psi": fit.psi_hat, "omega": fit.omega_hat},
                  fit.log_likelihood, mbd_accuracy, fit.converged)
 

@@ -30,10 +30,12 @@ Each term is a psi-only factor times an omega-only factor.  With
 a = max(psi, q) and b = min(psi, q), S_d = a^(d-1) [d]_{b/a}, and
 [d]_x = expm1(d log x) / expm1(log x) for x < 1, x^(d-1) [d]_{1/x} above
 1: no term divides by a linear factor, so Delta is as accurate on the
-lines psi in {1/2, 1} and omega = 1 as off them.  ``_delta_tables``
-builds both factors' logs, per psi and per omega; ``delta`` takes their
-log-sum-exp, and ``delta_grid`` exponentiates each table once and sums
-their products in one ``einsum``.  ``tau1_region_grid`` reads tau_1 the
+lines psi in {1/2, 1} and omega = 1 as off them.  ``_log_delta`` builds
+one cell's terms, its per-psi and per-omega logs by ``math``, and
+``delta`` takes their log-sum-exp; ``_delta_tables`` builds a grid's,
+both factors' logs per psi and per omega, and ``delta_grid``
+exponentiates each table once and sums their products in one
+``einsum``.  ``tau1_region_grid`` reads tau_1 the
 same way off K_n's kernel (``_grid_sums``).  One guard, ``_fill_guarded``,
 re-reads by a log-sum-exp each grid cell whose sums fall below exp(-300),
 where the factors flushed to 0 could matter.
@@ -115,27 +117,18 @@ class Theorem2Report(NamedTuple):
     relation: str  # one of "<", "=", ">"
 
 
-def _log_q_integer(e: np.ndarray, log_x):
-    """log [e]_x = log((1 - x^e) / (1 - x)) for integers e >= 1 and
-    x in [0, 1], given log x (-inf at x = 0): log e at x = 1, and expm1
-    keeps every digit near it."""
-    if not isinstance(log_x, np.ndarray):
-        return np.log(e if log_x == 0.0 else np.expm1(e * log_x) / math.expm1(log_x))
+def _log_q_integer(e: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """log [e]_x = log((1 - x^e) / (1 - x)) for a column of integers
+    e >= 1 and a row of x in [0, 1], given log x (-inf at x = 0): log e
+    at x = 1, and expm1 keeps every digit near it."""
     with np.errstate(invalid="ignore"):
         ratio = np.expm1(e * log_x) / np.expm1(log_x)
     return np.log(np.where(log_x == 0.0, e, ratio))
 
 
-def _xlogy(k, p):
-    """k log p with 0 log 0 = 0, for integers k >= 0 and p in [0, 1].
-
-    A scalar p takes ``math.log``, an array ``np.log``.  Only a p that
-    holds a 0 pays for the 0 log 0 case.
-    """
-    if not isinstance(p, np.ndarray):
-        if p > 0.0:
-            return k * math.log(p)
-        return np.where(k == 0, 0.0, -np.inf)
+def _xlogy(k, p: np.ndarray) -> np.ndarray:
+    """k log p with 0 log 0 = 0, for integers k >= 0 and an array of p
+    in [0, 1].  Only a p that holds a 0 pays for the 0 log 0 case."""
     if p.all():
         return k * np.log(p)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,50 +148,59 @@ def _delta_terms(n: int):
     return _kernel_row(n - 1)[2][:half], j, d, d - 1.0, e, e - 1.0, j * (n - j)
 
 
-def _delta_tables(n: int, psi, omega):
+def _delta_tables(n: int, psi: np.ndarray, omega: np.ndarray):
     """(A, B) with Delta = sum_j exp(A[j] + B[j]) over j = 0..floor(n/2)-1
-    (n >= 2): A the logs of the psi factors C(n-1, j) (psi q)^j S_{d_j},
-    B those of the omega factors omega^(j (n-j)) [d_j]_omega, divided by
-    (omega + 1) for odd n as [e_j]_{omega^2}, e_j = d_j / 2.
-
-    Scalars give one table row each; 1-D arrays give (terms, len(psi))
-    and (terms, len(omega)).  The per-psi and per-omega logs take
-    ``math`` on scalars and numpy on arrays, as ``_xlogy`` does.
+    (n >= 2) at each grid cell: A the logs of the psi factors
+    C(n-1, j) (psi q)^j S_{d_j}, of shape (terms, len(psi)), and B those
+    of the omega factors omega^(j (n-j)) [d_j]_omega, of shape
+    (terms, len(omega)), divided by (omega + 1) for odd n as
+    [e_j]_{omega^2}, e_j = d_j / 2.  ``_log_delta`` builds one cell's
+    terms the same way, its per-psi and per-omega logs by ``math``.
     """
-    parts = _delta_terms(n)
+    # dm1 = d - 1, em1 = e - 1
+    log_binom, j, d, dm1, e, em1, cross = (part[:, None] for part in _delta_terms(n))
     q = 1.0 - psi
-    if isinstance(psi, np.ndarray):
-        parts = (part[:, None] for part in parts)
-        a = np.maximum(psi, q)
-        log_a = np.log(a)
-        with np.errstate(divide="ignore"):
-            log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / a)
-        log_omega = np.log(omega)
-        theta = (1 + n % 2) * log_omega
-        rising, falling = np.maximum(theta, 0.0), -np.abs(theta)
-    else:
-        a = max(psi, q)
-        log_a = math.log(a)
+    a = np.maximum(psi, q)
+    with np.errstate(divide="ignore"):
         # b / a = 1 - |2 psi - 1| / a; it is 0 at psi in {0, 1}
-        gap = abs(2.0 * psi - 1.0) / a
-        log_ratio = math.log1p(-gap) if gap < 1.0 else -math.inf
-        log_omega = math.log(omega)
-        theta = (1 + n % 2) * log_omega
-        rising, falling = max(theta, 0.0), -abs(theta)
-    log_binom, j, d, dm1, e, em1, cross = parts  # dm1 = d - 1, em1 = e - 1
-    table_a = log_binom + _xlogy(j, psi * q) + dm1 * log_a + _log_q_integer(d, log_ratio)
+        log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / a)
+    log_omega = np.log(omega)
+    theta = (1 + n % 2) * log_omega
+    table_a = log_binom + _xlogy(j, psi * q) + dm1 * np.log(a) + _log_q_integer(d, log_ratio)
     # [e]_x = x^(e-1) [e]_{1/x} above x = 1
-    table_b = cross * log_omega + em1 * rising + _log_q_integer(e, falling)
+    table_b = cross * log_omega + em1 * np.maximum(theta, 0.0) + _log_q_integer(e, -np.abs(theta))
     return table_a, table_b
 
 
 def _log_delta(n: int, psi: float, omega: float) -> float:
     """log Delta at one point: -inf at n = 1, where Delta = 0, and 0 at
     n = 2, 3, where the one term is S_{n-1} = 1 (S_2 = psi + q) times
-    [n-1]_omega / (omega + 1)^[n odd] = 1."""
+    [n-1]_omega / (omega + 1)^[n odd] = 1.  From n = 4 on, the terms
+    A[j] + B[j] of ``_delta_tables`` at the cell, their per-psi and
+    per-omega logs by ``math``, summed by log-sum-exp about the largest,
+    which is finite (the j = 0 term is), as ``core._logsumexp`` sums."""
     if n < 4:
         return 0.0 if n > 1 else -math.inf
-    return _logsumexp(np.add(*_delta_tables(n, psi, omega)))
+    log_binom, j, d, dm1, e, em1, cross = _delta_terms(n)
+    q = 1.0 - psi
+    a = max(psi, q)
+    gap = abs(2.0 * psi - 1.0) / a  # 1 - b / a
+    log_ratio = math.log1p(-gap) if gap < 1.0 else -math.inf
+    log_omega = math.log(omega)
+    theta = (1 + n % 2) * log_omega
+    falling = -abs(theta)
+    pq = psi * q
+    terms = log_binom + (j * math.log(pq) if pq > 0.0 else np.where(j == 0, 0.0, -np.inf))
+    terms += dm1 * math.log(a)
+    terms += np.log(d if log_ratio == 0.0 else np.expm1(d * log_ratio) / math.expm1(log_ratio))
+    table_b = cross * log_omega
+    table_b += em1 * max(theta, 0.0)
+    table_b += np.log(e if falling == 0.0 else np.expm1(e * falling) / math.expm1(falling))
+    terms += table_b
+    top = float(terms.max())
+    terms -= top
+    np.maximum(terms, _EXP_FLOOR, out=terms)
+    return top + float(np.log(np.exp(terms, out=terms).sum()))
 
 
 def d_n(params: ModelParams) -> float:

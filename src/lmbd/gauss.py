@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, _integer, _kernel, _ordered, _table_moments
+from .core import ModelParams, _integer, _kernel, _natural, _ordered, _table_moments
 
 __all__ = ["CltScanRow", "standardized_ks_distance", "clt_scan"]
 
@@ -36,7 +36,7 @@ def standardized_ks_distance(params: ModelParams) -> float:
     off the same table as the cdf, summed about its mode as ``moments``
     sums its variance.  The table is ``pmf``'s, bit for bit: the kernel
     row less its log-sum, with no log K_n."""
-    _, row, _, total, _ = _kernel(*params)
+    _, row, _, total = _kernel(*_natural(params))
     log_prob = row - float(np.log(total))
     probs = np.exp(log_prob)
     mean, variance = _table_moments(probs, log_prob)

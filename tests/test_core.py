@@ -250,7 +250,7 @@ def kernel_share(row: np.ndarray, part: slice) -> float:
 
 
 def _row(n: int, psi: float, omega: float) -> np.ndarray:
-    return lmbd.core._log_weights(n, lmbd.core._logit(psi), math.log(omega))[1]
+    return lmbd.core._kernel(n, lmbd.core._logit(psi), math.log(omega))[1]
 
 
 class TestSinglePointReaders:
@@ -290,6 +290,16 @@ class TestSinglePointReaders:
         # one definition of tau_1, bit for bit
         p = ModelParams(n, psi, omega)
         assert moments(p).tau1 == lmbd.theorem2_check(p).tau1
+
+    @pytest.mark.parametrize("n,psi,omega", [cell for cell in READER_CELLS if cell[0] == 1])
+    def test_n_one_reads_bernoulli_exactly(self, n, psi, omega):
+        # K_0 = K_1 = 1: the law is Bernoulli(psi) whatever omega is
+        p = ModelParams(n, psi, omega)
+        ms = moments(p)
+        report = lmbd.theorem2_check(p)
+        assert tau(1, p) == ms.tau1 == report.tau1 == 1.0
+        assert marginal_pi(p) == ms.mean == ms.pi == report.pi == psi
+        assert log_k(1, 0, psi, omega) == pmf(p).log_normalizer == 0.0
 
     @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (2000, 1e-9, 0.5)])
     def test_no_log_k_n_beside_the_row(self, n, psi, omega, monkeypatch):
@@ -341,9 +351,10 @@ class TestSinglePointReaders:
     def test_a_pi_below_the_floor_reads_the_same_row(self, read, monkeypatch):
         # E[Y] / n ~ e^-645 falls below the floor and is read again off
         # the row already built
-        calls = _calls_to(monkeypatch, "_log_weights")
+        calls = _calls_to(monkeypatch, "_kernel")
+        blocks = _calls_to(monkeypatch, "_log_weights")
         assert read(ModelParams(2000, 0.42, 1e-8)) > 0.0
-        assert len(calls) == 1
+        assert len(calls) == 1 and blocks == []
 
 
 class TestMoments:
@@ -663,19 +674,14 @@ class TestEnumerationOracle:
         "theorem2_check"])
 @pytest.mark.parametrize("params", [ModelParams(7, 0.3, 1.5), ModelParams(64, 0.8, 0.9)])
 def test_one_kernel_pass_per_call(call, params, monkeypatch):
-    calls = []
-    kernel = lmbd.core._log_weights
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    # every module's name for the kernel
-    for module in (lmbd.core, lmbd.factorization):
-        monkeypatch.setattr(module, "_log_weights", counted)
+    calls = _calls_to(monkeypatch, "_kernel")
+    blocks = _calls_to(monkeypatch, "_log_weights")
+    # factorization's name for the block kernel counts too
+    monkeypatch.setattr(lmbd.factorization, "_log_weights", lmbd.core._log_weights)
     call(params)
     # d_n and delta read Delta's own tables, not K_n's terms
     assert len(calls) == (0 if call in (lmbd.d_n, lmbd.delta) else 1)
+    assert blocks == []
 
 
 def test_public_names_are_the_submodules_lists():

@@ -23,7 +23,7 @@ from lmbd import (
     sample,
 )
 
-from lmbd.core import _kernel_row, _log_sum, _log_weights, _logit
+from lmbd.core import _kernel, _kernel_row, _logit
 from lmbd.ensemble import _MAX_STEPS, _beta_binomial_log_lik, _newton_ascent
 
 from enumeration_oracle import enumerate_pmf_oracle
@@ -92,7 +92,7 @@ class TestBinomialAccuracy:
     def test_kernel_row_leaves_the_binomial_terms_bit_for_bit(self, n, p):
         # the omega = 1 kernel row adds theta_2 (y-m)(n-y-m) = 0.0 to the
         # bare binomial log-terms, centred at the mode m
-        m, row = _log_weights(n, _logit(p), 0.0)
+        m, row = _kernel(n, _logit(p), 0.0)[:2]
         y, _, log_binom = _kernel_row(n)
         with np.errstate(invalid="ignore"):  # 0 * inf at the psi edges' centre
             bare = log_binom - log_binom[m] + (y - m) * _logit(p)
@@ -222,8 +222,8 @@ class TestFitMle:
         theta1, theta2 = fit.theta_hat
         assert fit.omega_hat == math.exp(theta2)
         assert fit.psi_hat == pytest.approx(1.0 / (1.0 + math.exp(-theta1)), rel=1e-15)
-        row = _log_weights(n, theta1, theta2)[1]
-        log_prob = row - _log_sum(row)
+        _, row, _, total = _kernel(n, theta1, theta2)
+        log_prob = row - np.log(total)
         counts = np.asarray(s.counts, dtype=float)
         seen = counts > 0
         assert float(counts[seen] @ log_prob[seen]) == pytest.approx(

@@ -40,13 +40,13 @@ class TestStandardizedKsDistance:
     def test_one_pmf_table_per_distance(self, n, psi, omega, monkeypatch):
         # the table is the kernel row less its log-sum, off one kernel pass
         calls = []
-        kernel = lmbd.core._log_weights
+        kernel = lmbd.gauss._kernel
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(lmbd.core, "_log_weights", counted)
+        monkeypatch.setattr(lmbd.gauss, "_kernel", counted)
         standardized_ks_distance(ModelParams(n, psi, omega))
         assert len(calls) == 1
 

@@ -2,15 +2,16 @@
 against a 50-digit mpmath oracle (``mp_oracle``).
 
 ``core._kernel_row`` caches one read-only row per n, with log C(n, y) a
-mirrored cumulative sum of log((n-k)/(k+1)), and ``core._log_weights``
-centres K_n's terms at their global mode in the natural parameters
-(logit psi, log omega), so an entry rounds in proportion to its own
-size rather than to theta_2 n^2 / 4.  ``core._logsumexp`` floors its
-shifted terms before ``exp``.  The pmf bounds are twice the worst errors
-of that kernel on the cells below, which reach omega = 1e8 and the
-critical Curie-Weiss coupling omega = e^(-2/n); the kernel before it,
-with log C(n, y) off an ``lgamma`` table and the uncentred product
-theta_2 y (n-y), was off by up to 3.9e-9 at n = 2000 on those cells.
+mirrored cumulative sum of log((n-k)/(k+1)).  ``core._kernel`` (one row)
+and ``core._log_weights`` (a block) centre K_n's terms at their global
+mode in the natural parameters (logit psi, log omega), so an entry
+rounds in proportion to its own size rather than to theta_2 n^2 / 4.
+``core._logsumexp`` floors its shifted terms before ``exp``.  The pmf
+bounds are twice the worst errors of that kernel on the cells below,
+which reach omega = 1e8 and the critical Curie-Weiss coupling
+omega = e^(-2/n); the kernel before it, with log C(n, y) off an
+``lgamma`` table and the uncentred product theta_2 y (n-y), was off by
+up to 3.9e-9 at n = 2000 on those cells.
 ``tau`` and ``log_k`` read tau_r off the same row as a falling-factorial
 moment (``core._log_tau``); the oracle sums each K_{n-r} by its own
 definition instead.
@@ -29,8 +30,8 @@ from hypothesis import strategies as st
 
 import lmbd
 from lmbd import EnsembleSpec, ModelParams, cdf, ensemble_accuracy, log_k, marginal_pi, pmf, tau
-from lmbd.core import (_kernel_row, _log_falling_ratio, _log_sum, _log_weights, _logit,
-                       _logsumexp)
+from lmbd.core import (_floored_exp, _kernel, _kernel_row, _log_falling_ratio, _log_sum,
+                       _log_weights, _logit, _logsumexp)
 from lmbd.factorization import _xlogy
 
 import mp_oracle
@@ -83,9 +84,6 @@ def test_kernel_rows_are_read_only(m):
 
 def test_xlogy_takes_zero_log_zero_as_zero():
     k = np.arange(4)
-    assert list(_xlogy(k, 0.0)) == [0.0, -np.inf, -np.inf, -np.inf]
-    assert list(_xlogy(k, 1.0)) == [0.0, 0.0, 0.0, 0.0]
-    assert _xlogy(0, 0.0) == 0.0
     p = np.array([[[0.0]], [[0.5]]])
     got = _xlogy(k, p)
     assert got.shape == (2, 1, 4)
@@ -95,30 +93,34 @@ def test_xlogy_takes_zero_log_zero_as_zero():
 
 def test_kernel_puts_the_psi_edges_on_one_term():
     # psi = 0 puts all weight on y = 0, psi = 1 on y = n
-    m0, w0 = _log_weights(6, _logit(0.0), math.log(1.5))
-    m1, w1 = _log_weights(6, _logit(1.0), math.log(1.5))
+    m0, w0 = _kernel(6, _logit(0.0), math.log(1.5))[:2]
+    m1, w1 = _kernel(6, _logit(1.0), math.log(1.5))[:2]
     assert m0 == 0 and w0[0] == 0.0 and np.isneginf(w0[1:]).all()
     assert m1 == 6 and w1[-1] == 0.0 and np.isneginf(w1[:-1]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
 def test_batches_match_scalar_rows_bit_for_bit(n):
-    # the kernel's (P, 1) blocks, as the grids and convergence reports
-    # build them, against its scalar rows at the same theta: psi edges,
-    # two wells (omega < 1) and omega = 1 among them
+    # the block kernel's (P, 1) blocks, as the grids and convergence
+    # reports build them, against the one-row kernel at the same theta:
+    # psi edges, two wells (omega < 1) and omega = 1 among them
     psis = (0.0, 1e-300, 0.3, 0.5, 0.55, 1 - 1e-16, 1.0)
     log_omegas = (-18.4, -2.0 / n, -1e-3, 0.0, 0.7, 18.4)
     cells = [(_logit(p), w) for p in psis for w in log_omegas]
     theta1, theta2 = (np.array(column)[:, None] for column in zip(*cells))
-    rows = [_log_weights(n, t1, t2)[1] for t1, t2 in cells]
-    assert np.array_equal(_log_weights(n, theta1, theta2)[1], rows)
+    kernels = [_kernel(n, t1, t2) for t1, t2 in cells]
+    for _, row, e, total in kernels:  # e and T are the row's floored exponentials
+        assert np.array_equal(e, _floored_exp(row)) and total == float(np.add.reduce(e))
+    m, block = _log_weights(n, theta1, theta2)
+    assert np.array_equal(block, [k[1] for k in kernels])
+    assert m[:, 0].tolist() == [k[0] for k in kernels]
     per_psi = theta1[::len(log_omegas)]
     for t2 in log_omegas:  # one theta_2 for the block, as the grids pass
         block = _log_weights(n, per_psi, t2)[1]
-        assert np.array_equal(block, [_log_weights(n, t1, t2)[1] for t1 in per_psi[:, 0]])
+        assert np.array_equal(block, [_kernel(n, t1, t2)[1] for t1 in per_psi[:, 0]])
     for t1 in per_psi[:, 0]:  # one theta_1, as the reports pass
         block = _log_weights(n, t1, theta2[:len(log_omegas)])[1]
-        assert np.array_equal(block, [_log_weights(n, t1, t2)[1] for t2 in log_omegas])
+        assert np.array_equal(block, [_kernel(n, t1, t2)[1] for t2 in log_omegas])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 2000])
@@ -131,7 +133,7 @@ def test_mode_is_the_first_argmax_at_and_next_to_omega_one(n):
     theta1s = [_logit(0.5)] + [math.log((k + 1) / (n - k)) for k in sorted(ks)]
     for theta2 in (0.0, math.log1p(1e-12), math.log1p(-1e-12)):
         first = [int(np.argmax(log_binom + y * t1 + theta2 * cross)) for t1 in theta1s]
-        assert [_log_weights(n, t1, theta2)[0] for t1 in theta1s] == first
+        assert [_kernel(n, t1, theta2)[0] for t1 in theta1s] == first
         m = _log_weights(n, np.array(theta1s)[:, None], theta2)[0]
         assert m.shape == (len(theta1s), 1) and m[:, 0].tolist() == first
 
@@ -151,7 +153,7 @@ def _falling_moment_terms(row: np.ndarray, r: int) -> np.ndarray:
 
 def test_logsumexp_floor_leaves_bits_unchanged():
     # terms far below the maximum, where exp underflows and the floor acts
-    rows = [_log_weights(n, _logit(psi), math.log(omega))[1]
+    rows = [_kernel(n, _logit(psi), math.log(omega))[1]
             for n in (5, 64, 500, 2000)
             for psi in (1e-9, 0.3, 0.5, 0.99)
             for omega in (1e-8, 0.5, 1.0, 1.5, 1e8)]
@@ -213,7 +215,7 @@ def _kernel_cases(draw):
 def test_kernel_property_oracle(case):
     n, psi, omega = case
     theta1, theta2 = _logit(psi), math.log(omega)
-    m = int(_log_weights(n, theta1, theta2)[0])
+    m = _kernel(n, theta1, theta2)[0]
     exact = mp_oracle.log_weights(n, psi, omega)
     if math.isinf(theta1):
         assert m == (n if theta1 > 0 else 0)
