@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_Checked, _exp, _integer, _interior, _log_sum, _log_tau, _log_weights, _logit,
-                   _ordered, _positive, _table_moments)
+from .core import (_Checked, _integer, _interior, _log_sum, _log_weights, _logit, _ordered,
+                   _positive, _table_moments, _tau)
 
 __all__ = [
     "LimitRegime",
@@ -100,7 +100,8 @@ def tau_limit(j: int, regime: LimitRegime, psi: float) -> float:
     if regime.psi_edge != "none":
         raise ValueError(f"tau_limit needs interior psi, got psi_edge={regime.psi_edge!r}")
     j = _integer("j", j, 1, regime.n)
-    return _exp(_log_tau(j, _limit_row(regime, psi), 0.0, psi))
+    row = _limit_row(regime, psi)
+    return _tau(j, psi, None, row, np.exp(row), 1.0)[0]
 
 
 def _masses(row: np.ndarray, probs: np.ndarray) -> dict[int, float]:
@@ -122,7 +123,7 @@ def limit_moments(regime: LimitRegime, psi: float) -> tuple[float, float]:
     """Limiting (mean, variance) of the regime: those of its
     ``limit_distribution``."""
     row = _limit_row(regime, psi)
-    return _table_moments(np.exp(row), row)
+    return _table_moments(np.exp(row), row, 1.0)
 
 
 def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitReport:
@@ -153,4 +154,4 @@ def convergence_report(regime: LimitRegime, psi: float, probe_points) -> LimitRe
     kernel = _log_weights(regime.n, _logit(psi), np.log(probes)[:, None])[1]
     probs = np.exp(kernel - _log_sum(kernel)[:, None])
     evidence = tuple(zip(probes, probs[:, row == -np.inf].sum(axis=-1).tolist()))
-    return LimitReport(regime, *_table_moments(limit, row), _masses(row, limit), evidence)
+    return LimitReport(regime, *_table_moments(limit, row, 1.0), _masses(row, limit), evidence)

@@ -30,15 +30,18 @@ at psi = 1/2 is symmetric bit for bit.  psi = 0 and 1 are theta_1 = -inf
 and +inf, a point mass with no 0 log 0 case.  Every quantity is read off
 that row: log K_n is the log of its term at m plus the log of the row's
 sum, whose largest term is 1, and tau_r = K_{n-r} / K_n is a
-falling-factorial moment of it, E[(Y)_r] / ((n)_r psi^r) (``_log_tau``).
+falling-factorial moment of it, E[(Y)_r] / ((n)_r psi^r).
 The row's entries are at most 0, so their exponentials e_y cannot
 overflow, and ``_kernel`` takes them in one pass along with their total
-T >= 1, whose log is the log-sum.  A probability or a moment that is not
-returned as a log is a ratio of linear sums over e: a cdf or a tail is
-sum e_y / T (``_share``), pi = E[Y] / n is sum y e_y / (n T) and tau_r,
-r = 1, 2, is sum (y)_r e_y / ((n)_r T psi^r) (``_falling_share``).
-Only a sum below _SUM_FLOOR T, _SUM_FLOOR = e^-600, is read again by
-log-sum-exp, off the same row.
+T >= 1, whose log, ``math.log(T)``, is the log-sum; no reader but
+``sample`` exponentiates the row again.  A probability or a moment is a
+ratio of linear sums over e: a cdf or a tail is sum e_y / T
+(``_share``), the mean and the variance are those of p = e / T
+(``_table_moments``), and every tau_r, pi = E[Y] / n among them, has
+one definition (``_tau``): s_r = sum (y)_r e_y / ((n)_r T), with
+integer weights at r = 1, 2, and tau_r = s_r / psi^r.  Only a sum
+below _SUM_FLOOR T, _SUM_FLOOR = e^-600, is read again by log-sum-exp,
+off the same row.
 """
 
 from __future__ import annotations
@@ -175,9 +178,10 @@ class PmfTable(NamedTuple):
 class MomentSummary(NamedTuple):
     """tau ratios and the induced mean/variance/marginal.
 
-    mean and variance are read off the pmf table, variance = n psi eta
-    (eta = tau_1 at psi = 0), and pi = mean / n = psi tau1 is the
-    per-trial marginal success probability.  In closed form
+    mean and variance are read off the kernel row's table p = e / T,
+    variance = n psi eta (eta = tau_1 at psi = 0), and
+    pi = psi tau1 = E[Y] / n is the per-trial marginal success
+    probability, ``marginal_pi``'s value.  In closed form
     eta = tau1 - psi (n tau1^2 - (n-1) tau2).  ``tau2`` is NaN for n = 1
     (it does not exist there and carries coefficient zero).
     """
@@ -325,16 +329,11 @@ def _floored_exp(terms: np.ndarray) -> np.ndarray:
     return np.exp(terms, out=terms)
 
 
-def _floored_sum(terms: np.ndarray):
-    """sum(exp(terms)) over the last axis, by ``_floored_exp``."""
-    return np.add.reduce(_floored_exp(terms), axis=-1)
-
-
 def _log_sum(row: np.ndarray):
-    """log(sum(exp(row))) over the last axis of a kernel row, whose
-    largest term is exp(0) = 1, so that its sum is at least 1: neither a
-    shift nor _SUM_FLOOR's test is needed."""
-    return np.log(_floored_sum(row))
+    """log(sum(exp(row))) over the last axis of a block of kernel rows:
+    each row's largest term is exp(0) = 1, so that its sum is at least
+    1, and neither a shift nor _SUM_FLOOR's test is needed."""
+    return np.log(np.add.reduce(_floored_exp(row), axis=-1))
 
 
 def _logsumexp(terms: np.ndarray, axis=None):
@@ -342,11 +341,11 @@ def _logsumexp(terms: np.ndarray, axis=None):
     Higham & Higham 2021); an infinite or NaN maximum passes through.
 
     The shift guards against overflow, which terms at most about 0 cannot
-    reach: the single-point sums of such terms (``_mass``, ``_log_tau``
-    on one row) come here only when they fall below _SUM_FLOOR, where
-    the shift keeps the terms that exp(_EXP_FLOOR) would flush.  The
-    batch ``_log_tau`` and ``delta_grid``'s guarded cells sum here
-    always; ``factorization._log_delta`` sums one cell's Delta terms the
+    reach: the single-point sums of such terms (``_share``, ``_tau``)
+    come here only when they fall below _SUM_FLOOR, where the shift
+    keeps the terms that exp(_EXP_FLOOR) would flush.  The block
+    ``_log_tau`` and ``delta_grid``'s guarded cells sum here always;
+    ``factorization._log_delta`` sums one cell's Delta terms the
     same way, inline.  With ``axis=None`` the whole array reduces to a Python
     float, its maximum tested by ``math.isfinite``; with an axis, that
     axis reduces and an array comes back.  Either way the shifted terms
@@ -369,26 +368,17 @@ def _logsumexp(terms: np.ndarray, axis=None):
     return top + np.log(np.add.reduce(shifted, axis=axis))
 
 
-def _mass(log_probs: np.ndarray) -> float:
-    """The probability of a slice of a log-pmf table that has no kernel
-    row behind it (the Beta-Binomial's, a Binomial log-likelihood's),
-    capped at 1 against rounding: its probabilities summed as they stand
-    (``_floored_sum``), or, where that sum falls below _SUM_FLOOR, exp of
-    their ``_logsumexp``, which keeps the terms the floor flushes."""
-    total = float(_floored_sum(log_probs))
-    return min(1.0, total) if total >= _SUM_FLOOR else math.exp(_logsumexp(log_probs))
-
-
 def _share(row: np.ndarray, e: np.ndarray, total: float, part: slice) -> float:
     """The probability of the support's slice ``part`` off a kernel row,
-    its floored exponentials ``e`` and their ``total`` (``_kernel``):
-    sum(e[part]) / total, capped at 1 against rounding.  Where that sum
-    falls below _SUM_FLOOR total, the row's own ``_logsumexp`` over
-    ``part`` less log total, which keeps the terms the floor flushes."""
+    its floored exponentials ``e`` and their ``total`` (``_kernel``), or
+    off a log-pmf row with total 1: sum(e[part]) / total, capped at 1
+    against rounding.  Where that sum falls below _SUM_FLOOR total, the
+    row's own ``_logsumexp`` over ``part`` less log total, which keeps
+    the terms the floor flushes."""
     mass = float(np.add.reduce(e[part]))
     if mass >= _SUM_FLOOR * total:
         return min(1.0, mass / total)
-    return math.exp(_logsumexp(row[part] - float(np.log(total))))
+    return math.exp(_logsumexp(row[part] - math.log(total)))
 
 
 @_row_cache
@@ -401,32 +391,17 @@ def _log_falling_ratio(n: int, r: int):
     return (out,)
 
 
-def _log_tau(r: int, row, log_sum, psi, log_omega=None, below: bool = False):
-    """log tau_r off a row of K_n's log-weights whose largest entry is 0
-    or near it, and whose log-sum is ``log_sum``: C(n-r, y-r) =
-    C(n, y) (y)_r / (n)_r makes tau_r the moment E[(Y)_r] / ((n)_r psi^r)
-    of the law the row holds.  ``psi`` and ``log_omega`` broadcast
-    against the other axes of ``row``; at psi = 0, where
-    E[(Y)_r] = psi^r = 0, tau_r = omega^(r (n-r)), the one place
-    ``log_omega`` is read.
-
-    The moment's terms, row + log[(y)_r / (n)_r], are at most about 0.
-    On one row they are summed as they stand and the sum's ``math.log``
-    taken, or their ``_logsumexp`` below _SUM_FLOOR, as ``_mass`` reads
-    them, at once where the caller has found the moment ``below`` the
-    floor already; the result is a Python float.  A block of rows keeps the
-    log-sum-exp on every row: it comes only from ``factorization``'s
-    guarded grid cells, the few whose grid sums fell below that module's
-    own floor, ``_GRID_SUM_FLOOR`` = e^-300, and a linear pass would
-    need a second, masked one for its rows below e^-600."""
-    n = row.shape[-1] - 1
-    terms = row[..., r:] + _log_falling_ratio(n, r)[0]
-    if row.ndim == 1:
-        if psi == 0.0:
-            return r * (n - r) * log_omega
-        total = 0.0 if below else float(_floored_sum(terms))
-        log_moment = math.log(total) if total >= _SUM_FLOOR else _logsumexp(terms)
-        return log_moment - log_sum - r * math.log(psi)
+def _log_tau(r: int, rows: np.ndarray, log_sum, psi, log_omega):
+    """log tau_r at each of a block of K_n's kernel rows, whose log-sums
+    are ``log_sum``, by a log-sum-exp of the moment's terms
+    row + log[(y)_r / (n)_r] (see ``_tau``); ``psi`` and ``log_omega``
+    broadcast against the block's first axis, and at psi = 0
+    tau_r = omega^(r (n-r)).  It serves only ``factorization``'s guarded
+    grid cells, the few whose grid sums fell below that module's own
+    floor, ``_GRID_SUM_FLOOR`` = e^-300, where a linear pass would need a
+    second, masked one for its rows below e^-600."""
+    n = rows.shape[-1] - 1
+    terms = rows[..., r:] + _log_falling_ratio(n, r)[0]
     edge = psi == 0.0
     log_tau = _logsumexp(terms, axis=-1) - log_sum - r * np.log(psi + edge)  # log 1 at psi = 0
     return np.where(edge, r * (n - r) * log_omega, log_tau)
@@ -446,10 +421,11 @@ def _kernel(n: int, theta1: float, theta2: float):
     (psi = 0 or 1) the row is a point mass at 0 or n.  With it come
     e = exp(max(row, _EXP_FLOOR)) (``_floored_exp``) and its total T, a
     Python float of at least 1, as the row's largest entry is 0.  The
-    row's log-sum is np.log(T), taken only by the readers that return
-    logs: ``pmf``, ``sample``, ``joint_log_prob``, ``tau``, ``log_k``
-    and the fit.  The others read e and T as they stand (``_share``,
-    ``_falling_share``)."""
+    readers take no second exponential of the row: they read e and T as
+    they stand (``_share``, ``_tau``, ``_table_moments``), and the
+    row's log-sum is ``math.log(T)``.  ``sample`` alone exponentiates
+    row - log T again, as e is e^-700 rather than 0 off a psi-edge point
+    mass, where no draw may land."""
     y, cross, log_binom = _kernel_row(n)
     if math.isinf(theta1):  # psi = 0 or 1: a point mass
         m = n * (theta1 > 0)
@@ -472,18 +448,56 @@ def _kernel(n: int, theta1: float, theta2: float):
     return m, row, e, float(np.add.reduce(e))
 
 
-def _falling_share(r: int, e: np.ndarray, total: float):
-    """E[(Y)_r] / (n)_r, r = 1 or 2, off a kernel row's floored
-    exponentials ``e`` and their ``total``: sum (y)_r e_y / ((n)_r T).
-    The weights (y)_r are integers, so no product is subnormal.  None
-    where the sum falls below _SUM_FLOOR T, psi = 0 included; the caller
-    then reads tau_r off the row by log-sum-exp (``_log_tau``)."""
-    n = len(e) - 1
-    y = _kernel_row(n)[0]
-    moment = float(np.add.reduce((y if r == 1 else y * (y - 1.0)) * e))
-    if moment < _SUM_FLOOR * total:
-        return None
-    return moment / ((n if r == 1 else n * (n - 1)) * total)
+# the smallest normal double: a power psi^r below it has lost bits
+_NORMAL_MIN = 2.0 ** -1022
+
+
+def _tau(r: int, psi: float, log_omega, row: np.ndarray, e: np.ndarray, total: float):
+    """(tau_r, log tau_r, s_r), r in [1, n], off one kernel row, its
+    floored exponentials ``e`` and their ``total`` T (``_kernel``), with
+    s_r = E[(Y)_r] / (n)_r: C(n-r, y-r) = C(n, y) (y)_r / (n)_r makes
+    tau_r = K_{n-r} / K_n the moment s_r / psi^r of the law the row
+    holds.  This is the one reader of tau_r, and of pi = s_1 = E[Y] / n,
+    at most 1 even where tau_1 overflows.
+
+    s_r is a linear sum over T: sum (y)_r e_y / ((n)_r T) with the
+    integer weights y and y (y-1) at r = 1, 2, so that no product is
+    subnormal, and above them the floored exponentials of the terms
+    row + log[(y)_r / (n)_r].  tau_r = s_r / psi^r is divided last.
+    Where psi^r is subnormal or the quotient lies beyond the double
+    range, log tau_r = log s_r - r log psi instead, and tau_r is its
+    exp, +inf beyond the double range.  Only a sum below _SUM_FLOOR T is
+    read in logs, by ``_logsumexp`` over those terms.  At n = 1 the law
+    is Bernoulli(psi): tau_1 = 1 and s_1 = psi exactly.  At psi = 0,
+    tau_r = omega^(r (n-r)), the one place ``log_omega`` is read."""
+    n = len(row) - 1
+    if n == 1:  # K_0 = K_1 = 1
+        return 1.0, 0.0, psi
+    if psi == 0.0:
+        log_tau = r * (n - r) * log_omega
+        return _exp(log_tau), log_tau, 0.0
+    if r > 2:
+        terms = row[r:] + _log_falling_ratio(n, r)[0]
+        moment, scale = float(np.add.reduce(_floored_exp(terms))), total
+    else:
+        terms, y = None, _kernel_row(n)[0]
+        moment = float(np.add.reduce((y if r == 1 else y * (y - 1.0)) * e))
+        scale = (n if r == 1 else n * (n - 1)) * total
+    if moment >= _SUM_FLOOR * total:
+        share = moment / scale
+        power = psi ** r
+        if power >= _NORMAL_MIN:
+            t = share / power
+            if t < math.inf:
+                return t, math.log(t), share
+        log_share = math.log(share)
+    else:
+        if terms is None:
+            terms = row[r:] + _log_falling_ratio(n, r)[0]
+        log_share = _logsumexp(terms) - math.log(total)
+        share = math.exp(log_share)
+    log_tau = log_share - r * math.log(psi)
+    return _exp(log_tau), log_tau, share
 
 
 def _log_kn(n: int, psi: float, log_omega: float, m: int, log_sum) -> float:
@@ -527,23 +541,22 @@ def log_k(n: int, a: int, psi: float, omega: float) -> float:
     if a == n:
         return 0.0
     _, _, log_omega = natural = _natural(params)
-    m, row, _, total = _kernel(*natural)
-    log_sum = float(np.log(total))
-    log_kn = _log_kn(n, psi, log_omega, m, log_sum)
-    return log_kn + _log_tau(a, row, log_sum, psi, log_omega) if a else log_kn
+    m, row, e, total = _kernel(*natural)
+    log_kn = _log_kn(n, psi, log_omega, m, math.log(total))
+    return log_kn + _tau(a, psi, log_omega, row, e, total)[1] if a else log_kn
 
 
 def tau(r: int, params: ModelParams) -> float:
     """The ratio tau_r = K_{n-r} / K_n, r in [1, n], read off the K_n
-    row, at r = n as 1 / K_n, since K_0 = 1; +inf where it lies beyond
-    the double range."""
+    row (``_tau``), at r = n as 1 / K_n, since K_0 = 1; +inf where it
+    lies beyond the double range."""
     n, psi, _ = params
     r = _integer("r", r, 1, n)
     _, _, log_omega = natural = _natural(params)
-    m, row, _, total = _kernel(*natural)
-    log_sum = float(np.log(total))
-    return _exp(-_log_kn(n, psi, log_omega, m, log_sum) if r == n
-                else _log_tau(r, row, log_sum, psi, log_omega))
+    m, row, e, total = _kernel(*natural)
+    if r == n:
+        return _exp(-_log_kn(n, psi, log_omega, m, math.log(total)))
+    return _tau(r, psi, log_omega, row, e, total)[0]
 
 
 def pmf(params: ModelParams) -> PmfTable:
@@ -553,7 +566,7 @@ def pmf(params: ModelParams) -> PmfTable:
     n, psi, _ = params
     _, _, log_omega = natural = _natural(params)
     m, row, _, total = _kernel(*natural)
-    log_sum = float(np.log(total))
+    log_sum = math.log(total)
     return PmfTable(params=params, log_prob=row - log_sum,
                     log_normalizer=_log_kn(n, psi, log_omega, m, log_sum))
 
@@ -577,30 +590,36 @@ def _moment_sums(probs: np.ndarray, dev: np.ndarray) -> tuple[float, float]:
     return d, float(np.add.reduce(terms))
 
 
-def _table_moments(probs: np.ndarray, log_probs: np.ndarray) -> tuple[float, float]:
-    """(mean, variance) of a pmf table, ``log_probs`` its logs, both
-    summed about its mode m (see ``moments``).
+def _table_moments(e: np.ndarray, row: np.ndarray, total: float) -> tuple[float, float]:
+    """(mean, variance) of the law a log-weight row holds, ``e`` its
+    exponentials and ``total`` their sum (``_kernel``'s, or a log-pmf
+    row's with T = 1), both summed about the mode m of p = e / T (see
+    ``moments``).
 
     Where sum p (y - m)^2 falls below _SUM_FLOOR, so does every
     p (y - m) off the mode, which may be subnormal and keep few bits:
-    both sums are taken again over p e^600 = exp(log p + 600), the
-    addition exact for log p in [-1200, -300], and scaled back once.
-    Those scaled terms are raised to exp(_EXP_FLOOR) first, which moves
-    the sums by less than 2^-1074 once scaled back."""
+    both sums are taken again over p e^600 = exp(log p + 600), with
+    log p = row - log T, the addition exact for log p in [-1200, -300],
+    and scaled back once.  Those scaled terms are raised to
+    exp(_EXP_FLOOR) first, which moves the sums by less than 2^-1074
+    once scaled back.  Above the floor, the kernel's raising of e to
+    exp(_EXP_FLOOR) moves sum p (y - m)^2 by less than
+    (n + 1) n^2 e^-100 of itself."""
+    probs = e / total
     mode = int(probs.argmax())
     dev = np.arange(-mode, len(probs) - mode, dtype=float)
     d, d2 = _moment_sums(probs, dev)
     if d2 < _SUM_FLOOR:
-        scaled = np.maximum(log_probs - _LOG_SUM_FLOOR, _EXP_FLOOR)
+        scaled = np.maximum(row - math.log(total) - _LOG_SUM_FLOOR, _EXP_FLOOR)
         d, d2 = (s * _SUM_FLOOR for s in _moment_sums(np.exp(scaled, out=scaled), dev))
     return mode + d, max(0.0, d2 - d * d)
 
 
 def moments(params: ModelParams) -> MomentSummary:
-    """tau_1, tau_2, the mean and the variance off one kernel row, with
-    no log K_n: tau_1 and tau_2 as ``theorem2_check`` reads tau_1
-    (``_tau_r``), the mean and the variance off ``pmf``'s table, the row
-    less its log-sum.
+    """tau_1, tau_2, pi, the mean and the variance off one kernel row,
+    with no log K_n: tau_1, tau_2 and pi by ``_tau``, the reader that
+    ``tau`` and ``marginal_pi`` share, the mean and the variance off the table
+    p = e / T (``_table_moments``).
 
     The closed form n psi (tau_1 - psi (n tau_1^2 - (n-1) tau_2)) cancels
     O(n^2) terms down to the variance, and a sum about the mean loses the
@@ -609,65 +628,28 @@ def moments(params: ModelParams) -> MomentSummary:
     small correction: with d = sum p_y (y - m), the variance is
     sum p_y (y - m)^2 - d^2.  At psi = 0, where the table is a point
     mass and eta = tau_1, tau_1 may overflow while the mean stays 0.
-    At n = 1 the law is Bernoulli(psi): tau_1 = 1 and the mean is psi,
-    exactly.
+    At n = 1 the law is Bernoulli(psi): tau_1 = 1, the mean and pi are
+    psi, the variance psi (1 - psi) and eta 1 - psi, exactly.
     """
     n, psi, _ = params
+    if n == 1:  # K_0 = K_1 = 1
+        return MomentSummary(tau1=1.0, tau2=math.nan, eta=1.0 - psi, mean=psi,
+                             variance=psi * (1.0 - psi), pi=psi)
     _, _, log_omega = natural = _natural(params)
     _, row, e, total = _kernel(*natural)
-    log_prob = row - float(np.log(total))
-    # raising the probabilities to exp(_EXP_FLOOR) moves a sum
-    # p (y - m)^2 that reaches _SUM_FLOOR by less than (n + 1) n^2 e^-100
-    # of itself, and a smaller one is read again
-    mean, variance = _table_moments(np.exp(np.maximum(log_prob, _EXP_FLOOR)), log_prob)
-    if n == 1:  # K_0 = K_1 = 1: the law is Bernoulli(psi)
-        t1, t2, mean = 1.0, math.nan, psi
-    else:
-        share = _falling_share(1, e, total)
-        t1 = _tau_r(1, psi, row, total, log_omega, share)[0]
-        # E[(Y)_2] / (n)_2 <= E[Y] / n, so tau_2's share is below the
-        # floor wherever tau_1's is
-        t2 = _tau_r(2, psi, row, total, log_omega, share and _falling_share(2, e, total))[0]
+    mean, variance = _table_moments(e, row, total)
+    t1, _, pi = _tau(1, psi, log_omega, row, e, total)
+    t2 = _tau(2, psi, log_omega, row, e, total)[0]
     eta = variance / (n * psi) if psi > 0.0 else t1
-    return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean,
-                         variance=variance, pi=mean / n)
-
-
-def _tau_r(r: int, psi: float, row: np.ndarray, total: float, log_omega: float,
-           share: float | None) -> tuple[float, float]:
-    """(tau_r, E[(Y)_r] / (n)_r), r = 1 or 2, off one kernel row, the
-    total T of its floored exponentials and their ``_falling_share`` s:
-    tau_r = s / psi^r, divided by psi r times, last, so that a tau_r
-    beyond the double range reads +inf.  At r = 1, s is pi = E[Y] / n,
-    at most 1 even where tau_1 overflows.
-
-    Where the share falls below _SUM_FLOOR T (None), tau_r is read off
-    the row by ``_log_tau`` (omega^(r (n-r)) at psi = 0), and
-    s = psi^r tau_r: the product where tau_r is finite, else
-    exp(r log psi + log tau_r); 0 at psi = 0."""
-    if share is not None:
-        return (share / psi if r == 1 else share / psi / psi), share
-    log_tau = _log_tau(r, row, float(np.log(total)), psi, log_omega, below=True)
-    t = _exp(log_tau)
-    if psi == 0.0:
-        return t, 0.0
-    return t, psi ** r * t if t < math.inf else math.exp(r * math.log(psi) + log_tau)
-
-
-def _tau1_pi(params: ModelParams) -> tuple[float, float]:
-    """(tau_1, pi = E[Y] / n = psi tau_1) off one kernel row
-    (``_tau_r``); (1, psi) exactly at n = 1, where K_0 = K_1 = 1."""
-    n, _, log_omega = natural = _natural(params)
-    if n == 1:
-        return 1.0, params.psi
-    _, row, e, total = _kernel(*natural)
-    return _tau_r(1, params.psi, row, total, log_omega, _falling_share(1, e, total))
+    return MomentSummary(tau1=t1, tau2=t2, eta=eta, mean=mean, variance=variance, pi=pi)
 
 
 def marginal_pi(params: ModelParams) -> float:
-    """Per-trial marginal success probability pi = psi * tau_1; 0 at
-    psi = 0, where tau_1 may overflow."""
-    return _tau1_pi(params)[1]
+    """Per-trial marginal success probability pi = psi * tau_1 = E[Y] / n
+    (``_tau``); 0 at psi = 0, where tau_1 may overflow."""
+    _, _, log_omega = natural = _natural(params)
+    _, row, e, total = _kernel(*natural)
+    return _tau(1, params.psi, log_omega, row, e, total)[2]
 
 
 def joint_log_prob(params: ModelParams, bits) -> float:
@@ -685,7 +667,7 @@ def joint_log_prob(params: ModelParams, bits) -> float:
     if b.dtype.kind not in "biuf" or y + np.count_nonzero(b == 0) != params.n:
         raise ValueError("bits must be 0/1 valued")
     _, row, _, total = _kernel(*_natural(params))
-    return float(row[y] - np.log(total) - _kernel_row(params.n)[2][y])
+    return float(row[y] - math.log(total) - _kernel_row(params.n)[2][y])
 
 
 def conditional_cpr(params: ModelParams) -> float:
@@ -717,7 +699,7 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
     _, row, _, total = _kernel(*_natural(params))
-    cum = np.cumsum(np.exp(row - float(np.log(total))))
+    cum = np.cumsum(np.exp(row - math.log(total)))
     cum[-1] = 1.0
     words = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8")
     u = (words >> 11) * 2.0 ** -53

@@ -7,7 +7,7 @@ Accuracy is the tail probability P(Y > q) with q = n/2 (even n) or
 two-parameter exponential family with sufficient statistics
 (y, y (n - y)), so the MLE matches those model expectations to the
 sample averages.  The fit is damped Newton on the exact score and
-information, read off one log-pmf table per step, and that moment
+information, read off one kernel row per step, and that moment
 matching is its stopping rule rather than a cross-check.
 """
 
@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, pmf
-from .core import (_Checked, _integer, _kernel, _kernel_row, _mass, _natural, _positive,
-                   _probability, _share)
+from .core import ModelParams
+from .core import (_Checked, _floored_exp, _integer, _kernel, _kernel_row, _logit, _natural,
+                   _positive, _probability, _share)
 
 __all__ = [
     "EnsembleSpec",
@@ -163,8 +163,9 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     # factorials alone: their derivative rows overflow at the shapes' ends
     ra, rb, rab = (np.concatenate(([0.0], np.cumsum(np.log(x + np.arange(n)))))
                    for x in (alpha, beta, alpha + beta))
-    logp = _kernel_row(n)[2] + ra + rb[::-1] - rab[n]
-    return _mass(logp[majority_threshold(n) + 1:])
+    tail = (_kernel_row(n)[2] + ra + rb[::-1] - rab[n])[majority_threshold(n) + 1:]
+    # a log-pmf row: its probabilities are its exponentials, with T = 1
+    return _share(tail, _floored_exp(tail), 1.0, slice(None))
 
 
 # Below this decrement g' (-H)^-1 g per observation Newton is in its
@@ -177,13 +178,10 @@ _MAX_STEPS = 100
 _MAX_HALVINGS = 60
 
 
-def _eigenpairs(a) -> list[tuple[float, tuple[float, ...]]]:
-    """The eigenpairs (lambda, v) of the symmetric 1x1 or 2x2 matrix
-    ``a`` in closed form: a 2x2 one is diagonalised by one Jacobi
-    rotation (Golub & Van Loan, Algorithm 8.5.1), whose columns are the
-    unit eigenvectors."""
-    if len(a) == 1:
-        return [(a[0][0], (1.0,))]
+def _eigenpairs(a) -> list[tuple[float, tuple[float, float]]]:
+    """The eigenpairs (lambda, v) of the symmetric 2x2 matrix ``a`` in
+    closed form, by one Jacobi rotation (Golub & Van Loan, Algorithm
+    8.5.1), whose columns are the unit eigenvectors."""
     (p, b), (_, q) = a
     if b == 0.0:
         return [(p, (1.0, 0.0)), (q, (0.0, 1.0))]
@@ -196,7 +194,7 @@ def _eigenpairs(a) -> list[tuple[float, tuple[float, ...]]]:
 def _newton_ascent(derivs, theta: np.ndarray, total: float):
     """Damped Newton ascent with a backtracking (Armijo) line search on
     ``derivs(theta)`` = (log-likelihood, gradient, Hessian), the last two
-    1 or 2 long and 1x1 or 2x2.  The step is V diag(1/s) V' g over the
+    2 long and 2x2.  The step is V diag(1/s) V' g over the
     eigenpairs (lambda, V) of -H, in closed form (``_eigenpairs``, so no
     LAPACK call): Newton's, s = lambda, where -H is positive definite, and
     otherwise saddle-free (Dauphin et al. 2014), s = max(|lambda|, 1), the
@@ -261,8 +259,8 @@ def fit_mle(sample: CountSample) -> FitResult:
     the natural parameters theta = (logit psi, log omega).
 
     The law is an exponential family in T = (y, y (n-y)):
-    log P(y) = log C(n, y) + theta . T(y) - log Z(theta).  So one log-pmf
-    table per iterate gives the score N (mean T - E[T]) and the
+    log P(y) = log C(n, y) + theta . T(y) - log Z(theta).  So one kernel
+    row per iterate, its exponentials over their sum, gives the score N (mean T - E[T]) and the
     information N Cov(T) exactly; the standard errors are that
     information's inverse at the optimum, mapped to (psi, omega) by the
     delta method.  ``theta_hat`` is theta as Newton left it: psi_hat =
@@ -297,13 +295,14 @@ def fit_mle(sample: CountSample) -> FitResult:
     seen_counts = counts[seen]
 
     def derivs(theta: np.ndarray):
-        # the kernel's log-pmf table in natural parameters, exact even
-        # where psi rounds to 0 or 1
-        _, row, _, row_total = _kernel(n, theta[0], theta[1])
-        logp = row - float(np.log(row_total))
-        g1, g2, s11, s12, s22 = (dev * np.exp(logp)).sum(axis=1).tolist()
+        # the kernel's table in natural parameters, exact even where psi
+        # rounds to 0 or 1: p = e / row_total, and log p at the counts
+        # seen is row - log row_total
+        _, row, e, row_total = _kernel(n, theta[0], theta[1])
+        g1, g2, s11, s12, s22 = (dev * (e / row_total)).sum(axis=1).tolist()
         c11, c12, c22 = s11 - g1 * g1, s12 - g1 * g2, s22 - g2 * g2  # Cov(T)
-        return (float((seen_counts * logp[seen]).sum()), [-total * g1, -total * g2],
+        log_lik = float((seen_counts * (row[seen] - math.log(row_total))).sum())
+        return (log_lik, [-total * g1, -total * g2],
                 [[-total * c11, -total * c12], [-total * c12, -total * c22]])
 
     theta0 = np.array([math.log(mean_y / (n - mean_y)), 0.0])
@@ -354,8 +353,8 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
     """
     n = sample.n
     total = sample.total
-    tail = majority_threshold(n) + 1
-    empirical = sum(sample.counts[tail:]) / total
+    tail = slice(majority_threshold(n) + 1, None)
+    empirical = sum(sample.counts[tail]) / total
     counts = np.asarray(sample.counts, dtype=float)
 
     def report(name, parameters, log_lik, accuracy, converged=True):
@@ -370,7 +369,7 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
         # the fitted law off the kernel at theta-hat, exact where psi-hat
         # rounds to 0 or 1
         _, row, e, row_total = _kernel(n, *fit.theta_hat)
-        mbd_accuracy = _share(row, e, row_total, slice(tail, None))
+        mbd_accuracy = _share(row, e, row_total, tail)
     mbd = report("lmbd", {"psi": fit.psi_hat, "omega": fit.omega_hat},
                  fit.log_likelihood, mbd_accuracy, fit.converged)
 
@@ -382,10 +381,11 @@ def model_comparison(sample: CountSample) -> ComparisonReport:
 
     pi_hat = s1 / (n * total)
     seen = counts > 0
-    # one Binomial table for the log-likelihood and ``binomial_accuracy``'s tail
-    binomial = pmf(ModelParams(n, pi_hat, 1.0)).log_prob
-    ll_bin = float((counts[seen] * binomial[seen]).sum())
-    binom = report("binomial", {"pi": pi_hat}, ll_bin, _mass(binomial[tail:]))
+    # one Binomial kernel row, ``binomial_accuracy``'s, for the
+    # log-likelihood and the tail
+    _, row, e, row_total = _kernel(n, _logit(pi_hat), 0.0)
+    ll_bin = float((counts[seen] * (row[seen] - math.log(row_total))).sum())
+    binom = report("binomial", {"pi": pi_hat}, ll_bin, _share(row, e, row_total, tail))
     if excess <= binomial_excess:
         betabin = report("beta-binomial", {"alpha": math.inf, "beta": math.inf},
                          ll_bin, binom.predicted_accuracy, False)

@@ -48,9 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel_row, _log_sum,
-                   _log_tau, _log_weights, _logit, _logsumexp, _ordered, _positive,
-                   _probability, _row_cache, _tau1_pi)
+from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel, _kernel_row,
+                   _log_sum, _log_tau, _log_weights, _logit, _logsumexp, _natural, _ordered,
+                   _positive, _probability, _row_cache, _tau)
 
 __all__ = [
     "GridSpec",
@@ -371,7 +371,9 @@ def theorem2_check(params: ModelParams) -> Theorem2Report:
     psi < 1/2; omega = 1, psi in {0, 1/2, 1} and n = 1 give equality.
     """
     n, psi, omega = params
-    t1, pi = _tau1_pi(params)
+    _, _, log_omega = natural = _natural(params)
+    _, row, e, total = _kernel(*natural)
+    t1, _, pi = _tau(1, psi, log_omega, row, e, total)
     sign = (n > 1) * _sign(psi) * _sign(psi - 1.0) * _sign(2.0 * psi - 1.0) * _sign(omega - 1.0)
     return Theorem2Report(params=params, tau1=t1, pi=pi,
                           theorem_applies=psi >= 0.5 and omega > 1.0,

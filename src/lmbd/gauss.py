@@ -32,17 +32,15 @@ def _std_normal_cdf(z: np.ndarray) -> np.ndarray:
 
 def standardized_ks_distance(params: ModelParams) -> float:
     """sup_y | F(y) - Phi((y - mean) / sd) |, evaluated at the discrete
-    cdf's right-continuous points.  The mean and the variance are read
-    off the same table as the cdf, summed about its mode as ``moments``
-    sums its variance.  The table is ``pmf``'s, bit for bit: the kernel
-    row less its log-sum, with no log K_n."""
-    _, row, _, total = _kernel(*_natural(params))
-    log_prob = row - float(np.log(total))
-    probs = np.exp(log_prob)
-    mean, variance = _table_moments(probs, log_prob)
+    cdf's right-continuous points.  The cdf, the mean and the variance
+    are read off one kernel row's exponentials e and their total T, with
+    no log K_n: F(y) = sum_{k <= y} e_k / T, and the mean and the
+    variance are ``moments``' own (``_table_moments``)."""
+    _, row, e, total = _kernel(*_natural(params))
+    mean, variance = _table_moments(e, row, total)
     if variance <= 0.0:
         raise ValueError("degenerate variance; standardization undefined")
-    cdf_vals = np.minimum(1.0, np.cumsum(probs))
+    cdf_vals = np.minimum(1.0, np.cumsum(e) / total)
     z = (np.arange(params.n + 1) - mean) / math.sqrt(variance)
     return float(np.max(np.abs(cdf_vals - _std_normal_cdf(z))))
 

@@ -287,9 +287,15 @@ class TestSinglePointReaders:
 
     @pytest.mark.parametrize("n,psi,omega", READER_CELLS)
     def test_moments_tau1_is_theorem2s(self, n, psi, omega):
-        # one definition of tau_1, bit for bit
+        # one definition of tau_1, tau_2 and pi, bit for bit; at n = 2,
+        # tau(2, .) is 1 / K_2, read through log K_2
         p = ModelParams(n, psi, omega)
-        assert moments(p).tau1 == lmbd.theorem2_check(p).tau1
+        ms = moments(p)
+        report = lmbd.theorem2_check(p)
+        assert tau(1, p) == ms.tau1 == report.tau1
+        if n >= 3:
+            assert tau(2, p) == ms.tau2
+        assert marginal_pi(p) == report.pi == ms.pi
 
     @pytest.mark.parametrize("n,psi,omega", [cell for cell in READER_CELLS if cell[0] == 1])
     def test_n_one_reads_bernoulli_exactly(self, n, psi, omega):
@@ -299,6 +305,8 @@ class TestSinglePointReaders:
         report = lmbd.theorem2_check(p)
         assert tau(1, p) == ms.tau1 == report.tau1 == 1.0
         assert marginal_pi(p) == ms.mean == ms.pi == report.pi == psi
+        assert ms.variance == psi * (1.0 - psi)
+        assert ms.eta == 1.0 - psi
         assert log_k(1, 0, psi, omega) == pmf(p).log_normalizer == 0.0
 
     @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (2000, 1e-9, 0.5)])
@@ -332,9 +340,41 @@ class TestSinglePointReaders:
         binomial_accuracy(n, psi)
         marginal_pi(p)
         lmbd.theorem2_check(p)
-        for r in (1, 2):
+        moments(p)
+        for r in (1, 2, 3):
             tau(r, p)
+        for a in (1, 2):
+            log_k(n, a, psi, omega)
         assert calls == []
+
+    @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (65, 0.7, 0.9),
+                                             (2000, 0.3, 1.5)])
+    def test_no_reader_exponentiates_a_kernel_row_twice(self, n, psi, omega, monkeypatch):
+        # at interior cells moments, the KS distance and each fit step read
+        # p = e / T off the kernel's own exponentials e: the one
+        # exponential of an (n+1)-long array per call is the kernel's
+        p = ModelParams(n, psi, omega)
+        draws = np.bincount(sample(p, 400, n), minlength=n + 1)
+        kernels, rows = [], []
+        kernel, exp = lmbd.core._kernel, np.exp
+
+        def counted_kernel(*args):
+            kernels.append(args)
+            return kernel(*args)
+
+        def counted_exp(x, *args, **kwargs):
+            if np.ndim(x) == 1 and len(x) == n + 1:
+                rows.append(x)
+            return exp(x, *args, **kwargs)
+
+        for module in (lmbd.core, lmbd.gauss, lmbd.ensemble):
+            monkeypatch.setattr(module, "_kernel", counted_kernel)
+        monkeypatch.setattr(np, "exp", counted_exp)
+        moments(p)
+        lmbd.standardized_ks_distance(p)
+        assert len(kernels) == len(rows) == 2
+        lmbd.fit_mle(lmbd.CountSample(n, tuple(draws.tolist())))
+        assert len(kernels) > 2 and len(rows) == len(kernels)
 
     @pytest.mark.parametrize("read", [lambda: tau(1, ModelParams(2000, 0.3, 1e-8)),
                                       lambda: cdf(ModelParams(2000, 0.3, 1e8), 0)],
@@ -353,6 +393,9 @@ class TestSinglePointReaders:
         # the row already built
         calls = _calls_to(monkeypatch, "_kernel")
         blocks = _calls_to(monkeypatch, "_log_weights")
+        # factorization's names for the kernels count too
+        monkeypatch.setattr(lmbd.factorization, "_kernel", lmbd.core._kernel)
+        monkeypatch.setattr(lmbd.factorization, "_log_weights", lmbd.core._log_weights)
         assert read(ModelParams(2000, 0.42, 1e-8)) > 0.0
         assert len(calls) == 1 and blocks == []
 
@@ -676,7 +719,8 @@ class TestEnumerationOracle:
 def test_one_kernel_pass_per_call(call, params, monkeypatch):
     calls = _calls_to(monkeypatch, "_kernel")
     blocks = _calls_to(monkeypatch, "_log_weights")
-    # factorization's name for the block kernel counts too
+    # factorization's names for the kernels count too
+    monkeypatch.setattr(lmbd.factorization, "_kernel", lmbd.core._kernel)
     monkeypatch.setattr(lmbd.factorization, "_log_weights", lmbd.core._log_weights)
     call(params)
     # d_n and delta read Delta's own tables, not K_n's terms

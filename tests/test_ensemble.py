@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom, binom
 
+import lmbd
 from lmbd import (
     CountSample,
     EnsembleSpec,
@@ -319,6 +320,29 @@ class TestModelComparison:
         assert aics["lmbd"] < aics["binomial"]
         assert aics["lmbd"] < aics["beta-binomial"]
 
+    def test_binomial_reads_one_kernel_row(self, monkeypatch):
+        # the Binomial's log-likelihood and tail come off one kernel row,
+        # binomial_accuracy's, with no pmf table and no log K_n
+        calls = []
+        for name in ("pmf", "_log_kn"):
+            real = getattr(lmbd.core, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(lmbd.core, name, counted)
+            monkeypatch.setattr(lmbd.ensemble, name, counted, raising=False)
+        s = drawn_sample(ModelParams(9, 0.55, 1.6), 1000, seed=5)
+        binomial = model_comparison(s).models[1]
+        assert calls == []
+        pi = binomial.parameters["pi"]
+        assert binomial.predicted_accuracy == binomial_accuracy(9, pi)
+        log_prob = pmf(ModelParams(9, pi, 1.0)).log_prob
+        counts = np.asarray(s.counts, dtype=float)
+        assert binomial.log_likelihood == pytest.approx(
+            float((counts * log_prob).sum()), rel=0, abs=1e-12)
+
     def test_theorem2_corollary_on_grid(self):
         # negative association with psi >= 1/2 forces psi > pi
         for n in (3, 6, 9):
@@ -420,39 +444,46 @@ class TestBetaBinomialFit:
         assert report.models[2].parameters == {"alpha": 0.0, "beta": 0.0}
 
 
-def _linear_derivs(theta: np.ndarray):
-    """theta[0] on the line: Hessian 0, so never negative definite."""
-    return float(theta[0]), np.array([1.0]), np.zeros((1, 1))
+def _separable(f):
+    """Derivs of f(x) - y^2 / 2 at theta = (x, y), from f's (value, slope,
+    curvature) at x: the second coordinate is concave with its maximum
+    at y = 0, which it keeps from a start there."""
+    def derivs(theta):
+        x, y = theta
+        value, slope, curvature = f(x)
+        return value - 0.5 * y * y, np.array([slope, -y]), np.diag([curvature, -1.0])
+    return derivs
+
+
+# x on the line: curvature 0, so the Hessian is never negative definite
+_linear_derivs = _separable(lambda x: (float(x), 1.0, 0.0))
 
 
 class TestNewtonAscent:
     def test_unbounded_objective_stops_after_max_steps(self):
         # every gradient step gains 1: no maximizer, so no convergence
-        theta, value, _, steps, converged = _newton_ascent(_linear_derivs, np.zeros(1), 1.0)
+        theta, value, _, steps, converged = _newton_ascent(_linear_derivs, np.zeros(2), 1.0)
         assert (steps, converged) == (_MAX_STEPS, False)
-        assert theta[0] == value == _MAX_STEPS
+        assert theta[0] == value == _MAX_STEPS and theta[1] == 0.0
 
     def test_no_ascent_after_max_halvings(self):
-        # the log-likelihood is NaN past theta = 0, so every trial of the
+        # the log-likelihood is NaN past x = 0, so every trial of the
         # first gradient step fails and the start comes back unconverged
         def derivs(theta):
             value, grad, hess = _linear_derivs(theta)
             return (value if theta[0] <= 0.0 else math.nan), grad, hess
 
-        theta, value, _, steps, converged = _newton_ascent(derivs, np.zeros(1), 1.0)
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.zeros(2), 1.0)
         assert (steps, converged) == (0, False)
-        assert theta[0] == value == 0.0
+        assert theta.tolist() == [0.0, 0.0] and value == 0.0
 
     def test_gradient_step_leaves_a_convex_start(self):
-        # sin is convex at -1, where the Hessian -sin(-1) > 0 sends the
+        # sin is convex at -1, where the curvature -sin(-1) > 0 sends the
         # ascent along the gradient; Newton then takes it to pi/2
-        def derivs(theta):
-            x = theta[0]
-            return math.sin(x), np.array([math.cos(x)]), np.array([[-math.sin(x)]])
-
-        theta, value, _, steps, converged = _newton_ascent(derivs, np.array([-1.0]), 1.0)
+        derivs = _separable(lambda x: (math.sin(x), math.cos(x), -math.sin(x)))
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.array([-1.0, 0.0]), 1.0)
         assert converged is True and steps < _MAX_STEPS
-        assert theta[0] == pytest.approx(math.pi / 2, abs=1e-8)
+        assert theta[0] == pytest.approx(math.pi / 2, abs=1e-8) and theta[1] == 0.0
         assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_saddle_free_step_leaves_a_saddle(self):

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import binom, norm
 
 import lmbd
-from lmbd import ModelParams, clt_scan, moments, pmf, standardized_ks_distance
+from lmbd import ModelParams, clt_scan, moments, standardized_ks_distance
 
 
 class TestStandardizedKsDistance:
@@ -65,15 +65,15 @@ class TestStandardizedKsDistance:
 
     @pytest.mark.parametrize("n,psi,omega", [(10, 0.5, 1.0), (160, 0.3, 1.5), (64, 0.7, 0.9)])
     def test_standardizes_with_the_mean_and_variance_of_moments(self, n, psi, omega):
-        # the mean and variance are moments' own, read off the same table
+        # the mean and variance are moments' own, read off the same table,
+        # the kernel row's exponentials e over their total T
         p = ModelParams(n, psi, omega)
         ms = moments(p)
-        table = pmf(p)
-        probs = table.probs()
-        mean, variance = lmbd.core._table_moments(probs, table.log_prob)
+        _, row, e, total = lmbd.core._kernel(*lmbd.core._natural(p))
+        mean, variance = lmbd.core._table_moments(e, row, total)
         assert (mean, variance) == (ms.mean, ms.variance)
         z = (np.arange(n + 1) - mean) / math.sqrt(variance)
-        cdf_vals = np.minimum(1.0, np.cumsum(probs))
+        cdf_vals = np.minimum(1.0, np.cumsum(e) / total)
         expect = float(np.max(np.abs(cdf_vals - lmbd.gauss._std_normal_cdf(z))))
         assert standardized_ks_distance(p) == expect
 
