@@ -42,6 +42,32 @@ one definition (``_tau``): s_r = sum (y)_r e_y / ((n)_r T), with
 integer weights at r = 1, 2, and tau_r = s_r / psi^r.  Only a sum
 below _SUM_FLOOR T, _SUM_FLOOR = e^-600, is read again by log-sum-exp,
 off the same row.
+
+One exponential, ``_floored_exp``, serves every table: it raises each
+term to a floor before ``exp``, as numpy's exp is some hundred times
+slower where its result is subnormal.  There are two floors: e^-700
+(_EXP_FLOOR) for a row's terms, and e^-350 for the grids' factors
+(``factorization``), which multiply in pairs.
+
+Five readers keep two paths, one for a single point and one for a
+block, because folding one into the other measured slower: in process,
+best of 7 with ``timeit`` on a shared 2-core x86-64 VM,
+
+    fork                                 kept           folded
+    _kernel / _log_weights, per row      7.6-8.4 us     11.3-14.8 us,
+                                                        a block of one
+    _log_delta / _delta_tables, delta    13.4-27.4 us   34.0-54.3 us,
+                                                        one-cell tables
+    _logsumexp, axis None / an axis      3.7-7.3 us     8.7-12.9 us,
+                                                        the axis branch
+    _tau1_cells block guard, n = 400     11.4-11.7 ms   24.1-27.2 ms,
+                                                        ``tau`` per cell
+    convergence_report, n = 5 and 20     34.5-37.1 us   67.3-70.1 us,
+                                                        ``pmf`` per probe
+
+at n = 10 and 64 for the rows, n = 16 and 2000 for ``delta``, 16 and
+2001 terms for ``_logsumexp``, and the 1913 guarded cells of
+``GridSpec.linspace(400)``.
 """
 
 from __future__ import annotations
@@ -267,46 +293,39 @@ def _natural(params: ModelParams) -> tuple[int, float, float]:
     return n, math.copysign(math.inf, psi - 0.5), math.log(omega)
 
 
-def _mode(parts, theta1, theta2):
-    """The weights' global modes at finite theta_1, shape (P, 1): the
-    first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y) per row,
-    given ``_kernel_row(n)`` as ``parts``.  At omega = 1 the last term
-    is 0.0, which moves no entry past another, and is left out."""
-    y, cross, log_binom = parts
-    top = y * theta1
-    top += log_binom
-    if isinstance(theta2, np.ndarray) or theta2:
-        tilt = theta2 * cross
-        # a scalar theta_1 with a column of theta_2 widens the sum
-        top = top + tilt if tilt.ndim > top.ndim else np.add(top, tilt, out=top)
-    return top.argmax(axis=-1, keepdims=True)
-
-
 def _log_weights(n: int, theta1, theta2):
     """The block kernel: (m, rows), ``_kernel``'s row at each of P
     parameter pairs, bit for bit.  theta_1 = logit psi and
     theta_2 = log omega broadcast against y, one of them a column of
-    shape (P, 1), into a (P, n+1) block and m of shape (P, 1).  A block
-    with no psi edge (theta_1 = -inf or +inf, a point mass at 0 or n)
-    takes the shorter path.
+    shape (P, 1), into a (P, n+1) block and m of shape (P, 1).  m is the
+    first argmax of log C(n, y) + y theta_1 + theta_2 y (n-y) per row;
+    a psi edge (theta_1 = -inf or +inf) is built at theta_1 = 0 and then
+    overwritten with its point mass at 0 or n.
     """
-    y, cross, log_binom = parts = _kernel_row(n)
+    y, cross, log_binom = _kernel_row(n)
     edge = np.isinf(theta1)
-    if not edge.any():
-        m = _mode(parts, theta1, theta2)
-        row = log_binom - log_binom[m]
-        shift = y - m
-        shift *= theta1
-        row += shift
-        if isinstance(theta2, np.ndarray) or theta2:  # omega = 1 adds 0.0
-            tilt = cross - cross[m]
-            tilt *= theta2
-            row += tilt
-        return m, row
-    m = np.where(edge, n * (theta1 > 0), _mode(parts, np.where(edge, 0.0, theta1), theta2))
-    with np.errstate(invalid="ignore"):  # 0 * inf at an edge row's centre
-        row = log_binom - log_binom[m] + (y - m) * theta1 + theta2 * (cross - cross[m])
-    np.put_along_axis(row, m, 0.0, axis=-1)
+    at_edge = edge.any()
+    # np.where on every call would add some 8% to a small convergence_report
+    slope = np.where(edge, 0.0, theta1) if at_edge else theta1
+    tilted = isinstance(theta2, np.ndarray) or theta2  # omega = 1 adds 0.0
+    top = y * slope
+    top += log_binom
+    if tilted:
+        tilt = theta2 * cross
+        # a scalar theta_1 with a column of theta_2 widens the sum
+        top = top + tilt if tilt.ndim > top.ndim else np.add(top, tilt, out=top)
+    m = top.argmax(axis=-1, keepdims=True)
+    row = log_binom - log_binom[m]
+    shift = y - m
+    shift *= slope
+    row += shift
+    if tilted:
+        tilt = cross - cross[m]
+        tilt *= theta2
+        row += tilt
+    if at_edge:
+        m = np.where(edge, n * (theta1 > 0), m)
+        row = np.where(edge, np.where(y == m, 0.0, -np.inf), row)
     return m, row
 
 
@@ -321,11 +340,13 @@ _LOG_SUM_FLOOR = -600.0
 _SUM_FLOOR = math.exp(_LOG_SUM_FLOOR)
 
 
-def _floored_exp(terms: np.ndarray) -> np.ndarray:
-    """exp(terms) as a new array, each term raised to _EXP_FLOOR first:
+def _floored_exp(terms: np.ndarray, floor: float = _EXP_FLOOR) -> np.ndarray:
+    """exp(terms) as a new array, each term raised to ``floor`` first:
     numpy's exp costs some hundred times more per element where its
-    result is subnormal."""
-    terms = np.maximum(terms, _EXP_FLOOR)
+    result is subnormal.  The rows take _EXP_FLOOR; the grids, whose
+    factors multiply in pairs, take half of it
+    (``factorization._LOG_FACTOR_FLOOR``)."""
+    terms = np.maximum(terms, floor)
     return np.exp(terms, out=terms)
 
 
@@ -343,10 +364,9 @@ def _logsumexp(terms: np.ndarray, axis=None):
     The shift guards against overflow, which terms at most about 0 cannot
     reach: the single-point sums of such terms (``_share``, ``_tau``)
     come here only when they fall below _SUM_FLOOR, where the shift
-    keeps the terms that exp(_EXP_FLOOR) would flush.  The block
-    ``_log_tau`` and ``delta_grid``'s guarded cells sum here always;
-    ``factorization._log_delta`` sums one cell's Delta terms the
-    same way, inline.  With ``axis=None`` the whole array reduces to a Python
+    keeps the terms that raising to exp(_EXP_FLOOR) would lose.  The
+    grids' guarded cells and ``factorization._log_delta``'s one cell of
+    Delta terms sum here always.  With ``axis=None`` the whole array reduces to a Python
     float, its maximum tested by ``math.isfinite``; with an axis, that
     axis reduces and an array comes back.  Either way the shifted terms
     are raised to _EXP_FLOOR first, which cannot change a sum that holds
@@ -374,7 +394,7 @@ def _share(row: np.ndarray, e: np.ndarray, total: float, part: slice) -> float:
     off a log-pmf row with total 1: sum(e[part]) / total, capped at 1
     against rounding.  Where that sum falls below _SUM_FLOOR total, the
     row's own ``_logsumexp`` over ``part`` less log total, which keeps
-    the terms the floor flushes."""
+    the terms the floor raises."""
     mass = float(np.add.reduce(e[part]))
     if mass >= _SUM_FLOOR * total:
         return min(1.0, mass / total)
@@ -389,22 +409,6 @@ def _log_falling_ratio(n: int, r: int):
     out = np.zeros(n - r + 1)
     out[:-1] = -_split_cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)), n)[::-1]
     return (out,)
-
-
-def _log_tau(r: int, rows: np.ndarray, log_sum, psi, log_omega):
-    """log tau_r at each of a block of K_n's kernel rows, whose log-sums
-    are ``log_sum``, by a log-sum-exp of the moment's terms
-    row + log[(y)_r / (n)_r] (see ``_tau``); ``psi`` and ``log_omega``
-    broadcast against the block's first axis, and at psi = 0
-    tau_r = omega^(r (n-r)).  It serves only ``factorization``'s guarded
-    grid cells, the few whose grid sums fell below that module's own
-    floor, ``_GRID_SUM_FLOOR`` = e^-300, where a linear pass would need a
-    second, masked one for its rows below e^-600."""
-    n = rows.shape[-1] - 1
-    terms = rows[..., r:] + _log_falling_ratio(n, r)[0]
-    edge = psi == 0.0
-    log_tau = _logsumexp(terms, axis=-1) - log_sum - r * np.log(psi + edge)  # log 1 at psi = 0
-    return np.where(edge, r * (n - r) * log_omega, log_tau)
 
 
 def _kernel(n: int, theta1: float, theta2: float):

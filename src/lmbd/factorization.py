@@ -26,19 +26,45 @@ j = 0 term alone is positive), Delta(psi, 1) = (n - 1) / (1 + [n odd]),
 and D_n, tau_1 - 1 and pi - psi have the sign of the linear factors:
 pi - psi that of (1 - 2 psi)(omega - 1) in all four quadrants.  D_1 = 0.
 
+More strongly, pi = E[Y] / n is strictly monotone in omega over
+(0, inf) for n >= 2 and psi in (0, 1), in the direction of the sign
+of 1 - 2 psi: increasing for psi < 1/2, decreasing for psi > 1/2, and
+1/2 at psi = 1/2.  Proof: the law is an exponential family in
+(theta_1, theta_2) = (logit psi, log omega) with statistics Y and
+Y (n-Y), so dE[Y]/dlog omega = Cov(Y, Y (n-Y)).  With S = Y - n/2,
+Y (n-Y) = n^2/4 - S^2, and the law of S is a base
+nu(s) ~ C(n, n/2 + s) omega^(-s^2), symmetric in s, tilted by
+e^(theta_1 s); so Cov(Y, Y (n-Y)) = -Cov(S, S^2).  Given U = |S| = u > 0,
+S = +u or -u with odds e^(2 theta_1 u), so E[S | U] = U tanh(theta_1 U)
+and E[S^3 | U] = U^3 tanh(theta_1 U), while S^2 = U^2: hence
+Cov(S, S^2) = Cov(U^2, U tanh(theta_1 U)).  For theta_1 > 0 both are
+strictly increasing in U >= 0, and Chebyshev's association inequality,
+Cov(f(U), g(U)) = E[(f(U) - f(U'))(g(U) - g(U'))] / 2 > 0 for an
+independent copy U', holds strictly, as every y has positive weight
+and U takes at least two values for n >= 2.  So dE[Y]/dlog omega < 0
+for psi > 1/2; theta_1 < 0 turns both signs, and at theta_1 = 0 the
+law of S is symmetric, E[S] = 0 and pi = 1/2.  Theorem 2's ordering of
+pi and psi is the comparison with omega = 1, where pi = psi.
+
 Each term is a psi-only factor times an omega-only factor.  With
 a = max(psi, q) and b = min(psi, q), S_d = a^(d-1) [d]_{b/a}, and
 [d]_x = expm1(d log x) / expm1(log x) for x < 1, x^(d-1) [d]_{1/x} above
 1: no term divides by a linear factor, so Delta is as accurate on the
-lines psi in {1/2, 1} and omega = 1 as off them.  ``_log_delta`` builds
-one cell's terms, its per-psi and per-omega logs by ``math``, and
-``delta`` takes their log-sum-exp; ``_delta_tables`` builds a grid's,
-both factors' logs per psi and per omega, and ``delta_grid``
-exponentiates each table once and sums their products in one
-``einsum``.  ``tau1_region_grid`` reads tau_1 the
-same way off K_n's kernel (``_grid_sums``).  One guard, ``_fill_guarded``,
-re-reads by a log-sum-exp each grid cell whose sums fall below exp(-300),
-where the factors flushed to 0 could matter.
+lines psi in {1/2, 1} and omega = 1 as off them.  The psi factor takes
+log q = log1p(-psi), log(psi q) = log psi + log1p(-psi) and
+log a = max(log psi, log1p(-psi)), as q = 1 - psi rounds for
+psi < 1/2 and d_j ~ n multiplies log a; log(b / a) stays
+log1p(-|2 psi - 1| / a), which a difference of logs would lose near
+psi = 1/2.  ``_log_delta`` builds one cell's terms, its per-psi and
+per-omega logs by ``math``, and sums them by ``_logsumexp``;
+``_delta_tables`` builds a grid's, both factors' logs per psi and per
+omega, and ``delta_grid`` exponentiates each table once and sums their
+products in one ``einsum``.  ``tau1_region_grid`` reads tau_1 the same
+way off K_n's kernel (``_grid_sums``).  The grids exponentiate by
+``core._floored_exp`` at their own floor, e^-350, half the rows' e^-700,
+so that no product of two factors is subnormal.  One guard,
+``_fill_guarded``, re-reads by a log-sum-exp each grid cell whose sums
+fall below exp(-300), where the raised factors could matter.
 """
 
 from __future__ import annotations
@@ -48,9 +74,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _integer, _kernel, _kernel_row,
-                   _log_sum, _log_tau, _log_weights, _logit, _logsumexp, _natural, _ordered,
-                   _positive, _probability, _row_cache, _tau)
+from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _floored_exp, _integer, _kernel,
+                   _kernel_row, _log_falling_ratio, _log_sum, _log_weights, _logit, _logsumexp,
+                   _natural, _ordered, _positive, _probability, _row_cache, _tau)
 
 __all__ = [
     "GridSpec",
@@ -126,13 +152,14 @@ def _log_q_integer(e: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     return np.log(np.where(log_x == 0.0, e, ratio))
 
 
-def _xlogy(k, p: np.ndarray) -> np.ndarray:
-    """k log p with 0 log 0 = 0, for integers k >= 0 and an array of p
-    in [0, 1].  Only a p that holds a 0 pays for the 0 log 0 case."""
-    if p.all():
-        return k * np.log(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(k == 0, 0.0, k * np.log(p))
+def _xlogy(k, log_p: np.ndarray) -> np.ndarray:
+    """k log p with 0 log 0 = 0, for integers k >= 0 and an array of
+    log p, p in [0, 1].  Only a log p that holds -inf pays for the
+    0 log 0 case."""
+    if not np.isneginf(log_p).any():
+        return k * log_p
+    with np.errstate(invalid="ignore"):
+        return np.where(k == 0, 0.0, k * log_p)
 
 
 @_row_cache
@@ -159,14 +186,16 @@ def _delta_tables(n: int, psi: np.ndarray, omega: np.ndarray):
     """
     # dm1 = d - 1, em1 = e - 1
     log_binom, j, d, dm1, e, em1, cross = (part[:, None] for part in _delta_terms(n))
-    q = 1.0 - psi
-    a = np.maximum(psi, q)
     with np.errstate(divide="ignore"):
+        # log psi and log q = log1p(-psi), -inf at psi = 0 and 1: 1 - psi
+        # would round for psi < 1/2, and d_j ~ n multiplies log a
+        log_psi, log_q = np.log(psi), np.log1p(-psi)
         # b / a = 1 - |2 psi - 1| / a; it is 0 at psi in {0, 1}
-        log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / a)
+        log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / np.maximum(psi, 1.0 - psi))
     log_omega = np.log(omega)
     theta = (1 + n % 2) * log_omega
-    table_a = log_binom + _xlogy(j, psi * q) + dm1 * np.log(a) + _log_q_integer(d, log_ratio)
+    table_a = (log_binom + _xlogy(j, log_psi + log_q) + dm1 * np.maximum(log_psi, log_q)
+               + _log_q_integer(d, log_ratio))
     # [e]_x = x^(e-1) [e]_{1/x} above x = 1
     table_b = cross * log_omega + em1 * np.maximum(theta, 0.0) + _log_q_integer(e, -np.abs(theta))
     return table_a, table_b
@@ -177,30 +206,27 @@ def _log_delta(n: int, psi: float, omega: float) -> float:
     n = 2, 3, where the one term is S_{n-1} = 1 (S_2 = psi + q) times
     [n-1]_omega / (omega + 1)^[n odd] = 1.  From n = 4 on, the terms
     A[j] + B[j] of ``_delta_tables`` at the cell, their per-psi and
-    per-omega logs by ``math``, summed by log-sum-exp about the largest,
-    which is finite (the j = 0 term is), as ``core._logsumexp`` sums."""
+    per-omega logs by ``math``, summed by ``_logsumexp`` about the
+    largest, which is finite (the j = 0 term is)."""
     if n < 4:
         return 0.0 if n > 1 else -math.inf
     log_binom, j, d, dm1, e, em1, cross = _delta_terms(n)
-    q = 1.0 - psi
-    a = max(psi, q)
-    gap = abs(2.0 * psi - 1.0) / a  # 1 - b / a
+    gap = abs(2.0 * psi - 1.0) / max(psi, 1.0 - psi)  # 1 - b / a
     log_ratio = math.log1p(-gap) if gap < 1.0 else -math.inf
+    log_psi = math.log(psi) if psi > 0.0 else -math.inf
+    log_q = math.log1p(-psi) if psi < 1.0 else -math.inf
     log_omega = math.log(omega)
     theta = (1 + n % 2) * log_omega
     falling = -abs(theta)
-    pq = psi * q
-    terms = log_binom + (j * math.log(pq) if pq > 0.0 else np.where(j == 0, 0.0, -np.inf))
-    terms += dm1 * math.log(a)
+    log_pq = log_psi + log_q
+    terms = log_binom + (j * log_pq if log_pq > -math.inf else np.where(j == 0, 0.0, -np.inf))
+    terms += dm1 * max(log_psi, log_q)
     terms += np.log(d if log_ratio == 0.0 else np.expm1(d * log_ratio) / math.expm1(log_ratio))
     table_b = cross * log_omega
     table_b += em1 * max(theta, 0.0)
     table_b += np.log(e if falling == 0.0 else np.expm1(e * falling) / math.expm1(falling))
     terms += table_b
-    top = float(terms.max())
-    terms -= top
-    np.maximum(terms, _EXP_FLOOR, out=terms)
-    return top + float(np.log(np.exp(terms, out=terms).sum()))
+    return _logsumexp(terms)
 
 
 def d_n(params: ModelParams) -> float:
@@ -236,31 +262,27 @@ def delta(params: ModelParams) -> float:
 # cells per block on a guarded cell's path are chosen so that one
 # (cells, terms) block holds about this many doubles
 _BLOCK_DOUBLES = 1 << 14
-# factors below exp(_EXP_FLOOR / 2) are flushed to 0, so that no product
-# of two factors is subnormal: numpy's arithmetic is many times slower
-# on subnormal doubles
+# the grids' factors are raised to exp(_EXP_FLOOR / 2) by
+# ``_floored_exp``, as the rows' terms are to exp(_EXP_FLOOR), so that no
+# product of two factors is subnormal: numpy's arithmetic is many times
+# slower on subnormal doubles
 _LOG_FACTOR_FLOOR = _EXP_FLOOR / 2
-# a cell whose sum falls below this is guarded; above it the flushed
+# a cell whose sum falls below this is guarded; above it the raised
 # terms, each below exp(_LOG_FACTOR_FLOOR) = exp(-350), move the sum by
 # at most n (n + 1) exp(-50) of itself
 _GRID_SUM_FLOOR = math.exp(3 * _EXP_FLOOR / 7)
 
 
-def _flushed_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) in place, with entries below exp(_LOG_FACTOR_FLOOR) set to 0."""
-    small = x < _LOG_FACTOR_FLOOR
-    np.maximum(x, _LOG_FACTOR_FLOOR, out=x)
-    np.exp(x, out=x)
-    x[small] = 0.0
-    return x
-
-
 def _tau1_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
-    """tau_1 at the cells (psis[k], log_omegas[k]) by a log-sum-exp over
-    each cell's kernel row."""
+    """tau_1 = E[Y] / (n psi) at the cells (psis[k], log_omegas[k]), by a
+    log-sum-exp of each cell's kernel row plus log(y / n) over its
+    log-sum; at psi = 0, tau_1 = omega^(n-1)."""
     row = _log_weights(n, _logit(psis)[:, None], log_omegas[:, None])[1]
+    edge = psis == 0.0
+    log_tau = (_logsumexp(row[:, 1:] + _log_falling_ratio(n, 1)[0], axis=-1) - _log_sum(row)
+               - np.log(psis + edge))  # log 1 at psi = 0
     with np.errstate(over="ignore"):
-        return np.exp(_log_tau(1, row, _log_sum(row), psis, log_omegas))
+        return np.exp(np.where(edge, (n - 1) * log_omegas, log_tau))
 
 
 def _fill_guarded(values: np.ndarray, sums, terms: int, read) -> None:
@@ -289,7 +311,7 @@ def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
     like the grids' other sums, gives the same bits whatever the BLAS
     thread count, which a BLAS product does not.
     """
-    ea = _flushed_exp(_log_weights(n, _logit(psis)[:, None], 0.0)[1])
+    ea = _floored_exp(_log_weights(n, _logit(psis)[:, None], 0.0)[1], _LOG_FACTOR_FLOOR)
     half = n // 2 + 1
     i, expo = (part[:half] for part in _kernel_row(n)[:2])  # expo = i (n-i)
     low, high = ea[:, :half], ea[:, ::-1][:, :half]  # high[:, i] = ea[:, n - i]
@@ -297,7 +319,7 @@ def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
     # i (n-i) peaks at floor(n^2 / 4), which is B's maximum for omega > 1;
     # the exponent difference is an exact integer
     top_expo = np.where(log_omegas > 0.0, expo[-1], 0.0)
-    eb = _flushed_exp((expo[:, None] - top_expo) * log_omegas)
+    eb = _floored_exp((expo[:, None] - top_expo) * log_omegas, _LOG_FACTOR_FLOOR)
     if n % 2 == 0:
         # i = n/2 is its own partner, so its psi factors were doubled
         eb[-1] *= 0.5
@@ -322,7 +344,8 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
     else:
         table_a, table_b = _delta_tables(n, *map(np.asarray, (spec.psi_values, spec.omega_values)))
         a_top, b_top = table_a.max(axis=0), table_b.max(axis=0)
-        sums = np.einsum("jp,jw->pw", _flushed_exp(table_a - a_top), _flushed_exp(table_b - b_top))
+        sums = np.einsum("jp,jw->pw", _floored_exp(table_a - a_top, _LOG_FACTOR_FLOOR),
+                         _floored_exp(table_b - b_top, _LOG_FACTOR_FLOOR))
         values = sums * np.exp(a_top)[:, None]
         # 0 * inf in a wide column is a guarded cell, recomputed below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
-from lmbd import GridSpec, delta_grid, factorization, tau1_region_grid
+from lmbd import GridSpec, ModelParams, delta, delta_grid, factorization, tau1_region_grid
 from lmbd.core import _logsumexp
 
 import mp_oracle
@@ -191,6 +191,29 @@ def test_large_n_cells_match_mpmath_on_both_paths(n, monkeypatch):
                 exact = _exact(n, psi, omega)[part]
                 assert _rel_normal(grid.values[i, j], exact) <= bound, (n, psi, omega, path)
     assert delta_guarded > 0
+
+
+# Delta at n = 1000 from ``delta`` and from a one-cell ``delta_grid``,
+# with (scalar, grid) bounds 1.5 times their worst errors, 1.28e-13,
+# 2.17e-14 and (2.46e-14, 8.25e-15), now that the psi factors take
+# log q = log1p(-psi) and log(psi q) = log psi + log1p(-psi).  With
+# q = 1 - psi, rounded for psi < 1/2 and raised to d_j ~ n, they read
+# 2.42e-13, 7.85e-14 and (8.14e-14, 6.53e-14).  The first cell is
+# GridSpec.linspace(1000)'s (44, 21)
+PSI_FACTOR_CELLS = (
+    (GridSpec.linspace(1000).psi_values[44], GridSpec.linspace(1000).omega_values[21],
+     1.93e-13, 1.93e-13),
+    (0.3, 0.5, 3.26e-14, 3.26e-14),
+    (0.2, 0.3, 3.69e-14, 1.24e-14),
+)
+
+
+@pytest.mark.parametrize("psi, omega, scalar_bound, grid_bound", PSI_FACTOR_CELLS)
+def test_delta_psi_factors_keep_their_digits(psi, omega, scalar_bound, grid_bound):
+    exact = _exact(1000, psi, omega)[1]
+    assert _rel(delta(ModelParams(1000, psi, omega)), exact) <= scalar_bound
+    grid = delta_grid(GridSpec(psi_values=(psi,), omega_values=(omega,), n=1000))
+    assert _rel(grid.values[0, 0], exact) <= grid_bound
 
 
 @pytest.mark.parametrize("n", (200, 400))
