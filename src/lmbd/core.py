@@ -33,15 +33,18 @@ sum, whose largest term is 1, and tau_r = K_{n-r} / K_n is a
 falling-factorial moment of it, E[(Y)_r] / ((n)_r psi^r).
 The row's entries are at most 0, so their exponentials e_y cannot
 overflow, and ``_kernel`` takes them in one pass along with their total
-T >= 1, whose log, ``math.log(T)``, is the log-sum; no reader but
-``sample`` exponentiates the row again.  A probability or a moment is a
-ratio of linear sums over e: a cdf or a tail is sum e_y / T
-(``_share``), the mean and the variance are those of p = e / T
-(``_table_moments``), and every tau_r, pi = E[Y] / n among them, has
-one definition (``_tau``): s_r = sum (y)_r e_y / ((n)_r T), with
-integer weights at r = 1, 2, and tau_r = s_r / psi^r.  Only a sum
-below _SUM_FLOOR T, _SUM_FLOOR = e^-600, is read again by log-sum-exp,
-off the same row.
+T >= 1, whose log, ``math.log(T)``, is the log-sum; no reader
+exponentiates the row again.  A probability or a moment is a ratio of
+linear sums over e: a cdf or a tail is sum e_y / T (``_share``), the
+mean and the variance are those of p = e / T (``_table_moments``),
+``sample`` draws by inverse cdf over p, and every tau_r,
+pi = E[Y] / n among them, has one definition (``_tau``):
+s_r = sum (y)_r e_y / ((n)_r T), with integer weights at r = 1, 2, and
+tau_r = s_r / psi^r.  Above r = 2 the weights' logs
+log[(y)_r / (n)_r] are read off one cached pair of rows per n
+(``_log_factorials``), whose high parts differ exactly, so that any r
+costs a few slice operations.  Only a sum below _SUM_FLOOR T,
+_SUM_FLOOR = e^-600, is read again by log-sum-exp, off the same row.
 
 One exponential, ``_floored_exp``, serves every table: it raises each
 term to a floor before ``exp``, as numpy's exp is some hundred times
@@ -220,9 +223,10 @@ class MomentSummary(NamedTuple):
     pi: float
 
 
-# rows up to this n are cached, 128 per builder (some 20 MB of kernel
-# rows); of the longer ones each builder keeps the last, which one call
-# reads several times
+# rows up to this n are cached, 128 per builder, keyed by n alone (some
+# 20 MB of kernel rows and 8 MB of log-factorial pairs at most); of the
+# longer ones each builder keeps the last, which one call reads several
+# times
 _ROW_CACHE_MAX_M = 4096
 
 
@@ -238,20 +242,19 @@ def _row_cache(build):
         lambda n, *args: (short if n <= _ROW_CACHE_MAX_M else long)(n, *args))
 
 
-def _split_cumsum(steps: np.ndarray, n: int) -> np.ndarray:
-    """The cumulative sums of ``steps``, which it overwrites, rounded once
-    where every step and every partial sum lies in [0, n).  Adding and
-    subtracting sigma = 3 * 2^b, b = n's bit length, rounds each step to
-    a multiple of 2^(b-51) whose sums are exact in a double; the
-    remainders are summed on their own and added last (Rump, Ogita &
-    Oishi 2008, ExtractScalar)."""
-    sigma = 3.0 * 2.0 ** n.bit_length()
+def _split_cumsum(steps: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative sums of ``steps``, which it overwrites, as two parts
+    (high, low) whose sum is within about an ulp of the exact sum, where
+    every step and every partial sum lies in [0, bound).  Adding and
+    subtracting sigma = 3 * 2^b, with bound < 2^b, rounds each step to a
+    multiple of 2^(b-51), so that ``high``'s sums, and any difference of
+    two of them, are exact in a double; the remainders are summed on
+    their own into ``low`` (Rump, Ogita & Oishi 2008, ExtractScalar)."""
+    sigma = 3.0 * 2.0 ** math.frexp(bound)[1]
     high = steps + sigma
     high -= sigma
     steps -= high
-    high = np.cumsum(high, out=high)
-    high += np.cumsum(steps, out=steps)
-    return high
+    return np.cumsum(high, out=high), np.cumsum(steps, out=steps)
 
 
 @_row_cache
@@ -268,7 +271,7 @@ def _kernel_row(n: int):
     y = offsets[n:]
     k = y[:n // 2]
     log_binom = np.zeros(n + 1)
-    log_binom[1:n // 2 + 1] = _split_cumsum(np.log1p((n - 1 - 2 * k) / (k + 1)), n)
+    np.add(*_split_cumsum(np.log1p((n - 1 - 2 * k) / (k + 1)), n), out=log_binom[1:n // 2 + 1])
     log_binom[n - n // 2:] = log_binom[:n // 2 + 1][::-1]
     return y, y * (n - y), log_binom
 
@@ -402,13 +405,24 @@ def _share(row: np.ndarray, e: np.ndarray, total: float, part: slice) -> float:
 
 
 @_row_cache
-def _log_falling_ratio(n: int, r: int):
-    """A one-tuple of log[(y)_r / (n)_r] for y = r..n, read-only: the
-    reverse sum -sum_{j=y+1..n} log1p(r / (j-r)) by ``_split_cumsum``,
-    whose partial sums are at most log C(n, r) < n."""
-    out = np.zeros(n - r + 1)
-    out[:-1] = -_split_cumsum(np.log1p(r / np.arange(n - r, 0.0, -1.0)), n)[::-1]
-    return (out,)
+def _log_factorials(n: int):
+    """(high, low) with log k! = high[k] + low[k] for k = 0..n, read-only:
+    the cumulative sums of log k by ``_split_cumsum``, bounded by log n!,
+    kept apart so that a difference of ``high`` entries is exact."""
+    return _split_cumsum(np.log(np.maximum(np.arange(n + 1.0), 1.0)), math.lgamma(n + 1.0))
+
+
+def _log_falling(n: int, r: int) -> np.ndarray:
+    """log[(y)_r / (n)_r] for y = r..n off ``_log_factorials``:
+    (high[y] - high[y-r]) - (high[n] - high[n-r]), exact, plus the same
+    combination of ``low``, added last; 0 exactly at y = n."""
+    high, low = _log_factorials(n)
+    out = high[r:] - high[:n + 1 - r]
+    out -= high[n] - high[n - r]
+    part = low[r:] - low[:n + 1 - r]
+    part -= low[n] - low[n - r]
+    out += part
+    return out
 
 
 def _kernel(n: int, theta1: float, theta2: float):
@@ -426,10 +440,8 @@ def _kernel(n: int, theta1: float, theta2: float):
     e = exp(max(row, _EXP_FLOOR)) (``_floored_exp``) and its total T, a
     Python float of at least 1, as the row's largest entry is 0.  The
     readers take no second exponential of the row: they read e and T as
-    they stand (``_share``, ``_tau``, ``_table_moments``), and the
-    row's log-sum is ``math.log(T)``.  ``sample`` alone exponentiates
-    row - log T again, as e is e^-700 rather than 0 off a psi-edge point
-    mass, where no draw may land."""
+    they stand (``_share``, ``_tau``, ``_table_moments``, ``sample``),
+    and the row's log-sum is ``math.log(T)``."""
     y, cross, log_binom = _kernel_row(n)
     if math.isinf(theta1):  # psi = 0 or 1: a point mass
         m = n * (theta1 > 0)
@@ -467,7 +479,9 @@ def _tau(r: int, psi: float, log_omega, row: np.ndarray, e: np.ndarray, total: f
     s_r is a linear sum over T: sum (y)_r e_y / ((n)_r T) with the
     integer weights y and y (y-1) at r = 1, 2, so that no product is
     subnormal, and above them the floored exponentials of the terms
-    row + log[(y)_r / (n)_r].  tau_r = s_r / psi^r is divided last.
+    row + log[(y)_r / (n)_r], the latter off the cached log-factorial
+    pair of n (``_log_falling``), a few slice operations for any r.
+    tau_r = s_r / psi^r is divided last.
     Where psi^r is subnormal or the quotient lies beyond the double
     range, log tau_r = log s_r - r log psi instead, and tau_r is its
     exp, +inf beyond the double range.  Only a sum below _SUM_FLOOR T is
@@ -481,7 +495,7 @@ def _tau(r: int, psi: float, log_omega, row: np.ndarray, e: np.ndarray, total: f
         log_tau = r * (n - r) * log_omega
         return _exp(log_tau), log_tau, 0.0
     if r > 2:
-        terms = row[r:] + _log_falling_ratio(n, r)[0]
+        terms = row[r:] + _log_falling(n, r)
         moment, scale = float(np.add.reduce(_floored_exp(terms))), total
     else:
         terms, y = None, _kernel_row(n)[0]
@@ -497,7 +511,7 @@ def _tau(r: int, psi: float, log_omega, row: np.ndarray, e: np.ndarray, total: f
         log_share = math.log(share)
     else:
         if terms is None:
-            terms = row[r:] + _log_falling_ratio(n, r)[0]
+            terms = row[r:] + _log_falling(n, r)
         log_share = _logsumexp(terms) - math.log(total)
         share = math.exp(log_share)
     log_tau = log_share - r * math.log(psi)
@@ -691,8 +705,10 @@ def conditional_cpr(params: ModelParams) -> float:
 
 
 def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
-    """i.i.d. success-count draws by inverse cdf over the kernel row's
-    probabilities, exp(row - log-sum): ``pmf``'s table, bit for bit.
+    """i.i.d. success-count draws by inverse cdf over the kernel's own
+    probabilities p = e / T, the exponentials it already took; at
+    psi = 0 or 1, where e is e^-700 rather than 0 off the point mass,
+    every draw is that point, 0 or n.
 
     Deterministic given ``seed``; the generator is local to the call.
     The uniforms are 53-bit doubles (w >> 11) * 2**-53, as numpy builds
@@ -702,10 +718,14 @@ def sample(params: ModelParams, count: int, seed: int) -> np.ndarray:
     loads numpy's random module.
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
-    _, row, _, total = _kernel(*_natural(params))
-    cum = np.cumsum(np.exp(row - math.log(total)))
+    n, psi, _ = params
+    if psi == 0.0 or psi == 1.0:
+        return np.full(count, n if psi else 0, dtype=np.int64)
+    _, _, e, total = _kernel(*_natural(params))
+    cum = e / total
+    # np.cumsum's own bits, some 4 us sooner at n = 2000
+    np.add.accumulate(cum, out=cum)
     cum[-1] = 1.0
     words = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8")
     u = (words >> 11) * 2.0 ** -53
     return np.searchsorted(cum, u, side="right").astype(np.int64)
-

@@ -174,6 +174,13 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
 # (half the decrement) still stands clear of the log-likelihood's own
 # rounding, some N n eps, which a line search cannot see through.
 _QUADRATIC_TOL = 1e-8
+# A decrement per observation below this is still far above its own
+# rounding, which read 1e-34 to 4e-29 for lmbd fits and up to 1.5e-21
+# for Beta-Binomial fits (n 2 to 2000, N 300 to 1e5), so whether it has
+# been reached does not hang on the last bits of the law's table.  The
+# full step from it leaves about twice its square, at rounding level,
+# so that step is the last.
+_LAST_STEP_TOL = 1e-16
 _MAX_STEPS = 100
 _MAX_HALVINGS = 60
 
@@ -199,9 +206,10 @@ def _newton_ascent(derivs, theta: np.ndarray, total: float):
     LAPACK call): Newton's, s = lambda, where -H is positive definite, and
     otherwise saddle-free (Dauphin et al. 2014), s = max(|lambda|, 1), the
     gradient's step along |lambda| < 1.  In the quadratic region it takes
-    full steps while the decrement keeps falling, and stops when the
-    score is at rounding level.  Returns (theta, log-likelihood, Hessian,
-    steps, converged)."""
+    full steps, and stops after the first from a decrement below
+    _LAST_STEP_TOL per observation, or, should the decrement stall above
+    that, once it stops falling fourfold.  Returns (theta,
+    log-likelihood, Hessian, steps, converged)."""
     value, grad, hess = derivs(theta)
     last = math.inf
     for step in range(_MAX_STEPS):
@@ -231,6 +239,8 @@ def _newton_ascent(derivs, theta: np.ndarray, total: float):
         else:
             return theta, value, hess, step, False
         theta, (value, grad, hess) = trial, new
+        if quadratic and slope <= total * _LAST_STEP_TOL:
+            return theta, value, hess, step + 1, True
     return theta, value, hess, _MAX_STEPS, False
 
 

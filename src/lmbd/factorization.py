@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (_EXP_FLOOR, ModelParams, _Checked, _exp, _floored_exp, _integer, _kernel,
-                   _kernel_row, _log_falling_ratio, _log_sum, _log_weights, _logit, _logsumexp,
+                   _kernel_row, _log_falling, _log_sum, _log_weights, _logit, _logsumexp,
                    _natural, _ordered, _positive, _probability, _row_cache, _tau)
 
 __all__ = [
@@ -279,7 +279,7 @@ def _tau1_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
     log-sum; at psi = 0, tau_1 = omega^(n-1)."""
     row = _log_weights(n, _logit(psis)[:, None], log_omegas[:, None])[1]
     edge = psis == 0.0
-    log_tau = (_logsumexp(row[:, 1:] + _log_falling_ratio(n, 1)[0], axis=-1) - _log_sum(row)
+    log_tau = (_logsumexp(row[:, 1:] + _log_falling(n, 1), axis=-1) - _log_sum(row)
                - np.log(psis + edge))  # log 1 at psi = 0
     with np.errstate(over="ignore"):
         return np.exp(np.where(edge, (n - 1) * log_omegas, log_tau))

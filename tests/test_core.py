@@ -141,6 +141,28 @@ class TestTau:
         with pytest.raises(ValueError):
             tau(4, ModelParams(3, 0.5, 1.0))
 
+    def test_one_log_factorial_row_per_n(self, monkeypatch):
+        # tau_r for r > 2 reads log[(y)_r / (n)_r] off one cached row
+        # pair per n, split in a unit that depends on n alone: 50 values
+        # of r at n = 2000 build it once, and tau_r at n = 64 reads the
+        # same bits whether or not n = 2000 was read first
+        real = lmbd.core._log_factorials.__wrapped__
+        builds = []
+
+        def fresh_cache():
+            monkeypatch.setattr(lmbd.core, "_log_factorials",
+                                lmbd.core._row_cache(lambda n: builds.append(n) or real(n)))
+
+        small, large = ModelParams(64, 0.3, 1.5), ModelParams(2000, 0.3, 1.001)
+        fresh_cache()
+        alone = [tau(r, small) for r in range(3, 64)]
+        fresh_cache()
+        for r in range(3, 2000, 40):
+            tau(r, large)
+        assert builds == [64, 2000]
+        assert [tau(r, small) for r in range(3, 64)] == alone
+        assert builds == [64, 2000, 64]
+
 
 class TestPmf:
     def test_binomial_reduction(self):
@@ -276,9 +298,9 @@ class TestSinglePointReaders:
         seed = n + 7
         cum = np.cumsum(table.probs())
         cum[-1] = 1.0
-        words = np.frombuffer(random.Random(seed).randbytes(8 * 20), "<u8")
+        words = np.frombuffer(random.Random(seed).randbytes(8 * 1000), "<u8")
         u = (words >> 11) * 2.0 ** -53
-        assert np.array_equal(sample(p, 20, seed), np.searchsorted(cum, u, side="right"))
+        assert np.array_equal(sample(p, 1000, seed), np.searchsorted(cum, u, side="right"))
 
     @pytest.mark.parametrize("n,psi,omega", READER_CELLS)
     def test_cdf_at_n_is_one(self, n, psi, omega):
@@ -350,11 +372,10 @@ class TestSinglePointReaders:
     @pytest.mark.parametrize("n,psi,omega", [(5, 0.3, 2.0), (64, 0.5, 1.0), (65, 0.7, 0.9),
                                              (2000, 0.3, 1.5)])
     def test_no_reader_exponentiates_a_kernel_row_twice(self, n, psi, omega, monkeypatch):
-        # at interior cells moments, the KS distance and each fit step read
-        # p = e / T off the kernel's own exponentials e: the one
+        # at interior cells moments, the KS distance, sample and each fit
+        # step read p = e / T off the kernel's own exponentials e: the one
         # exponential of an (n+1)-long array per call is the kernel's
         p = ModelParams(n, psi, omega)
-        draws = np.bincount(sample(p, 400, n), minlength=n + 1)
         kernels, rows = [], []
         kernel, exp = lmbd.core._kernel, np.exp
 
@@ -372,9 +393,10 @@ class TestSinglePointReaders:
         monkeypatch.setattr(np, "exp", counted_exp)
         moments(p)
         lmbd.standardized_ks_distance(p)
-        assert len(kernels) == len(rows) == 2
+        draws = np.bincount(sample(p, 400, n), minlength=n + 1)
+        assert len(kernels) == len(rows) == 3
         lmbd.fit_mle(lmbd.CountSample(n, tuple(draws.tolist())))
-        assert len(kernels) > 2 and len(rows) == len(kernels)
+        assert len(kernels) > 3 and len(rows) == len(kernels)
 
     @pytest.mark.parametrize("read", [lambda: tau(1, ModelParams(2000, 0.3, 1e-8)),
                                       lambda: cdf(ModelParams(2000, 0.3, 1e8), 0)],
@@ -631,6 +653,14 @@ class TestSample:
     def test_psi_zero_all_zero(self):
         draws = sample(ModelParams(4, 0.0, 1.5), 1000, seed=7)
         assert (draws == 0).all()
+
+    @pytest.mark.parametrize("n", [4, 2000])
+    @pytest.mark.parametrize("psi", [0.0, 1.0])
+    def test_psi_edges_draw_only_the_point_mass(self, n, psi):
+        # the kernel's e is e^-700, not 0, off a psi-edge point mass
+        for omega in (1e-8, 1.0, 1e8):
+            draws = sample(ModelParams(n, psi, omega), 10 ** 4, seed=n)
+            assert draws.dtype == np.int64 and (draws == (n if psi else 0)).all()
 
     def test_deterministic_given_seed(self):
         a = sample(ModelParams(5, 0.4, 1.2), 500, seed=123)

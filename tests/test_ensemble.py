@@ -260,6 +260,29 @@ class TestFitMle:
         assert float((probs * y * (7 - y)).sum()) == pytest.approx(
             float((counts * y * (7 - y)).sum() / counts.sum()), abs=1e-4)
 
+    def test_step_count_ignores_the_last_bit_of_p(self, monkeypatch):
+        # each step reads p = e / T off the kernel's exponentials; moving
+        # every e up one ulp moves p in its last bits alone, which must
+        # not change how many steps a fit takes.  300 draws each, at the
+        # Curie-Weiss couplings omega = e^(-2 beta / n), all with a
+        # finite MLE
+        cells = ((0.3, 0.5), (0.6, -0.5), (0.45, 0.9))
+        samples = [drawn_sample(ModelParams(n, psi, math.exp(-2.0 * beta / n)), 300, n)
+                   for n, (psi, beta) in zip((2, 3, 5, 8, 12, 20, 32, 50, 64, 100, 150, 200),
+                                             cells * 4)]
+        plain = [fit_mle(s) for s in samples]
+
+        def nudged(n, theta1, theta2):
+            m, row, e, total = _kernel(n, theta1, theta2)
+            e = np.nextafter(e, np.inf)
+            return m, row, e, float(np.add.reduce(e))
+
+        monkeypatch.setattr(lmbd.ensemble, "_kernel", nudged)
+        for s, fit in zip(samples, plain):
+            assert fit.converged
+            got = fit_mle(s)
+            assert (got.iterations, got.converged) == (fit.iterations, fit.converged), s.n
+
     def test_degenerate_sample_flagged(self):
         fit = fit_mle(CountSample(n=4, counts=(120, 0, 0, 0, 0)))
         assert not fit.converged

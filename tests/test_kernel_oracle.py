@@ -13,8 +13,9 @@ omega = e^(-2/n); the kernel before it, with log C(n, y) off an
 ``lgamma`` table and the uncentred product theta_2 y (n-y), was off by
 up to 3.9e-9 at n = 2000 on those cells.
 ``tau`` and ``log_k`` read tau_r off the same row as a falling-factorial
-moment (``core._tau``); the oracle sums each K_{n-r} by its own
-definition instead.
+moment (``core._tau``), weighted above r = 2 by log[(y)_r / (n)_r] off
+``core._log_factorials``, one cached read-only pair of rows per n; the
+oracle sums each K_{n-r} by its own definition instead.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from hypothesis import strategies as st
 
 import lmbd
 from lmbd import EnsembleSpec, ModelParams, cdf, ensemble_accuracy, log_k, marginal_pi, pmf, tau
-from lmbd.core import (_floored_exp, _kernel, _kernel_row, _log_falling_ratio, _log_sum,
-                       _log_weights, _logit, _logsumexp)
+from lmbd.core import (_floored_exp, _kernel, _kernel_row, _log_factorials, _log_falling,
+                       _log_sum, _log_weights, _logit, _logsumexp)
 from lmbd.factorization import _xlogy
 
 import mp_oracle
@@ -74,12 +75,32 @@ def test_kernel_rows_are_read_only(m):
     assert list(cross) == [y * (m - y) for y in range(m + 1)]
     # mirrored: C(m, y) = C(m, m-y) bit for bit
     assert list(log_binom[::-1]) == list(log_binom)
-    rows = [i, cross, log_binom] + ([_log_falling_ratio(m, 1)[0]] if m else [])
-    for row in rows:
+    for row in (i, cross, log_binom, *_log_factorials(m)):
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 1
     assert _kernel_row(m) is _kernel_row(m)
+    assert _log_factorials(m) is _log_factorials(m)
+
+
+# about twice the worst absolute error of log[(y)_r / (n)_r] over these
+# n and r, 2.36e-13 at n = 5000, r = 1666, which is half an ulp of the
+# values near -1700 there; the reverse sum of log1p(r / (j - r)) that
+# it replaced read 2.28e-13 on the same cell.  n = 5000 lies above the
+# row cache's cap, on its one-entry path
+FALLING_BOUND = 5e-13
+
+
+@pytest.mark.parametrize("n", [3, 64, 500, 2000, 5000])
+def test_log_falling_ratio_matches_mpmath(n):
+    lf = mp_oracle.log_factorials(n)
+    for r in sorted({3, 7, n // 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+        got = _log_falling(n, r)
+        assert len(got) == n - r + 1 and got[-1] == 0.0
+        with mp.workdps(DPS):
+            errs = [abs(float(mp.mpf(g) - (lf[y] - lf[y - r] - lf[n] + lf[n - r])))
+                    for y, g in zip(range(r, n + 1), got)]
+        assert max(errs) <= FALLING_BOUND, r
 
 
 def test_xlogy_takes_zero_log_zero_as_zero():
@@ -149,7 +170,7 @@ def _unfloored_logsumexp(terms):
 def _falling_moment_terms(row: np.ndarray, r: int) -> np.ndarray:
     """The terms whose log-sum-exp ``core._tau`` takes for E[(Y)_r]:
     the kernel row plus log[(y)_r / (n)_r] for y = r..n."""
-    return row[r:] + _log_falling_ratio(len(row) - 1, r)[0]
+    return row[r:] + _log_falling(len(row) - 1, r)
 
 
 def test_logsumexp_floor_leaves_bits_unchanged():
