@@ -89,11 +89,11 @@ class CountSample(_Checked, _CountSampleFields):
 class FitResult(NamedTuple):
     """A count-likelihood fit (``fit_mle``).
 
-    theta_hat (and so psi_hat and omega_hat), the log-likelihood and
-    ``converged`` are its stable outputs.  ``iterations`` is not: near
-    the optimum the stopping rule reads the Newton decrement at rounding
-    level, so a last-bit change in the score moves it by one or two
-    steps.
+    theta_hat (and so psi_hat and omega_hat), the log-likelihood,
+    ``converged`` and ``iterations`` are its outputs.  The one stopping
+    rule reads the Newton decrement at 1e-16 per observation
+    (_LAST_STEP_TOL), far above its rounding, so a last-bit change in
+    the score does not move ``iterations``.
     """
 
     psi_hat: float
@@ -149,10 +149,14 @@ def binomial_accuracy(n: int, pi: float) -> float:
 def _rising_sums(x: float, m: int) -> np.ndarray:
     """Rows log x^(j) and its first two x-derivatives for j = 0..m, where
     x^(j) = x (x+1) ... (x+j-1) is the rising factorial: cumulative sums
-    of log(x+k), 1/(x+k) and -1/(x+k)^2 over k < j."""
+    of log(x+k), 1/(x+k) and -1/(x+k)^2 over k < j.  The derivative rows
+    overflow silently at a shape's ends: 1/x is inf at x = 0 and for a
+    subnormal x, and -1/(x+k)^2 is -0 past x = 1e154.  The row of logs
+    stays exact there, and ``beta_binomial_accuracy`` reads it alone."""
     xk = x + np.arange(m)
     out = np.zeros((3, m + 1))
-    np.cumsum((np.log(xk), 1.0 / xk, -1.0 / (xk * xk)), axis=1, out=out[:, 1:])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.cumsum((np.log(xk), 1.0 / xk, -1.0 / (xk * xk)), axis=1, out=out[:, 1:])
     return out
 
 
@@ -160,9 +164,8 @@ def beta_binomial_accuracy(n: int, alpha: float, beta: float) -> float:
     """Majority tail of the Beta(alpha, beta) mixture of Binomials."""
     n, alpha, beta = _integer("n", n, 1), _positive("alpha", alpha), _positive("beta", beta)
     # log B(y+alpha, n-y+beta) - log B(alpha, beta) by the logs of rising
-    # factorials alone: their derivative rows overflow at the shapes' ends
-    ra, rb, rab = (np.concatenate(([0.0], np.cumsum(np.log(x + np.arange(n)))))
-                   for x in (alpha, beta, alpha + beta))
+    # factorials
+    ra, rb, rab = (_rising_sums(x, n)[0] for x in (alpha, beta, alpha + beta))
     tail = (_kernel_row(n)[2] + ra + rb[::-1] - rab[n])[majority_threshold(n) + 1:]
     # a log-pmf row: its probabilities are its exponentials, with T = 1
     return _share(tail, _floored_exp(tail), 1.0, slice(None))
@@ -182,7 +185,11 @@ _QUADRATIC_TOL = 1e-8
 # so that step is the last.
 _LAST_STEP_TOL = 1e-16
 _MAX_STEPS = 100
-_MAX_HALVINGS = 60
+# A step along an eigenvalue of -H at rounding level is as long as one
+# over that rounding, some 1e32 for a near-chord lmbd sample; halving it
+# back took up to 129 halvings.  The last trial takes t = 2^-1021, still
+# a normal double, so t never rounds to 0 and puts a trial on theta.
+_MAX_HALVINGS = 1022
 
 
 def _eigenpairs(a) -> list[tuple[float, tuple[float, float]]]:
@@ -201,33 +208,32 @@ def _eigenpairs(a) -> list[tuple[float, tuple[float, float]]]:
 def _newton_ascent(derivs, theta: np.ndarray, total: float):
     """Damped Newton ascent with a backtracking (Armijo) line search on
     ``derivs(theta)`` = (log-likelihood, gradient, Hessian), the last two
-    2 long and 2x2.  The step is V diag(1/s) V' g over the
+    2 long and 2x2.  Every step is V diag(1/|lambda|) V' g over the
     eigenpairs (lambda, V) of -H, in closed form (``_eigenpairs``, so no
-    LAPACK call): Newton's, s = lambda, where -H is positive definite, and
-    otherwise saddle-free (Dauphin et al. 2014), s = max(|lambda|, 1), the
-    gradient's step along |lambda| < 1.  In the quadratic region it takes
-    full steps, and stops after the first from a decrement below
-    _LAST_STEP_TOL per observation, or, should the decrement stall above
-    that, once it stops falling fourfold.  Returns (theta,
-    log-likelihood, Hessian, steps, converged)."""
+    LAPACK call): Newton's where -H is positive definite, and otherwise
+    saddle-free (Dauphin et al. 2014), with 1 in place of 1/|lambda| only
+    where lambda = 0 exactly.  So the step does not depend on the
+    log-likelihood's scale; along an eigenvalue at rounding level it is
+    far too long, and the line search halves it back.  Where -H is
+    positive definite and the decrement g' (-H)^-1 g is below
+    _QUADRATIC_TOL per observation it takes full steps, and it stops
+    after the first full step from a decrement below _LAST_STEP_TOL per
+    observation; otherwise it ends unconverged at _MAX_STEPS, or when no
+    halving of a step ascends.
+    Returns (theta, log-likelihood, Hessian, steps, converged)."""
     value, grad, hess = derivs(theta)
-    last = math.inf
     for step in range(_MAX_STEPS):
         g = [float(v) for v in grad]
         pairs = _eigenpairs([[-float(h) for h in row] for row in hess])
-        newton = all(lam > 0.0 for lam, _ in pairs)
         direction = [0.0] * len(g)
         slope = 0.0
         for lam, v in pairs:
             gv = sum(gi * vi for gi, vi in zip(g, v))
-            coef = gv / (lam if newton else max(abs(lam), 1.0))
+            coef = gv / (abs(lam) or 1.0)
             direction = [d + coef * vi for d, vi in zip(direction, v)]
             slope += coef * gv
         direction = np.array(direction)
-        quadratic = newton and slope <= total * _QUADRATIC_TOL
-        if quadratic and slope >= last / 4.0:
-            return theta, value, hess, step, True
-        last = slope if quadratic else math.inf
+        quadratic = min(lam for lam, _ in pairs) > 0.0 and slope <= total * _QUADRATIC_TOL
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = theta + t * direction
@@ -289,14 +295,15 @@ def fit_mle(sample: CountSample) -> FitResult:
     n = sample.n
     counts = np.asarray(sample.counts, dtype=float)
     total = counts.sum()
-    y = np.arange(n + 1)
+    # T = (y, y (n-y)), the statistic the kernel tilts by
+    y, cross, _ = _kernel_row(n)
     mean_y = float((y * counts).sum() / total)
     if _on_hull_face(counts):
         return FitResult(psi_hat=mean_y / n, omega_hat=math.nan,
                          log_likelihood=_empirical_log_lik(counts), converged=False,
                          iterations=0, standard_errors=None, theta_hat=(math.nan, math.nan))
 
-    stats = np.stack((y, y * (n - y))).astype(float)
+    stats = np.stack((y, cross))
     d1, d2 = stats - ((stats * counts).sum(axis=1) / total)[:, None]
     # T - mean T and its products, whose p-weighted sums are E[T] - mean T
     # and the second moments about mean T
@@ -307,11 +314,13 @@ def fit_mle(sample: CountSample) -> FitResult:
     def derivs(theta: np.ndarray):
         # the kernel's table in natural parameters, exact even where psi
         # rounds to 0 or 1: p = e / row_total, and log p at the counts
-        # seen is row - log row_total
-        _, row, e, row_total = _kernel(n, theta[0], theta[1])
-        g1, g2, s11, s12, s22 = (dev * (e / row_total)).sum(axis=1).tolist()
+        # seen is row - log row_total.  A trial far out overflows the
+        # row's exponentials: its NaN log-likelihood fails the line search
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, row, e, row_total = _kernel(n, theta[0], theta[1])
+            g1, g2, s11, s12, s22 = (dev * (e / row_total)).sum(axis=1).tolist()
+            log_lik = float((seen_counts * (row[seen] - math.log(row_total))).sum())
         c11, c12, c22 = s11 - g1 * g1, s12 - g1 * g2, s22 - g2 * g2  # Cov(T)
-        log_lik = float((seen_counts * (row[seen] - math.log(row_total))).sum())
         return (log_lik, [-total * g1, -total * g2],
                 [[-total * c11, -total * c12], [-total * c12, -total * c22]])
 
@@ -338,14 +347,17 @@ def _beta_binomial_log_lik(counts: np.ndarray, theta: np.ndarray):
     n = len(counts) - 1
     alpha, beta = np.exp(theta)
     ra, rb, rab = (_rising_sums(x, n) for x in (alpha, beta, alpha + beta))
-    sa, sb = (ra * counts).sum(axis=1), (rb * counts[::-1]).sum(axis=1)
-    sab = counts.sum() * rab[:, n]
-    ga, gb = sa[1] - sab[1], sb[1] - sab[1]
-    haa, hbb, hab = sa[2] - sab[2], sb[2] - sab[2], -sab[2]
-    grad = [alpha * ga, beta * gb]
-    hess = [[alpha * alpha * haa + alpha * ga, alpha * beta * hab],
-            [alpha * beta * hab, beta * beta * hbb + beta * gb]]
-    log_lik = (counts * _kernel_row(n)[2]).sum() + sa[0] + sb[0] - sab[0]
+    # a trial step that underflows alpha or beta to 0 reads inf * 0 here:
+    # its NaN log-likelihood fails the line search
+    with np.errstate(invalid="ignore"):
+        sa, sb = (ra * counts).sum(axis=1), (rb * counts[::-1]).sum(axis=1)
+        sab = counts.sum() * rab[:, n]
+        ga, gb = sa[1] - sab[1], sb[1] - sab[1]
+        haa, hbb, hab = sa[2] - sab[2], sb[2] - sab[2], -sab[2]
+        grad = [alpha * ga, beta * gb]
+        hess = [[alpha * alpha * haa + alpha * ga, alpha * beta * hab],
+                [alpha * beta * hab, beta * beta * hbb + beta * gb]]
+        log_lik = (counts * _kernel_row(n)[2]).sum() + sa[0] + sb[0] - sab[0]
     return float(log_lik), grad, hess
 
 

@@ -416,6 +416,23 @@ class TestNInference:
         assert "observed y must lie in [0, 4], got 5" in err
 
 
+def test_compare_stderr_is_the_summary_alone(tmp_path):
+    """In a fresh process, whose warnings go to stderr as printed lines:
+    the Beta-Binomial line search on a two-observation sample underflows
+    alpha on a trial step, and stderr holds the one summary line, the
+    artifact going to stdout."""
+    data = tmp_path / "sample.csv"
+    data.write_text("y,count\n7,1\n9,1\n")
+    src = os.path.dirname(os.path.dirname(lmbd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "lmbd.cli", "compare", "--input", str(data),
+                           "--n", "9"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "best model by AIC: binomial\n")
+
+
 def _fresh_json(code: str):
     """Run ``code`` in a fresh python process that imports this ``lmbd``
     and parse the JSON of its last stdout line."""

@@ -283,6 +283,26 @@ class TestFitMle:
             got = fit_mle(s)
             assert (got.iterations, got.converged) == (fit.iterations, fit.converged), s.n
 
+    # next to the chord face {0, n}: the first Newton step lands where the
+    # law is nearly a two-point mass and an eigenvalue of -H is rounding,
+    # so the next step is some 1e32 long and takes over 60 halvings back
+    NEAR_CHORD = {
+        "n32": (32, {0: 438272, 5: 1, 31: 1, 32: 438271}),
+        "n53": (53, {0: 312, 23: 1, 53: 312}),
+    }
+
+    @pytest.mark.parametrize("n, pairs", NEAR_CHORD.values(), ids=NEAR_CHORD)
+    def test_near_chord_fit_matches_moments(self, n, pairs):
+        s = CountSample.from_pairs(n, pairs.items())
+        fit = fit_mle(s)
+        assert fit.converged and fit.standard_errors is not None
+        _, row, e, total = _kernel(n, *fit.theta_hat)
+        y, cross, _ = _kernel_row(n)
+        counts = np.asarray(s.counts, dtype=float)
+        for t in (y, cross):
+            assert float((e / total) @ t) == pytest.approx(float(counts @ t / counts.sum()),
+                                                           rel=1e-9)
+
     def test_degenerate_sample_flagged(self):
         fit = fit_mle(CountSample(n=4, counts=(120, 0, 0, 0, 0)))
         assert not fit.converged
@@ -454,6 +474,62 @@ class TestBetaBinomialFit:
         assert bb.parameters["alpha"] == pytest.approx(6.715026, rel=1e-6)
         assert bb.parameters["beta"] == pytest.approx(127.620392, rel=1e-6)
 
+    def test_line_search_is_silent(self):
+        # a trial step underflows alpha to 0, where the rising sums read 1/0
+        # and inf * 0: its NaN log-likelihood fails the line search, and
+        # no RuntimeWarning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = model_comparison(CountSample.from_pairs(9, [(7, 1), (9, 1)]))
+        assert report.best_aic == "binomial"
+        assert report.models[2].converged is True
+
+    def test_accuracy_at_a_subnormal_shape_is_silent(self):
+        # 1/alpha overflows in the rising sums' derivative rows, which the
+        # tail does not read; the value is the cumulative sum of logs alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = beta_binomial_accuracy(5, 1e-320, 1.0)
+        assert got == float.fromhex("0x0.0000000000631p-1022")
+
+    # a step along a Hessian eigenvalue |lambda| < 1 floored at 1 crawled
+    # along a ridge on these samples and stopped at _MAX_STEPS with the
+    # log-likelihood in the last column; the MLE is finite and higher
+    SMALL_SAMPLES = {
+        "n32": (32, {0: 1, 3: 2}, (10.876, 163.19), -5.41954916548616),
+        "n47": (47, {45: 1, 47: 1}, (726.53, 15.794), -2.6928274812556765),
+    }
+
+    @pytest.mark.parametrize("n, pairs, shapes, stalled", SMALL_SAMPLES.values(),
+                             ids=SMALL_SAMPLES)
+    def test_small_sample_fit_converges(self, n, pairs, shapes, stalled):
+        counts = CountSample.from_pairs(n, pairs.items()).counts
+        bb = model_comparison(CountSample(n=n, counts=counts)).models[2]
+        assert bb.converged is True
+        assert bb.log_likelihood > stalled
+        alpha, beta = bb.parameters["alpha"], bb.parameters["beta"]
+        assert (alpha, beta) == pytest.approx(shapes, rel=1e-4)
+        with mp.workdps(50):
+            expect = float(mp_beta_binomial_log_lik(counts, mp.mpf(alpha), mp.mpf(beta)))
+        assert bb.log_likelihood == pytest.approx(expect, rel=1e-13)
+
+    def test_small_samples_converge_or_take_a_limit(self):
+        # 300 seeded samples of 2 to 11 observations at n = 2 to 50, drawn
+        # from Beta-Binomials: each fit either converges or reports one of
+        # the two limit laws, never a stalled finite (alpha, beta)
+        rng = np.random.default_rng(2024)
+        limits = ({"alpha": math.inf, "beta": math.inf}, {"alpha": 0.0, "beta": 0.0})
+        stalled = []
+        for _ in range(300):
+            n, size = int(rng.integers(2, 51)), int(rng.integers(2, 12))
+            draws = betabinom.rvs(n, 10 ** rng.uniform(-1, 2), 10 ** rng.uniform(-1, 2),
+                                  size=size, random_state=rng)
+            s = CountSample(n=n, counts=tuple(int(c) for c in np.bincount(draws, minlength=n + 1)))
+            bb = model_comparison(s).models[2]
+            if not (bb.converged or bb.parameters in limits):
+                stalled.append(s)
+        assert stalled == []
+
     def test_two_point_sample_reaches_empirical_law(self):
         # observed only at 0 and n: alpha, beta -> 0 with their ratio fixed
         # reaches the empirical law, as the lmbd limits on the chord do
@@ -508,6 +584,17 @@ class TestNewtonAscent:
         assert converged is True and steps < _MAX_STEPS
         assert theta[0] == pytest.approx(math.pi / 2, abs=1e-8) and theta[1] == 0.0
         assert value == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01])
+    def test_step_does_not_depend_on_the_objective_scale(self, scale):
+        # the saddle-free step divides by |lambda| alone, so scaling the
+        # objective leaves every step, and their count, as it is
+        derivs = _separable(lambda x: (scale * math.sin(x), scale * math.cos(x),
+                                       -scale * math.sin(x)))
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.array([-1.0, 0.0]), 1.0)
+        assert (steps, converged) == (6, True)
+        assert theta[0] == pytest.approx(math.pi / 2, abs=1e-8) and theta[1] == 0.0
+        assert value == pytest.approx(scale, rel=1e-15)
 
     def test_saddle_free_step_leaves_a_saddle(self):
         # 10 (sin x + sin y) at (-1, 1): -H = diag(-10 sin 1, 10 sin 1) is
