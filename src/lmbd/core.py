@@ -319,11 +319,12 @@ def _log_weights(n: int, theta1, theta2):
         top = top + tilt if tilt.ndim > top.ndim else np.add(top, tilt, out=top)
     m = top.argmax(axis=-1, keepdims=True)
     row = log_binom - log_binom[m]
-    shift = y - m
+    # the uncentred block, of the block's shape, holds y - m and then the tilt
+    shift = np.subtract(y, m, out=top)
     shift *= slope
     row += shift
     if tilted:
-        tilt = cross - cross[m]
+        tilt = np.subtract(cross, cross[m], out=top)
         tilt *= theta2
         row += tilt
     if at_edge:
@@ -343,13 +344,14 @@ _LOG_SUM_FLOOR = -600.0
 _SUM_FLOOR = math.exp(_LOG_SUM_FLOOR)
 
 
-def _floored_exp(terms: np.ndarray, floor: float = _EXP_FLOOR) -> np.ndarray:
-    """exp(terms) as a new array, each term raised to ``floor`` first:
-    numpy's exp costs some hundred times more per element where its
-    result is subnormal.  The rows take _EXP_FLOOR; the grids, whose
-    factors multiply in pairs, take half of it
+def _floored_exp(terms: np.ndarray, floor: float = _EXP_FLOOR, out=None) -> np.ndarray:
+    """exp(terms), each term raised to ``floor`` first: numpy's exp costs
+    some hundred times more per element where its result is subnormal.
+    The result is a new array, or ``out`` (``terms`` itself, for a table
+    built for this call alone).  The rows take _EXP_FLOOR; the grids,
+    whose factors multiply in pairs, take half of it
     (``factorization._LOG_FACTOR_FLOOR``)."""
-    terms = np.maximum(terms, floor)
+    terms = np.maximum(terms, floor, out=out)
     return np.exp(terms, out=terms)
 
 

@@ -62,9 +62,17 @@ omega, and ``delta_grid`` exponentiates each table once and sums their
 products in one ``einsum``.  ``tau1_region_grid`` reads tau_1 the same
 way off K_n's kernel (``_grid_sums``).  The grids exponentiate by
 ``core._floored_exp`` at their own floor, e^-350, half the rows' e^-700,
-so that no product of two factors is subnormal.  One guard,
-``_fill_guarded``, re-reads by a log-sum-exp each grid cell whose sums
-fall below exp(-300), where the raised factors could matter.
+so that no product of two factors is subnormal.  One guard re-reads by a
+log-sum-exp each grid cell whose sums fall below exp(-300), where the
+raised factors could matter: each grid marks those cells on its
+einsum's output (``_low_cells``, one minimum per sum deciding whether
+there are any), then scales that output in place into its values, and
+``_fill_guarded`` overwrites the marked cells.  Of the arrays with an
+entry per cell, a grid allocates its einsum's output, its values (the
+same array in ``delta_grid``), its flags and, where it guards cells,
+their mask, beside ``delta_grid``'s logs of its wide columns.
+``GridSpec.linspace`` spreads its axes by ``_linspace``, np.linspace's
+float arithmetic without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -110,6 +118,8 @@ class GridSpec(_Checked, _GridSpecFields):
     def linspace(n: int, psi_steps: int = 101, omega_steps: int = 101,
                  psi_min: float = 0.01, psi_max: float = 0.99,
                  omega_min: float = 0.05, omega_max: float = 2.0) -> "GridSpec":
+        """Evenly spaced axes, each from its min to its max inclusive:
+        np.linspace(min, max, steps) bit for bit, as Python floats."""
         # check the ends first: numpy warns when it spreads an infinite one
         for psi, omega in ((psi_min, omega_min), (psi_max, omega_max)):
             _probability("psi_values", psi)
@@ -117,10 +127,31 @@ class GridSpec(_Checked, _GridSpecFields):
         psi_steps = _integer("psi_steps", psi_steps, 1)
         omega_steps = _integer("omega_steps", omega_steps, 1)
         return GridSpec(
-            psi_values=tuple(np.linspace(psi_min, psi_max, psi_steps).tolist()),
-            omega_values=tuple(np.linspace(omega_min, omega_max, omega_steps).tolist()),
+            psi_values=tuple(_linspace(psi_min, psi_max, psi_steps).tolist()),
+            omega_values=tuple(_linspace(omega_min, omega_max, omega_steps).tolist()),
             n=n,
         )
+
+
+def _linspace(start: float, stop: float, steps: int) -> np.ndarray:
+    """np.linspace(start, stop, steps) bit for bit, by its own float
+    arithmetic without its argument handling, which costs more than the
+    arithmetic on a grid's axis: arange(steps) * step + start with
+    step = (stop - start) / (steps - 1) and the last node set to stop.
+    Where that step rounds to 0, np.linspace divides arange(steps) by
+    steps - 1 first, and so does this."""
+    start, stop = float(start), float(stop)
+    nodes = np.arange(steps, dtype=float)
+    span, div = stop - start, steps - 1
+    if div > 0 and span / div == 0.0:
+        nodes /= div
+        nodes *= span
+    else:
+        nodes *= span / div if div > 0 else span
+    nodes += start
+    if div > 0:
+        nodes[-1] = stop
+    return nodes
 
 
 class RegionGrid(NamedTuple):
@@ -194,10 +225,15 @@ def _delta_tables(n: int, psi: np.ndarray, omega: np.ndarray):
         log_ratio = np.log1p(-np.abs(2.0 * psi - 1.0) / np.maximum(psi, 1.0 - psi))
     log_omega = np.log(omega)
     theta = (1 + n % 2) * log_omega
-    table_a = (log_binom + _xlogy(j, log_psi + log_q) + dm1 * np.maximum(log_psi, log_q)
-               + _log_q_integer(d, log_ratio))
+    # each table sums its parts from the left, in its first part's buffer
+    table_a = _xlogy(j, log_psi + log_q)
+    table_a += log_binom
+    table_a += dm1 * np.maximum(log_psi, log_q)
+    table_a += _log_q_integer(d, log_ratio)
     # [e]_x = x^(e-1) [e]_{1/x} above x = 1
-    table_b = cross * log_omega + em1 * np.maximum(theta, 0.0) + _log_q_integer(e, -np.abs(theta))
+    table_b = cross * log_omega
+    table_b += em1 * np.maximum(theta, 0.0)
+    table_b += _log_q_integer(e, -np.abs(theta))
     return table_a, table_b
 
 
@@ -285,14 +321,24 @@ def _tau1_cells(n: int, psis: np.ndarray, log_omegas: np.ndarray) -> np.ndarray:
         return np.exp(np.where(edge, (n - 1) * log_omegas, log_tau))
 
 
-def _fill_guarded(values: np.ndarray, sums, terms: int, read) -> None:
-    """Overwrite the cells of ``values`` where any of the ``sums`` falls
-    below _GRID_SUM_FLOOR with ``read(rows, cols)``, a log-domain reader of
-    ``terms`` terms per cell, called on blocks of about
-    _BLOCK_DOUBLES / terms cells."""
+def _low_cells(*sums: np.ndarray):
+    """The mask of the cells where any of ``sums`` falls below
+    _GRID_SUM_FLOOR, or None where none does, which one minimum per sum
+    decides: the cells a grid's guard re-reads, taken before the grid
+    scales its sums in place."""
     if all(s.min() >= _GRID_SUM_FLOOR for s in sums):
+        return None
+    return np.logical_or.reduce([s < _GRID_SUM_FLOOR for s in sums])
+
+
+def _fill_guarded(values: np.ndarray, low, terms: int, read) -> None:
+    """Overwrite the cells of ``values`` that the mask ``low``
+    (``_low_cells``) marks, if any, with ``read(rows, cols)``, a
+    log-domain reader of ``terms`` terms per cell, called on blocks of
+    about _BLOCK_DOUBLES / terms cells."""
+    if low is None:
         return
-    rows, cols = np.nonzero(np.logical_or.reduce([s < _GRID_SUM_FLOOR for s in sums]))
+    rows, cols = np.nonzero(low)
     step = max(1, _BLOCK_DOUBLES // terms)
     for k in range(0, len(rows), step):
         r, c = rows[k:k + step], cols[k:k + step]
@@ -300,7 +346,8 @@ def _fill_guarded(values: np.ndarray, sums, terms: int, read) -> None:
 
 
 def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
-    """(s0, s1) over the psis x omegas grid with tau_1 = s1 / (n psi s0).
+    """(s0, s1) over the psis x omegas grid with tau_1 = s1 / (n psi s0),
+    two views of one (2 len(psis), len(omegas)) block.
 
     K_n's log-weight is a psi-only row A[p, i] plus an omega-only column
     B[i, w] = i (n-i) log omega, each shifted by its maximum and
@@ -309,17 +356,26 @@ def _grid_sums(n: int, psis: np.ndarray, log_omegas: np.ndarray):
     i.  B is symmetric under i <-> n-i, so the psi factors of i and n-i
     are added first and the sums run over i = 0..floor(n/2).  ``einsum``,
     like the grids' other sums, gives the same bits whatever the BLAS
-    thread count, which a BLAS product does not.
+    thread count, which a BLAS product does not.  Each table is built in
+    its own buffer, with no temporary of its size.
     """
-    ea = _floored_exp(_log_weights(n, _logit(psis)[:, None], 0.0)[1], _LOG_FACTOR_FLOOR)
+    ea = _log_weights(n, _logit(psis)[:, None], 0.0)[1]
+    ea = _floored_exp(ea, _LOG_FACTOR_FLOOR, out=ea)
     half = n // 2 + 1
-    i, expo = (part[:half] for part in _kernel_row(n)[:2])  # expo = i (n-i)
+    y, cross = _kernel_row(n)[:2]
+    i, partner, expo = y[:half], y[::-1][:half], cross[:half]  # partner = n - i, expo = i (n-i)
     low, high = ea[:, :half], ea[:, ::-1][:, :half]  # high[:, i] = ea[:, n - i]
-    psi_factors = np.concatenate([low + high, low * i + high * (n - i)])
+    psi_factors = np.empty((2 * len(psis), half))
+    plain, weighted = psi_factors[:len(psis)], psi_factors[len(psis):]
+    # high (n-i) + low i, with the rows of plain as scratch for low i
+    np.multiply(high, partner, out=weighted)
+    weighted += np.multiply(low, i, out=plain)
+    np.add(low, high, out=plain)
     # i (n-i) peaks at floor(n^2 / 4), which is B's maximum for omega > 1;
     # the exponent difference is an exact integer
-    top_expo = np.where(log_omegas > 0.0, expo[-1], 0.0)
-    eb = _floored_exp((expo[:, None] - top_expo) * log_omegas, _LOG_FACTOR_FLOOR)
+    eb = np.subtract(expo[:, None], np.where(log_omegas > 0.0, expo[-1], 0.0))
+    eb *= log_omegas
+    eb = _floored_exp(eb, _LOG_FACTOR_FLOOR, out=eb)
     if n % 2 == 0:
         # i = n/2 is its own partner, so its psi factors were doubled
         eb[-1] *= 0.5
@@ -336,6 +392,8 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
     A cell is exp(a_top + b_top) times the sum over j of the products of
     ``_delta_tables``' two tables, each shifted by its maximum; a column
     whose exp(b_top) leaves the double range is scaled in the log domain.
+    The guarded cells and the wide columns' logs are read off the sums
+    first, and the sums are then scaled in place into the values.
     """
     n = spec.n
     shape = (len(spec.psi_values), len(spec.omega_values))
@@ -344,17 +402,19 @@ def delta_grid(spec: GridSpec) -> RegionGrid:
     else:
         table_a, table_b = _delta_tables(n, *map(np.asarray, (spec.psi_values, spec.omega_values)))
         a_top, b_top = table_a.max(axis=0), table_b.max(axis=0)
-        sums = np.einsum("jp,jw->pw", _floored_exp(table_a - a_top, _LOG_FACTOR_FLOOR),
-                         _floored_exp(table_b - b_top, _LOG_FACTOR_FLOOR))
-        values = sums * np.exp(a_top)[:, None]
+        values = np.einsum("jp,jw->pw", *(_floored_exp(t, _LOG_FACTOR_FLOOR, out=t)
+                                          for t in (table_a - a_top, table_b - b_top)))
+        low = _low_cells(values)
         # 0 * inf in a wide column is a guarded cell, recomputed below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             col_factor = np.exp(b_top)
-            values *= col_factor
             wide = np.isinf(col_factor)
-            if wide.any():
-                values[:, wide] = np.exp(np.log(sums[:, wide]) + a_top[:, None] + b_top[wide])
-            _fill_guarded(values, (sums,), len(table_a), lambda r, c: np.exp(
+            wide_logs = np.log(values[:, wide]) if wide.any() else None
+            values *= np.exp(a_top)[:, None]
+            values *= col_factor
+            if wide_logs is not None:
+                values[:, wide] = np.exp(wide_logs + a_top[:, None] + b_top[wide])
+            _fill_guarded(values, low, len(table_a), lambda r, c: np.exp(
                 _logsumexp(table_a[:, r] + table_b[:, c], axis=0)))
     return RegionGrid(spec=spec, values=values, flags=values > 0.0)
 
@@ -363,16 +423,24 @@ def tau1_region_grid(spec: GridSpec) -> RegionGrid:
     """tau_1 per cell, flagged where tau_1 <= 1, read off the proven sign
     of D_n: the region
     {psi <= 1/2 and omega <= 1} union {psi >= 1/2 and omega >= 1}
-    union {psi = 1}, and every cell at n = 1.
+    union {psi = 1}, and every cell at n = 1, where tau_1 = K_0 / K_1 is
+    exactly 1.  The guarded cells are read off the sums first, and the
+    sums are then scaled in place.
     """
     n = spec.n
     psis = np.asarray(spec.psi_values)
     omegas = np.asarray(spec.omega_values)
-    log_omegas = np.log(omegas)
-    s0, s1 = _grid_sums(n, psis, log_omegas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = s1 / (n * psis[:, None] * s0)
-    _fill_guarded(t1, (s0, s1), n + 1, lambda r, c: _tau1_cells(n, psis[r], log_omegas[c]))
+    if n == 1:
+        t1 = np.ones((len(psis), len(omegas)))
+    else:
+        log_omegas = np.log(omegas)
+        s0, s1 = _grid_sums(n, psis, log_omegas)
+        low = _low_cells(s0, s1)
+        s0 *= (n * psis)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a new array: a view of the sums would hold both halves
+            t1 = np.divide(s1, s0)
+        _fill_guarded(t1, low, n + 1, lambda r, c: _tau1_cells(n, psis[r], log_omegas[c]))
     # D_n has the sign of the linear factors, as Delta > 0, and is 0 at n = 1;
     # the signs multiply as int8, a float grid of them costs twice the time
     sign = ((n > 1) * np.sign(psis - 1.0) * np.sign(2.0 * psis - 1.0)).astype(np.int8)

@@ -14,6 +14,7 @@ from lmbd import (
     d_n,
     delta,
     delta_grid,
+    factorization,
     marginal_pi,
     tau,
     tau1_region_grid,
@@ -335,10 +336,19 @@ class TestTau1RegionGrid:
         assert grid.flags.all()  # ties flagged as <=
 
     def test_psi_one_row_and_n_one_are_flagged(self):
-        # D_n = 0 there: tau_1 = 1
+        # D_n = 0 there: tau_1 = 1, and at n = 1 exactly, as
+        # tau_1 = K_0 / K_1 = 1 at every (psi, omega), psi = 0 and 1 included
         spec = GridSpec(psi_values=(0.2, 0.8, 1.0), omega_values=(0.5, 1.5), n=5)
         assert tau1_region_grid(spec).flags[2].all()
-        assert tau1_region_grid(GridSpec(spec.psi_values, spec.omega_values, 1)).flags.all()
+        rng = np.random.default_rng(1)
+        seeded = [GridSpec(tuple(np.unique(rng.random(k)).tolist()) + (1.0,),
+                           tuple(np.unique(np.exp(rng.normal(0.0, 2.0, k))).tolist()), 1)
+                  for k in (7, 40, 101)]
+        for at_one in (GridSpec(spec.psi_values, spec.omega_values, 1), GridSpec.linspace(1),
+                       GridSpec.linspace(1, 101, 101, 0.0, 1.0, 0.05, 4.0), *seeded):
+            grid = tau1_region_grid(at_one)
+            assert grid.flags.all()
+            assert (grid.values == 1.0).all()
 
     @pytest.mark.parametrize("n", [4, 5, 9, 12])
     def test_upper_right_cell(self, n):
@@ -451,7 +461,39 @@ class TestGridSpec:
         for axis, expect in ((spec.psi_values, np.linspace(0.05, 0.95, 11)),
                              (spec.omega_values, np.linspace(0.5, 2.5, 7))):
             assert type(axis) is tuple and {type(v) for v in axis} == {float}
-            assert np.array_equal(axis, expect)
+            assert np.array(axis).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 101, 1001])
+    @pytest.mark.parametrize("ends", [(0.05, 0.95, 0.5, 2.5), (0.01, 0.99, 0.05, 2.0),
+                                      (0.0, 1.0, 1e-3, 40.0),
+                                      (0.5, 0.5 + 1e-9, 1.0, 1.0 + 1e-9)],
+                             ids=["mid", "default", "wide", "narrow"])
+    def test_linspace_axes_are_numpy_linspace_bits(self, steps, ends):
+        psi_min, psi_max, omega_min, omega_max = ends
+        spec = GridSpec.linspace(5, steps, steps + 1, *ends)
+        for axis, expect in ((spec.psi_values, np.linspace(psi_min, psi_max, steps)),
+                             (spec.omega_values, np.linspace(omega_min, omega_max, steps + 1))):
+            assert type(axis) is tuple and {type(v) for v in axis} == {float}
+            assert np.array(axis).tobytes() == expect.tobytes()
+
+    def test_linspace_one_step_with_equal_ends(self):
+        spec = GridSpec.linspace(5, 1, 1, 0.3, 0.3, 2.0, 2.0)
+        assert spec.psi_values == (0.3,) and spec.omega_values == (2.0,)
+
+    @pytest.mark.parametrize("start, stop, steps", [(0.0, 5e-324, 3), (0.0, 1e-323, 5),
+                                                    (5e-324, 1.5e-323, 5)])
+    def test_linspace_step_that_rounds_to_zero(self, start, stop, steps):
+        # np.linspace divides arange(steps) by steps - 1 first where the step
+        # (stop - start) / (steps - 1) rounds to 0; the nodes repeat, which
+        # GridSpec rejects with the first repeated pair
+        nodes = factorization._linspace(start, stop, steps)
+        assert nodes.tobytes() == np.linspace(start, stop, steps).tobytes()
+        with pytest.raises(ValueError, match=r"^psi_values must be strictly increasing, "
+                                             r"got 0\.0 after 0\.0$"):
+            GridSpec.linspace(3, steps, 1, 0.0, stop - start)
+        with pytest.raises(ValueError, match=r"^omega_values must be strictly increasing, "
+                                             r"got 5e-324 after 5e-324$"):
+            GridSpec.linspace(3, 1, steps, 0.1, 0.2, 5e-324, 5e-324 + (stop - start))
 
     def test_linspace_defaults(self):
         spec = GridSpec.linspace(n=4)

@@ -111,11 +111,11 @@ def _guard_masks(spec: GridSpec, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
     for grid_of in (tau1_region_grid, delta_grid):
         mask = np.zeros((len(spec.psi_values), len(spec.omega_values)), dtype=bool)
 
-        def marked(values, sums, terms, read, mask=mask):
+        def marked(values, low, terms, read, mask=mask):
             def read_and_mark(rows, cols):
                 mask[rows, cols] = True
                 return read(rows, cols)
-            fill(values, sums, terms, read_and_mark)
+            fill(values, low, terms, read_and_mark)
 
         with monkeypatch.context() as m:
             m.setattr(factorization, "_fill_guarded", marked)
@@ -372,6 +372,29 @@ def test_moment_and_fit_bits_do_not_depend_on_blas_threads():
     assert len(outputs) == 1, outputs
 
 
+@pytest.mark.parametrize("grid_of", (delta_grid, tau1_region_grid))
+@pytest.mark.parametrize("n", (1, 2, 5, 20, 64, 65, 200, 400))
+def test_a_cell_does_not_depend_on_the_other_nodes(n, grid_of):
+    # a cell is read off its own psi and omega alone: on sub-axes of a
+    # spec, 2 to 40 nodes each, the grid is the full grid's block bit for
+    # bit, so that no scaling in place and no guarded cell mixes rows,
+    # columns or buffers.  The default axes guard cells from n = 200 on.
+    # An axis of one node is left out: einsum then sums a cell's terms in
+    # another order (tau_1 on one omega, Delta on one cell), which moves
+    # its last bits
+    rng = np.random.default_rng(n)
+    for spec in _specs(n):
+        full = grid_of(spec)
+        for _ in range(3):
+            rows, cols = (np.sort(rng.choice(len(axis), rng.integers(2, 41), replace=False))
+                          for axis in (spec.psi_values, spec.omega_values))
+            sub = grid_of(GridSpec(tuple(np.asarray(spec.psi_values)[rows].tolist()),
+                                   tuple(np.asarray(spec.omega_values)[cols].tolist()), n))
+            block = np.ix_(rows, cols)
+            assert sub.values.tobytes() == full.values[block].tobytes()
+            assert np.array_equal(sub.flags, full.flags[block])
+
+
 def _row_reference(spec: GridSpec) -> np.ndarray:
     """tau_1 over the grid, one psi row at a time."""
     n = spec.n
@@ -438,3 +461,22 @@ def test_delta_grid_peak_memory(monkeypatch):
 def test_tau1_region_grid_peak_memory(monkeypatch):
     assert _guard_masks(MEMORY_SPEC, monkeypatch)[0].any()
     assert _traced_peak(tau1_region_grid, MEMORY_SPEC) <= 2 * 2 ** 20
+
+
+# at small n no cell is guarded, and a grid's peak is about its sums,
+# its values and its flags: 152.6 and 200.0 KiB (delta_grid) and 270.0
+# and 294.0 KiB (tau1_region_grid) at n = 5 and 64, with the sums scaled
+# in place and each table built in its own buffer.  Each bound is 1.25
+# times the peak, rounded up to a KiB
+SMALL_MEMORY_BOUNDS_KIB = {(delta_grid, 5): 191, (delta_grid, 64): 250,
+                           (tau1_region_grid, 5): 338, (tau1_region_grid, 64): 368}
+
+
+@pytest.mark.parametrize("grid_of, n", SMALL_MEMORY_BOUNDS_KIB,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_small_grid_peak_memory(grid_of, n):
+    spec = GridSpec.linspace(n)
+    assert _traced_peak(grid_of, spec) <= SMALL_MEMORY_BOUNDS_KIB[grid_of, n] * 2 ** 10
+    # values owns its P x W doubles, not a view that holds a larger block alive
+    values = grid_of(spec).values
+    assert values.base is None and values.shape == (101, 101) and values.dtype == float
