@@ -418,9 +418,9 @@ class TestNInference:
 
 def test_compare_stderr_is_the_summary_alone(tmp_path):
     """In a fresh process, whose warnings go to stderr as printed lines:
-    the Beta-Binomial line search on a two-observation sample underflows
-    alpha on a trial step, and stderr holds the one summary line, the
-    artifact going to stdout."""
+    all three fits of a two-observation sample, the Beta-Binomial's
+    trials included, raise no warning, and stderr holds the one summary
+    line, the artifact going to stdout."""
     data = tmp_path / "sample.csv"
     data.write_text("y,count\n7,1\n9,1\n")
     src = os.path.dirname(os.path.dirname(lmbd.__file__))

@@ -851,3 +851,17 @@ def test_no_blas_or_lapack_call_in_the_package():
                   and any(k.arg == "optimize" for k in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}: einsum(optimize=...)")
     assert found == []
+
+
+def test_no_overflow_tolerant_fit_trial():
+    # the trust radius keeps every fit trial inside the double range, so
+    # neither the ascent nor an objective silences an overflow, whose NaN
+    # a trial's test would reject, and no halving budget comes back
+    tree = ast.parse(Path(lmbd.ensemble.__file__).read_text())
+    found = [f"{node.name}:{sub.lineno}: errstate" for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("fit_mle", "_beta_binomial_log_lik", "_newton_ascent")
+             for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == "errstate"]
+    found += [f"{node.lineno}: _MAX_HALVINGS" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "_MAX_HALVINGS"]
+    assert found == []

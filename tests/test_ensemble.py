@@ -27,6 +27,7 @@ from lmbd import (
 from lmbd.core import _kernel, _kernel_row, _logit
 from lmbd.ensemble import _MAX_STEPS, _beta_binomial_log_lik, _newton_ascent
 
+import mp_oracle
 from enumeration_oracle import enumerate_pmf_oracle
 from test_core import kernel_share
 
@@ -285,7 +286,8 @@ class TestFitMle:
 
     # next to the chord face {0, n}: the first Newton step lands where the
     # law is nearly a two-point mass and an eigenvalue of -H is rounding,
-    # so the next step is some 1e32 long and takes over 60 halvings back
+    # so the next step is some 1e32 long, and the trust radius scales it
+    # down to a few units of theta
     NEAR_CHORD = {
         "n32": (32, {0: 438272, 5: 1, 31: 1, 32: 438271}),
         "n53": (53, {0: 312, 23: 1, 53: 312}),
@@ -302,6 +304,31 @@ class TestFitMle:
         for t in (y, cross):
             assert float((e / total) @ t) == pytest.approx(float(counts @ t / counts.sum()),
                                                            rel=1e-9)
+
+    def test_near_chord_fits_take_few_kernel_rows(self, monkeypatch):
+        # at most 30 kernel rows per fit, one per trial point, on both
+        # NEAR_CHORD samples and on 100 seeded ones (n in {10, 53, 200},
+        # 10 to 1000 counts at each of 0 and n, 1 to 3 off the chord)
+        samples = [CountSample.from_pairs(n, pairs.items()) for n, pairs in self.NEAR_CHORD.values()]
+        rng = np.random.default_rng(41)
+        for i in range(100):
+            n = (10, 53, 200)[i % 3]
+            counts = np.zeros(n + 1, dtype=int)
+            counts[[0, n]] = rng.integers(10, 1001, size=2)
+            np.add.at(counts, rng.integers(1, n, size=rng.integers(1, 4)), 1)
+            samples.append(CountSample(n=n, counts=tuple(counts.tolist())))
+        rows = []
+
+        def counted(*args):
+            rows[-1] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(lmbd.ensemble, "_kernel", counted)
+        for s in samples:
+            rows.append(0)
+            fit = fit_mle(s)
+            assert fit.converged and fit.iterations + 1 == rows[-1]
+        assert max(rows) <= 30
 
     def test_degenerate_sample_flagged(self):
         fit = fit_mle(CountSample(n=4, counts=(120, 0, 0, 0, 0)))
@@ -474,19 +501,28 @@ class TestBetaBinomialFit:
         assert bb.parameters["alpha"] == pytest.approx(6.715026, rel=1e-6)
         assert bb.parameters["beta"] == pytest.approx(127.620392, rel=1e-6)
 
-    def test_line_search_is_silent(self):
-        # a trial step underflows alpha to 0, where the rising sums read 1/0
-        # and inf * 0: its NaN log-likelihood fails the line search, and
-        # no RuntimeWarning is raised on the way
+    def test_no_trial_underflows_a_shape(self, monkeypatch):
+        # a fit of two observations: every trial keeps both shapes normal
+        # doubles, so the rising sums read no 1/0 and no inf * 0, and no
+        # RuntimeWarning is raised on the way
+        trials = []
+
+        def recorded(counts, theta):
+            trials.append(np.exp(theta))
+            return _beta_binomial_log_lik(counts, theta)
+
+        monkeypatch.setattr(lmbd.ensemble, "_beta_binomial_log_lik", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = model_comparison(CountSample.from_pairs(9, [(7, 1), (9, 1)]))
         assert report.best_aic == "binomial"
         assert report.models[2].converged is True
+        assert np.min(trials) >= np.finfo(float).tiny
 
     def test_accuracy_at_a_subnormal_shape_is_silent(self):
-        # 1/alpha overflows in the rising sums' derivative rows, which the
-        # tail does not read; the value is the cumulative sum of logs alone
+        # -1/alpha^2 overflows in the rising sums' derivative row, which
+        # the tail does not read; the value is the cumulative sum of logs
+        # alone
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = beta_binomial_accuracy(5, 1e-320, 1.0)
@@ -543,6 +579,115 @@ class TestBetaBinomialFit:
         assert report.models[2].parameters == {"alpha": 0.0, "beta": 0.0}
 
 
+def mp_root(score, theta):
+    """The root of the score equations by 50-digit Newton from ``theta``,
+    and the information there: ``score(x)`` gives (score, information).
+    It stops on a decrement g' I^-1 g below 1e-60."""
+    with mp.workdps(50):
+        x = mp.matrix([mp.mpf(v) for v in theta])
+        for _ in range(30):
+            g, info = score(x)
+            dx = info ** -1 * g
+            x += dx
+            if (dx.T * g)[0] < mp.mpf(10) ** -60:
+                return x, score(x)[1]
+    raise AssertionError("50-digit Newton did not converge")
+
+
+def mp_lmbd_score(n, counts):
+    """The lmbd score N (mean T - E[T]) and information N Cov(T) in theta
+    = (logit psi, log omega), T = (y, y (n-y)), at 50 digits, with Cov(T)
+    about E[T] so that a tiny eigenvalue next to a face keeps its digits."""
+    lf = mp_oracle.log_factorials(n)
+    stats = [(y, y * (n - y)) for y in range(n + 1)]
+    total = sum(counts)
+    with mp.workdps(50):
+        mean = [mp.fsum(c * t[i] for c, t in zip(counts, stats)) / total for i in (0, 1)]
+
+    def score(x):
+        logw = [lf[n] - lf[y] - lf[n - y] + x[0] * t[0] + x[1] * t[1]
+                for y, t in enumerate(stats)]
+        w = [mp.exp(v - max(logw)) for v in logw]
+        p = [v / mp.fsum(w) for v in w]
+        e = [mp.fsum(q * t[i] for q, t in zip(p, stats)) for i in (0, 1)]
+        dev = [(t[0] - e[0], t[1] - e[1]) for t in stats]
+        info = mp.matrix([[total * mp.fsum(q * d[i] * d[j] for q, d in zip(p, dev))
+                           for j in (0, 1)] for i in (0, 1)])
+        return mp.matrix([total * (mean[0] - e[0]), total * (mean[1] - e[1])]), info
+    return score
+
+
+def mp_beta_binomial_score(counts):
+    """The Beta-Binomial score and observed information in theta =
+    (log alpha, log beta) at 50 digits, from the rising-factorial sums
+    over k < n of C_k / (alpha+k) - N / (alpha+beta+k), C_k counting the
+    observations y > k (and n - y > k for beta)."""
+    n, total = len(counts) - 1, sum(counts)
+    above = [sum(counts[k + 1:]) for k in range(n)]
+    below = [sum(counts[:n - k]) for k in range(n)]
+
+    def score(x):
+        a, b = mp.exp(x[0]), mp.exp(x[1])
+        ga = mp.fsum(above[k] / (a + k) - total / (a + b + k) for k in range(n))
+        gb = mp.fsum(below[k] / (b + k) - total / (a + b + k) for k in range(n))
+        s2 = mp.fsum(total / (a + b + k) ** 2 for k in range(n))
+        haa = s2 - mp.fsum(above[k] / (a + k) ** 2 for k in range(n))
+        hbb = s2 - mp.fsum(below[k] / (b + k) ** 2 for k in range(n))
+        info = -mp.matrix([[a * a * haa + a * ga, a * b * s2], [a * b * s2, b * b * hbb + b * gb]])
+        return mp.matrix([a * ga, b * gb]), info
+    return score
+
+
+def beta_binomial_draws(n, alpha, beta, size):
+    draws = betabinom.rvs(n, alpha, beta, size=size, random_state=np.random.default_rng(7))
+    return CountSample(n=n, counts=tuple(int(c) for c in np.bincount(draws, minlength=n + 1)))
+
+
+class TestMleOracle:
+    # the fitted parameters against a 50-digit Newton root theta* of the
+    # score equations, in the metric of the inverse information: the
+    # error e = theta-hat - theta* read as sqrt(e' I e), in standard
+    # errors.  The worst, 1.4e-11, is at theta_1 = 131.9, where each
+    # log-weight near y = n sums terms of some 260 and rounds at up to 3e-14
+    BOUND = 1e-10
+    PAIRS = {**{f"near-chord-{name}": v for name, v in TestFitMle.NEAR_CHORD.items()},
+             "near-edge-4-5": (10, {4: 300, 5: 200, 9: 1}),
+             "psi-hat-rounds-to-one": TestFitMle.THETA_SAMPLES["psi-hat-rounds-to-one"]}
+    LMBD = {
+        "n5": drawn_sample(ModelParams(5, 0.3, 1.4), 500, seed=1),
+        "n20": drawn_sample(ModelParams(20, 0.6, 0.97), 2000, seed=2),
+        "n53": drawn_sample(ModelParams(53, 0.45, 0.995), 3000, seed=3),
+        **{name: CountSample.from_pairs(n, pairs.items()) for name, (n, pairs) in PAIRS.items()},
+    }
+    # with alpha + beta = 134 the shapes' score is a sum of terms that
+    # cancel at the MLE, where a score summed as two count-weighted sums
+    # would lose digits
+    BETA_BINOMIAL = {
+        "n9": beta_binomial_draws(9, 2.0, 3.0, 2000),
+        "n5": beta_binomial_draws(5, 0.5, 0.8, 300),
+        "large-shapes": beta_binomial_draws(20, 6.7, 127.6, 5000),
+    }
+
+    def assert_near_root(self, score, theta):
+        root, info = mp_root(score, theta)
+        with mp.workdps(50):
+            e = mp.matrix([mp.mpf(v) for v in theta]) - root
+            assert float(mp.sqrt((e.T * info * e)[0])) <= self.BOUND
+
+    @pytest.mark.parametrize("s", LMBD.values(), ids=LMBD)
+    def test_lmbd_fit_is_the_mle(self, s):
+        fit = fit_mle(s)
+        assert fit.converged
+        self.assert_near_root(mp_lmbd_score(s.n, s.counts), fit.theta_hat)
+
+    @pytest.mark.parametrize("s", BETA_BINOMIAL.values(), ids=BETA_BINOMIAL)
+    def test_beta_binomial_fit_is_the_mle(self, s):
+        bb = model_comparison(s).models[2]
+        assert bb.converged
+        theta = [math.log(bb.parameters["alpha"]), math.log(bb.parameters["beta"])]
+        self.assert_near_root(mp_beta_binomial_score(s.counts), theta)
+
+
 def _separable(f):
     """Derivs of f(x) - y^2 / 2 at theta = (x, y), from f's (value, slope,
     curvature) at x: the second coordinate is concave with its maximum
@@ -565,15 +710,27 @@ class TestNewtonAscent:
         assert (steps, converged) == (_MAX_STEPS, False)
         assert theta[0] == value == _MAX_STEPS and theta[1] == 0.0
 
-    def test_no_ascent_after_max_halvings(self):
-        # the log-likelihood is NaN past x = 0, so every trial of the
-        # first gradient step fails and the start comes back unconverged
+    def test_no_ascent_leaves_the_start(self):
+        # the log-likelihood is NaN past x = 0, so every trial fails, each
+        # within a halved radius, and after _MAX_STEPS trials the start
+        # comes back unconverged
         def derivs(theta):
             value, grad, hess = _linear_derivs(theta)
             return (value if theta[0] <= 0.0 else math.nan), grad, hess
 
         theta, value, _, steps, converged = _newton_ascent(derivs, np.zeros(2), 1.0)
-        assert (steps, converged) == (0, False)
+        assert (steps, converged) == (_MAX_STEPS, False)
+        assert theta.tolist() == [0.0, 0.0] and value == 0.0
+
+    def test_zero_step_at_a_saddle(self):
+        # the gradient of x^2 - y^2 is exactly 0 at its saddle: a step of
+        # length 0, which no radius clips, so the ascent stays there
+        def derivs(theta):
+            x, y = theta
+            return x * x - y * y, np.array([2.0 * x, -2.0 * y]), np.diag([2.0, -2.0])
+
+        theta, value, _, steps, converged = _newton_ascent(derivs, np.zeros(2), 1.0)
+        assert (steps, converged) == (_MAX_STEPS, False)
         assert theta.tolist() == [0.0, 0.0] and value == 0.0
 
     def test_gradient_step_leaves_a_convex_start(self):
